@@ -79,6 +79,7 @@ from .connection import (
     MuCurve,
     NPointReport,
     build_N_point,
+    coarse_mu_curve,
     distance_to_connection,
     find_shilnikov,
     fixed_point_brackets,

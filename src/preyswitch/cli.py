@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .connection import (
+    MuCurve,
     build_N_point,
+    coarse_mu_curve,
     distance_to_connection,
     find_shilnikov,
     lemma1_asymptotics_report,
@@ -29,7 +31,7 @@ from .connection import (
 )
 from .errors import PreySwitchError
 from .flow import IntegratorConfig, events_payload, integrate_filippov, trajectory_rows
-from .model import classify_sigma_point, load_parameters
+from .model import Parameters, classify_sigma_point, load_parameters
 
 _FMT = "{:.17g}"
 
@@ -56,25 +58,28 @@ def _write_json(out_path: str | None, payload) -> None:
     _write_text(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_pair(text: str, name: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"{name} must be lo:hi, got {text!r}")
-    return float(parts[0]), float(parts[1])
+def _numbers(form: str, sep: str):
+    """An argparse type reading ``form``: numbers joined by ``sep``, where a
+    part named n is a nonnegative count."""
+    names = form.split(sep)
+
+    def parse(text: str) -> tuple:
+        parts = text.split(sep)
+        try:
+            if len(parts) == len(names):
+                return tuple(_count(v) if k == "n" else float(v) for k, v in zip(names, parts))
+        except (ValueError, argparse.ArgumentTypeError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+
+    return parse
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"grid must be lo:hi:n, got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
-
-
-def _parse_floats(text: str, n: int, name: str) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise argparse.ArgumentTypeError(f"{name} must be {n} comma-separated numbers")
-    return tuple(float(v) for v in parts)
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative count, got {text!r}")
+    return n
 
 
 def _cfg_from_args(args) -> IntegratorConfig:
@@ -117,25 +122,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("classify", help="classify a point (x, z) of the switching plane")
     _add_common(sp)
-    sp.add_argument("--point", required=True, help="x,z")
+    sp.add_argument("--point", required=True, type=_numbers("x,z", ","), help="x,z")
 
     sp = subs.add_parser("simulate", help="integrate a Filippov trajectory, write CSV samples")
     _add_common(sp)
-    sp.add_argument("--initial", required=True, help="x,y,z")
+    sp.add_argument("--initial", required=True, type=_numbers("x,y,z", ","), help="x,y,z")
     sp.add_argument("--events-out", default=None, help="optional JSON event log path")
 
     sp = subs.add_parser("mu-curve", help="sample the fold-return curve, write CSV x0,u,v")
     _add_common(sp)
-    sp.add_argument("--grid", required=True, help="lo:hi:n launch grid")
+    sp.add_argument("--grid", required=True, type=_numbers("lo:hi:n", ":"), help="lo:hi:n launch grid")
 
     sp = subs.add_parser("lemmas", help="fold-return asymptotics report with pass/fail lines")
     _add_common(sp)
     sp.add_argument("--eps", type=float, default=1e-3)
     sp.add_argument("--r2-small", dest="r2_small", type=float, default=1e-4)
 
-    sp = subs.add_parser("find-connection", help="bracketing search over beta1 for the connection")
+    sp = subs.add_parser("find-connection", help="root search over the fold point for the connection")
     _add_common(sp)
-    sp.add_argument("--beta1-range", dest="beta1_range", required=True, help="lo:hi")
+    sp.add_argument(
+        "--beta1-range", dest="beta1_range", required=True, type=_numbers("lo:hi", ":"), help="lo:hi"
+    )
 
     sp = subs.add_parser("verify", help="certify the connection at the given fold point")
     _add_common(sp)
@@ -148,27 +155,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("return-map", help="sample the fold first-return map, write CSV s,pi_s")
     _add_common(sp)
-    sp.add_argument("--segment", required=True, help="lo:hi")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--segment", required=True, type=_numbers("lo:hi", ":"), help="lo:hi")
+    sp.add_argument("--n", type=_count, required=True)
 
     sp = subs.add_parser("sweep", help="evaluate the distance functional over a beta1 grid")
     _add_common(sp)
-    sp.add_argument("--beta1-range", dest="beta1_range", required=True, help="lo:hi")
-    sp.add_argument("--n", type=int, default=16)
+    sp.add_argument(
+        "--beta1-range", dest="beta1_range", required=True, type=_numbers("lo:hi", ":"), help="lo:hi"
+    )
+    sp.add_argument("--n", type=_count, default=16)
     sp.add_argument("--jobs", type=int, default=None, help="worker count (default: cpu count)")
     return parser
 
 
-def _sweep_node(payload: tuple[dict, float, IntegratorConfig]) -> tuple[float, float]:
-    params_doc, beta1, cfg = payload
-    from .model import parameters_from_dict
-
-    params = parameters_from_dict(params_doc).replace(beta1=beta1)
+def _sweep_node(payload: tuple[Parameters, IntegratorConfig, MuCurve]) -> tuple[float, float]:
+    params, cfg, curve = payload
     try:
-        D, _ = distance_to_connection(params, cfg)
+        D, _ = distance_to_connection(params, cfg, curve)
     except PreySwitchError:
         D = float("nan")
-    return beta1, D
+    return params.beta1, D
 
 
 def _run_command(args) -> int:
@@ -186,21 +192,19 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "classify":
-        x, z = _parse_floats(args.point, 2, "--point")
-        label = classify_sigma_point((x, z), params)
+        label = classify_sigma_point(args.point, params)
         _write_text(args.out, label.value + "\n")
         return 0
 
     if args.command == "simulate":
-        s0 = _parse_floats(args.initial, 3, "--initial")
-        traj = integrate_filippov(s0, cfg, params)
+        traj = integrate_filippov(args.initial, cfg, params)
         _write_csv(args.out, ["t", "x", "y", "z", "arc_kind", "arc_index"], trajectory_rows(traj))
         if args.events_out is not None:
             _write_json(args.events_out, events_payload(traj))
         return 0
 
     if args.command == "mu-curve":
-        lo, hi, n = _parse_grid(args.grid)
+        lo, hi, n = args.grid
         curve = mu_curve(np.linspace(lo, hi, n), params, cfg)
         _write_csv(args.out, ["x0", "u", "v"], curve.rows())
         return 0
@@ -217,8 +221,7 @@ def _run_command(args) -> int:
         return 0 if report.passed else 1
 
     if args.command == "find-connection":
-        lo, hi = _parse_pair(args.beta1_range, "--beta1-range")
-        cert = find_shilnikov(params, (lo, hi), cfg)
+        cert = find_shilnikov(params, args.beta1_range, cfg)
         _write_json(args.out, cert.payload())
         return 0
 
@@ -233,17 +236,16 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "return-map":
-        lo, hi = _parse_pair(args.segment, "--segment")
-        samples = return_map_sample(params, (lo, hi), args.n, cfg)
+        samples = return_map_sample(params, args.segment, args.n, cfg)
         _write_csv(args.out, ["s", "pi_s"], samples)
         return 0
 
     if args.command == "sweep":
-        lo, hi = _parse_pair(args.beta1_range, "--beta1-range")
-        grid = np.linspace(lo, hi, args.n)
+        # the fold-return curve is free of beta1: sample it once, here
+        curve = coarse_mu_curve(params, cfg)
+        grid = np.linspace(*args.beta1_range, args.n)
+        work = [(params.replace(beta1=float(b1)), cfg, curve) for b1 in grid]
         jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-        doc = params.as_dict()
-        work = [(doc, float(b1), cfg) for b1 in grid]
         if jobs > 1 and len(work) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_sweep_node, work))

@@ -4,10 +4,11 @@ The visible-fold segment 0 < x0 < tau launches X-trajectories tangent to
 Sigma whose first transversal return traces the curve
 mu(x0) = (u(x0), u(x0), v(x0)).  The connection exists when the interior
 pseudo-equilibrium (x_c, z_c) of the sliding field lands on that curve.
-Since the X-flow is free of beta1 while the pseudo-equilibrium moves with
-it, a one-parameter search over beta1 locates the crossing: this module
-computes mu, measures the signed vertical distance D from the focus to the
-curve, drives a bracketing root search over beta1, and certifies the
+The X-flow is free of beta1 and x_c is a Moebius function of beta1, so the
+connection is one root in x0 of G(x0) = v(x0) - z_c(beta1(u(x0))): this
+module computes mu and its coarse beta1-free samples, measures the signed
+vertical distance D from the focus to the curve, solves G = 0 between the
+fold points matched to the ends of a beta1 range, and certifies the
 resulting loop (finite-time forward arc onto the focus, asymptotic backward
 sliding capture, and the ordering of the sliding return x* below the fold
 point).  It also constructs explicit parameter points of the
@@ -244,55 +245,69 @@ def working_window(curve: MuCurve, params: Parameters) -> tuple[int, int] | None
     return best
 
 
-_MU_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_MU_CACHE_MAX = 64
 _COARSE_N = 48
 _COARSE_SPAN = (0.02, 0.99)
 
 
-def _coarse_mu(params: Parameters, cfg: IntegratorConfig) -> MuCurve:
-    """Coarse fold-return samples, cached on the beta-free part of the flow.
+def coarse_mu_curve(params: Parameters, cfg: IntegratorConfig) -> MuCurve:
+    """The fold-return curve on the coarse grid that brackets the matching.
 
-    X depends on (r1, r2, m, e*q1) only, so samples are shared across the
-    beta1 iterates of the connection search.
+    48 launches evenly spaced over [0.02, 0.99]*tau.  X depends on
+    (r1, r2, m, e*q1) only, so one curve serves every beta1 and beta2.
     """
-    key = (params.r1, params.r2, params.m, params.e * params.q1, cfg)
-    hit = _MU_CACHE.get(key)
-    if hit is None:
-        tau = params.tau
-        grid = np.linspace(_COARSE_SPAN[0] * tau, _COARSE_SPAN[1] * tau, _COARSE_N)
-        curve = mu_curve(grid, params, cfg)
-        hit = (curve.x0s, curve.us, curve.vs)
-        if len(_MU_CACHE) >= _MU_CACHE_MAX:
-            _MU_CACHE.clear()
-        _MU_CACHE[key] = hit
-    return MuCurve(x0s=hit[0], us=hit[1], vs=hit[2], params=params)
+    tau = params.tau
+    grid = np.linspace(_COARSE_SPAN[0] * tau, _COARSE_SPAN[1] * tau, _COARSE_N)
+    return mu_curve(grid, params, cfg)
 
 
-def distance_to_connection(
-    params: Parameters, cfg: IntegratorConfig
-) -> tuple[float, float]:
-    """Signed distance D from the pseudo-focus to the fold-return curve.
+def _x_flow_rates(params: Parameters) -> tuple[float, float, float, float]:
+    return params.r1, params.r2, params.m, params.e * params.q1
 
-    Solves u(x0) = x_c on the working window and returns
-    (D, x0_matched) with D = v(x0_matched) - z_c: positive when the focus
-    lies below the curve, negative above.  Raises :class:`NoBracket` when
-    x_c is outside the attained range of u, :class:`MultipleRoots` when the
-    sampled u is not monotone around the bracket, and
-    :class:`Lemma2Violation` when the pseudo-equilibrium is not a repulsive
-    focus.
-    """
+
+def _repulsive_focus(params: Parameters) -> SigmaState:
+    """The interior pseudo-equilibrium, which must be a repulsive focus."""
     pe = classify_focus(params)
     if pe.kind is not FocusKind.REPULSIVE_FOCUS:
         raise Lemma2Violation(
             f"pseudo-equilibrium is {pe.kind.value}, not a repulsive focus "
             f"(beta1 = {params.beta1})"
         )
-    x_c, z_c = pe.location.x, pe.location.z
-    if not 0.0 < x_c < params.tau:
-        raise Lemma2Violation(f"x_c = {x_c} is outside (0, tau)")
+    if not 0.0 < pe.location.x < params.tau:
+        raise Lemma2Violation(f"x_c = {pe.location.x} is outside (0, tau) (beta1 = {params.beta1})")
+    return pe.location
 
-    curve = _coarse_mu(params, cfg)
+
+def _beta1_with_focus_at(u: float, params: Parameters) -> float:
+    """The beta1 whose pseudo-focus abscissa x_c is u: x_c's Moebius inverse."""
+    p = params
+    return (
+        p.beta2 * p.r1 * p.a_q * (u * p.e * p.q1 - p.m)
+        / (p.r2 * (p.a_q * p.m - u * p.e * p.q2))
+    )
+
+
+def distance_to_connection(
+    params: Parameters, cfg: IntegratorConfig, curve: MuCurve
+) -> tuple[float, float]:
+    """Signed distance D from the pseudo-focus to the fold-return curve.
+
+    Solves u(x0) = x_c on the working window of ``curve`` (from
+    :func:`coarse_mu_curve`, for any beta1) and returns (D, x0_matched) with
+    D = v(x0_matched) - z_c: positive when the focus lies below the curve,
+    negative above.  Raises :class:`DomainError` when the curve's X-flow
+    rates (r1, r2, m, e*q1) are not those of ``params``, :class:`NoBracket`
+    when x_c is outside the attained range of u, :class:`MultipleRoots` when
+    the sampled u is not monotone around the bracket, and
+    :class:`Lemma2Violation` when the pseudo-equilibrium is not a repulsive
+    focus.
+    """
+    if _x_flow_rates(curve.params) != _x_flow_rates(params):
+        raise DomainError(
+            f"the curve was sampled for X-flow rates (r1, r2, m, e*q1) = "
+            f"{_x_flow_rates(curve.params)}, not {_x_flow_rates(params)}"
+        )
+    focus = _repulsive_focus(params)
+    x_c, z_c = focus.x, focus.z
     win = working_window(curve, params)
     if win is None:
         raise NoBracket("the fold-return curve has no working window")
@@ -332,78 +347,53 @@ def distance_to_connection(
 
 
 def find_shilnikov(
-    base: Parameters,
-    beta1_range: tuple[float, float],
-    cfg: IntegratorConfig,
-    bracket_tol: float = 1e-6,
-    residual_tol: float = 1e-9,
-    max_iter: int = 200,
+    base: Parameters, beta1_range: tuple[float, float], cfg: IntegratorConfig
 ) -> ConnectionCertificate:
-    """Bracketing search over beta1 for the sliding homoclinic connection.
+    """The sliding homoclinic connection, as one root in the fold point x0.
 
-    The endpoints must bracket a sign change of the distance functional D
-    and both must satisfy the repulsive-focus condition.  The bracket is
-    narrowed with regula-falsi steps under the Illinois safeguard until its
-    width is at most ``bracket_tol``; the interpolated steps drive the best
-    iterate's |D| far below ``residual_tol`` on the way (an exact zero stops
-    early).  The connection at the best iterate is then certified, with the
-    final bracket width recorded on the certificate.
+    Each x0 fixes the one beta1(u(x0)) whose focus abscissa is u(x0), so the
+    connection is the root of G(x0) = v(x0) - z_c(beta1(u(x0))), bracketed
+    by the fold points that :func:`distance_to_connection` matches to the
+    ends of ``beta1_range``; their distances must differ in sign, else
+    :class:`SameSign`.  Each evaluation of G raises :class:`Lemma2Violation`,
+    naming its beta1, when the focus is not repulsive.  The root is then
+    certified; ``bracket_width`` is the beta1 width of a final x0 bracket
+    whose two ends were both evaluated and give G opposite signs.
     """
     lo, hi = (float(beta1_range[0]), float(beta1_range[1]))
     if not lo < hi:
         raise SameSign(f"beta1 range ({lo}, {hi}) is empty")
-
-    def evaluate(b1: float) -> tuple[float, float]:
-        try:
-            return distance_to_connection(base.replace(beta1=b1), cfg)
-        except Lemma2Violation as err:
-            raise Lemma2Violation(f"iterate beta1 = {b1}: {err}") from err
-
-    fa, x0a = evaluate(lo)
-    fb, x0b = evaluate(hi)
-    width = hi - lo
-    if fa == 0.0:
-        best = (lo, fa, x0a)
-        width = 0.0
-    elif fb == 0.0:
-        best = (hi, fb, x0b)
-        width = 0.0
-    elif (fa < 0.0) == (fb < 0.0):
+    ends = [base.replace(beta1=b1) for b1 in (lo, hi)]
+    for params in ends:
+        _repulsive_focus(params)
+    curve = coarse_mu_curve(base, cfg)
+    (fa, x0a), (fb, x0b) = (distance_to_connection(p, cfg, curve) for p in ends)
+    if fa * fb > 0.0:
         raise SameSign(
             f"D does not change sign over the range: D({lo}) = {fa}, D({hi}) = {fb}"
         )
-    else:
-        a, b = lo, hi
-        best = (lo, fa, x0a) if abs(fa) < abs(fb) else (hi, fb, x0b)
-        side = 0
-        for _ in range(max_iter):
-            if (b - a) <= bracket_tol:
-                break
-            c = b - fb * (b - a) / (fb - fa)
-            margin = 0.01 * (b - a)
-            c = min(max(c, a + margin), b - margin)
-            fc, x0c = evaluate(c)
-            if abs(fc) < abs(best[1]):
-                best = (c, fc, x0c)
-            if fc == 0.0:
-                break
-            if (fc < 0.0) == (fa < 0.0):
-                a, fa = c, fc
-                if side == -1:
-                    fb *= 0.5
-                side = -1
-            else:
-                b, fb = c, fc
-                if side == 1:
-                    fa *= 0.5
-                side = 1
-        else:
-            raise PreySwitchError(
-                f"connection search did not converge in {max_iter} iterations"
-            )
-        width = b - a
 
-    beta1_star, _, x0_star = best
+    evaluated: dict[float, tuple[float, float]] = {}
+
+    def G(x0: float) -> float:
+        u, v = mu_point(x0, base, cfg)
+        beta1 = _beta1_with_focus_at(u, base)
+        g = v - _repulsive_focus(base.replace(beta1=beta1)).z
+        evaluated[x0] = (g, beta1)
+        return g
+
+    try:
+        x0_star = brentq(G, min(x0a, x0b), max(x0a, x0b), xtol=1e-12)
+    except ValueError as err:
+        raise NoBracket(
+            f"G keeps one sign between the matched fold points {x0a} and {x0b}"
+        ) from err
+    g_star, beta1_star = evaluated[x0_star]
+    width = min(
+        abs(beta1 - beta1_star)
+        for g, beta1 in evaluated.values()
+        if g_star == 0.0 or (g < 0.0) != (g_star < 0.0)
+    )
     cert = verify_connection(base.replace(beta1=beta1_star), x0_star, cfg)
     return dataclasses_replace(cert, bracket_width=width)
 
@@ -428,12 +418,7 @@ def verify_connection(
     tau = params.tau
     if not 0.0 < x0 < tau:
         raise DomainError(f"fold point x0 = {x0} must lie in (0, tau = {tau})")
-    pe = classify_focus(params)
-    if pe.kind is not FocusKind.REPULSIVE_FOCUS:
-        raise Lemma2Violation(
-            f"pseudo-equilibrium is {pe.kind.value}, not a repulsive focus"
-        )
-    focus = pe.location
+    focus = _repulsive_focus(params)
 
     u, v = mu_point(x0, params, cfg)
     forward_error = math.sqrt(2.0 * (u - focus.x) ** 2 + (v - focus.z) ** 2)

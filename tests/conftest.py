@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from preyswitch import IntegratorConfig, find_shilnikov, focus_condition_holds, validate_parameters
+from preyswitch import (
+    IntegratorConfig,
+    coarse_mu_curve,
+    find_shilnikov,
+    focus_condition_holds,
+    validate_parameters,
+)
 
 # Baseline rates for the numerical experiments (decimal points).
 TABLE1 = dict(m=0.790, r1=0.836, e=0.948, q1=0.772, a_q=0.660, q2=1.084, beta2=0.896, r2=0.126)
@@ -20,6 +26,12 @@ def table1_b10():
 @pytest.fixture(scope="session")
 def cfg():
     return IntegratorConfig()
+
+
+@pytest.fixture(scope="session")
+def coarse_curve(table1, cfg):
+    """Table 1's coarse fold-return curve, shared by every beta1 and beta2."""
+    return coarse_mu_curve(table1, cfg)
 
 
 @pytest.fixture()

@@ -43,9 +43,9 @@ def report(num, text):
     print(f"PASS criterion {num}: {text}")
 
 
-def test_criterion_01_section5_reproduction(connection, table1, cfg):
-    D_low, _ = distance_to_connection(table1, cfg)
-    D_high, _ = distance_to_connection(table1.replace(beta1=10.0), cfg)
+def test_criterion_01_section5_reproduction(connection, table1, cfg, coarse_curve):
+    D_low, _ = distance_to_connection(table1, cfg, coarse_curve)
+    D_high, _ = distance_to_connection(table1.replace(beta1=10.0), cfg, coarse_curve)
     assert np.sign(D_low) != np.sign(D_high)
 
     cert, elapsed = connection
@@ -262,7 +262,10 @@ def test_criterion_09_monotonicity_witnesses(table1, rng):
 def test_criterion_10_return_map_diagnostic(connection, cfg):
     cert, _ = connection
     params = cert.params
-    lo, hi = cert.x0 - 0.04, cert.x0 + 0.04
+    # the grid is off-centre by half a step so that it misses x0 itself: the
+    # X-arc from x0 lands on the focus to rounding, an equilibrium of the
+    # sliding flow, so that orbit never returns to the fold line
+    lo, hi = cert.x0 - 0.039, cert.x0 + 0.041
     samples = return_map_sample(params, (lo, hi), 41, cfg)
     brackets = fixed_point_brackets(samples)
     assert brackets, "no sign change of pi(s) - s on the fold segment"

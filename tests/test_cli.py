@@ -45,10 +45,25 @@ def test_missing_file_is_domain_error(capsys):
     assert run(["validate", "--params", "/nonexistent/params.json"]) == 1
 
 
-def test_usage_error_exit_code(params_file):
-    with pytest.raises(SystemExit) as exc:
-        run(["classify", "--params", params_file])
-    assert exc.value.code == 2
+def test_usage_error_exit_code(params_file, capsys):
+    for args in (
+        ["classify"],
+        ["classify", "--point", "1"],
+        ["classify", "--point", "1,a"],
+        ["simulate", "--initial", "0.3,0.3"],
+        ["mu-curve", "--grid", "0:1"],
+        ["mu-curve", "--grid", "0:1:-1"],
+        ["mu-curve", "--grid", "0:1:2.5"],
+        ["find-connection", "--beta1-range", "1:2:3"],
+        ["find-connection", "--beta1-range", "a:b"],
+        ["return-map", "--segment", "0.3", "--n", "3"],
+        ["return-map", "--segment", "0.3:0.4", "--n", "-1"],
+        ["sweep", "--beta1-range", "1:10", "--n", "-2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run([args[0], "--params", params_file] + args[1:])
+        assert exc.value.code == 2, args
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_classify_crossing(params_file, capsys):
@@ -209,3 +224,13 @@ def test_sweep_serial_and_parallel_agree(params_file, tmp_path):
     assert len(rows) == 3
     ds = [float(r[1]) for r in rows]
     assert ds[0] > 0.0 > ds[-1]
+
+
+def test_sweep_curve_failure_exits_1(params_file, capsys):
+    # the fold-return curve does not depend on beta1, so its failure fails the
+    # whole sweep instead of turning every row into NaN
+    args = ["sweep", "--params", params_file, "--beta1-range", "6.0:9.0", "--n", "3", "--jobs", "1"]
+    assert run(args + ["--t-max", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("NoReturn: ")

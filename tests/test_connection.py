@@ -9,6 +9,7 @@ from preyswitch import (
     EventKind,
     InequalityViolated,
     Lemma2Violation,
+    MuCurve,
     MultipleRoots,
     NoBracket,
     NoReturn,
@@ -18,6 +19,7 @@ from preyswitch import (
     VerificationFailure,
     build_N_point,
     classify_sigma_point,
+    coarse_mu_curve,
     distance_to_connection,
     find_shilnikov,
     first_integral_F,
@@ -114,53 +116,53 @@ def test_mu_curve_empty_and_bad_grids(table1, cfg):
     assert "node x0" in str(err.value)
 
 
-def test_distance_sign_reproduces_figure_configurations(table1, table1_b10, cfg):
-    D1, x01 = distance_to_connection(table1, cfg)
+def test_distance_sign_reproduces_figure_configurations(table1, table1_b10, cfg, coarse_curve):
+    D1, x01 = distance_to_connection(table1, cfg, coarse_curve)
     assert D1 > 0.0
     assert 0.0 < x01 < table1.tau
-    D2, x02 = distance_to_connection(table1_b10, cfg)
+    D2, x02 = distance_to_connection(table1_b10, cfg, coarse_curve)
     assert D2 < 0.0
     assert 0.0 < x02 < table1_b10.tau
 
 
-def test_distance_matched_point_hits_focus_abscissa(table1, cfg):
+def test_distance_matched_point_hits_focus_abscissa(table1, cfg, coarse_curve):
     _, focus = pseudo_equilibria(table1)
-    _, x0 = distance_to_connection(table1, cfg)
+    _, x0 = distance_to_connection(table1, cfg, coarse_curve)
     u, _ = mu_point(x0, table1, cfg)
     assert u == pytest.approx(focus.x, abs=1e-10)
 
 
-def test_distance_no_bracket(table1, cfg):
+def test_distance_no_bracket(table1, cfg, coarse_curve):
     with pytest.raises(NoBracket):
-        distance_to_connection(table1.replace(beta1=0.05), cfg)
+        distance_to_connection(table1.replace(beta1=0.05), cfg, coarse_curve)
 
 
-def test_distance_lemma2_violation(table1, cfg):
+def test_distance_lemma2_violation(table1, cfg, coarse_curve):
+    bad = table1.replace(m=25.0)
     with pytest.raises(Lemma2Violation):
-        distance_to_connection(table1.replace(m=25.0), cfg)
+        distance_to_connection(bad, cfg, replace(coarse_curve, params=bad))
 
 
 def test_distance_multiple_roots_reported(table1, cfg):
-    # inject a synthetic non-monotone coarse curve for this exact cache key
-    key = (table1.r1, table1.r2, table1.m, table1.e * table1.q1, cfg)
+    # synthetic non-monotone coarse curves around the focus abscissa
     _, focus = pseudo_equilibria(table1)
     assert 0.9 < focus.x < 1.0
     x0s = np.linspace(0.2, 0.5, 6)
     vs = np.full(6, 2.0)
-    saved = dict(connection_mod._MU_CACHE)
-    try:
-        connection_mod._MU_CACHE.clear()
-        us = np.array([0.85, 1.00, 0.88, 1.02, 1.03, 1.04])
-        connection_mod._MU_CACHE[key] = (x0s, us, vs)
+    for us in ([0.85, 1.00, 0.88, 1.02, 1.03, 1.04], [0.90, 0.92, 0.91, 1.00, 1.02, 1.04]):
+        curve = MuCurve(x0s=x0s, us=np.array(us), vs=vs, params=table1)
         with pytest.raises(MultipleRoots):
-            distance_to_connection(table1, cfg)
-        us2 = np.array([0.90, 0.92, 0.91, 1.00, 1.02, 1.04])
-        connection_mod._MU_CACHE[key] = (x0s, us2, vs)
-        with pytest.raises(MultipleRoots):
-            distance_to_connection(table1, cfg)
-    finally:
-        connection_mod._MU_CACHE.clear()
-        connection_mod._MU_CACHE.update(saved)
+            distance_to_connection(table1, cfg, curve)
+
+
+def test_distance_rejects_curve_of_other_x_flow(table1, table1_b10, cfg, coarse_curve):
+    # beta1 and beta2 leave the X-flow alone; r1, r2, m and e*q1 do not
+    curve = replace(coarse_curve, params=table1_b10.replace(beta2=2.0))
+    same = distance_to_connection(table1, cfg, coarse_curve)
+    assert distance_to_connection(table1, cfg, curve) == same
+    for change in ({"r1": 0.9}, {"r2": 0.1}, {"m": 0.8}, {"q1": 0.7}):
+        with pytest.raises(DomainError):
+            distance_to_connection(table1.replace(**change), cfg, coarse_curve)
 
 
 def test_find_shilnikov_certificate(connection, table1):
@@ -190,6 +192,26 @@ def test_find_shilnikov_lemma2_violation_reports_iterate(table1, cfg):
     assert "beta1" in str(err.value)
 
 
+def test_find_shilnikov_is_independent_of_the_range(connection, table1, cfg):
+    cert, _ = connection
+    assert abs(cert.beta1_star - 7.7768748097) <= 1e-9
+    other = find_shilnikov(table1, (1.2, 9.4), cfg)
+    assert abs(other.beta1_star - cert.beta1_star) <= 1e-9
+    assert other.bracket_width <= 1e-6
+
+
+def test_find_shilnikov_fold_launch_budget(table1, cfg, monkeypatch):
+    launches = []
+
+    def counted(x0, params, cfg):
+        launches.append(x0)
+        return mu_point(x0, params, cfg)
+
+    monkeypatch.setattr(connection_mod, "mu_point", counted)
+    find_shilnikov(table1, (0.994, 10.0), cfg)
+    assert len(launches) <= 90
+
+
 def test_verify_connection_at_certificate(connection, cfg):
     cert, _ = connection
     again = verify_connection(cert.params, cert.x0, cfg)
@@ -197,8 +219,8 @@ def test_verify_connection_at_certificate(connection, cfg):
     assert again.x_star == pytest.approx(cert.x_star, rel=1e-9)
 
 
-def test_verify_connection_fails_off_connection(table1, cfg):
-    _, x0 = distance_to_connection(table1, cfg)
+def test_verify_connection_fails_off_connection(table1, cfg, coarse_curve):
+    _, x0 = distance_to_connection(table1, cfg, coarse_curve)
     with pytest.raises(VerificationFailure) as err:
         verify_connection(table1, x0, cfg)
     assert "forward landing" in str(err.value)
@@ -219,12 +241,14 @@ def test_f_level_consistency_at_connection(connection):
     assert abs(F_fold - F_focus) <= 1e-8
 
 
-def test_distance_is_continuous_in_beta1_near_root(connection, table1, cfg):
+def test_distance_is_continuous_in_beta1_near_root(connection, table1, cfg, coarse_curve):
     cert, _ = connection
-    D0, _ = distance_to_connection(table1.replace(beta1=cert.beta1_star), cfg)
+    D0, _ = distance_to_connection(table1.replace(beta1=cert.beta1_star), cfg, coarse_curve)
     diffs = []
     for delta in (8e-4, 4e-4, 2e-4):
-        D, _ = distance_to_connection(table1.replace(beta1=cert.beta1_star + delta), cfg)
+        D, _ = distance_to_connection(
+            table1.replace(beta1=cert.beta1_star + delta), cfg, coarse_curve
+        )
         diffs.append(abs(D - D0))
     assert diffs[0] > diffs[1] > diffs[2]
     assert 0.2 < diffs[1] / diffs[0] < 0.8
@@ -239,7 +263,7 @@ def test_build_n_point_round_trip(table1, cfg):
     _, interior = pseudo_equilibria(rep.params_out)
     assert interior.x == pytest.approx(rep.mu[0], abs=1e-8)
     assert interior.z == pytest.approx(rep.mu[1], abs=1e-8)
-    D, x0m = distance_to_connection(rep.params_out, cfg)
+    D, x0m = distance_to_connection(rep.params_out, cfg, coarse_mu_curve(rep.params_out, cfg))
     assert abs(D) <= 1e-8
     assert x0m == pytest.approx(x0, abs=1e-6)
     payload = rep.payload()
@@ -278,22 +302,28 @@ def test_return_map_empty_and_bad_segment(table1, cfg):
 def test_return_map_fixed_point_reiteration(connection, cfg):
     cert, _ = connection
     params = cert.params
-    samples = return_map_sample(params, (cert.x0 - 0.01, cert.x0 + 0.01), 21, cfg)
+    # half a step off-centre: the orbit from x0 itself stays on the focus
+    samples = return_map_sample(params, (cert.x0 - 0.0095, cert.x0 + 0.0105), 21, cfg)
     assert len(samples) == 21
     brackets = fixed_point_brackets(samples)
     assert brackets
-    a, b = brackets[0]
-    ga = pi_map(a, params, cfg) - a
-    for _ in range(40):
-        c = 0.5 * (a + b)
-        gc = pi_map(c, params, cfg) - c
-        if gc == 0.0 or (b - a) < 1e-11:
+    # pi jumps where the exit of the sliding orbit switches branch, and a sign
+    # change of pi(s) - s across a jump bisects to the jump, not a fixed point
+    for a, b in brackets:
+        ga = pi_map(a, params, cfg) - a
+        for _ in range(40):
+            c = 0.5 * (a + b)
+            gc = pi_map(c, params, cfg) - c
+            if gc == 0.0 or (b - a) < 1e-11:
+                break
+            if (gc < 0.0) == (ga < 0.0):
+                a, ga = c, gc
+            else:
+                b = c
+        s_fix = 0.5 * (a + b)
+        p1 = pi_map(s_fix, params, cfg)
+        if abs(p1 - s_fix) <= 1e-8:
             break
-        if (gc < 0.0) == (ga < 0.0):
-            a, ga = c, gc
-        else:
-            b = c
-    s_fix = 0.5 * (a + b)
-    p1 = pi_map(s_fix, params, cfg)
-    assert abs(p1 - s_fix) <= 1e-8
+    else:
+        pytest.fail(f"no bracket in {brackets} holds a fixed point of pi")
     assert abs(pi_map(p1, params, cfg) - s_fix) <= 1e-6
