@@ -12,6 +12,7 @@ from .errors import (
     ConstraintViolation,
     DegenerateTau,
     DomainError,
+    FocusLanding,
     IdentityInfeasible,
     InequalityViolated,
     Lemma2Violation,

@@ -27,6 +27,7 @@ from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
+    FocusLanding,
     IdentityInfeasible,
     InequalityViolated,
     Lemma2Violation,
@@ -621,7 +622,9 @@ def return_map_sample(
     Each point s launches the X-arc from (s, s, phi) to its landing on the
     sliding region, follows the sliding flow to its fold exit, and records
     the exit abscissa pi(s).  Sign changes of pi(s) - s witness sliding
-    periodic orbits.  Raises :class:`OrbitEscaped` if any orbit fails to
+    periodic orbits.  Raises :class:`FocusLanding` if an X-arc lands within
+    ``cfg.event_tol`` of the pseudo-focus (as the one from the connection's
+    fold point does), and :class:`OrbitEscaped` if any other orbit fails to
     come back to the fold line.
     """
     if n < 0:
@@ -640,10 +643,10 @@ def return_map_sample(
             raise OrbitEscaped(f"s = {s}: {err}") from err
         if v < params.phi - cfg.event_tol:
             raise OrbitEscaped(f"s = {s}: landing at z = {v} is below the sliding region")
-        arc = integrate_sliding(
-            (u, v), Direction.FORWARD, cfg, params, focus_capture_radius=0.0
-        )
+        arc = integrate_sliding((u, v), Direction.FORWARD, cfg, params, cfg.event_tol)
         ev = arc.terminal_event
+        if ev.kind is EventKind.FOCUS_CAPTURE:
+            raise FocusLanding(f"s = {s}: the X-arc lands on the pseudo-focus at ({u}, {v})")
         if ev.kind is not EventKind.FOLD_EXIT:
             raise OrbitEscaped(f"s = {s}: sliding arc ended with {ev.kind.value}")
         out.append((float(s), float(ev.state[0])))

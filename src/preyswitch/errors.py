@@ -93,3 +93,7 @@ class InequalityViolated(PreySwitchError):
 
 class OrbitEscaped(PreySwitchError):
     """A return-map orbit left the sampled neighborhood before returning."""
+
+
+class FocusLanding(PreySwitchError):
+    """A return-map orbit landed on the pseudo-focus, where the sliding flow rests."""

@@ -263,8 +263,8 @@ def test_criterion_10_return_map_diagnostic(connection, cfg):
     cert, _ = connection
     params = cert.params
     # the grid is off-centre by half a step so that it misses x0 itself: the
-    # X-arc from x0 lands on the focus to rounding, an equilibrium of the
-    # sliding flow, so that orbit never returns to the fold line
+    # X-arc from x0 lands on the focus, where the sliding flow rests, and
+    # return_map_sample raises FocusLanding there
     lo, hi = cert.x0 - 0.039, cert.x0 + 0.041
     samples = return_map_sample(params, (lo, hi), 41, cfg)
     brackets = fixed_point_brackets(samples)

@@ -7,6 +7,7 @@ from preyswitch import (
     Direction,
     DomainError,
     EventKind,
+    FocusLanding,
     InequalityViolated,
     Lemma2Violation,
     MuCurve,
@@ -299,18 +300,26 @@ def test_return_map_empty_and_bad_segment(table1, cfg):
         return_map_sample(table1, (0.2, 2.0 * table1.tau), 3, cfg)
 
 
+def test_return_map_reports_focus_landing_at_connection(connection, cfg):
+    cert, _ = connection
+    with pytest.raises(FocusLanding):
+        return_map_sample(cert.params, (cert.x0, cert.x0), 1, cfg)
+
+
 def test_return_map_fixed_point_reiteration(connection, cfg):
     cert, _ = connection
     params = cert.params
-    # half a step off-centre: the orbit from x0 itself stays on the focus
+    # half a step off-centre, so that no sample is x0 itself (FocusLanding)
     samples = return_map_sample(params, (cert.x0 - 0.0095, cert.x0 + 0.0105), 21, cfg)
     assert len(samples) == 21
     brackets = fixed_point_brackets(samples)
     assert brackets
-    # pi jumps where the exit of the sliding orbit switches branch, and a sign
-    # change of pi(s) - s across a jump bisects to the jump, not a fixed point
+    # pi jumps where the exit of the sliding orbit switches branch; a sign
+    # change across a jump bisects to ends that stay apart, and is skipped.
+    # The first sign change that is not a jump must hold the fixed point.
     for a, b in brackets:
         ga = pi_map(a, params, cfg) - a
+        gb = pi_map(b, params, cfg) - b
         for _ in range(40):
             c = 0.5 * (a + b)
             gc = pi_map(c, params, cfg) - c
@@ -319,11 +328,12 @@ def test_return_map_fixed_point_reiteration(connection, cfg):
             if (gc < 0.0) == (ga < 0.0):
                 a, ga = c, gc
             else:
-                b = c
-        s_fix = 0.5 * (a + b)
-        p1 = pi_map(s_fix, params, cfg)
-        if abs(p1 - s_fix) <= 1e-8:
+                b, gb = c, gc
+        if gc == 0.0 or abs(gb - ga) <= 1e-6:
             break
     else:
-        pytest.fail(f"no bracket in {brackets} holds a fixed point of pi")
+        pytest.fail(f"every sign change in {brackets} lies across a jump of pi")
+    s_fix = 0.5 * (a + b)
+    p1 = pi_map(s_fix, params, cfg)
+    assert abs(p1 - s_fix) <= 1e-8
     assert abs(pi_map(p1, params, cfg) - s_fix) <= 1e-6
