@@ -7,11 +7,11 @@ pseudo-equilibrium (x_c, z_c) of the sliding field lands on that curve.
 The X-flow is free of beta1 and x_c is a Moebius function of beta1, so the
 connection is one root in x0 of G(x0) = v(x0) - z_c(beta1(u(x0))): this
 module computes mu and its coarse beta1-free samples, measures the signed
-vertical distance D from the focus to the curve, solves G = 0 between the
-fold points matched to the ends of a beta1 range, and certifies the
-resulting loop (finite-time forward arc onto the focus, asymptotic backward
-sliding capture, and the ordering of the sliding return x* below the fold
-point).  It also constructs explicit parameter points of the
+vertical distance D from the focus to the curve, solves G = 0 on the pair of
+coarse nodes across which it changes sign inside a beta1 range, and
+certifies the resulting loop (finite-time forward arc onto the focus,
+asymptotic backward sliding capture, and the ordering of the sliding return
+x* below the fold point).  It also constructs explicit parameter points of the
 codimension-one connection manifold via the beta2/e identities, and samples
 the first-return map along the fold as a chaos diagnostic.
 """
@@ -26,6 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
+    ConstraintViolation,
     DomainError,
     FocusLanding,
     IdentityInfeasible,
@@ -44,11 +45,11 @@ from .flow import (
     Direction,
     EventKind,
     IntegratorConfig,
+    integrate_fold_launches,
     integrate_sliding,
-    integrate_smooth,
     lv_period,
 )
-from .model import Parameters, Piece, SigmaState, validate_parameters
+from .model import Parameters, SigmaState, validate_parameters
 from .sliding import FocusKind, classify_focus, pseudo_equilibria
 
 
@@ -165,63 +166,42 @@ class Lemma1Report:
 def mu_point(x0: float, params: Parameters, cfg: IntegratorConfig) -> tuple[float, float]:
     """First transversal return (u, v) of the X-flow launched at a fold point.
 
-    The launch (x0, x0, phi) is tangent to Sigma; the switching event is
-    armed only after separation, and the located return must satisfy
-    u = x0*exp(r2*t1) to 1e-10 relative (the y-component grows exactly
-    exponentially, so this cross-checks both the integration and the event
-    location).
+    The one-lane case of :func:`~preyswitch.flow.integrate_fold_launches`:
+    the launch (x0, x0, phi) is tangent to Sigma, and its return is located
+    with the desingularised switching function h/t**2, so no event needs
+    arming.  The return must satisfy u = x0*exp(r2*t1) to 1e-10 relative
+    (the y-component grows exactly exponentially, so this cross-checks both
+    the integration and the event location).  Raises :class:`DomainError`
+    for x0 <= 0, :class:`TangencyAmbiguity` for x0 >= tau and for a launch
+    so close to the cusp that its return is not resolved, and
+    :class:`NoReturn` when there is no return within ``cfg.t_max``.
     """
-    x0 = float(x0)
-    if x0 <= 0.0:
-        raise DomainError(f"fold launch requires x0 > 0, got {x0}")
-    tau = params.tau
-    if x0 >= tau:
-        raise TangencyAmbiguity(
-            f"x0 = {x0} >= tau = {tau}: the fold contact is not visible there"
-        )
-    arc = integrate_smooth(
-        Piece.X,
-        (x0, x0, params.phi),
-        Direction.FORWARD,
-        cfg,
-        params,
-        skip_initial_tangency=True,
-    )
-    ev = arc.terminal_event
-    if ev.kind is not EventKind.SIGMA_CROSSING:
-        if ev.kind is EventKind.HORIZON_REACHED:
-            h_max = float(np.max(arc.states[:, 0] - arc.states[:, 1]))
-            if h_max <= cfg.event_tol:
-                raise TangencyAmbiguity(
-                    f"launch at x0 = {x0} never separated from Sigma (max h = {h_max:.2e})"
-                )
-            raise NoReturn(f"no return to Sigma within t_max = {cfg.t_max} from x0 = {x0}")
-        raise NoReturn(f"fold launch at x0 = {x0} terminated with {ev.kind.value}")
-    u, v = float(ev.state[0]), float(ev.state[2])
-    t1 = ev.t - arc.t0
-    expected = x0 * math.exp(params.r2 * t1)
-    if abs(u - expected) > 1e-10 * abs(u):
-        raise PreySwitchError(
-            f"return consistency u = x0*exp(r2*t1) violated at x0 = {x0}: "
-            f"u = {u!r}, x0*exp(r2*t1) = {expected!r}"
-        )
-    return u, v
+    (result,) = integrate_fold_launches([x0], cfg, params)
+    if isinstance(result, PreySwitchError):
+        raise result
+    return result
 
 
 def mu_curve(grid, params: Parameters, cfg: IntegratorConfig) -> MuCurve:
-    """Evaluate the fold-return map over a sorted grid of launch points."""
+    """Evaluate the fold-return map over a sorted grid of launch points.
+
+    All launches are stacked lanes of one solver call
+    (:func:`~preyswitch.flow.integrate_fold_launches`), so a node's (u, v)
+    depends, at about 1e-12, on the other nodes of the grid.  A failing
+    launch raises the error :func:`mu_point` would raise there, naming the
+    first failing node.
+    """
     x0s = np.asarray(grid, dtype=float)
     if x0s.ndim != 1:
         raise DomainError("grid must be one-dimensional")
     if len(x0s) and np.any(np.diff(x0s) <= 0.0):
         raise DomainError("grid must be strictly increasing")
-    us = np.empty_like(x0s)
-    vs = np.empty_like(x0s)
-    for i, x0 in enumerate(x0s):
-        try:
-            us[i], vs[i] = mu_point(x0, params, cfg)
-        except PreySwitchError as err:
-            raise type(err)(f"mu_curve node x0 = {x0}: {err}") from err
+    returns = integrate_fold_launches(x0s, cfg, params)
+    for x0, result in zip(x0s, returns):
+        if isinstance(result, PreySwitchError):
+            raise type(result)(f"mu_curve node x0 = {x0}: {result}") from result
+    us = np.array([u for u, _ in returns], dtype=float)
+    vs = np.array([v for _, v in returns], dtype=float)
     return MuCurve(x0s=x0s, us=us, vs=vs, params=params)
 
 
@@ -253,8 +233,9 @@ _COARSE_SPAN = (0.02, 0.99)
 def coarse_mu_curve(params: Parameters, cfg: IntegratorConfig) -> MuCurve:
     """The fold-return curve on the coarse grid that brackets the matching.
 
-    48 launches evenly spaced over [0.02, 0.99]*tau.  X depends on
-    (r1, r2, m, e*q1) only, so one curve serves every beta1 and beta2.
+    48 launches evenly spaced over [0.02, 0.99]*tau, stacked as lanes of
+    one solver call.  X depends on (r1, r2, m, e*q1) only, so one curve
+    serves every beta1 and beta2.
     """
     tau = params.tau
     grid = np.linspace(_COARSE_SPAN[0] * tau, _COARSE_SPAN[1] * tau, _COARSE_N)
@@ -337,14 +318,23 @@ def distance_to_connection(
     if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise MultipleRoots("u is not monotone across the matching bracket")
 
-    x0 = brentq(
-        lambda x: mu_point(x, params, cfg)[0] - x_c,
-        xs[j],
-        xs[j + 1],
-        xtol=1e-12,
-    )
-    _, v = mu_point(x0, params, cfg)
-    return v - z_c, float(x0)
+    # every return brentq asks for, seeded with the two bracketing nodes;
+    # brentq may return an earlier iterate than its last
+    returns = {float(xs[i]): (float(us[i]), float(curve.vs[i0 + i])) for i in (j, j + 1)}
+
+    def u_minus_x_c(x: float) -> float:
+        if x not in returns:
+            returns[x] = mu_point(x, params, cfg)
+        return returns[x][0] - x_c
+
+    x0 = brentq(u_minus_x_c, xs[j], xs[j + 1], xtol=1e-12)
+    return returns[x0][1] - z_c, float(x0)
+
+
+def _gap(u: float, v: float, base: Parameters) -> tuple[float, float]:
+    """G = v - z_c(beta1(u)) at the fold return (u, v), and that beta1."""
+    beta1 = _beta1_with_focus_at(u, base)
+    return v - _repulsive_focus(base.replace(beta1=beta1)).z, beta1
 
 
 def find_shilnikov(
@@ -353,49 +343,103 @@ def find_shilnikov(
     """The sliding homoclinic connection, as one root in the fold point x0.
 
     Each x0 fixes the one beta1(u(x0)) whose focus abscissa is u(x0), so the
-    connection is the root of G(x0) = v(x0) - z_c(beta1(u(x0))), bracketed
-    by the fold points that :func:`distance_to_connection` matches to the
-    ends of ``beta1_range``; their distances must differ in sign, else
-    :class:`SameSign`.  Each evaluation of G raises :class:`Lemma2Violation`,
-    naming its beta1, when the focus is not repulsive.  The root is then
-    certified; ``bracket_width`` is the beta1 width of a final x0 bracket
-    whose two ends were both evaluated and give G opposite signs.
+    connection is the root of G(x0) = v(x0) - z_c(beta1(u(x0))).  G is read
+    off the coarse curve (:func:`coarse_mu_curve`) at its nodes, and the root
+    is bracketed on them: among the node pairs whose u-segment meets the
+    focus abscissae of ``beta1_range`` (the nodes whose beta1(u) lies in the
+    range, plus the neighbour node across each end of the range), G must
+    change sign across exactly one pair.  A neighbour where G is undefined
+    (beta1(u) <= 0, or no repulsive focus) is replaced by the fold point
+    that :func:`distance_to_connection` matches to that end of the range.
+    Brent's method then solves G = 0 on that pair.
+
+    Raises :class:`SameSign` when G changes sign across no pair, or when the
+    root's beta1 lies outside the range; :class:`MultipleRoots` when it
+    changes sign across more than one; :class:`NoBracket` when no node pair
+    meets the range; :class:`Lemma2Violation`, naming its beta1, when the
+    focus is not repulsive at either end of the range or at any G evaluated
+    inside it.  The nodes are stacked lanes of one solver call, so their G
+    differs from a lone launch's at about 1e-12.  The root is certified with
+    the (u, v) its own evaluation produced; ``bracket_width`` is the beta1
+    width of a final x0 bracket whose two ends were both evaluated and give
+    G opposite signs.
     """
     lo, hi = (float(beta1_range[0]), float(beta1_range[1]))
     if not lo < hi:
         raise SameSign(f"beta1 range ({lo}, {hi}) is empty")
-    ends = [base.replace(beta1=b1) for b1 in (lo, hi)]
-    for params in ends:
-        _repulsive_focus(params)
+    ends = {b: base.replace(beta1=b) for b in (lo, hi)}
+    focus = {b: _repulsive_focus(p) for b, p in ends.items()}
+    u_min, u_max = sorted(f.x for f in focus.values())
     curve = coarse_mu_curve(base, cfg)
-    (fa, x0a), (fb, x0b) = (distance_to_connection(p, cfg, curve) for p in ends)
-    if fa * fb > 0.0:
-        raise SameSign(
-            f"D does not change sign over the range: D({lo}) = {fa}, D({hi}) = {fb}"
-        )
+    xs, us, vs = curve.x0s, curve.us, curve.vs
 
-    evaluated: dict[float, tuple[float, float]] = {}
+    # fold point -> (G, beta1, u, v) for every point where G is known
+    known: dict[float, tuple[float, float, float, float]] = {}
+    matched: dict[float, float] = {}
+
+    def point(i: int, other: int) -> float:
+        """Node i as a bracket point or, where G is undefined there, the fold
+        point matched to the range end that lies between node i and node other."""
+        x, u, v = float(xs[i]), float(us[i]), float(vs[i])
+        try:
+            g, beta1 = _gap(u, v, base)
+        except (ConstraintViolation, Lemma2Violation):  # beta1(u) <= 0, or no repulsive focus
+            if u_min <= u <= u_max:
+                raise
+        else:
+            known[x] = (g, beta1, u, v)
+            return x
+        b = min(
+            (b for b in ends if min(u, us[other]) <= focus[b].x <= max(u, us[other])),
+            key=lambda b: abs(focus[b].x - u),
+        )
+        if b not in matched:
+            D, x0 = distance_to_connection(ends[b], cfg, curve)
+            known[x0] = (D, b, focus[b].x, D + focus[b].z)
+            matched[b] = x0
+        return matched[b]
+
+    pairs = [
+        (point(i, i + 1), point(i + 1, i))
+        for i in range(len(xs) - 1)
+        if max(us[i], us[i + 1]) >= u_min and min(us[i], us[i + 1]) <= u_max
+    ]
+    if not pairs:
+        raise NoBracket(
+            f"the coarse fold-return curve does not reach the focus abscissae "
+            f"[{u_min}, {u_max}] of the beta1 range ({lo}, {hi})"
+        )
+    changes = [(a, b) for a, b in pairs if (known[a][0] < 0.0) != (known[b][0] < 0.0)]
+    if not changes:
+        raise SameSign(
+            f"G keeps one sign on the {len(pairs)} node pairs that meet the "
+            f"beta1 range ({lo}, {hi})"
+        )
+    if len(changes) > 1:
+        raise MultipleRoots(
+            f"G changes sign across {len(changes)} node pairs that meet the "
+            f"beta1 range ({lo}, {hi})"
+        )
+    [(a, b)] = changes
 
     def G(x0: float) -> float:
-        u, v = mu_point(x0, base, cfg)
-        beta1 = _beta1_with_focus_at(u, base)
-        g = v - _repulsive_focus(base.replace(beta1=beta1)).z
-        evaluated[x0] = (g, beta1)
-        return g
+        if x0 not in known:
+            u, v = mu_point(x0, base, cfg)
+            known[x0] = (*_gap(u, v, base), u, v)
+        return known[x0][0]
 
-    try:
-        x0_star = brentq(G, min(x0a, x0b), max(x0a, x0b), xtol=1e-12)
-    except ValueError as err:
-        raise NoBracket(
-            f"G keeps one sign between the matched fold points {x0a} and {x0b}"
-        ) from err
-    g_star, beta1_star = evaluated[x0_star]
+    x0_star = brentq(G, min(a, b), max(a, b), xtol=1e-12)
+    g_star, beta1_star, u_star, v_star = known[x0_star]
+    if not lo <= beta1_star <= hi:
+        raise SameSign(
+            f"G changes sign at beta1 = {beta1_star}, outside the range ({lo}, {hi})"
+        )
     width = min(
         abs(beta1 - beta1_star)
-        for g, beta1 in evaluated.values()
+        for g, beta1, _, _ in known.values()
         if g_star == 0.0 or (g < 0.0) != (g_star < 0.0)
     )
-    cert = verify_connection(base.replace(beta1=beta1_star), x0_star, cfg)
+    cert = _certify(base.replace(beta1=beta1_star), x0_star, (u_star, v_star), cfg)
     return dataclasses_replace(cert, bracket_width=width)
 
 
@@ -419,9 +463,21 @@ def verify_connection(
     tau = params.tau
     if not 0.0 < x0 < tau:
         raise DomainError(f"fold point x0 = {x0} must lie in (0, tau = {tau})")
-    focus = _repulsive_focus(params)
+    _repulsive_focus(params)
+    return _certify(params, x0, mu_point(x0, params, cfg), cfg, capture_radius, forward_tol)
 
-    u, v = mu_point(x0, params, cfg)
+
+def _certify(
+    params: Parameters,
+    x0: float,
+    landing: tuple[float, float],
+    cfg: IntegratorConfig,
+    capture_radius: float = 1e-4,
+    forward_tol: float = 1e-6,
+) -> ConnectionCertificate:
+    """The checks of :func:`verify_connection`, given the fold return (u, v) of x0."""
+    focus = _repulsive_focus(params)
+    u, v = landing
     forward_error = math.sqrt(2.0 * (u - focus.x) ** 2 + (v - focus.z) ** 2)
     if forward_error > forward_tol:
         raise VerificationFailure(
@@ -444,7 +500,7 @@ def verify_connection(
         )
 
     ret = integrate_sliding(
-        (tau, params.phi), Direction.FORWARD, cfg, params, cfg.event_tol
+        (params.tau, params.phi), Direction.FORWARD, cfg, params, cfg.event_tol
     )
     if ret.terminal_event.kind is EventKind.FOLD_EXIT:
         x_star: float | None = float(ret.terminal_event.state[0])

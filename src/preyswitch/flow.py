@@ -9,10 +9,15 @@ concatenator stitches smooth and sliding arcs per the convex-combination
 convention: trajectories entering the sliding region follow the sliding
 field until the visible fold hands them back to X.
 
-Launches that start exactly on a tangency (fold points, and the cusp) use an
-armed event: the switching event is ignored until its function first exceeds
-the event tolerance on the departing side, so the initial contact is never
-mistaken for a return.
+Fold launches for the fold-return curve are integrated by
+:func:`integrate_fold_launches` as stacked planar lanes in one solver call,
+each lane's return located with the desingularised switching function
+h/t**2.  The launches inside a Filippov trajectory that start exactly on a
+tangency (the X-arc leaving the visible fold after a sliding arc, and the
+sliding arc starting on the fold line) use an armed event instead: the
+switching event is ignored until its function first exceeds the event
+tolerance on the departing side, so the initial contact is never mistaken
+for a return.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from .errors import (
     NoReturn,
     PreySwitchError,
     StepFailure,
+    TangencyAmbiguity,
 )
-from .model import Parameters, Piece, RegionLabel, classify_sigma_point
+from .model import Parameters, Piece, RegionLabel, classify_sigma_point, lie_derivatives
 from .sliding import _coefficients, pseudo_equilibria
 
 
@@ -177,8 +183,12 @@ def _smooth_rhs(piece: Piece, params: Parameters, sgn: float):
     if piece is Piece.PLANAR_LV:
 
         def f(t, s):
-            x, z = s
-            return [sgn * (r1 - z) * x, sgn * (eq1 * x - m) * z]
+            if len(s) == 2:  # one lane: Python arithmetic beats numpy's per-call cost
+                x, z = s
+                return [sgn * (r1 - z) * x, sgn * (eq1 * x - m) * z]
+            # K lanes stacked as (x_1..x_K, z_1..z_K)
+            x, z = s.reshape(2, -1)
+            return sgn * s * np.concatenate((r1 - z, eq1 * x - m))
 
         return f
     raise ValueError(f"unknown piece: {piece!r}")
@@ -451,6 +461,98 @@ def integrate_sliding(
         states=states,
         terminal_event=record,
     )
+
+
+def integrate_fold_launches(
+    x0s, cfg: IntegratorConfig, params: Parameters
+) -> list[tuple[float, float] | PreySwitchError]:
+    """First transversal returns (u, v) of X-launches from fold points.
+
+    Along X, y = x0*exp(r2*t) exactly and (x, z) follows the planar
+    Lotka-Volterra field, which does not depend on x0.  So the launches
+    (x0, x0, phi) are integrated as planar lanes stacked in one solver call.
+    Lane i returns to Sigma where h_i = x_i - x0_i*exp(r2*t) falls through
+    zero.  Its event function is h_i/t**2, whose limit at t = 0 is X2h/2 > 0
+    for x0 < tau, so the tangential start is never taken for a return and
+    no event needs arming.  The call ends once every lane is below Sigma at
+    the same time.  The lanes share one step-size control, so a lane's
+    (u, v) depends, at about 1e-12, on the other lanes in its call.
+
+    Returns one entry per launch, in order: (u, v), or the error that launch
+    met, unraised.  DomainError when x0 <= 0; TangencyAmbiguity when
+    x0 >= tau, or when the lift-off excursion X2h*t1**2/2 before the return
+    at t1 is not above ``cfg.event_tol``, so that the return is below the
+    resolution of the integration (at the cusp); NoReturn when a lane does
+    not return within ``cfg.t_max``.  Each return must satisfy
+    u = x0*exp(r2*t1) to 1e-10 relative.
+    """
+    x0s = [float(x0) for x0 in x0s]
+    tau, phi, r2 = params.tau, params.phi, params.r2
+    out: list = [None] * len(x0s)
+    lanes = []
+    for i, x0 in enumerate(x0s):
+        if x0 <= 0.0:
+            out[i] = DomainError(f"fold launch requires x0 > 0, got {x0}")
+        elif x0 >= tau:
+            out[i] = TangencyAmbiguity(
+                f"x0 = {x0} >= tau = {tau}: the fold contact is not visible there"
+            )
+        else:
+            lanes.append(i)
+    if not lanes:
+        return out
+
+    x0 = np.array([x0s[i] for i in lanes])
+    k = len(x0)
+    half_X2h = np.array([0.5 * lie_derivatives((x, phi), params)[2] for x in x0])
+
+    def lane_event(j):
+        def g(t, s):
+            if t == 0.0:
+                return half_X2h[j]
+            return (s[j] - x0[j] * math.exp(r2 * t)) / (t * t)
+
+        g.terminal = False
+        g.direction = -1.0
+        return g
+
+    def all_below(t, s):
+        if t == 0.0:
+            return float(np.max(half_X2h))
+        return float(np.max(s[:k] - x0 * math.exp(r2 * t))) / (t * t)
+
+    events = [lane_event(j) for j in range(k)] + [_terminal(all_below, -1.0)]
+    s0 = np.concatenate((x0, np.full(k, phi)))
+    sol = _run(_smooth_rhs(Piece.PLANAR_LV, params, 1.0), s0, cfg, params, events, cfg.t_max)
+
+    for j, i in enumerate(lanes):
+        xi = x0s[i]
+        if len(sol.t_events[j]):
+            t1, state = float(sol.t_events[j][0]), sol.y_events[j][0]
+        elif len(sol.t_events[k]):
+            # the lane crossed at the very root that ended the call, and
+            # solve_ivp dropped its own event as coming after the terminal one
+            t1, state = float(sol.t_events[k][0]), sol.y_events[k][0]
+        else:
+            out[i] = NoReturn(f"no return to Sigma within t_max = {cfg.t_max} from x0 = {xi}")
+            continue
+        lift = float(half_X2h[j]) * t1 * t1
+        if lift <= cfg.event_tol:
+            out[i] = TangencyAmbiguity(
+                f"launch at x0 = {xi} returns at t = {t1:.2e}, before it separates "
+                f"from Sigma by more than event_tol (X2h*t**2/2 = {lift:.2e})"
+            )
+            continue
+        u, v = float(state[j]), float(state[k + j])
+        expected = xi * math.exp(r2 * t1)
+        if abs(u - expected) > 1e-10 * abs(u):
+            out[i] = PreySwitchError(
+                f"return consistency u = x0*exp(r2*t1) violated at x0 = {xi}: "
+                f"u = {u!r}, x0*exp(r2*t1) = {expected!r}"
+            )
+            continue
+        out[i] = (u, v)
+    return out
 
 
 _SLIDING_LABELS = (RegionLabel.SLIDING,)

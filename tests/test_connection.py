@@ -36,6 +36,20 @@ from preyswitch import (
     working_window,
 )
 from preyswitch import connection as connection_mod
+from preyswitch import flow as flow_mod
+
+
+def solver_solutions(monkeypatch):
+    """The list of every solution flow.solve_ivp returns from now on."""
+    sols = []
+    solve_ivp = flow_mod.solve_ivp
+
+    def counted(*args, **kwargs):
+        sols.append(solve_ivp(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(flow_mod, "solve_ivp", counted)
+    return sols
 
 
 def pi_map(s, params, cfg):
@@ -81,6 +95,22 @@ def test_mu_point_errors(table1, cfg):
         mu_point(1.5 * table1.tau, table1, cfg)
     with pytest.raises(NoReturn):
         mu_point(0.3 * table1.tau, table1, replace(cfg, t_max=0.5))
+
+
+@pytest.mark.parametrize("ratio", (1e-5, 1e-8))
+def test_mu_point_near_cusp_answers_within_1000_steps(table1, cfg, monkeypatch, ratio):
+    sols = solver_solutions(monkeypatch)
+    tau = table1.tau
+    eps = ratio * tau
+    try:
+        u, v = mu_point(tau - eps, table1, cfg)
+    except TangencyAmbiguity:
+        pass
+    else:
+        # Lemma 1: u(tau - eps) = tau + 2*eps + O(eps^2), v - phi = O(eps^2)
+        assert abs((u - tau) / eps - 2.0) <= 0.05
+        assert abs(v - table1.phi) / eps <= 0.01
+    assert 1 <= sum(len(sol.t) - 1 for sol in sols) <= 1000
 
 
 def test_mu_curve_window_and_classification(table1, cfg):
@@ -185,6 +215,24 @@ def test_find_shilnikov_same_sign(table1, cfg):
         find_shilnikov(table1, (0.994, 2.0), cfg)
     with pytest.raises(SameSign):
         find_shilnikov(table1, (5.0, 5.0), cfg)
+    # G changes sign between the node at beta1 = 11.5 and the in-range node
+    # at 7.56, but its root beta1* = 7.777 lies above the range
+    with pytest.raises(SameSign) as err:
+        find_shilnikov(table1, (0.994, 7.6), cfg)
+    assert "outside the range" in str(err.value)
+
+
+def test_find_shilnikov_multiple_sign_changes(table1, cfg, monkeypatch):
+    # a synthetic coarse curve whose G changes sign on two node pairs inside
+    # the range (0.994, 10), where x_c runs from 0.93 down to 0.63
+    us = np.array([0.70, 0.75, 0.80, 0.85, 0.90])
+    betas = [connection_mod._beta1_with_focus_at(u, table1) for u in us]
+    zs = [pseudo_equilibria(table1.replace(beta1=b))[1].z for b in betas]
+    vs = np.array(zs) + np.array([0.1, -0.1, 0.1, 0.1, 0.1])
+    curve = MuCurve(x0s=np.linspace(0.2, 0.5, 5), us=us, vs=vs, params=table1)
+    monkeypatch.setattr(connection_mod, "coarse_mu_curve", lambda params, cfg: curve)
+    with pytest.raises(MultipleRoots):
+        find_shilnikov(table1, (0.994, 10.0), cfg)
 
 
 def test_find_shilnikov_lemma2_violation_reports_iterate(table1, cfg):
@@ -196,21 +244,50 @@ def test_find_shilnikov_lemma2_violation_reports_iterate(table1, cfg):
 def test_find_shilnikov_is_independent_of_the_range(connection, table1, cfg):
     cert, _ = connection
     assert abs(cert.beta1_star - 7.7768748097) <= 1e-9
-    other = find_shilnikov(table1, (1.2, 9.4), cfg)
+    for beta1_range in ((1.2, 9.4), (1.5, 9.0)):
+        other = find_shilnikov(table1, beta1_range, cfg)
+        assert abs(other.beta1_star - 7.7768748097) <= 1e-9
+        assert abs(other.beta1_star - cert.beta1_star) <= 1e-9
+        assert other.bracket_width <= 1e-6
+
+
+def test_find_shilnikov_matches_an_end_where_the_neighbour_node_is_undefined(
+    connection, table1, cfg, coarse_curve, monkeypatch
+):
+    # past beta1 = 64.5 (the node at x0 = 0.222) the coarse curve crosses the
+    # pole of beta1(u), and the next node has beta1(u) < 0: the end 100 is
+    # then matched by distance_to_connection
+    cert, _ = connection
+    betas = [connection_mod._beta1_with_focus_at(u, table1) for u in coarse_curve.us]
+    assert betas[8] < 0.0 and 64.0 < betas[9] < 100.0
+    matched = []
+    distance = connection_mod.distance_to_connection
+
+    def counted(params, cfg, curve):
+        matched.append(params.beta1)
+        return distance(params, cfg, curve)
+
+    monkeypatch.setattr(connection_mod, "distance_to_connection", counted)
+    other = find_shilnikov(table1, (0.994, 100.0), cfg)
+    assert matched == [100.0]
     assert abs(other.beta1_star - cert.beta1_star) <= 1e-9
-    assert other.bracket_width <= 1e-6
 
 
 def test_find_shilnikov_fold_launch_budget(table1, cfg, monkeypatch):
-    launches = []
+    # every integration goes through flow.solve_ivp, and every fold launch
+    # through integrate_fold_launches, each lane counting as one launch
+    sols, lanes = solver_solutions(monkeypatch), []
+    launch = connection_mod.integrate_fold_launches
 
-    def counted(x0, params, cfg):
-        launches.append(x0)
-        return mu_point(x0, params, cfg)
+    def counted_launches(x0s, cfg, params):
+        lanes.extend(x0s)
+        return launch(x0s, cfg, params)
 
-    monkeypatch.setattr(connection_mod, "mu_point", counted)
+    monkeypatch.setattr(connection_mod, "integrate_fold_launches", counted_launches)
     find_shilnikov(table1, (0.994, 10.0), cfg)
-    assert len(launches) <= 90
+    assert len(lanes) >= 48  # the coarse curve's lanes were counted
+    assert len(sols) <= 12
+    assert len(lanes) <= 60
 
 
 def test_verify_connection_at_certificate(connection, cfg):
