@@ -82,6 +82,7 @@ from .connection import (
     build_N_point,
     coarse_mu_curve,
     distance_to_connection,
+    distances_to_connection,
     find_shilnikov,
     fixed_point_brackets,
     lemma1_asymptotics_report,

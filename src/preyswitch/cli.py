@@ -4,14 +4,18 @@ Thin adapters over the library operations: every number written here is
 produced by the library, and outputs are deterministic (17 significant
 digits, no timestamps).  Exit codes: 0 success, 1 domain error (the error
 class and message go to stderr), 2 usage error.
+
+``sweep`` evaluates every row of its beta1 grid in one process with one
+:func:`~preyswitch.connection.distances_to_connection` call, which stacks
+the rows' fold launches into shared solver calls; a row that fails is
+written as ``nan``.  Its ``--jobs`` option has no effect and is accepted so
+that existing invocations still parse.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,10 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .connection import (
-    MuCurve,
     build_N_point,
     coarse_mu_curve,
-    distance_to_connection,
+    distances_to_connection,
     find_shilnikov,
     lemma1_asymptotics_report,
     mu_curve,
@@ -31,7 +34,7 @@ from .connection import (
 )
 from .errors import PreySwitchError
 from .flow import IntegratorConfig, events_payload, integrate_filippov, trajectory_rows
-from .model import Parameters, classify_sigma_point, load_parameters
+from .model import classify_sigma_point, load_parameters
 
 _FMT = "{:.17g}"
 
@@ -164,17 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--beta1-range", dest="beta1_range", required=True, type=_numbers("lo:hi", ":"), help="lo:hi"
     )
     sp.add_argument("--n", type=_count, default=16)
-    sp.add_argument("--jobs", type=int, default=None, help="worker count (default: cpu count)")
+    sp.add_argument("--jobs", type=int, default=None, help="has no effect; accepted for compatibility")
     return parser
-
-
-def _sweep_node(payload: tuple[Parameters, IntegratorConfig, MuCurve]) -> tuple[float, float]:
-    params, cfg, curve = payload
-    try:
-        D, _ = distance_to_connection(params, cfg, curve)
-    except PreySwitchError:
-        D = float("nan")
-    return params.beta1, D
 
 
 def _run_command(args) -> int:
@@ -241,17 +235,16 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "sweep":
-        # the fold-return curve is free of beta1: sample it once, here
+        # the fold-return curve is free of beta1: sample it once for all rows
         curve = coarse_mu_curve(params, cfg)
-        grid = np.linspace(*args.beta1_range, args.n)
-        work = [(params.replace(beta1=float(b1)), cfg, curve) for b1 in grid]
-        jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-        if jobs > 1 and len(work) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_sweep_node, work))
-        else:
-            results = [_sweep_node(w) for w in work]
-        _write_csv(args.out, ["beta1", "D"], results)
+        rows = [params.replace(beta1=float(b1)) for b1 in np.linspace(*args.beta1_range, args.n)]
+        results = distances_to_connection(rows, cfg, curve)
+        nan = float("nan")
+        _write_csv(
+            args.out,
+            ["beta1", "D"],
+            [(p.beta1, nan if isinstance(r, PreySwitchError) else r[0]) for p, r in zip(rows, results)],
+        )
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

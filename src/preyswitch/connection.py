@@ -7,8 +7,11 @@ pseudo-equilibrium (x_c, z_c) of the sliding field lands on that curve.
 The X-flow is free of beta1 and x_c is a Moebius function of beta1, so the
 connection is one root in x0 of G(x0) = v(x0) - z_c(beta1(u(x0))): this
 module computes mu and its coarse beta1-free samples, measures the signed
-vertical distance D from the focus to the curve, solves G = 0 on the pair of
-coarse nodes across which it changes sign inside a beta1 range, and
+vertical distance D from the focus to the curve (for many beta1 at once,
+matching u(x0) = x_c for all of them in lockstep, so that each iteration is
+one solver call and a row's D depends on the other rows at about 1e-13),
+solves G = 0 on the pair of coarse nodes across which it changes sign
+inside a beta1 range, and
 certifies the resulting loop (finite-time forward arc onto the focus,
 asymptotic backward sliding capture, and the ordering of the sliding return
 x* below the fold point).  It also constructs explicit parameter points of the
@@ -268,6 +271,158 @@ def _beta1_with_focus_at(u: float, params: Parameters) -> float:
     )
 
 
+def _node_bracket(params: Parameters, curve: MuCurve) -> tuple[SigmaState, int]:
+    """The repulsive focus, and the node j of ``curve`` with x_c between u_j and u_{j+1}.
+
+    The checks :func:`distance_to_connection` makes before any launch; see
+    there for the errors they raise.
+    """
+    if _x_flow_rates(curve.params) != _x_flow_rates(params):
+        raise DomainError(
+            f"the curve was sampled for X-flow rates (r1, r2, m, e*q1) = "
+            f"{_x_flow_rates(curve.params)}, not {_x_flow_rates(params)}"
+        )
+    focus = _repulsive_focus(params)
+    win = working_window(curve, params)
+    if win is None:
+        raise NoBracket("the fold-return curve has no working window")
+    i0, i1 = win
+    us = curve.us[i0 : i1 + 1]
+    if len(us) < 2:
+        raise NoBracket("the working window contains fewer than two samples")
+
+    d = us - focus.x
+    hits = [
+        j for j in range(len(d) - 1) if d[j] == 0.0 or ((d[j] < 0.0) != (d[j + 1] < 0.0))
+    ]
+    if not hits:
+        raise NoBracket(
+            f"x_c = {focus.x} lies outside the attained fold-return range "
+            f"[{us.min()}, {us.max()}]"
+        )
+    if len(hits) > 1:
+        raise MultipleRoots(
+            f"u - x_c changes sign {len(hits)} times on the working window"
+        )
+    j = hits[0]
+    steps = np.diff(us[max(0, j - 1) : j + 3])
+    if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
+        raise MultipleRoots("u is not monotone across the matching bracket")
+    return focus, i0 + j
+
+
+# brentq's stopping rule at xtol = 1e-12: |b - a| <= _XTOL + 4*eps*|x|
+_XTOL = 1e-12
+_MAX_ITER = 100
+
+_FoldPoint = tuple[float, float, float]  # (x0, u, v)
+
+
+def _match_focus_abscissae(
+    brackets: list[tuple[float, _FoldPoint, _FoldPoint]],
+    cfg: IntegratorConfig,
+    params: Parameters,
+) -> list[_FoldPoint | PreySwitchError]:
+    """Solve u(x0) = x_c on every bracket together.
+
+    Each bracket is (x_c, a, b) with a and b evaluated fold points (x0, u, v)
+    between whose u lies x_c.  Illinois regula falsi advances all brackets
+    in lockstep: each iteration is one :func:`integrate_fold_launches` call
+    whose lanes are the iterates of the brackets still open.  As in brentq,
+    no iterate lies closer than half the tolerance to the bracket's latest
+    point.  A bracket closes when an iterate gives u = x_c exactly, or when
+    its ends are within brentq's tolerance 1e-12 + 4*eps*|x0|; it then
+    yields its latest evaluated fold point, so x0, u and v come from one
+    lane.  The lanes
+    share step-size control, so a match depends on the other brackets at
+    about 1e-13.  A launch error fails its own bracket only, and so does a
+    bracket still open after 100 iterations.
+    """
+    out: list = [None] * len(brackets)
+    # per open bracket: x_c, the far end a as (x0, u - x_c) with its Illinois
+    # weight folded in, and the latest fold point b as (x0, u, v)
+    open_: dict[int, list] = {}
+    for i, (x_c, a, b) in enumerate(brackets):
+        if abs(a[1] - x_c) < abs(b[1] - x_c):
+            a, b = b, a
+        if b[1] == x_c:
+            out[i] = b
+        else:
+            open_[i] = [x_c, (a[0], a[1] - x_c), b]
+    eps = np.finfo(float).eps
+    iterations = 0
+    while True:
+        for i, (_, (xa, _), b) in list(open_.items()):
+            if abs(b[0] - xa) <= _XTOL + 4.0 * eps * abs(b[0]):
+                out[i] = b
+                del open_[i]
+        if not open_ or iterations == _MAX_ITER:
+            break
+        iterations += 1
+        iterates = {}
+        for i, (x_c, (xa, fa), (xb, ub, _)) in open_.items():
+            fb = ub - x_c
+            x = xb - fb * (xb - xa) / (fb - fa)
+            # Brent's minimum step: an iterate closer to b than half the
+            # tolerance steps that far toward a instead, so that it lands past
+            # a root near b and the next check closes the bracket
+            half_tol = 0.5 * _XTOL + 2.0 * eps * abs(xb)
+            if abs(x - xb) < half_tol:
+                x = xb + math.copysign(half_tol, xa - xb)
+            # rounding can put the secant point on an end: bisect instead
+            iterates[i] = x if min(xa, xb) < x < max(xa, xb) else 0.5 * (xa + xb)
+        returns = integrate_fold_launches(list(iterates.values()), cfg, params)
+        for (i, x), ret in zip(iterates.items(), returns):
+            if isinstance(ret, PreySwitchError):
+                out[i] = ret
+                del open_[i]
+                continue
+            x_c, (xa, fa), (xb, ub, _) = open_[i]
+            f, fb = ret[0] - x_c, ub - x_c
+            if f == 0.0:
+                out[i] = (x, *ret)
+                del open_[i]
+                continue
+            # across a sign change the old b becomes the far end; a far end
+            # that is kept has its weight halved (Illinois)
+            far = (xb, fb) if (f < 0.0) != (fb < 0.0) else (xa, 0.5 * fa)
+            open_[i] = [x_c, far, (x, *ret)]
+    for i, (x_c, (xa, _), (xb, _, _)) in open_.items():
+        out[i] = PreySwitchError(
+            f"u(x0) = x_c = {x_c} not matched within {_MAX_ITER} iterations "
+            f"(bracket [{min(xa, xb)}, {max(xa, xb)}])"
+        )
+    return out
+
+
+def distances_to_connection(
+    params_list: list[Parameters], cfg: IntegratorConfig, curve: MuCurve
+) -> list[tuple[float, float] | PreySwitchError]:
+    """Signed distances D from the pseudo-focus to the fold-return curve.
+
+    One entry per parameter set, in order: (D, x0_matched), or the error
+    :func:`distance_to_connection` would raise for it, unraised.  Each
+    row's checks run before any launch; the rows that pass them solve
+    u(x0) = x_c together, every iteration one solver call whose lanes are
+    the rows' current iterates.  So a row's D depends on the other rows at
+    about 1e-13, and a launch error fails its own row only.
+    """
+    out: list = [None] * len(params_list)
+    rows, brackets = [], []
+    for i, params in enumerate(params_list):
+        try:
+            focus, j = _node_bracket(params, curve)
+        except PreySwitchError as err:
+            out[i] = err
+            continue
+        nodes = [(float(curve.x0s[k]), float(curve.us[k]), float(curve.vs[k])) for k in (j, j + 1)]
+        rows.append((i, focus))
+        brackets.append((focus.x, *nodes))
+    for (i, focus), match in zip(rows, _match_focus_abscissae(brackets, cfg, curve.params)):
+        out[i] = match if isinstance(match, PreySwitchError) else (match[2] - focus.z, match[0])
+    return out
+
+
 def distance_to_connection(
     params: Parameters, cfg: IntegratorConfig, curve: MuCurve
 ) -> tuple[float, float]:
@@ -276,59 +431,19 @@ def distance_to_connection(
     Solves u(x0) = x_c on the working window of ``curve`` (from
     :func:`coarse_mu_curve`, for any beta1) and returns (D, x0_matched) with
     D = v(x0_matched) - z_c: positive when the focus lies below the curve,
-    negative above.  Raises :class:`DomainError` when the curve's X-flow
-    rates (r1, r2, m, e*q1) are not those of ``params``, :class:`NoBracket`
-    when x_c is outside the attained range of u, :class:`MultipleRoots` when
-    the sampled u is not monotone around the bracket, and
-    :class:`Lemma2Violation` when the pseudo-equilibrium is not a repulsive
-    focus.
+    negative above.  The one-row case of :func:`distances_to_connection`:
+    the match starts from the two nodes across which u - x_c changes sign
+    and stops at brentq's tolerance, 1e-12 in x0.  Raises
+    :class:`DomainError` when the curve's X-flow rates (r1, r2, m, e*q1)
+    are not those of ``params``, :class:`NoBracket` when x_c is outside the
+    attained range of u, :class:`MultipleRoots` when the sampled u is not
+    monotone around the bracket, and :class:`Lemma2Violation` when the
+    pseudo-equilibrium is not a repulsive focus.
     """
-    if _x_flow_rates(curve.params) != _x_flow_rates(params):
-        raise DomainError(
-            f"the curve was sampled for X-flow rates (r1, r2, m, e*q1) = "
-            f"{_x_flow_rates(curve.params)}, not {_x_flow_rates(params)}"
-        )
-    focus = _repulsive_focus(params)
-    x_c, z_c = focus.x, focus.z
-    win = working_window(curve, params)
-    if win is None:
-        raise NoBracket("the fold-return curve has no working window")
-    i0, i1 = win
-    xs = curve.x0s[i0 : i1 + 1]
-    us = curve.us[i0 : i1 + 1]
-    if len(xs) < 2:
-        raise NoBracket("the working window contains fewer than two samples")
-
-    d = us - x_c
-    hits = [
-        j for j in range(len(d) - 1) if d[j] == 0.0 or ((d[j] < 0.0) != (d[j + 1] < 0.0))
-    ]
-    if not hits:
-        raise NoBracket(
-            f"x_c = {x_c} lies outside the attained fold-return range "
-            f"[{us.min()}, {us.max()}]"
-        )
-    if len(hits) > 1:
-        raise MultipleRoots(
-            f"u - x_c changes sign {len(hits)} times on the working window"
-        )
-    j = hits[0]
-    neighborhood = us[max(0, j - 1) : j + 3]
-    steps = np.diff(neighborhood)
-    if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
-        raise MultipleRoots("u is not monotone across the matching bracket")
-
-    # every return brentq asks for, seeded with the two bracketing nodes;
-    # brentq may return an earlier iterate than its last
-    returns = {float(xs[i]): (float(us[i]), float(curve.vs[i0 + i])) for i in (j, j + 1)}
-
-    def u_minus_x_c(x: float) -> float:
-        if x not in returns:
-            returns[x] = mu_point(x, params, cfg)
-        return returns[x][0] - x_c
-
-    x0 = brentq(u_minus_x_c, xs[j], xs[j + 1], xtol=1e-12)
-    return returns[x0][1] - z_c, float(x0)
+    (result,) = distances_to_connection([params], cfg, curve)
+    if isinstance(result, PreySwitchError):
+        raise result
+    return result
 
 
 def _gap(u: float, v: float, base: Parameters) -> tuple[float, float]:
@@ -350,7 +465,9 @@ def find_shilnikov(
     range, plus the neighbour node across each end of the range), G must
     change sign across exactly one pair.  A neighbour where G is undefined
     (beta1(u) <= 0, or no repulsive focus) is replaced by the fold point
-    that :func:`distance_to_connection` matches to that end of the range.
+    matched, on that node pair, to the end of the range whose focus abscissa
+    lies between the pair's two u (the one-row case of the matching in
+    :func:`distances_to_connection`, without its working window).
     Brent's method then solves G = 0 on that pair.
 
     Raises :class:`SameSign` when G changes sign across no pair, or when the
@@ -377,10 +494,13 @@ def find_shilnikov(
     known: dict[float, tuple[float, float, float, float]] = {}
     matched: dict[float, float] = {}
 
+    def node(i: int) -> tuple[float, float, float]:
+        return float(xs[i]), float(us[i]), float(vs[i])
+
     def point(i: int, other: int) -> float:
         """Node i as a bracket point or, where G is undefined there, the fold
         point matched to the range end that lies between node i and node other."""
-        x, u, v = float(xs[i]), float(us[i]), float(vs[i])
+        x, u, v = node(i)
         try:
             g, beta1 = _gap(u, v, base)
         except (ConstraintViolation, Lemma2Violation):  # beta1(u) <= 0, or no repulsive focus
@@ -394,8 +514,11 @@ def find_shilnikov(
             key=lambda b: abs(focus[b].x - u),
         )
         if b not in matched:
-            D, x0 = distance_to_connection(ends[b], cfg, curve)
-            known[x0] = (D, b, focus[b].x, D + focus[b].z)
+            (match,) = _match_focus_abscissae([(focus[b].x, node(i), node(other))], cfg, base)
+            if isinstance(match, PreySwitchError):
+                raise match
+            x0, u0, v0 = match
+            known[x0] = (v0 - focus[b].z, b, u0, v0)
             matched[b] = x0
         return matched[b]
 
@@ -677,7 +800,10 @@ def return_map_sample(
 
     Each point s launches the X-arc from (s, s, phi) to its landing on the
     sliding region, follows the sliding flow to its fold exit, and records
-    the exit abscissa pi(s).  Sign changes of pi(s) - s witness sliding
+    the exit abscissa pi(s).  The n X-arcs are stacked lanes of one solver
+    call (:func:`~preyswitch.flow.integrate_fold_launches`), so a landing
+    depends on the other samples at about 1e-12; errors are raised in the
+    order of s.  Sign changes of pi(s) - s witness sliding
     periodic orbits.  Raises :class:`FocusLanding` if an X-arc lands within
     ``cfg.event_tol`` of the pseudo-focus (as the one from the connection's
     fold point does), and :class:`OrbitEscaped` if any other orbit fails to
@@ -691,12 +817,14 @@ def return_map_sample(
     tau = params.tau
     if not 0.0 < lo <= hi < tau:
         raise DomainError(f"segment ({lo}, {hi}) must lie inside (0, tau = {tau})")
+    grid = np.linspace(lo, hi, n)
     out: list[tuple[float, float]] = []
-    for s in np.linspace(lo, hi, n):
-        try:
-            u, v = mu_point(s, params, cfg)
-        except (NoReturn, TangencyAmbiguity) as err:
-            raise OrbitEscaped(f"s = {s}: {err}") from err
+    for s, landing in zip(grid, integrate_fold_launches(grid, cfg, params)):
+        if isinstance(landing, (NoReturn, TangencyAmbiguity)):
+            raise OrbitEscaped(f"s = {s}: {landing}") from landing
+        if isinstance(landing, PreySwitchError):
+            raise landing
+        u, v = landing
         if v < params.phi - cfg.event_tol:
             raise OrbitEscaped(f"s = {s}: landing at z = {v} is below the sliding region")
         arc = integrate_sliding((u, v), Direction.FORWARD, cfg, params, cfg.event_tol)

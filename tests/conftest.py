@@ -8,6 +8,7 @@ from preyswitch import (
     focus_condition_holds,
     validate_parameters,
 )
+from preyswitch import flow as flow_mod
 
 # Baseline rates for the numerical experiments (decimal points).
 TABLE1 = dict(m=0.790, r1=0.836, e=0.948, q1=0.772, a_q=0.660, q2=1.084, beta2=0.896, r2=0.126)
@@ -69,3 +70,16 @@ def draw_params(rng, require_focus=False, max_tries=2000):
             continue
         return p
     raise RuntimeError("parameter sampler failed to find an admissible draw")
+
+
+def solver_solutions(monkeypatch):
+    """The list of every solution flow.solve_ivp returns from now on."""
+    sols = []
+    solve_ivp = flow_mod.solve_ivp
+
+    def counted(*args, **kwargs):
+        sols.append(solve_ivp(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(flow_mod, "solve_ivp", counted)
+    return sols

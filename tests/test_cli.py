@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from preyswitch.cli import main
-from conftest import TABLE1
+from conftest import TABLE1, solver_solutions
 
 
 @pytest.fixture()
@@ -224,6 +225,34 @@ def test_sweep_serial_and_parallel_agree(params_file, tmp_path):
     assert len(rows) == 3
     ds = [float(r[1]) for r in rows]
     assert ds[0] > 0.0 > ds[-1]
+
+
+def test_sweep_failing_row_writes_nan(params_file, tmp_path):
+    # x_c(0.01) lies outside the working window (NoBracket); the other rows
+    # keep the values they have without it
+    full, rest = tmp_path / "full.csv", tmp_path / "rest.csv"
+    args = ["sweep", "--params", params_file, "--jobs", "1"]
+    assert run(args + ["--beta1-range", "0.01:9.01", "--n", "4", "--out", str(full)]) == 0
+    assert run(args + ["--beta1-range", "3.01:9.01", "--n", "3", "--out", str(rest)]) == 0
+    rows = [[float(v) for v in line.split(",")] for line in full.read_text().splitlines()[1:]]
+    others = [[float(v) for v in line.split(",")] for line in rest.read_text().splitlines()[1:]]
+    assert rows[0][0] == 0.01 and math.isnan(rows[0][1])
+    assert len(rows[1:]) == len(others) == 3
+    for (b, d), (b_ref, d_ref) in zip(rows[1:], others):
+        assert b == pytest.approx(b_ref, abs=1e-14)
+        assert abs(d - d_ref) <= 1e-10
+
+
+def test_sweep_solver_call_budget(params_file, tmp_path, monkeypatch):
+    # the coarse curve is one call, and each iteration matching all 32 rows
+    # together is one more
+    sols = solver_solutions(monkeypatch)
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--params", params_file, "--beta1-range", "1.2:9.8", "--n", "32", "--out", str(out)]
+    assert run(args) == 0
+    ds = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert len(ds) == 32 and not any(math.isnan(d) for d in ds)
+    assert len(sols) <= 10
 
 
 def test_sweep_curve_failure_exits_1(params_file, capsys):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from preyswitch import (
     Direction,
@@ -22,6 +23,7 @@ from preyswitch import (
     classify_sigma_point,
     coarse_mu_curve,
     distance_to_connection,
+    distances_to_connection,
     find_shilnikov,
     first_integral_F,
     fixed_point_brackets,
@@ -36,20 +38,7 @@ from preyswitch import (
     working_window,
 )
 from preyswitch import connection as connection_mod
-from preyswitch import flow as flow_mod
-
-
-def solver_solutions(monkeypatch):
-    """The list of every solution flow.solve_ivp returns from now on."""
-    sols = []
-    solve_ivp = flow_mod.solve_ivp
-
-    def counted(*args, **kwargs):
-        sols.append(solve_ivp(*args, **kwargs))
-        return sols[-1]
-
-    monkeypatch.setattr(flow_mod, "solve_ivp", counted)
-    return sols
+from conftest import solver_solutions
 
 
 def pi_map(s, params, cfg):
@@ -186,6 +175,29 @@ def test_distance_multiple_roots_reported(table1, cfg):
             distance_to_connection(table1, cfg, curve)
 
 
+def test_distances_agree_with_brentq_on_lone_launches(table1, cfg, coarse_curve):
+    # the rows are matched together on stacked lanes; each must agree with an
+    # independent Brent search whose every evaluation is a lone launch
+    betas = (0.01, 2.0, 5.0, 7.5, 9.8)
+    rows = distances_to_connection([table1.replace(beta1=b) for b in betas], cfg, coarse_curve)
+    assert isinstance(rows[0], NoBracket)  # x_c(0.01) lies past the working window
+    for beta1, (D, x0) in zip(betas[1:], rows[1:]):
+        _, focus = pseudo_equilibria(table1.replace(beta1=beta1))
+        us = coarse_curve.us - focus.x
+        j = next(j for j in range(len(us) - 1) if (us[j] < 0.0) != (us[j + 1] < 0.0))
+        x_ref = brentq(
+            lambda x: mu_point(x, table1, cfg)[0] - focus.x,
+            coarse_curve.x0s[j],
+            coarse_curve.x0s[j + 1],
+            xtol=1e-13,
+        )
+        assert abs(x0 - x_ref) <= 1e-10
+        assert abs(D - (mu_point(x_ref, table1, cfg)[1] - focus.z)) <= 1e-10
+    assert distance_to_connection(table1.replace(beta1=5.0), cfg, coarse_curve)[0] == pytest.approx(
+        rows[2][0], abs=1e-10
+    )
+
+
 def test_distance_rejects_curve_of_other_x_flow(table1, table1_b10, cfg, coarse_curve):
     # beta1 and beta2 leave the X-flow alone; r1, r2, m and e*q1 do not
     curve = replace(coarse_curve, params=table1_b10.replace(beta2=2.0))
@@ -244,7 +256,9 @@ def test_find_shilnikov_lemma2_violation_reports_iterate(table1, cfg):
 def test_find_shilnikov_is_independent_of_the_range(connection, table1, cfg):
     cert, _ = connection
     assert abs(cert.beta1_star - 7.7768748097) <= 1e-9
-    for beta1_range in ((1.2, 9.4), (1.5, 9.0)):
+    # the focus abscissae of beta1 = 0.1 and 0.01 lie past the working window
+    # (u > tau at the next node), where only their own node pair matches them
+    for beta1_range in ((1.2, 9.4), (1.5, 9.0), (0.1, 10.0), (0.01, 10.0)):
         other = find_shilnikov(table1, beta1_range, cfg)
         assert abs(other.beta1_star - 7.7768748097) <= 1e-9
         assert abs(other.beta1_star - cert.beta1_star) <= 1e-9
@@ -256,20 +270,21 @@ def test_find_shilnikov_matches_an_end_where_the_neighbour_node_is_undefined(
 ):
     # past beta1 = 64.5 (the node at x0 = 0.222) the coarse curve crosses the
     # pole of beta1(u), and the next node has beta1(u) < 0: the end 100 is
-    # then matched by distance_to_connection
+    # then matched on that node pair
     cert, _ = connection
     betas = [connection_mod._beta1_with_focus_at(u, table1) for u in coarse_curve.us]
     assert betas[8] < 0.0 and 64.0 < betas[9] < 100.0
     matched = []
-    distance = connection_mod.distance_to_connection
+    match = connection_mod._match_focus_abscissae
 
-    def counted(params, cfg, curve):
-        matched.append(params.beta1)
-        return distance(params, cfg, curve)
+    def counted(brackets, cfg, params):
+        matched.extend((x_c, a[0], b[0]) for x_c, a, b in brackets)
+        return match(brackets, cfg, params)
 
-    monkeypatch.setattr(connection_mod, "distance_to_connection", counted)
+    monkeypatch.setattr(connection_mod, "_match_focus_abscissae", counted)
     other = find_shilnikov(table1, (0.994, 100.0), cfg)
-    assert matched == [100.0]
+    x_c = pseudo_equilibria(table1.replace(beta1=100.0))[1].x
+    assert matched == [(x_c, coarse_curve.x0s[8], coarse_curve.x0s[9])]
     assert abs(other.beta1_star - cert.beta1_star) <= 1e-9
 
 
@@ -375,6 +390,34 @@ def test_return_map_empty_and_bad_segment(table1, cfg):
     assert return_map_sample(table1, (0.2, 0.3), 0, cfg) == []
     with pytest.raises(DomainError):
         return_map_sample(table1, (0.2, 2.0 * table1.tau), 3, cfg)
+
+
+def test_return_map_fold_leg_matches_lone_launches(connection, cfg, monkeypatch):
+    # the 41 X-arcs are the lanes of one solver call, made before any sliding
+    # arc; each landing must agree with a lone launch from the same fold point
+    cert, _ = connection
+    calls = []
+    launch = connection_mod.integrate_fold_launches
+
+    def recorded(x0s, cfg, params):
+        calls.append((list(x0s), launch(x0s, cfg, params)))
+        return calls[-1][1]
+
+    class SlidingLeg(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise SlidingLeg
+
+    monkeypatch.setattr(connection_mod, "integrate_fold_launches", recorded)
+    monkeypatch.setattr(connection_mod, "integrate_sliding", stop)
+    with pytest.raises(SlidingLeg):
+        return_map_sample(cert.params, (cert.x0 - 0.039, cert.x0 + 0.041), 41, cfg)
+    [(x0s, landings)] = calls
+    assert len(x0s) == 41
+    for s, (u, v) in zip(x0s, landings):
+        u1, v1 = mu_point(s, cert.params, cfg)
+        assert abs(u - u1) <= 1e-11 and abs(v - v1) <= 1e-11
 
 
 def test_return_map_reports_focus_landing_at_connection(connection, cfg):
