@@ -287,28 +287,37 @@ def _node_bracket(params: Parameters, curve: MuCurve) -> tuple[SigmaState, int]:
     if win is None:
         raise NoBracket("the fold-return curve has no working window")
     i0, i1 = win
-    us = curve.us[i0 : i1 + 1]
-    if len(us) < 2:
+    if i1 - i0 < 1:
         raise NoBracket("the working window contains fewer than two samples")
 
-    d = us - focus.x
-    hits = [
-        j for j in range(len(d) - 1) if d[j] == 0.0 or ((d[j] < 0.0) != (d[j + 1] < 0.0))
-    ]
-    if not hits:
-        raise NoBracket(
-            f"x_c = {focus.x} lies outside the attained fold-return range "
-            f"[{us.min()}, {us.max()}]"
-        )
-    if len(hits) > 1:
+    d = curve.us - focus.x
+
+    def hits(first: int, last: int) -> list[int]:
+        return [
+            j for j in range(first, last) if d[j] == 0.0 or ((d[j] < 0.0) != (d[j + 1] < 0.0))
+        ]
+
+    found = hits(i0, i1)
+    if not found:
+        # x_c lies in (0, tau), so a node next to the window that fails only
+        # 0 < u < tau still bounds a match on its pair with the window's end
+        span = curve.us[i0 : i1 + 1]
+        i0, i1 = max(i0 - 1, 0), min(i1 + 1, len(d) - 1)
+        found = [j for j in hits(i0, i1) if min(curve.vs[j], curve.vs[j + 1]) > params.r1]
+        if not found:
+            raise NoBracket(
+                f"x_c = {focus.x} lies outside the attained fold-return range "
+                f"[{span.min()}, {span.max()}]"
+            )
+    if len(found) > 1:
         raise MultipleRoots(
-            f"u - x_c changes sign {len(hits)} times on the working window"
+            f"u - x_c changes sign {len(found)} times on the working window"
         )
-    j = hits[0]
-    steps = np.diff(us[max(0, j - 1) : j + 3])
+    j = found[0]
+    steps = np.diff(curve.us[max(i0, j - 1) : min(i1, j + 2) + 1])
     if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise MultipleRoots("u is not monotone across the matching bracket")
-    return focus, i0 + j
+    return focus, j
 
 
 # brentq's stopping rule at xtol = 1e-12: |b - a| <= _XTOL + 4*eps*|x|
@@ -433,7 +442,10 @@ def distance_to_connection(
     D = v(x0_matched) - z_c: positive when the focus lies below the curve,
     negative above.  The one-row case of :func:`distances_to_connection`:
     the match starts from the two nodes across which u - x_c changes sign
-    and stops at brentq's tolerance, 1e-12 in x0.  Raises
+    and stops at brentq's tolerance, 1e-12 in x0.  When no window pair
+    brackets x_c, the pair across an end of the window is used if its
+    outer node fails only 0 < u < tau (x_c, inside (0, tau), is then still
+    reached before u leaves the window).  Raises
     :class:`DomainError` when the curve's X-flow rates (r1, r2, m, e*q1)
     are not those of ``params``, :class:`NoBracket` when x_c is outside the
     attained range of u, :class:`MultipleRoots` when the sampled u is not

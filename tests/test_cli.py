@@ -3,6 +3,12 @@ import math
 
 import pytest
 
+from preyswitch import (
+    IntegratorConfig,
+    coarse_mu_curve,
+    distance_to_connection,
+    validate_parameters,
+)
 from preyswitch.cli import main
 from conftest import TABLE1, solver_solutions
 
@@ -227,20 +233,22 @@ def test_sweep_serial_and_parallel_agree(params_file, tmp_path):
     assert ds[0] > 0.0 > ds[-1]
 
 
-def test_sweep_failing_row_writes_nan(params_file, tmp_path):
-    # x_c(0.01) lies outside the working window (NoBracket); the other rows
-    # keep the values they have without it
-    full, rest = tmp_path / "full.csv", tmp_path / "rest.csv"
-    args = ["sweep", "--params", params_file, "--jobs", "1"]
-    assert run(args + ["--beta1-range", "0.01:9.01", "--n", "4", "--out", str(full)]) == 0
-    assert run(args + ["--beta1-range", "3.01:9.01", "--n", "3", "--out", str(rest)]) == 0
-    rows = [[float(v) for v in line.split(",")] for line in full.read_text().splitlines()[1:]]
-    others = [[float(v) for v in line.split(",")] for line in rest.read_text().splitlines()[1:]]
-    assert rows[0][0] == 0.01 and math.isnan(rows[0][1])
-    assert len(rows[1:]) == len(others) == 3
-    for (b, d), (b_ref, d_ref) in zip(rows[1:], others):
-        assert b == pytest.approx(b_ref, abs=1e-14)
-        assert abs(d - d_ref) <= 1e-10
+def test_sweep_failing_row_writes_nan(tmp_path):
+    # with m = 9.5 the pseudo-equilibrium is a node for beta1 in about
+    # (1.85, 3.56), so rows 2 and 3 have no D (Lemma2Violation); the other rows
+    # keep the values they have alone
+    params = validate_parameters(**dict(TABLE1, beta1=0.994, m=9.5))
+    path, out = tmp_path / "m9.5.json", tmp_path / "sweep.csv"
+    path.write_text(json.dumps(params.as_dict()))
+    args = ["sweep", "--params", str(path), "--beta1-range", "1:5", "--n", "5", "--out", str(out)]
+    assert run(args) == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert [b for b, _ in rows] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert [math.isnan(d) for _, d in rows] == [False, True, True, False, False]
+    curve = coarse_mu_curve(params, IntegratorConfig())
+    for b, d in rows[:1] + rows[3:]:
+        D, _ = distance_to_connection(params.replace(beta1=b), IntegratorConfig(), curve)
+        assert abs(d - D) <= 1e-10
 
 
 def test_sweep_solver_call_budget(params_file, tmp_path, monkeypatch):

@@ -152,9 +152,20 @@ def test_distance_matched_point_hits_focus_abscissa(table1, cfg, coarse_curve):
     assert u == pytest.approx(focus.x, abs=1e-10)
 
 
-def test_distance_no_bracket(table1, cfg, coarse_curve):
-    with pytest.raises(NoBracket):
-        distance_to_connection(table1.replace(beta1=0.05), cfg, coarse_curve)
+def test_distance_no_bracket(table1, cfg):
+    # synthetic coarse curves on which x_c(0.994) = 0.93 is never reached: u
+    # stays below it, or it is crossed only on the pair past the window's end
+    # whose outer node also has v <= r1
+    _, focus = pseudo_equilibria(table1)
+    x0s = np.linspace(0.2, 0.5, 6)
+    for us, vs in (
+        ([0.40, 0.50, 0.60, 0.70, 0.80, 0.90], [2.0] * 6),
+        ([0.70, 0.75, 0.80, 0.85, 0.90, 1.00], [2.0] * 5 + [0.5 * table1.r1]),
+    ):
+        assert max(us[:5]) < focus.x
+        curve = MuCurve(x0s=x0s, us=np.array(us), vs=np.array(vs), params=table1)
+        with pytest.raises(NoBracket):
+            distance_to_connection(table1, cfg, curve)
 
 
 def test_distance_lemma2_violation(table1, cfg, coarse_curve):
@@ -177,11 +188,14 @@ def test_distance_multiple_roots_reported(table1, cfg):
 
 def test_distances_agree_with_brentq_on_lone_launches(table1, cfg, coarse_curve):
     # the rows are matched together on stacked lanes; each must agree with an
-    # independent Brent search whose every evaluation is a lone launch
-    betas = (0.01, 2.0, 5.0, 7.5, 9.8)
+    # independent Brent search whose every evaluation is a lone launch.  x_c
+    # of 0.01 and 0.1 lies between node 22, the working window's last, and
+    # node 23, whose u exceeds tau: they are matched on that pair
+    betas = (0.01, 0.1, 2.0, 5.0, 7.5, 9.8)
+    assert working_window(coarse_curve, table1) == (0, 22) and coarse_curve.us[23] > table1.tau
     rows = distances_to_connection([table1.replace(beta1=b) for b in betas], cfg, coarse_curve)
-    assert isinstance(rows[0], NoBracket)  # x_c(0.01) lies past the working window
-    for beta1, (D, x0) in zip(betas[1:], rows[1:]):
+    assert all(coarse_curve.x0s[22] < x0 < coarse_curve.x0s[23] for _, x0 in rows[:2])
+    for beta1, (D, x0) in zip(betas, rows):
         _, focus = pseudo_equilibria(table1.replace(beta1=beta1))
         us = coarse_curve.us - focus.x
         j = next(j for j in range(len(us) - 1) if (us[j] < 0.0) != (us[j + 1] < 0.0))
@@ -194,7 +208,7 @@ def test_distances_agree_with_brentq_on_lone_launches(table1, cfg, coarse_curve)
         assert abs(x0 - x_ref) <= 1e-10
         assert abs(D - (mu_point(x_ref, table1, cfg)[1] - focus.z)) <= 1e-10
     assert distance_to_connection(table1.replace(beta1=5.0), cfg, coarse_curve)[0] == pytest.approx(
-        rows[2][0], abs=1e-10
+        rows[3][0], abs=1e-10
     )
 
 
