@@ -828,7 +828,7 @@ def return_map_sample(
     lo, hi = (float(segment[0]), float(segment[1]))
     tau = params.tau
     if not 0.0 < lo <= hi < tau:
-        raise DomainError(f"segment ({lo}, {hi}) must lie inside (0, tau = {tau})")
+        raise DomainError(f"segment ({lo}, {hi}) must satisfy 0 < lo <= hi < tau = {tau}")
     grid = np.linspace(lo, hi, n)
     out: list[tuple[float, float]] = []
     for s, landing in zip(grid, integrate_fold_launches(grid, cfg, params)):

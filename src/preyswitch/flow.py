@@ -39,7 +39,7 @@ from .errors import (
     TangencyAmbiguity,
 )
 from .model import Parameters, Piece, RegionLabel, classify_sigma_point, lie_derivatives
-from .sliding import _coefficients, pseudo_equilibria
+from .sliding import _coefficients, classify_focus, pseudo_equilibria
 
 
 class Direction(Enum):
@@ -66,8 +66,11 @@ class EventKind(Enum):
 class IntegratorConfig:
     """Tolerances and horizon for all integrations.
 
-    ``max_step`` of None resolves to 0.01 times the characteristic time
-    2*pi/sqrt(m*r1) of the planar center.  All fields must be positive and
+    ``max_step`` of None caps every step at 0.01 of the period of the field
+    being integrated: for sliding arcs, 2*pi/|lambda| of the interior
+    pseudo-focus (see :func:`integrate_sliding`); for everything else, the
+    characteristic time 2*pi/sqrt(m*r1) of the planar center.  A number
+    caps every integration alike.  All fields must be positive and
     ``event_tol`` may not exceed 100 * ``abs_tol``.
     """
 
@@ -147,6 +150,24 @@ def _resolve_max_step(cfg: IntegratorConfig, params: Parameters) -> float:
     return 0.01 * characteristic_time(params)
 
 
+def _sliding_max_step(cfg: IntegratorConfig, params: Parameters) -> float:
+    """Step cap for sliding arcs: 0.01 of the pseudo-focus's own period.
+
+    The sliding arcs circle the interior pseudo-equilibrium, so the cap is
+    0.01*2*pi/|lambda| when it is a focus.  Where it is not, or cannot be
+    classified, the planar center's cap applies.
+    """
+    if cfg.max_step is not None:
+        return cfg.max_step
+    try:
+        pe = classify_focus(params)
+    except PreySwitchError:
+        return _resolve_max_step(cfg, params)
+    if pe.beta_imag > 0.0:
+        return 0.01 * 2.0 * math.pi / math.hypot(pe.alpha, pe.beta_imag)
+    return _resolve_max_step(cfg, params)
+
+
 def _fold_launch_max_step(base: float, params: Parameters, x0: float) -> float:
     """Step cap for launches tangent to Sigma at a fold point.
 
@@ -167,7 +188,7 @@ def _smooth_rhs(piece: Piece, params: Parameters, sgn: float):
     if piece is Piece.X:
 
         def f(t, s):
-            x, y, z = s
+            x, y, z = s.tolist()
             return [sgn * (r1 - z) * x, sgn * r2 * y, sgn * (eq1 * x - m) * z]
 
         return f
@@ -176,7 +197,7 @@ def _smooth_rhs(piece: Piece, params: Parameters, sgn: float):
         eq2a = params.e * params.q2 / params.a_q
 
         def f(t, s):
-            x, y, z = s
+            x, y, z = s.tolist()
             return [sgn * r1 * x, sgn * (r2 - ratio * z) * y, sgn * (eq2a * y - m) * z]
 
         return f
@@ -184,7 +205,7 @@ def _smooth_rhs(piece: Piece, params: Parameters, sgn: float):
 
         def f(t, s):
             if len(s) == 2:  # one lane: Python arithmetic beats numpy's per-call cost
-                x, z = s
+                x, z = s.tolist()
                 return [sgn * (r1 - z) * x, sgn * (eq1 * x - m) * z]
             # K lanes stacked as (x_1..x_K, z_1..z_K)
             x, z = s.reshape(2, -1)
@@ -199,7 +220,7 @@ def _sliding_rhs(params: Parameters, sgn: float):
     m = params.m
 
     def f(t, s):
-        x, z = s
+        x, z = s.tolist()
         return [sgn * x * (R - B * z), sgn * (-K * x - m * z + C * x * z)]
 
     return f
@@ -253,7 +274,7 @@ def _blowup_event(norm_bound: float):
     b2 = norm_bound * norm_bound
 
     def g(t, s):
-        return b2 - float(np.dot(s, s))
+        return b2 - sum(v * v for v in s.tolist())
 
     return _terminal(g, -1.0)
 
@@ -389,7 +410,10 @@ def integrate_sliding(
     radius of zero disables capture), DOMAIN_EXIT and the horizon.
     Starting on the fold line is allowed: if the flow points out of the
     region the arc is an immediate fold exit, otherwise the fold event is
-    armed after separation.
+    armed after separation.  Unless ``cfg.max_step`` is set, steps are
+    capped at 0.01*2*pi/|lambda|, with |lambda| = hypot(alpha, beta_imag)
+    the eigenvalue modulus of the interior pseudo-focus, since the arcs
+    circle that point; where it is not a focus, at 0.01*2*pi/sqrt(m*r1).
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (2,):
@@ -435,7 +459,7 @@ def integrate_sliding(
     blow_index = len(events)
     events.append(_blowup_event(cfg.norm_bound))
 
-    sol = _run(f, p0, cfg, params, events, cfg.t_max)
+    sol = _run(f, p0, cfg, params, events, cfg.t_max, max_step=_sliding_max_step(cfg, params))
     ts = t_start + sgn * sol.t
     states = sol.y.T.copy()
 
@@ -604,7 +628,7 @@ def integrate_filippov(
             if label is RegionLabel.ORIGIN_LINE:
                 raise DomainError("trajectory reached the origin line of Sigma")
             if label in _SLIDING_LABELS or (
-                label in _FOLD_LABELS and _sliding_rhs(params, 1.0)(0.0, (xm, s[2]))[1] > 0.0
+                label in _FOLD_LABELS and _sliding_rhs(params, 1.0)(0.0, np.array([xm, s[2]]))[1] > 0.0
             ):
                 arc = integrate_sliding(
                     (xm, s[2]), Direction.FORWARD, sub, params, focus_capture_radius, t_start=t

@@ -319,6 +319,15 @@ def test_find_shilnikov_fold_launch_budget(table1, cfg, monkeypatch):
     assert len(lanes) <= 60
 
 
+def test_find_shilnikov_step_budget(table1, cfg, monkeypatch):
+    # the certificate's sliding arcs are capped at 0.01 of the pseudo-focus's
+    # period; capped at 0.01 of the planar center's, the search took 2,058
+    # steps
+    sols = solver_solutions(monkeypatch)
+    find_shilnikov(table1, (0.994, 10.0), cfg)
+    assert sum(len(sol.t) - 1 for sol in sols) <= 1500
+
+
 def test_verify_connection_at_certificate(connection, cfg):
     cert, _ = connection
     again = verify_connection(cert.params, cert.x0, cfg)
@@ -404,6 +413,9 @@ def test_return_map_empty_and_bad_segment(table1, cfg):
     assert return_map_sample(table1, (0.2, 0.3), 0, cfg) == []
     with pytest.raises(DomainError):
         return_map_sample(table1, (0.2, 2.0 * table1.tau), 3, cfg)
+    # both ends lie inside (0, tau): the message names the order condition
+    with pytest.raises(DomainError, match="must satisfy 0 < lo <= hi < tau"):
+        return_map_sample(table1, (0.3, 0.25), 3, cfg)
 
 
 def test_return_map_fold_leg_matches_lone_launches(connection, cfg, monkeypatch):

@@ -14,7 +14,9 @@ from preyswitch import (
     NoReturn,
     Piece,
     RegionLabel,
+    PreySwitchError,
     characteristic_time,
+    classify_focus,
     classify_sigma_point,
     eval_sliding,
     events_payload,
@@ -26,7 +28,9 @@ from preyswitch import (
     mu_point,
     pseudo_equilibria,
 )
+from preyswitch import flow as flow_mod
 from preyswitch.flow import trajectory_rows
+from conftest import draw_params
 
 
 def arc_gap(a, b):
@@ -177,6 +181,57 @@ def test_sliding_forward_spirals_out_from_focus(table1, cfg):
     turn = r[: len(r) // 3]
     assert turn[-1] > turn[0]
     assert r.max() > 100.0 * r[0]
+
+
+def focus_period(params):
+    pe = classify_focus(params)
+    return 2.0 * math.pi / math.hypot(pe.alpha, pe.beta_imag)
+
+
+def test_sliding_step_cap_follows_the_focus_period(table1, cfg, monkeypatch):
+    x_cap = 0.01 * characteristic_time(table1)
+    cap = flow_mod._sliding_max_step(cfg, table1)
+    assert cap == pytest.approx(0.01 * focus_period(table1), rel=1e-14)
+    assert cap > x_cap
+    # an explicit max_step overrides it
+    assert flow_mod._sliding_max_step(replace(cfg, max_step=0.05), table1) == 0.05
+    # a pseudo-equilibrium that is no focus keeps the planar center's cap
+    node = table1.replace(m=20.0)
+    assert classify_focus(node).beta_imag == 0.0
+    assert flow_mod._sliding_max_step(cfg, node) == 0.01 * characteristic_time(node)
+
+    # and so does one that cannot be classified, without a new error
+    def unclassifiable(params):
+        raise PreySwitchError("no classification")
+
+    monkeypatch.setattr(flow_mod, "classify_focus", unclassifiable)
+    assert flow_mod._sliding_max_step(cfg, table1) == x_cap
+    arc = integrate_sliding((0.5 * table1.tau, table1.phi), Direction.BACKWARD, cfg, table1)
+    assert arc.terminal_event.kind is EventKind.FOCUS_CAPTURE
+
+
+def test_sliding_arcs_match_a_tight_reference_over_the_admissible_region(rng):
+    # forward and backward arcs from fold points on both sides of the cusp,
+    # over two periods of the focus, against DOP853 at rel_tol 1e-13 with a
+    # fifth of the planar center's default cap
+    for _ in range(10):
+        params = draw_params(rng, require_focus=True)
+        cfg = IntegratorConfig(t_max=2.0 * focus_period(params))
+        ref = replace(
+            cfg,
+            rel_tol=1e-13,
+            abs_tol=1e-15,
+            event_tol=1e-15,
+            max_step=0.002 * characteristic_time(params),
+        )
+        for frac in (0.4, 0.8, 1.5):
+            start = (frac * params.tau, params.phi)
+            for direction in Direction:
+                arc = integrate_sliding(start, direction, cfg, params)
+                exact = integrate_sliding(start, direction, ref, params)
+                assert arc.terminal_event.kind is exact.terminal_event.kind, (params, start)
+                err = np.max(np.abs(arc.terminal_event.state - exact.terminal_event.state))
+                assert err <= 1e-10, (params, start, direction)
 
 
 def test_sliding_rejects_bad_starts(table1, cfg):
