@@ -578,19 +578,18 @@ def find_shilnikov(
     return dataclasses_replace(cert, bracket_width=width)
 
 
-def verify_connection(
-    params: Parameters,
-    x0: float,
-    cfg: IntegratorConfig,
-    capture_radius: float = 1e-4,
-    forward_tol: float = 1e-6,
-) -> ConnectionCertificate:
+# the certificate's forward landing tolerance and backward capture radius
+_FORWARD_TOL = 1e-6
+_CAPTURE_RADIUS = 1e-4
+
+
+def verify_connection(params: Parameters, x0: float, cfg: IntegratorConfig) -> ConnectionCertificate:
     """Certify the sliding homoclinic loop through the fold point x0.
 
     Three checks, failure of any raising :class:`VerificationFailure`:
-    the forward X-arc from (x0, x0, phi) must land within ``forward_tol``
-    of the pseudo-focus; the backward sliding orbit from (x0, phi) must be
-    captured by the focus without leaving the sliding region; and the
+    the forward X-arc from (x0, x0, phi) must land within 1e-6 of the
+    pseudo-focus; the backward sliding orbit from (x0, phi) must be captured
+    within 1e-4 of the focus without leaving the sliding region; and the
     forward sliding orbit through (tau, phi) must either never return to
     the fold line or return at x* < x0.
     """
@@ -599,29 +598,24 @@ def verify_connection(
     if not 0.0 < x0 < tau:
         raise DomainError(f"fold point x0 = {x0} must lie in (0, tau = {tau})")
     _repulsive_focus(params)
-    return _certify(params, x0, mu_point(x0, params, cfg), cfg, capture_radius, forward_tol)
+    return _certify(params, x0, mu_point(x0, params, cfg), cfg)
 
 
 def _certify(
-    params: Parameters,
-    x0: float,
-    landing: tuple[float, float],
-    cfg: IntegratorConfig,
-    capture_radius: float = 1e-4,
-    forward_tol: float = 1e-6,
+    params: Parameters, x0: float, landing: tuple[float, float], cfg: IntegratorConfig
 ) -> ConnectionCertificate:
     """The checks of :func:`verify_connection`, given the fold return (u, v) of x0."""
     focus = _repulsive_focus(params)
     u, v = landing
     forward_error = math.sqrt(2.0 * (u - focus.x) ** 2 + (v - focus.z) ** 2)
-    if forward_error > forward_tol:
+    if forward_error > _FORWARD_TOL:
         raise VerificationFailure(
             f"forward landing misses the pseudo-focus by {forward_error:.3e} "
-            f"(tolerance {forward_tol:.1e})"
+            f"(tolerance {_FORWARD_TOL:.1e})"
         )
 
     back = integrate_sliding(
-        (x0, params.phi), Direction.BACKWARD, cfg, params, capture_radius
+        (x0, params.phi), Direction.BACKWARD, cfg, params, _CAPTURE_RADIUS
     )
     if back.terminal_event.kind is not EventKind.FOCUS_CAPTURE:
         raise VerificationFailure(
@@ -652,7 +646,7 @@ def _certify(
         focus=focus,
         forward_error=forward_error,
         backward_captured=True,
-        capture_radius=capture_radius,
+        capture_radius=_CAPTURE_RADIUS,
         x_star=x_star,
         residual_D=v - focus.z,
         params=params,
@@ -665,15 +659,14 @@ def lemma1_asymptotics_report(
     cfg: IntegratorConfig,
     eps: float = 1e-3,
     r2_small: float = 1e-4,
-    x0_factor: float = 0.5,
 ) -> Lemma1Report:
     """Measure the fold-return expansions against their predicted laws.
 
     Near the cusp, u(tau - eps) = tau + 2*eps + O(eps^2) and
     v(tau - eps) - phi = O(eps^2); for small r2 the landing height obeys
     (v - r1)/sqrt(r2) ~ sqrt(2*r1*T(x0)*(m - e*q1*x0)) with T from the
-    planar period.  Pass thresholds: 5% on the slope, 0.01 on the quadratic
-    ratio, 2% on the small-r2 coefficient.
+    planar period, measured at x0 = tau/2.  Pass thresholds: 5% on the
+    slope, 0.01 on the quadratic ratio, 2% on the small-r2 coefficient.
     """
     tau = params.tau
     u, v = mu_point(tau - eps, params, cfg)
@@ -682,7 +675,7 @@ def lemma1_asymptotics_report(
     v_ratio = abs(v - params.phi) / eps
 
     small = params.replace(r2=r2_small)
-    x0 = x0_factor * tau
+    x0 = 0.5 * tau
     u2, v2 = mu_point(x0, small, cfg)
     period = lv_period(x0, cfg, small)
     coeff_measured = (v2 - small.r1) / math.sqrt(r2_small)

@@ -9,15 +9,16 @@ concatenator stitches smooth and sliding arcs per the convex-combination
 convention: trajectories entering the sliding region follow the sliding
 field until the visible fold hands them back to X.
 
-Fold launches for the fold-return curve are integrated by
-:func:`integrate_fold_launches` as stacked planar lanes in one solver call,
-each lane's return located with the desingularised switching function
-h/t**2.  The launches inside a Filippov trajectory that start exactly on a
-tangency (the X-arc leaving the visible fold after a sliding arc, and the
-sliding arc starting on the fold line) use an armed event instead: the
-switching event is ignored until its function first exceeds the event
-tolerance on the departing side, so the initial contact is never mistaken
-for a return.
+Every integration that starts on a tangency watches a desingularised
+event function, stateless and valued at t = 0 by its limit, so the initial
+contact is never mistaken for a return.  An X-arc from a fold point (the
+fold launches of the fold-return curve, stacked as planar lanes in one
+solver call by :func:`integrate_fold_launches`, and the X-arc leaving the
+visible fold inside a Filippov trajectory) watches h/t**2, whose limit
+X2h/2 is positive on the visible fold; a return before the lift-off
+X2h*t**2/2 exceeds the event tolerance raises :class:`TangencyAmbiguity`.
+A sliding arc starting on the fold line watches (z - phi)/t, whose limit is
+its initial z-rate.
 """
 
 from __future__ import annotations
@@ -38,8 +39,13 @@ from .errors import (
     StepFailure,
     TangencyAmbiguity,
 )
-from .model import Parameters, Piece, RegionLabel, classify_sigma_point, lie_derivatives
-from .sliding import _coefficients, classify_focus, pseudo_equilibria
+from .model import Parameters, Piece, RegionLabel, classify_sigma_point, lie_derivatives, smooth_rhs
+from .sliding import classify_focus, eval_sliding, pseudo_equilibria, sliding_rhs
+
+# every step cap and oracle bound was measured with this method
+_METHOD = "DOP853"
+_MAX_ARCS = 10_000
+_FOLD_LABELS = (RegionLabel.VISIBLE_FOLD, RegionLabel.CUSP)
 
 
 class Direction(Enum):
@@ -79,7 +85,6 @@ class IntegratorConfig:
     event_tol: float = 1e-12
     max_step: float | None = None
     t_max: float = 400.0
-    method: str = "DOP853"
     norm_bound: float = 1e6
 
     def __post_init__(self):
@@ -168,89 +173,10 @@ def _sliding_max_step(cfg: IntegratorConfig, params: Parameters) -> float:
     return _resolve_max_step(cfg, params)
 
 
-def _fold_launch_max_step(base: float, params: Parameters, x0: float) -> float:
-    """Step cap for launches tangent to Sigma at a fold point.
-
-    Near the cusp the lift-off excursion lasts about 3*(tau - x0)/(r2*tau)
-    and its h-peak is quadratically small, so steps must sample inside the
-    excursion or the armed switching event never arms.
-    """
-    tau = params.tau
-    if not 0.0 < x0 < tau:
-        return base
-    t_exc = 3.0 * (tau - x0) / (params.r2 * tau)
-    return min(base, max(t_exc / 16.0, 1e-9))
-
-
-def _smooth_rhs(piece: Piece, params: Parameters, sgn: float):
-    r1, r2, m = params.r1, params.r2, params.m
-    eq1 = params.e * params.q1
-    if piece is Piece.X:
-
-        def f(t, s):
-            x, y, z = s.tolist()
-            return [sgn * (r1 - z) * x, sgn * r2 * y, sgn * (eq1 * x - m) * z]
-
-        return f
-    if piece is Piece.Y:
-        ratio = params.beta2 / params.beta1
-        eq2a = params.e * params.q2 / params.a_q
-
-        def f(t, s):
-            x, y, z = s.tolist()
-            return [sgn * r1 * x, sgn * (r2 - ratio * z) * y, sgn * (eq2a * y - m) * z]
-
-        return f
-    if piece is Piece.PLANAR_LV:
-
-        def f(t, s):
-            if len(s) == 2:  # one lane: Python arithmetic beats numpy's per-call cost
-                x, z = s.tolist()
-                return [sgn * (r1 - z) * x, sgn * (eq1 * x - m) * z]
-            # K lanes stacked as (x_1..x_K, z_1..z_K)
-            x, z = s.reshape(2, -1)
-            return sgn * s * np.concatenate((r1 - z, eq1 * x - m))
-
-        return f
-    raise ValueError(f"unknown piece: {piece!r}")
-
-
-def _sliding_rhs(params: Parameters, sgn: float):
-    R, B, K, C = _coefficients(params)
-    m = params.m
-
-    def f(t, s):
-        x, z = s.tolist()
-        return [sgn * x * (R - B * z), sgn * (-K * x - m * z + C * x * z)]
-
-    return f
-
-
 def _terminal(g, direction: float):
     g.terminal = True
     g.direction = direction
     return g
-
-
-def _armed_scalar_event(value_fn, departing_sign: float, event_tol: float):
-    """Terminal event ignored until value_fn leaves 0 on the departing side.
-
-    Returns ``departing_sign`` as a sentinel while unarmed, so no sign change
-    can fire before the trajectory has separated by more than ``event_tol``.
-    """
-    armed = [False]
-
-    def g(t, s):
-        v = value_fn(s)
-        if not armed[0]:
-            if v * departing_sign > event_tol:
-                armed[0] = True
-            else:
-                return departing_sign
-        return v
-
-    g.armed = armed
-    return _terminal(g, -departing_sign)
 
 
 def _domain_events(s0: np.ndarray, event_tol: float) -> list:
@@ -293,7 +219,7 @@ def _run(
         f,
         (0.0, horizon),
         s0,
-        method=cfg.method,
+        method=_METHOD,
         events=events,
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
@@ -320,22 +246,37 @@ def _snap_sigma(state: np.ndarray) -> np.ndarray:
     return np.array([xm, xm, state[2]])
 
 
+def _lift_off_ambiguity(x0: float, half_X2h: float, t1: float, cfg: IntegratorConfig):
+    """The error of a launch from the fold point x0 that returns to Sigma at
+    t1 before its lift-off X2h*t1**2/2 exceeds ``cfg.event_tol``, so that the
+    return is below the resolution of the integration (at the cusp); else
+    None."""
+    lift = half_X2h * t1 * t1
+    if lift > cfg.event_tol:
+        return None
+    return TangencyAmbiguity(
+        f"launch at x0 = {x0} returns at t = {t1:.2e}, before it separates "
+        f"from Sigma by more than event_tol (X2h*t**2/2 = {lift:.2e})"
+    )
+
+
 def integrate_smooth(
     piece: Piece,
     s0,
     direction: Direction,
     cfg: IntegratorConfig,
     params: Parameters,
-    skip_initial_tangency: bool = False,
     t_start: float = 0.0,
 ) -> Arc:
     """Integrate one smooth piece until the first event or the horizon.
 
     For the 3D pieces the switching plane h = x - y is monitored (falling
     through zero for X, rising for Y); all pieces monitor the domain
-    boundary and the norm bound.  ``skip_initial_tangency`` arms the
-    switching event only after h exceeds the event tolerance, for launches
-    from fold points where h and its rate vanish initially.
+    boundary and the norm bound.  An X-arc starting on the fold line (h
+    within the event tolerance, labelled VISIBLE_FOLD or CUSP) is tangent to
+    Sigma, and watches h/t**2 instead, valued X2h/2 at t = 0; a return
+    whose lift-off X2h*t1**2/2 is not above the event tolerance raises
+    :class:`TangencyAmbiguity`, as does a start with X2h <= 0.
     """
     s0 = np.asarray(s0, dtype=float)
     dim = 2 if piece is Piece.PLANAR_LV else 3
@@ -345,6 +286,7 @@ def integrate_smooth(
 
     events: list = []
     sigma_index = None
+    half_X2h = None
     if piece in (Piece.X, Piece.Y):
         h0 = s0[0] - s0[1]
         side = 1.0 if piece is Piece.X else -1.0
@@ -352,8 +294,22 @@ def integrate_smooth(
             raise DomainError(
                 f"initial state is on the wrong side of Sigma for {piece.value}: h = {h0}"
             )
-        if skip_initial_tangency:
-            ev = _armed_scalar_event(lambda s: s[0] - s[1], side, cfg.event_tol)
+        xm = 0.5 * (s0[0] + s0[1])
+        if (
+            piece is Piece.X
+            and abs(h0) <= cfg.event_tol
+            and classify_sigma_point((xm, s0[2]), params, tol=cfg.event_tol) in _FOLD_LABELS
+        ):
+            half_X2h = 0.5 * lie_derivatives((xm, s0[2]), params)[2]
+            if half_X2h <= 0.0:  # no lift-off: the return is immediate
+                raise _lift_off_ambiguity(xm, half_X2h, 0.0, cfg)
+
+            def g(t, s):
+                if t == 0.0:
+                    return half_X2h
+                return (s[0] - s[1]) / (t * t)
+
+            ev = _terminal(g, -1.0)
         else:
             ev = _terminal(lambda t, s: s[0] - s[1], -side)
         sigma_index = 0
@@ -362,11 +318,7 @@ def integrate_smooth(
     blow_index = len(events)
     events.append(_blowup_event(cfg.norm_bound))
 
-    max_step = _resolve_max_step(cfg, params)
-    if skip_initial_tangency and piece is Piece.X:
-        max_step = _fold_launch_max_step(max_step, params, float(s0[0]))
-
-    sol = _run(_smooth_rhs(piece, params, sgn), s0, cfg, params, events, cfg.t_max, max_step=max_step)
+    sol = _run(smooth_rhs(piece, params, sgn), s0, cfg, params, events, cfg.t_max)
 
     kind = {Piece.X: ArcKind.SMOOTH_X, Piece.Y: ArcKind.SMOOTH_Y, Piece.PLANAR_LV: ArcKind.SMOOTH_X}[piece]
     ts = t_start + sgn * sol.t
@@ -381,6 +333,10 @@ def integrate_smooth(
         if idx == blow_index:
             raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {t_ev}")
         if idx == sigma_index:
+            if half_X2h is not None:
+                err = _lift_off_ambiguity(xm, half_X2h, te, cfg)
+                if err is not None:
+                    raise err
             record = EventRecord(EventKind.SIGMA_CROSSING, t_ev, _snap_sigma(ye))
         else:
             record = EventRecord(EventKind.DOMAIN_EXIT, t_ev, ye)
@@ -409,11 +365,12 @@ def integrate_sliding(
     interior pseudo-equilibrium drops below ``focus_capture_radius`` (a
     radius of zero disables capture), DOMAIN_EXIT and the horizon.
     Starting on the fold line is allowed: if the flow points out of the
-    region the arc is an immediate fold exit, otherwise the fold event is
-    armed after separation.  Unless ``cfg.max_step`` is set, steps are
-    capped at 0.01*2*pi/|lambda|, with |lambda| = hypot(alpha, beta_imag)
-    the eigenvalue modulus of the interior pseudo-focus, since the arcs
-    circle that point; where it is not a focus, at 0.01*2*pi/sqrt(m*r1).
+    region the arc is an immediate fold exit, otherwise the fold event
+    watches (z - phi)/t, valued at the initial z-rate at t = 0.  Unless
+    ``cfg.max_step`` is set, steps are capped at 0.01*2*pi/|lambda|, with
+    |lambda| = hypot(alpha, beta_imag) the eigenvalue modulus of the
+    interior pseudo-focus, since the arcs circle that point; where it is
+    not a focus, at 0.01*2*pi/sqrt(m*r1).
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (2,):
@@ -434,7 +391,7 @@ def integrate_sliding(
         record = EventRecord(EventKind.FOCUS_CAPTURE, t_start, p0.copy())
         return Arc(ArcKind.SLIDING, t_start, t_start, np.array([t_start]), p0[None, :].copy(), record)
 
-    f = _sliding_rhs(params, sgn)
+    f = sliding_rhs(params, sgn)
     on_fold = p0[1] - phi <= cfg.event_tol
     rate0 = f(0.0, p0)
     # at the cusp the z-rate is analytically zero; a roundoff-scale residue
@@ -444,12 +401,19 @@ def integrate_sliding(
         record = EventRecord(EventKind.FOLD_EXIT, t_start, snapped)
         return Arc(ArcKind.SLIDING, t_start, t_start, np.array([t_start]), snapped[None, :], record)
 
-    events: list = []
     if on_fold:
-        fold_ev = _armed_scalar_event(lambda s: s[1] - phi, 1.0, cfg.event_tol)
+
+        def g_fold(t, s):
+            if t == 0.0:
+                return rate0[1]
+            return (s[1] - phi) / t
+
     else:
-        fold_ev = _terminal(lambda t, s: s[1] - phi, -1.0)
-    events.append(fold_ev)
+
+        def g_fold(t, s):
+            return s[1] - phi
+
+    events: list = [_terminal(g_fold, -1.0)]
 
     def g_capture(t, s):
         return math.hypot(s[0] - fx, s[1] - fz) - focus_capture_radius
@@ -547,7 +511,7 @@ def integrate_fold_launches(
 
     events = [lane_event(j) for j in range(k)] + [_terminal(all_below, -1.0)]
     s0 = np.concatenate((x0, np.full(k, phi)))
-    sol = _run(_smooth_rhs(Piece.PLANAR_LV, params, 1.0), s0, cfg, params, events, cfg.t_max)
+    sol = _run(smooth_rhs(Piece.PLANAR_LV, params), s0, cfg, params, events, cfg.t_max)
 
     for j, i in enumerate(lanes):
         xi = x0s[i]
@@ -560,12 +524,9 @@ def integrate_fold_launches(
         else:
             out[i] = NoReturn(f"no return to Sigma within t_max = {cfg.t_max} from x0 = {xi}")
             continue
-        lift = float(half_X2h[j]) * t1 * t1
-        if lift <= cfg.event_tol:
-            out[i] = TangencyAmbiguity(
-                f"launch at x0 = {xi} returns at t = {t1:.2e}, before it separates "
-                f"from Sigma by more than event_tol (X2h*t**2/2 = {lift:.2e})"
-            )
+        err = _lift_off_ambiguity(xi, float(half_X2h[j]), t1, cfg)
+        if err is not None:
+            out[i] = err
             continue
         u, v = float(state[j]), float(state[k + j])
         expected = xi * math.exp(r2 * t1)
@@ -579,17 +540,7 @@ def integrate_fold_launches(
     return out
 
 
-_SLIDING_LABELS = (RegionLabel.SLIDING,)
-_FOLD_LABELS = (RegionLabel.VISIBLE_FOLD, RegionLabel.CUSP)
-
-
-def integrate_filippov(
-    s0,
-    cfg: IntegratorConfig,
-    params: Parameters,
-    focus_capture_radius: float = 1e-4,
-    max_arcs: int = 10_000,
-) -> Trajectory:
+def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Trajectory:
     """Forward Filippov trajectory from s0 as a concatenation of arcs.
 
     In h > 0 the flow follows X, in h < 0 it follows Y.  A hit on Sigma is
@@ -598,6 +549,7 @@ def integrate_filippov(
     resumes from the fold point.  Terminates at the horizon, on domain
     exit, or on focus capture.  Raises :class:`ChatteringGuard` when
     switching events accumulate faster than the event tolerance resolves.
+    A sliding arc is captured within 1e-4 of the pseudo-focus.
     """
     s = np.asarray(s0, dtype=float)
     if s.shape != (3,):
@@ -606,7 +558,6 @@ def integrate_filippov(
     arcs: list[Arc] = []
     t = 0.0
     sigma_times: list[float] = []
-    skip_tangency = False
 
     def note_sigma_event(te: float):
         sigma_times.append(te)
@@ -615,7 +566,7 @@ def integrate_filippov(
                 f"50 switching events within {10.0 * cfg.event_tol} time units near t = {te}"
             )
 
-    while len(arcs) < max_arcs:
+    while len(arcs) < _MAX_ARCS:
         remaining = cfg.t_max - t
         if remaining <= cfg.event_tol:
             break
@@ -627,29 +578,23 @@ def integrate_filippov(
             label = classify_sigma_point((xm, s[2]), params, tol=cfg.event_tol)
             if label is RegionLabel.ORIGIN_LINE:
                 raise DomainError("trajectory reached the origin line of Sigma")
-            if label in _SLIDING_LABELS or (
-                label in _FOLD_LABELS and _sliding_rhs(params, 1.0)(0.0, np.array([xm, s[2]]))[1] > 0.0
+            if label is RegionLabel.SLIDING or (
+                label in _FOLD_LABELS and eval_sliding((xm, s[2]), params)[1] > 0.0
             ):
-                arc = integrate_sliding(
-                    (xm, s[2]), Direction.FORWARD, sub, params, focus_capture_radius, t_start=t
-                )
+                arc = integrate_sliding((xm, s[2]), Direction.FORWARD, sub, params, t_start=t)
                 arcs.append(arc)
                 ev = arc.terminal_event
                 if ev.kind is EventKind.FOLD_EXIT:
                     note_sigma_event(ev.t)
                     s = np.array([ev.state[0], ev.state[0], params.phi])
                     t = ev.t
-                    skip_tangency = True
                     continue
                 break
             piece = Piece.X
-            skip = skip_tangency or label in _FOLD_LABELS
         else:
             piece = Piece.X if h > 0 else Piece.Y
-            skip = skip_tangency
-        skip_tangency = False
 
-        arc = integrate_smooth(piece, s, Direction.FORWARD, sub, params, skip_initial_tangency=skip, t_start=t)
+        arc = integrate_smooth(piece, s, Direction.FORWARD, sub, params, t_start=t)
         ev = arc.terminal_event
         if ev.kind is not EventKind.SIGMA_CROSSING:
             arcs.append(arc)
@@ -671,7 +616,7 @@ def integrate_filippov(
         s = ev.state.copy()
         t = ev.t
     else:
-        raise PreySwitchError(f"trajectory exceeded {max_arcs} arcs")
+        raise PreySwitchError(f"trajectory exceeded {_MAX_ARCS} arcs")
 
     return Trajectory(initial=initial, arcs=tuple(arcs))
 
@@ -689,7 +634,7 @@ def lv_period(x0: float, cfg: IntegratorConfig, params: Parameters) -> float:
     if not 0.0 < x0 < tau:
         raise DomainError(f"lv_period requires 0 < x0 < tau = {tau}, got {x0}")
     r1 = params.r1
-    f = _smooth_rhs(Piece.PLANAR_LV, params, 1.0)
+    f = smooth_rhs(Piece.PLANAR_LV, params)
 
     up = _terminal(lambda t, s: s[1] - r1, 1.0)
     sol1 = _run(f, np.array([x0, r1]), cfg, params, [up], cfg.t_max)

@@ -221,30 +221,50 @@ def switching_function(state) -> float:
     return float(state[0]) - float(state[1])
 
 
+def smooth_rhs(piece: Piece, params: Parameters, sgn: float = 1.0):
+    """The right-hand side f(t, s) of one smooth piece, times ``sgn``.
+
+    ``s`` is a float array (x, y, z) for the 3D pieces and (x, z) for
+    PLANAR_LV.  PLANAR_LV also takes K states stacked as (x_1..x_K,
+    z_1..z_K) and returns their rates stacked alike.
+    """
+    r1, r2, m = params.r1, params.r2, params.m
+    eq1 = params.e * params.q1
+    if piece is Piece.X:
+
+        def f(t, s):
+            x, y, z = s.tolist()
+            return [sgn * (r1 - z) * x, sgn * r2 * y, sgn * (eq1 * x - m) * z]
+
+        return f
+    if piece is Piece.Y:
+        ratio = params.beta2 / params.beta1
+        eq2a = params.e * params.q2 / params.a_q
+
+        def f(t, s):
+            x, y, z = s.tolist()
+            return [sgn * r1 * x, sgn * (r2 - ratio * z) * y, sgn * (eq2a * y - m) * z]
+
+        return f
+    if piece is Piece.PLANAR_LV:
+
+        def f(t, s):
+            if len(s) == 2:  # one lane: Python arithmetic beats numpy's per-call cost
+                x, z = s.tolist()
+                return [sgn * (r1 - z) * x, sgn * (eq1 * x - m) * z]
+            x, z = s.reshape(2, -1)
+            return sgn * s * np.concatenate((r1 - z, eq1 * x - m))
+
+        return f
+    raise ValueError(f"unknown piece: {piece!r}")
+
+
 def eval_field(piece: Piece, state, params: Parameters) -> np.ndarray:
     """Evaluate one smooth piece of the model at a state.
 
     ``state`` is (x, y, z) for the 3D pieces and (x, z) for PLANAR_LV.
     """
-    p = params
-    if piece is Piece.X:
-        x, y, z = (float(v) for v in state)
-        return np.array(
-            [(p.r1 - z) * x, p.r2 * y, (p.e * p.q1 * x - p.m) * z]
-        )
-    if piece is Piece.Y:
-        x, y, z = (float(v) for v in state)
-        return np.array(
-            [
-                p.r1 * x,
-                (p.r2 - (p.beta2 / p.beta1) * z) * y,
-                ((p.e * p.q2 / p.a_q) * y - p.m) * z,
-            ]
-        )
-    if piece is Piece.PLANAR_LV:
-        x, z = (float(v) for v in state)
-        return np.array([(p.r1 - z) * x, (p.e * p.q1 * x - p.m) * z])
-    raise ValueError(f"unknown piece: {piece!r}")
+    return np.array(smooth_rhs(piece, params)(0.0, np.asarray(state, dtype=float)))
 
 
 def lie_derivatives(p, params: Parameters) -> tuple[float, float, float]:

@@ -60,28 +60,34 @@ def _coefficients(params: Parameters) -> tuple[float, float, float, float]:
     return R, B, K, C
 
 
-def eval_sliding(
-    p,
-    params: Parameters,
-    mode: SlidingMode = SlidingMode.CLOSED_FORM,
-    tol: float = 1e-12,
-) -> np.ndarray:
+def sliding_rhs(params: Parameters, sgn: float = 1.0):
+    """The closed-form sliding field f(t, s), s = (x, z), times ``sgn``."""
+    R, B, K, C = _coefficients(params)
+    m = params.m
+
+    def f(t, s):
+        x, z = s.tolist()
+        return [sgn * x * (R - B * z), sgn * (-K * x - m * z + C * x * z)]
+
+    return f
+
+
+def eval_sliding(p, params: Parameters, mode: SlidingMode = SlidingMode.CLOSED_FORM) -> np.ndarray:
     """Sliding velocity (x-rate, z-rate) at a point (x, z) of Sigma.
 
     CLOSED_FORM evaluates the explicit planar field and is defined for all
     (x, z).  GENERIC_FILIPPOV forms the convex combination
     (Yh*X - Xh*Y)/(Yh - Xh) at (x, x, z) and is meaningful on the closed
     sliding region; it exists as an independent cross-check of the closed
-    form and raises :class:`TangencyDenominator` where Yh - Xh degenerates.
+    form and raises :class:`TangencyDenominator` where |Yh - Xh| < 1e-12.
     """
     x, z = (float(v) for v in p)
     if mode is SlidingMode.CLOSED_FORM:
-        R, B, K, C = _coefficients(params)
-        return np.array([x * (R - B * z), -K * x - params.m * z + C * x * z])
+        return np.array(sliding_rhs(params)(0.0, np.array([x, z])))
 
     Xh, Yh, _ = lie_derivatives((x, z), params)
     denom = Yh - Xh
-    if abs(denom) < tol:
+    if abs(denom) < 1e-12:
         raise TangencyDenominator(
             f"Yh - Xh = {denom:.3e} at (x, z) = ({x}, {z}); "
             "the Filippov combination degenerates on the tangency set"
@@ -123,13 +129,13 @@ def sliding_jacobian(p, params: Parameters) -> np.ndarray:
     )
 
 
-def classify_focus(params: Parameters, disc_tol: float = 1e-14) -> PseudoEquilibrium:
+def classify_focus(params: Parameters) -> PseudoEquilibrium:
     """Eigenvalue classification of the interior pseudo-equilibrium.
 
     alpha comes from the closed-form trace expression
     m*b_q*phi*beta1*beta2 / (2*(beta1+beta2)*(a_q*q1*r1*beta2 + q2*r2*beta1));
     the imaginary part from the quadratic formula on the 2x2 Jacobian, with a
-    complex pair declared when the discriminant falls below -``disc_tol``.
+    complex pair declared when the discriminant falls below -1e-14.
     The pair is complex exactly when the admissibility bound on m holds, so
     ``beta_imag > 0`` and kind REPULSIVE_FOCUS coincide with that condition
     (for b_q > 0).
@@ -153,7 +159,7 @@ def classify_focus(params: Parameters, disc_tol: float = 1e-14) -> PseudoEquilib
             f"closed-form alpha {alpha!r} disagrees with Jacobian trace/2 {tr / 2.0!r}"
         )
     disc = tr * tr - 4.0 * det
-    if disc < -disc_tol:
+    if disc < -1e-14:
         beta_imag = math.sqrt(-disc) / 2.0
     else:
         beta_imag = 0.0
@@ -238,9 +244,7 @@ def h_rescale_constant(params: Parameters) -> float:
     )
 
 
-def hyperbola_and_Fc(
-    x: float, params: Parameters, focus: SigmaState, tol: float = 1e-12
-) -> tuple[float, float]:
+def hyperbola_and_Fc(x: float, params: Parameters, focus: SigmaState) -> tuple[float, float]:
     """Height of the balance hyperbola at x, and the level gap F_c(x).
 
     z_h(x) = e*b_q*r1*x / (e*q2*x - a_q*m) is the branch through the origin
@@ -254,7 +258,7 @@ def hyperbola_and_Fc(
     p = params
     denom = p.e * p.q2 * x - p.a_q * p.m
     pole = p.a_q * p.m / (p.e * p.q2)
-    if abs(denom) <= tol * max(1.0, p.e * p.q2 * pole):
+    if abs(denom) <= 1e-12 * max(1.0, p.e * p.q2 * pole):
         raise PoleError(f"x = {x} lies at the vertical asymptote x = {pole}")
     z_h = p.e * p.b_q * p.r1 * x / denom
     if z_h <= 0.0:

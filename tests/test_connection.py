@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from preyswitch import (
+    ArcKind,
     Direction,
     DomainError,
     EventKind,
@@ -27,6 +28,7 @@ from preyswitch import (
     find_shilnikov,
     first_integral_F,
     fixed_point_brackets,
+    integrate_filippov,
     integrate_sliding,
     lemma1_asymptotics_report,
     lie_derivatives,
@@ -86,20 +88,48 @@ def test_mu_point_errors(table1, cfg):
         mu_point(0.3 * table1.tau, table1, replace(cfg, t_max=0.5))
 
 
-@pytest.mark.parametrize("ratio", (1e-5, 1e-8))
-def test_mu_point_near_cusp_answers_within_1000_steps(table1, cfg, monkeypatch, ratio):
+def filippov_return(x0, params, cfg):
+    """(u, v) where the Filippov trajectory from the fold point (x0, x0, phi)
+    first returns to Sigma; its X-arcs must stay on or above Sigma."""
+    traj = integrate_filippov((x0, x0, params.phi), replace(cfg, t_max=5.0), params)
+    for arc in traj.arcs:
+        if arc.kind is ArcKind.SMOOTH_X:
+            assert np.min(arc.states[:, 0] - arc.states[:, 1]) >= -cfg.event_tol
+    ev = traj.arcs[0].terminal_event
+    assert ev.kind in (EventKind.SIGMA_ENTRY_SLIDING, EventKind.SIGMA_CROSSING), ev.kind
+    return ev.state[0], ev.state[2]
+
+
+@pytest.mark.parametrize(
+    "launch, ratio",
+    [
+        pytest.param(mu_point, 1e-5, id="1e-05"),
+        pytest.param(mu_point, 1e-8, id="1e-08"),
+        pytest.param(filippov_return, 0.0, id="filippov-0"),
+        pytest.param(filippov_return, 1e-5, id="filippov-1e-05"),
+        pytest.param(filippov_return, 1e-8, id="filippov-1e-08"),
+    ],
+)
+def test_mu_point_near_cusp_answers_within_1000_steps(table1, cfg, monkeypatch, launch, ratio):
     sols = solver_solutions(monkeypatch)
     tau = table1.tau
     eps = ratio * tau
     try:
-        u, v = mu_point(tau - eps, table1, cfg)
+        u, v = launch(tau - eps, table1, cfg)
     except TangencyAmbiguity:
         pass
     else:
         # Lemma 1: u(tau - eps) = tau + 2*eps + O(eps^2), v - phi = O(eps^2)
         assert abs((u - tau) / eps - 2.0) <= 0.05
         assert abs(v - table1.phi) / eps <= 0.01
-    assert 1 <= sum(len(sol.t) - 1 for sol in sols) <= 1000
+    steps = sum(len(sol.t) - 1 for sol in sols)
+    assert steps <= 1000
+    # only a launch from the cusp itself, where X2h = 0, fails before integrating
+    assert steps >= 1 or ratio == 0.0
+    if launch is filippov_return and sols:
+        # the X-arc leaving the fold, also when its return raised
+        x, y, _ = sols[0].y
+        assert np.min(x - y) >= -cfg.event_tol
 
 
 def test_mu_curve_window_and_classification(table1, cfg):

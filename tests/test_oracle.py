@@ -13,7 +13,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from preyswitch import coarse_mu_curve, mu_curve, mu_point
+from preyswitch import (
+    Direction,
+    EventKind,
+    Piece,
+    coarse_mu_curve,
+    integrate_smooth,
+    mu_curve,
+    mu_point,
+)
 
 FRACTIONS = (0.02, 0.3, 0.6, 0.9, 0.99, 0.999)  # x0/tau
 BOUND = 1e-11
@@ -62,6 +70,16 @@ def test_mu_curve_matches_the_oracle(oracle, table1, cfg):
     ref = np.array(list(oracle.values()))
     assert np.max(np.abs(curve.us - ref[:, 0])) <= BOUND
     assert np.max(np.abs(curve.vs - ref[:, 1])) <= BOUND
+
+
+def test_x_arc_from_the_fold_matches_the_oracle(oracle, table1, cfg):
+    # the 3-D X-arc that integrate_filippov runs after every fold exit
+    for x0, (u_ref, v_ref) in oracle.items():
+        arc = integrate_smooth(Piece.X, (x0, x0, table1.phi), Direction.FORWARD, cfg, table1)
+        ev = arc.terminal_event
+        assert ev.kind is EventKind.SIGMA_CROSSING, x0
+        assert abs(ev.state[0] - u_ref) <= BOUND, x0
+        assert abs(ev.state[2] - v_ref) <= BOUND, x0
 
 
 @pytest.mark.parametrize("grid", ("coarse", "fine"))
