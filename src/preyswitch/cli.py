@@ -104,7 +104,6 @@ def _cfg_from_args(args) -> IntegratorConfig:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--params", required=True, help="path to the parameters JSON")
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None, help="output format override")
     sub.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
     sub.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
     sub.add_argument("--tol", type=float, default=None, help="event tolerance")
@@ -186,7 +185,7 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "classify":
-        label = classify_sigma_point(args.point, params)
+        label = classify_sigma_point(args.point, params, tol=cfg.event_tol)
         _write_text(args.out, label.value + "\n")
         return 0
 

@@ -1,13 +1,18 @@
 """Event-detecting integration and Filippov concatenation.
 
-Smooth arcs are integrated with an adaptive embedded Runge-Kutta pair
-(scipy's solve_ivp) whose dense output localizes event times; terminal
-events are the switching plane h = x - y, the domain boundary (a coordinate
-reaching zero), and a norm bound.  Sliding arcs integrate the closed-form
-sliding field with fold-exit and focus-capture events.  The Filippov
-concatenator stitches smooth and sliding arcs per the convex-combination
-convention: trajectories entering the sliding region follow the sliding
-field until the visible fold hands them back to X.
+Every arc is integrated with an adaptive embedded Runge-Kutta pair
+(scipy's solve_ivp) whose dense output localizes event times, and ends at
+the first event of one table: the arc's own events (the switching plane
+h = x - y for a smooth arc; the fold exit and the focus capture for a
+sliding arc of the closed-form sliding field), a DOMAIN_EXIT for each
+coordinate that starts above the event tolerance, and the norm bound, which
+raises :class:`BlowUp`.  A start that is not finite raises
+:class:`DomainError`.  The Filippov concatenator stitches smooth and
+sliding arcs per the convex-combination convention: trajectories entering
+the sliding region follow the sliding field until the visible fold hands
+them back to X.  The fold launches and the period of the planar center
+call the solver directly, since their lanes and section crossings are not
+arcs.
 
 Every integration that starts on a tangency watches a desingularised
 event function, stateless and valued at t = 0 by its limit, so the initial
@@ -179,32 +184,6 @@ def _terminal(g, direction: float):
     return g
 
 
-def _domain_events(s0: np.ndarray, event_tol: float) -> list:
-    """One terminal zero-crossing event per coordinate not starting at zero.
-
-    Coordinates starting at (numerical) zero lie on an invariant plane and
-    stay exactly zero, so watching them would fire spuriously every step.
-    """
-    events = []
-    for i, v in enumerate(s0):
-        if v > event_tol:
-
-            def g(t, s, i=i):
-                return s[i]
-
-            events.append(_terminal(g, -1.0))
-    return events
-
-
-def _blowup_event(norm_bound: float):
-    b2 = norm_bound * norm_bound
-
-    def g(t, s):
-        return b2 - sum(v * v for v in s.tolist())
-
-    return _terminal(g, -1.0)
-
-
 def _run(
     f,
     s0,
@@ -231,14 +210,48 @@ def _run(
     return sol
 
 
-def _first_event(sol) -> tuple[int, float, np.ndarray] | None:
-    """Index, time and state of the earliest fired event, if any."""
-    best = None
-    for i, te in enumerate(sol.t_events):
-        if len(te):
-            if best is None or te[0] < best[1]:
-                best = (i, float(te[0]), np.array(sol.y_events[i][0]))
-    return best
+def _arc(
+    kind: ArcKind,
+    f,
+    s0: np.ndarray,
+    watch: list,
+    sgn: float,
+    t_start: float,
+    cfg: IntegratorConfig,
+    params: Parameters,
+    max_step: float | None = None,
+) -> tuple[Arc, float]:
+    """Integrate f from s0 until the first event of one table, or the horizon.
+
+    ``watch`` lists the arc's own terminal events as (EventKind, g,
+    direction).  The table adds a DOMAIN_EXIT for each coordinate above
+    ``cfg.event_tol`` (one starting at numerical zero lies on an invariant
+    plane and stays exactly zero, so watching it would fire spuriously every
+    step) and the norm bound, which raises :class:`BlowUp`.  The arc's
+    terminal record carries the kind of the event that fired, or
+    HORIZON_REACHED, and the arc's last time and state; it is returned with
+    the solver time of that end, counted from 0 along the integration.
+    """
+    if not np.all(np.isfinite(s0)):
+        raise DomainError(f"initial state must be finite, got {s0}")
+    table = list(watch)
+    for i, v in enumerate(s0):
+        if v > cfg.event_tol:
+            table.append((EventKind.DOMAIN_EXIT, lambda t, s, i=i: s[i], -1.0))
+    b2 = cfg.norm_bound * cfg.norm_bound
+    # no kind: crossing the norm bound is an error, not an end
+    table.append((None, lambda t, s: b2 - sum(v * v for v in s.tolist()), -1.0))
+    events = [_terminal(g, direction) for _, g, direction in table]
+    sol = _run(f, s0, cfg, params, events, cfg.t_max, max_step)
+    ts = t_start + sgn * sol.t
+    states = sol.y.T.copy()
+
+    # every event is terminal: at most one fires, and the solution ends on it
+    end = next((table[i][0] for i, te in enumerate(sol.t_events) if len(te)), EventKind.HORIZON_REACHED)
+    if end is None:
+        raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {float(ts[-1])}")
+    record = EventRecord(end, float(ts[-1]), states[-1].copy())
+    return Arc(kind, t_start, float(ts[-1]), ts, states, record), float(sol.t[-1])
 
 
 def _snap_sigma(state: np.ndarray) -> np.ndarray:
@@ -270,12 +283,13 @@ def integrate_smooth(
 ) -> Arc:
     """Integrate one smooth piece until the first event or the horizon.
 
-    For the 3D pieces the switching plane h = x - y is monitored (falling
-    through zero for X, rising for Y); all pieces monitor the domain
-    boundary and the norm bound.  An X-arc starting on the fold line (h
-    within the event tolerance, labelled VISIBLE_FOLD or CUSP) is tangent to
-    Sigma, and watches h/t**2 instead, valued X2h/2 at t = 0; a return
-    whose lift-off X2h*t1**2/2 is not above the event tolerance raises
+    For the 3D pieces the event table adds the switching plane h = x - y
+    (falling through zero for X, rising for Y) to the domain and norm-bound
+    events every arc watches; a SIGMA_CROSSING state is snapped onto Sigma
+    as (xm, xm, z).  An X-arc starting on the fold line (h within the event
+    tolerance, labelled VISIBLE_FOLD or CUSP) is tangent to Sigma, and
+    watches h/t**2 instead, valued X2h/2 at t = 0; a return whose lift-off
+    X2h*t1**2/2 is not above the event tolerance raises
     :class:`TangencyAmbiguity`, as does a start with X2h <= 0.
     """
     s0 = np.asarray(s0, dtype=float)
@@ -284,8 +298,7 @@ def integrate_smooth(
         raise DomainError(f"{piece.value} expects a state of dimension {dim}")
     sgn = 1.0 if direction is Direction.FORWARD else -1.0
 
-    events: list = []
-    sigma_index = None
+    watch: list = []
     half_X2h = None
     if piece in (Piece.X, Piece.Y):
         h0 = s0[0] - s0[1]
@@ -309,45 +322,20 @@ def integrate_smooth(
                     return half_X2h
                 return (s[0] - s[1]) / (t * t)
 
-            ev = _terminal(g, -1.0)
+            watch.append((EventKind.SIGMA_CROSSING, g, -1.0))
         else:
-            ev = _terminal(lambda t, s: s[0] - s[1], -side)
-        sigma_index = 0
-        events.append(ev)
-    events.extend(_domain_events(s0, cfg.event_tol))
-    blow_index = len(events)
-    events.append(_blowup_event(cfg.norm_bound))
+            watch.append((EventKind.SIGMA_CROSSING, lambda t, s: s[0] - s[1], -side))
 
-    sol = _run(smooth_rhs(piece, params, sgn), s0, cfg, params, events, cfg.t_max)
-
-    kind = {Piece.X: ArcKind.SMOOTH_X, Piece.Y: ArcKind.SMOOTH_Y, Piece.PLANAR_LV: ArcKind.SMOOTH_X}[piece]
-    ts = t_start + sgn * sol.t
-    states = sol.y.T.copy()
-
-    hit = _first_event(sol)
-    if hit is None:
-        record = EventRecord(EventKind.HORIZON_REACHED, float(ts[-1]), states[-1].copy())
-    else:
-        idx, te, ye = hit
-        t_ev = t_start + sgn * te
-        if idx == blow_index:
-            raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {t_ev}")
-        if idx == sigma_index:
-            if half_X2h is not None:
-                err = _lift_off_ambiguity(xm, half_X2h, te, cfg)
-                if err is not None:
-                    raise err
-            record = EventRecord(EventKind.SIGMA_CROSSING, t_ev, _snap_sigma(ye))
-        else:
-            record = EventRecord(EventKind.DOMAIN_EXIT, t_ev, ye)
-    return Arc(
-        kind=kind,
-        t0=t_start,
-        t1=float(ts[-1]),
-        ts=ts,
-        states=states,
-        terminal_event=record,
-    )
+    kind = ArcKind.SMOOTH_Y if piece is Piece.Y else ArcKind.SMOOTH_X
+    arc, te = _arc(kind, smooth_rhs(piece, params, sgn), s0, watch, sgn, t_start, cfg, params)
+    ev = arc.terminal_event
+    if ev.kind is not EventKind.SIGMA_CROSSING:
+        return arc
+    if half_X2h is not None:
+        err = _lift_off_ambiguity(xm, half_X2h, te, cfg)
+        if err is not None:
+            raise err
+    return replace(arc, terminal_event=replace(ev, state=_snap_sigma(ev.state)))
 
 
 def integrate_sliding(
@@ -363,10 +351,11 @@ def integrate_sliding(
     Terminal events: FOLD_EXIT when z falls through phi (the visible fold,
     where the flow hands off to X), FOCUS_CAPTURE when the distance to the
     interior pseudo-equilibrium drops below ``focus_capture_radius`` (a
-    radius of zero disables capture), DOMAIN_EXIT and the horizon.
-    Starting on the fold line is allowed: if the flow points out of the
-    region the arc is an immediate fold exit, otherwise the fold event
-    watches (z - phi)/t, valued at the initial z-rate at t = 0.  Unless
+    radius of zero disables capture), then the domain and norm-bound events
+    every arc watches, and the horizon; a FOLD_EXIT state is snapped to
+    z = phi.  Starting on the fold line is allowed: if the flow points out
+    of the region the arc is an immediate fold exit, otherwise the fold
+    event watches (z - phi)/t, valued at the initial z-rate at t = 0.  Unless
     ``cfg.max_step`` is set, steps are capped at 0.01*2*pi/|lambda|, with
     |lambda| = hypot(alpha, beta_imag) the eigenvalue modulus of the
     interior pseudo-focus, since the arcs circle that point; where it is
@@ -413,42 +402,15 @@ def integrate_sliding(
         def g_fold(t, s):
             return s[1] - phi
 
-    events: list = [_terminal(g_fold, -1.0)]
-
     def g_capture(t, s):
         return math.hypot(s[0] - fx, s[1] - fz) - focus_capture_radius
 
-    events.append(_terminal(g_capture, -1.0))
-    events.extend(_domain_events(p0, cfg.event_tol))
-    blow_index = len(events)
-    events.append(_blowup_event(cfg.norm_bound))
-
-    sol = _run(f, p0, cfg, params, events, cfg.t_max, max_step=_sliding_max_step(cfg, params))
-    ts = t_start + sgn * sol.t
-    states = sol.y.T.copy()
-
-    hit = _first_event(sol)
-    if hit is None:
-        record = EventRecord(EventKind.HORIZON_REACHED, float(ts[-1]), states[-1].copy())
-    else:
-        idx, te, ye = hit
-        t_ev = t_start + sgn * te
-        if idx == blow_index:
-            raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {t_ev}")
-        elif idx == 0:
-            record = EventRecord(EventKind.FOLD_EXIT, t_ev, np.array([ye[0], phi]))
-        elif idx == 1:
-            record = EventRecord(EventKind.FOCUS_CAPTURE, t_ev, ye)
-        else:
-            record = EventRecord(EventKind.DOMAIN_EXIT, t_ev, ye)
-    return Arc(
-        kind=ArcKind.SLIDING,
-        t0=t_start,
-        t1=float(ts[-1]),
-        ts=ts,
-        states=states,
-        terminal_event=record,
-    )
+    watch = [(EventKind.FOLD_EXIT, g_fold, -1.0), (EventKind.FOCUS_CAPTURE, g_capture, -1.0)]
+    arc, _ = _arc(ArcKind.SLIDING, f, p0, watch, sgn, t_start, cfg, params, _sliding_max_step(cfg, params))
+    ev = arc.terminal_event
+    if ev.kind is EventKind.FOLD_EXIT:
+        arc = replace(arc, terminal_event=replace(ev, state=np.array([ev.state[0], phi])))
+    return arc
 
 
 def integrate_fold_launches(
@@ -467,19 +429,19 @@ def integrate_fold_launches(
     (u, v) depends, at about 1e-12, on the other lanes in its call.
 
     Returns one entry per launch, in order: (u, v), or the error that launch
-    met, unraised.  DomainError when x0 <= 0; TangencyAmbiguity when
-    x0 >= tau, or when the lift-off excursion X2h*t1**2/2 before the return
-    at t1 is not above ``cfg.event_tol``, so that the return is below the
-    resolution of the integration (at the cusp); NoReturn when a lane does
-    not return within ``cfg.t_max``.  Each return must satisfy
-    u = x0*exp(r2*t1) to 1e-10 relative.
+    met, unraised.  DomainError when x0 is not positive (NaN included);
+    TangencyAmbiguity when x0 >= tau, or when the lift-off excursion
+    X2h*t1**2/2 before the return at t1 is not above ``cfg.event_tol``, so
+    that the return is below the resolution of the integration (at the
+    cusp); NoReturn when a lane does not return within ``cfg.t_max``.  Each
+    return must satisfy u = x0*exp(r2*t1) to 1e-10 relative.
     """
     x0s = [float(x0) for x0 in x0s]
     tau, phi, r2 = params.tau, params.phi, params.r2
     out: list = [None] * len(x0s)
     lanes = []
     for i, x0 in enumerate(x0s):
-        if x0 <= 0.0:
+        if not x0 > 0.0:
             out[i] = DomainError(f"fold launch requires x0 > 0, got {x0}")
         elif x0 >= tau:
             out[i] = TangencyAmbiguity(
@@ -554,6 +516,8 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
     s = np.asarray(s0, dtype=float)
     if s.shape != (3,):
         raise DomainError("Filippov initial state must be (x, y, z)")
+    if not np.all(s >= 0.0):
+        raise DomainError(f"Filippov initial state must lie in the nonnegative octant, got {s}")
     initial = s.copy()
     arcs: list[Arc] = []
     t = 0.0
@@ -659,7 +623,7 @@ def trajectory_rows(traj: Trajectory) -> list[tuple[float, float, float, float, 
     rows = []
     for i, arc in enumerate(traj.arcs):
         for t, state in arc.samples:
-            if arc.states.shape[1] == 2:
+            if arc.planar:
                 y = state[0] if arc.kind is ArcKind.SLIDING else 0.0
                 row = (t, float(state[0]), float(y), float(state[1]), arc.kind.value, i)
             else:

@@ -107,10 +107,6 @@ class SigmaState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.z])
 
-    def embed(self) -> np.ndarray:
-        """The 3D representative (x, x, z)."""
-        return np.array([self.x, self.x, self.z])
-
 
 class RegionLabel(Enum):
     """Mutually exclusive classification of a point of Sigma."""

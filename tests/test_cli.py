@@ -66,6 +66,7 @@ def test_usage_error_exit_code(params_file, capsys):
         ["return-map", "--segment", "0.3", "--n", "3"],
         ["return-map", "--segment", "0.3:0.4", "--n", "-1"],
         ["sweep", "--beta1-range", "1:10", "--n", "-2"],
+        ["validate", "--format", "csv"],
     ):
         with pytest.raises(SystemExit) as exc:
             run([args[0], "--params", params_file] + args[1:])
@@ -81,6 +82,22 @@ def test_classify_crossing(params_file, capsys):
 def test_classify_sliding(params_file, capsys):
     assert run(["classify", "--params", params_file, "--point", "1,1.5"]) == 0
     assert capsys.readouterr().out.strip() == "Sliding"
+
+
+def test_classify_resolves_the_fold_line_to_the_event_tolerance(params_file, capsys):
+    # 1e-8 above the fold line phi = 0.71
+    args = ["classify", "--params", params_file, "--point", "0.5,0.71000001"]
+    assert run(args) == 0
+    assert capsys.readouterr().out.strip() == "Sliding"
+    assert run(args + ["--abs-tol", "1e-8", "--tol", "1e-6"]) == 0
+    assert capsys.readouterr().out.strip() == "VisibleFold"
+
+
+def test_simulate_rejects_non_finite_and_negative_starts(params_file, capsys):
+    for initial in ("0.5,0.3,nan", "-0.5,0.3,0.7"):
+        assert run(["simulate", "--params", params_file, f"--initial={initial}", "--t-max", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("DomainError: ") and "Traceback" not in err
 
 
 def test_mu_curve_deterministic_output(params_file, tmp_path):

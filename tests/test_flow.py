@@ -30,7 +30,7 @@ from preyswitch import (
 )
 from preyswitch import flow as flow_mod
 from preyswitch.flow import trajectory_rows
-from conftest import draw_params
+from conftest import draw_params, solver_solutions
 
 
 def arc_gap(a, b):
@@ -318,3 +318,30 @@ def test_trajectory_export_shapes(table1):
     payload = events_payload(traj)
     assert payload[0]["kind"] == "SigmaEntrySliding"
     assert all(set(d) == {"kind", "t", "state"} for d in payload)
+
+
+def test_filippov_solver_budget(table1, monkeypatch):
+    """Every arc of a Filippov trajectory is one solver call."""
+    sols = solver_solutions(monkeypatch)
+    traj = integrate_filippov((1.2, 0.4, 1.0), IntegratorConfig(t_max=60.0), table1)
+    assert len(sols) == len(traj.arcs) == 12
+    assert sum(len(sol.t) - 1 for sol in sols) <= 750
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, cfg: mu_point(NAN, p, cfg),
+        lambda p, cfg: integrate_sliding((0.5, NAN), Direction.FORWARD, cfg, p),
+        lambda p, cfg: integrate_smooth(Piece.X, (0.5, 0.3, NAN), Direction.FORWARD, cfg, p),
+        lambda p, cfg: integrate_filippov((0.5, 0.3, INF), cfg, p),
+        lambda p, cfg: integrate_filippov((-0.5, 0.3, 0.7), replace(cfg, t_max=5.0), p),
+    ],
+    ids=["mu_point-nan", "sliding-nan", "smooth-nan", "filippov-inf", "filippov-negative"],
+)
+def test_non_finite_and_negative_starts_raise_domain_error(table1, cfg, call):
+    with pytest.raises(DomainError):
+        call(table1, cfg)
