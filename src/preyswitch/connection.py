@@ -5,28 +5,29 @@ Sigma whose first transversal return traces the curve
 mu(x0) = (u(x0), u(x0), v(x0)).  The connection exists when the interior
 pseudo-equilibrium (x_c, z_c) of the sliding field lands on that curve.
 The X-flow is free of beta1 and x_c is a Moebius function of beta1, so the
-connection is one root in x0 of G(x0) = v(x0) - z_c(beta1(u(x0))): this
-module computes mu and its coarse beta1-free samples, measures the signed
-vertical distance D from the focus to the curve (for many beta1 at once,
-matching u(x0) = x_c for all of them in lockstep, so that each iteration is
-one solver call and a row's D depends on the other rows at about 1e-13),
-solves G = 0 on the pair of coarse nodes across which it changes sign
-inside a beta1 range, and
-certifies the resulting loop (finite-time forward arc onto the focus,
-asymptotic backward sliding capture, and the ordering of the sliding return
-x* below the fold point).  It also constructs explicit parameter points of the
-codimension-one connection manifold via the beta2/e identities, and samples
-the first-return map along the fold as a chaos diagnostic.
+connection is one root in x0 of G(x0) = v(x0) - z_c(beta1(u(x0))).  Every
+root on the curve is found by one bracketed solver, lockstep regula falsi
+whose iterations are each one solver call with a lane per open bracket:
+u(x0) = x_c for the signed vertical distance D from the focus to the curve
+(for many beta1 at once, so a row's D depends on the other rows at about
+1e-13), and G = 0 on the pair of coarse nodes across which G changes sign
+inside a beta1 range.  The module also certifies the resulting loop
+(finite-time forward arc onto the focus, asymptotic backward sliding
+capture, and the ordering of the sliding return x* below the fold point),
+constructs explicit parameter points of the codimension-one connection
+manifold via the beta2/e identities, and samples the first-return map along
+the fold as a chaos diagnostic.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from dataclasses import replace as dataclasses_replace
+from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConstraintViolation,
@@ -69,10 +70,11 @@ class MuCurve:
         return len(self.x0s)
 
     def rows(self) -> list[tuple[float, float, float]]:
-        return [
-            (float(a), float(b), float(c))
-            for a, b, c in zip(self.x0s, self.us, self.vs)
-        ]
+        return [self.node(k) for k in range(len(self))]
+
+    def node(self, k: int) -> tuple[float, float, float]:
+        """Node k as a fold point (x0, u, v)."""
+        return float(self.x0s[k]), float(self.us[k]), float(self.vs[k])
 
 
 @dataclass(frozen=True)
@@ -320,57 +322,64 @@ def _node_bracket(params: Parameters, curve: MuCurve) -> tuple[SigmaState, int]:
     return focus, j
 
 
-# brentq's stopping rule at xtol = 1e-12: |b - a| <= _XTOL + 4*eps*|x|
+# Brent's stopping rule at xtol = 1e-12: |b - a| <= _XTOL + 4*eps*|b|
 _XTOL = 1e-12
 _MAX_ITER = 100
 
 _FoldPoint = tuple[float, float, float]  # (x0, u, v)
 
 
-def _match_focus_abscissae(
-    brackets: list[tuple[float, _FoldPoint, _FoldPoint]],
+def _solve_on_curve(
+    brackets: list[tuple[Callable[[float, float], float], _FoldPoint, _FoldPoint]],
     cfg: IntegratorConfig,
     params: Parameters,
-) -> list[_FoldPoint | PreySwitchError]:
-    """Solve u(x0) = x_c on every bracket together.
+) -> list[tuple[_FoldPoint, _FoldPoint] | PreySwitchError]:
+    """Solve r(u(x0), v(x0)) = 0 on every bracket together.
 
-    Each bracket is (x_c, a, b) with a and b evaluated fold points (x0, u, v)
-    between whose u lies x_c.  Illinois regula falsi advances all brackets
-    in lockstep: each iteration is one :func:`integrate_fold_launches` call
-    whose lanes are the iterates of the brackets still open.  As in brentq,
-    no iterate lies closer than half the tolerance to the bracket's latest
-    point.  A bracket closes when an iterate gives u = x_c exactly, or when
-    its ends are within brentq's tolerance 1e-12 + 4*eps*|x0|; it then
-    yields its latest evaluated fold point, so x0, u and v come from one
-    lane.  The lanes
-    share step-size control, so a match depends on the other brackets at
-    about 1e-13.  A launch error fails its own bracket only, and so does a
-    bracket still open after 100 iterations.
+    Each bracket is (r, a, b): a residual r(u, v) of the fold return, and two
+    evaluated fold points (x0, u, v) at which r has opposite signs or
+    vanishes.  Regula falsi advances all brackets in lockstep: each
+    iteration is one :func:`integrate_fold_launches` call whose lanes are
+    the iterates of the brackets still open.  When an iterate keeps the far
+    end, that end's residual is weighted by Anderson and Bjorck's 1 - f/fb
+    (f at the iterate, fb at the one before), or by 1/2 if that is not
+    positive.  As in Brent's method, no iterate lies closer than half the
+    tolerance to the latest point, and a bracket closes when its ends are
+    within 1e-12 + 4*eps*|x0| or an iterate gives r = 0 exactly.  It then
+    yields its ends (root, far), root the one with the smaller |r|, so that
+    its x0, u and v come from one lane.  The lanes share step-size control,
+    so a root depends on the other brackets at about 1e-13.  A launch error,
+    or a :class:`PreySwitchError` raised by r, fails its own bracket only,
+    and so does a bracket still open after 100 iterations.
     """
     out: list = [None] * len(brackets)
-    # per open bracket: x_c, the far end a as (x0, u - x_c) with its Illinois
-    # weight folded in, and the latest fold point b as (x0, u, v)
+    # per open bracket: r, the far end a with its weighted residual, and the
+    # latest fold point b with its residual
     open_: dict[int, list] = {}
-    for i, (x_c, a, b) in enumerate(brackets):
-        if abs(a[1] - x_c) < abs(b[1] - x_c):
-            a, b = b, a
-        if b[1] == x_c:
-            out[i] = b
+    for i, (r, a, b) in enumerate(brackets):
+        try:
+            fa, fb = r(*a[1:]), r(*b[1:])
+        except PreySwitchError as err:
+            out[i] = err
+            continue
+        if abs(fa) < abs(fb):
+            a, fa, b, fb = b, fb, a, fa
+        if fb == 0.0:
+            out[i] = (b, a)
         else:
-            open_[i] = [x_c, (a[0], a[1] - x_c), b]
+            open_[i] = [r, a, fa, b, fb]
     eps = np.finfo(float).eps
     iterations = 0
     while True:
-        for i, (_, (xa, _), b) in list(open_.items()):
-            if abs(b[0] - xa) <= _XTOL + 4.0 * eps * abs(b[0]):
-                out[i] = b
+        for i, (r, a, _, b, fb) in list(open_.items()):
+            if abs(b[0] - a[0]) <= _XTOL + 4.0 * eps * abs(b[0]):
+                out[i] = (b, a) if abs(fb) <= abs(r(*a[1:])) else (a, b)
                 del open_[i]
         if not open_ or iterations == _MAX_ITER:
             break
         iterations += 1
         iterates = {}
-        for i, (x_c, (xa, fa), (xb, ub, _)) in open_.items():
-            fb = ub - x_c
+        for i, (_, (xa, _, _), fa, (xb, _, _), fb) in open_.items():
             x = xb - fb * (xb - xa) / (fb - fa)
             # Brent's minimum step: an iterate closer to b than half the
             # tolerance steps that far toward a instead, so that it lands past
@@ -382,26 +391,34 @@ def _match_focus_abscissae(
             iterates[i] = x if min(xa, xb) < x < max(xa, xb) else 0.5 * (xa + xb)
         returns = integrate_fold_launches(list(iterates.values()), cfg, params)
         for (i, x), ret in zip(iterates.items(), returns):
+            r, a, fa, b, fb = open_.pop(i)
             if isinstance(ret, PreySwitchError):
                 out[i] = ret
-                del open_[i]
                 continue
-            x_c, (xa, fa), (xb, ub, _) = open_[i]
-            f, fb = ret[0] - x_c, ub - x_c
+            try:
+                f = r(*ret)
+            except PreySwitchError as err:
+                out[i] = err
+                continue
+            c = (x, *ret)
             if f == 0.0:
-                out[i] = (x, *ret)
-                del open_[i]
-                continue
-            # across a sign change the old b becomes the far end; a far end
-            # that is kept has its weight halved (Illinois)
-            far = (xb, fb) if (f < 0.0) != (fb < 0.0) else (xa, 0.5 * fa)
-            open_[i] = [x_c, far, (x, *ret)]
-    for i, (x_c, (xa, _), (xb, _, _)) in open_.items():
+                out[i] = (c, b)
+            elif (f < 0.0) != (fb < 0.0):
+                # across a sign change the old b becomes the far end
+                open_[i] = [r, b, fb, c, f]
+            else:
+                weight = 1.0 - f / fb
+                open_[i] = [r, a, fa * (weight if weight > 0.0 else 0.5), c, f]
+    for i, (_, (xa, _, _), _, (xb, _, _), _) in open_.items():
         out[i] = PreySwitchError(
-            f"u(x0) = x_c = {x_c} not matched within {_MAX_ITER} iterations "
-            f"(bracket [{min(xa, xb)}, {max(xa, xb)}])"
+            f"no root within {_MAX_ITER} iterations (bracket [{min(xa, xb)}, {max(xa, xb)}])"
         )
     return out
+
+
+def _minus_abscissa(x_c: float) -> Callable[[float, float], float]:
+    """The residual u - x_c, whose root matches the fold return to the focus abscissa x_c."""
+    return lambda u, v: u - x_c
 
 
 def distances_to_connection(
@@ -412,9 +429,12 @@ def distances_to_connection(
     One entry per parameter set, in order: (D, x0_matched), or the error
     :func:`distance_to_connection` would raise for it, unraised.  Each
     row's checks run before any launch; the rows that pass them solve
-    u(x0) = x_c together, every iteration one solver call whose lanes are
-    the rows' current iterates.  So a row's D depends on the other rows at
-    about 1e-13, and a launch error fails its own row only.
+    u(x0) = x_c together with the lockstep root solver that also finds the
+    connection (:func:`find_shilnikov`), every iteration one solver call
+    whose lanes are the rows' current iterates.  A row's match is the end
+    of its final bracket with the smaller |u - x_c|.  So a row's D depends
+    on the other rows at about 1e-13, and a launch error fails its own row
+    only.
     """
     out: list = [None] * len(params_list)
     rows, brackets = [], []
@@ -424,11 +444,10 @@ def distances_to_connection(
         except PreySwitchError as err:
             out[i] = err
             continue
-        nodes = [(float(curve.x0s[k]), float(curve.us[k]), float(curve.vs[k])) for k in (j, j + 1)]
         rows.append((i, focus))
-        brackets.append((focus.x, *nodes))
-    for (i, focus), match in zip(rows, _match_focus_abscissae(brackets, cfg, curve.params)):
-        out[i] = match if isinstance(match, PreySwitchError) else (match[2] - focus.z, match[0])
+        brackets.append((_minus_abscissa(focus.x), curve.node(j), curve.node(j + 1)))
+    for (i, focus), match in zip(rows, _solve_on_curve(brackets, cfg, curve.params)):
+        out[i] = match if isinstance(match, PreySwitchError) else (match[0][2] - focus.z, match[0][0])
     return out
 
 
@@ -442,7 +461,7 @@ def distance_to_connection(
     D = v(x0_matched) - z_c: positive when the focus lies below the curve,
     negative above.  The one-row case of :func:`distances_to_connection`:
     the match starts from the two nodes across which u - x_c changes sign
-    and stops at brentq's tolerance, 1e-12 in x0.  When no window pair
+    and stops at Brent's tolerance, 1e-12 in x0.  When no window pair
     brackets x_c, the pair across an end of the window is used if its
     outer node fails only 0 < u < tau (x_c, inside (0, tau), is then still
     reached before u leaves the window).  Raises
@@ -458,10 +477,9 @@ def distance_to_connection(
     return result
 
 
-def _gap(u: float, v: float, base: Parameters) -> tuple[float, float]:
-    """G = v - z_c(beta1(u)) at the fold return (u, v), and that beta1."""
-    beta1 = _beta1_with_focus_at(u, base)
-    return v - _repulsive_focus(base.replace(beta1=beta1)).z, beta1
+def _gap(u: float, v: float, base: Parameters) -> float:
+    """G = v - z_c(beta1(u)) at the fold return (u, v)."""
+    return v - _repulsive_focus(base.replace(beta1=_beta1_with_focus_at(u, base))).z
 
 
 def find_shilnikov(
@@ -478,9 +496,9 @@ def find_shilnikov(
     change sign across exactly one pair.  A neighbour where G is undefined
     (beta1(u) <= 0, or no repulsive focus) is replaced by the fold point
     matched, on that node pair, to the end of the range whose focus abscissa
-    lies between the pair's two u (the one-row case of the matching in
-    :func:`distances_to_connection`, without its working window).
-    Brent's method then solves G = 0 on that pair.
+    lies between the pair's two u (by the lockstep root solver of
+    :func:`distances_to_connection`, without its working window, all such
+    ends together).  The same solver then solves G = 0 on that pair.
 
     Raises :class:`SameSign` when G changes sign across no pair, or when the
     root's beta1 lies outside the range; :class:`MultipleRoots` when it
@@ -488,63 +506,48 @@ def find_shilnikov(
     meets the range; :class:`Lemma2Violation`, naming its beta1, when the
     focus is not repulsive at either end of the range or at any G evaluated
     inside it.  The nodes are stacked lanes of one solver call, so their G
-    differs from a lone launch's at about 1e-12.  The root is certified with
-    the (u, v) its own evaluation produced; ``bracket_width`` is the beta1
-    width of a final x0 bracket whose two ends were both evaluated and give
-    G opposite signs.
+    differs from a lone launch's at about 1e-12.  The root is the end of the
+    final x0 bracket with the smaller |G|, certified with the (u, v) its own
+    launch produced; ``bracket_width`` is the beta1 distance from it to the
+    bracket's other end, across which G changes sign.
     """
     lo, hi = (float(beta1_range[0]), float(beta1_range[1]))
     if not lo < hi:
         raise SameSign(f"beta1 range ({lo}, {hi}) is empty")
-    ends = {b: base.replace(beta1=b) for b in (lo, hi)}
-    focus = {b: _repulsive_focus(p) for b, p in ends.items()}
-    u_min, u_max = sorted(f.x for f in focus.values())
+    abscissae = [_repulsive_focus(base.replace(beta1=b)).x for b in (lo, hi)]
+    u_min, u_max = sorted(abscissae)
     curve = coarse_mu_curve(base, cfg)
-    xs, us, vs = curve.x0s, curve.us, curve.vs
-
-    # fold point -> (G, beta1, u, v) for every point where G is known
-    known: dict[float, tuple[float, float, float, float]] = {}
-    matched: dict[float, float] = {}
-
-    def node(i: int) -> tuple[float, float, float]:
-        return float(xs[i]), float(us[i]), float(vs[i])
-
-    def point(i: int, other: int) -> float:
-        """Node i as a bracket point or, where G is undefined there, the fold
-        point matched to the range end that lies between node i and node other."""
-        x, u, v = node(i)
-        try:
-            g, beta1 = _gap(u, v, base)
-        except (ConstraintViolation, Lemma2Violation):  # beta1(u) <= 0, or no repulsive focus
-            if u_min <= u <= u_max:
-                raise
-        else:
-            known[x] = (g, beta1, u, v)
-            return x
-        b = min(
-            (b for b in ends if min(u, us[other]) <= focus[b].x <= max(u, us[other])),
-            key=lambda b: abs(focus[b].x - u),
-        )
-        if b not in matched:
-            (match,) = _match_focus_abscissae([(focus[b].x, node(i), node(other))], cfg, base)
-            if isinstance(match, PreySwitchError):
-                raise match
-            x0, u0, v0 = match
-            known[x0] = (v0 - focus[b].z, b, u0, v0)
-            matched[b] = x0
-        return matched[b]
-
+    us = curve.us
+    G = partial(_gap, base=base)
     pairs = [
-        (point(i, i + 1), point(i + 1, i))
-        for i in range(len(xs) - 1)
-        if max(us[i], us[i + 1]) >= u_min and min(us[i], us[i + 1]) <= u_max
+        [curve.node(k), curve.node(k + 1)]
+        for k in range(len(us) - 1)
+        if max(us[k], us[k + 1]) >= u_min and min(us[k], us[k + 1]) <= u_max
     ]
     if not pairs:
         raise NoBracket(
             f"the coarse fold-return curve does not reach the focus abscissae "
             f"[{u_min}, {u_max}] of the beta1 range ({lo}, {hi})"
         )
-    changes = [(a, b) for a, b in pairs if (known[a][0] < 0.0) != (known[b][0] < 0.0)]
+    # where G is undefined at a node, u lies outside [u_min, u_max], so the
+    # nearer end's focus abscissa lies between it and the pair's other node
+    slots, brackets = [], []
+    for pair in pairs:
+        for end, (_, u, v) in enumerate(pair):
+            try:
+                G(u, v)
+            except (ConstraintViolation, Lemma2Violation):  # beta1(u) <= 0, or no repulsive focus
+                if u_min <= u <= u_max:
+                    raise
+                x_c = min(abscissae, key=lambda x: abs(x - u))
+                slots.append((pair, end))
+                brackets.append((_minus_abscissa(x_c), pair[end], pair[1 - end]))
+    for (pair, end), match in zip(slots, _solve_on_curve(brackets, cfg, base)):
+        if isinstance(match, PreySwitchError):
+            raise match
+        pair[end] = match[0]
+
+    changes = [(a, b) for a, b in pairs if (G(*a[1:]) < 0.0) != (G(*b[1:]) < 0.0)]
     if not changes:
         raise SameSign(
             f"G keeps one sign on the {len(pairs)} node pairs that meet the "
@@ -556,25 +559,17 @@ def find_shilnikov(
             f"beta1 range ({lo}, {hi})"
         )
     [(a, b)] = changes
-
-    def G(x0: float) -> float:
-        if x0 not in known:
-            u, v = mu_point(x0, base, cfg)
-            known[x0] = (*_gap(u, v, base), u, v)
-        return known[x0][0]
-
-    x0_star = brentq(G, min(a, b), max(a, b), xtol=1e-12)
-    g_star, beta1_star, u_star, v_star = known[x0_star]
+    (root,) = _solve_on_curve([(G, a, b)], cfg, base)
+    if isinstance(root, PreySwitchError):
+        raise root
+    (x0, u, v), (_, u_far, _) = root
+    beta1_star = _beta1_with_focus_at(u, base)
     if not lo <= beta1_star <= hi:
         raise SameSign(
             f"G changes sign at beta1 = {beta1_star}, outside the range ({lo}, {hi})"
         )
-    width = min(
-        abs(beta1 - beta1_star)
-        for g, beta1, _, _ in known.values()
-        if g_star == 0.0 or (g < 0.0) != (g_star < 0.0)
-    )
-    cert = _certify(base.replace(beta1=beta1_star), x0_star, (u_star, v_star), cfg)
+    width = abs(_beta1_with_focus_at(u_far, base) - beta1_star)
+    cert = _certify(base.replace(beta1=beta1_star), x0, (u, v), cfg)
     return dataclasses_replace(cert, bracket_width=width)
 
 

@@ -6,8 +6,8 @@ the first event of one table: the arc's own events (the switching plane
 h = x - y for a smooth arc; the fold exit and the focus capture for a
 sliding arc of the closed-form sliding field), a DOMAIN_EXIT for each
 coordinate that starts above the event tolerance, and the norm bound, which
-raises :class:`BlowUp`.  A start that is not finite raises
-:class:`DomainError`.  The Filippov concatenator stitches smooth and
+raises :class:`BlowUp`.  A start that is not finite, or has a negative
+coordinate, raises :class:`DomainError`.  The Filippov concatenator stitches smooth and
 sliding arcs per the convex-combination convention: trajectories entering
 the sliding region follow the sliding field until the visible fold hands
 them back to X.  The fold launches and the period of the planar center
@@ -81,8 +81,8 @@ class IntegratorConfig:
     being integrated: for sliding arcs, 2*pi/|lambda| of the interior
     pseudo-focus (see :func:`integrate_sliding`); for everything else, the
     characteristic time 2*pi/sqrt(m*r1) of the planar center.  A number
-    caps every integration alike.  All fields must be positive and
-    ``event_tol`` may not exceed 100 * ``abs_tol``.
+    caps every integration alike.  All fields must be finite and positive,
+    and ``event_tol`` may not exceed 100 * ``abs_tol``.
     """
 
     rel_tol: float = 1e-10
@@ -93,11 +93,12 @@ class IntegratorConfig:
     norm_bound: float = 1e6
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "event_tol", "t_max", "norm_bound"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"IntegratorConfig.{name} must be positive")
-        if self.max_step is not None and self.max_step <= 0.0:
-            raise DomainError("IntegratorConfig.max_step must be positive")
+        for name in ("rel_tol", "abs_tol", "event_tol", "max_step", "t_max", "norm_bound"):
+            value = getattr(self, name)
+            if name == "max_step" and value is None:
+                continue
+            if not 0.0 < value < math.inf:  # false for NaN too
+                raise DomainError(f"IntegratorConfig.{name} must be finite and positive, got {value}")
         if self.event_tol > 100.0 * self.abs_tol:
             raise DomainError("event_tol must not exceed 100 * abs_tol")
 
@@ -230,10 +231,13 @@ def _arc(
     step) and the norm bound, which raises :class:`BlowUp`.  The arc's
     terminal record carries the kind of the event that fired, or
     HORIZON_REACHED, and the arc's last time and state; it is returned with
-    the solver time of that end, counted from 0 along the integration.
+    the solver time of that end, counted from 0 along the integration.  A
+    start that is not finite and nonnegative raises :class:`DomainError`.
     """
     if not np.all(np.isfinite(s0)):
         raise DomainError(f"initial state must be finite, got {s0}")
+    if np.any(s0 < 0.0):
+        raise DomainError(f"initial state must be nonnegative, got {s0}")
     table = list(watch)
     for i, v in enumerate(s0):
         if v > cfg.event_tol:
@@ -516,8 +520,6 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
     s = np.asarray(s0, dtype=float)
     if s.shape != (3,):
         raise DomainError("Filippov initial state must be (x, y, z)")
-    if not np.all(s >= 0.0):
-        raise DomainError(f"Filippov initial state must lie in the nonnegative octant, got {s}")
     initial = s.copy()
     arcs: list[Arc] = []
     t = 0.0

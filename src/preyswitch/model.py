@@ -286,9 +286,12 @@ def classify_sigma_point(
     Open regions (sliding z > phi, crossing 0 < z < phi) require x > 0; the
     measure-zero sets (origin line, fold segment, cusp, remaining boundary)
     are resolved with absolute tolerance ``tol``.  The escaping region of
-    this model is empty, so no escaping label exists.
+    this model is empty, so no escaping label exists.  A coordinate that is
+    not finite raises :class:`DomainError`.
     """
     x, z = (float(v) for v in p)
+    if not (math.isfinite(x) and math.isfinite(z)):
+        raise DomainError(f"Sigma point must be finite, got ({x}, {z})")
     phi = params.phi
     if x <= tol:
         return RegionLabel.ORIGIN_LINE

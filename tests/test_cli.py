@@ -93,6 +93,13 @@ def test_classify_resolves_the_fold_line_to_the_event_tolerance(params_file, cap
     assert capsys.readouterr().out.strip() == "VisibleFold"
 
 
+def test_classify_rejects_a_non_finite_point(params_file, capsys):
+    assert run(["classify", "--params", params_file, "--point", "0.5,nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("DomainError: ") and "Traceback" not in captured.err
+
+
 def test_simulate_rejects_non_finite_and_negative_starts(params_file, capsys):
     for initial in ("0.5,0.3,nan", "-0.5,0.3,0.7"):
         assert run(["simulate", "--params", params_file, f"--initial={initial}", "--t-max", "5"]) == 1

@@ -16,6 +16,7 @@ from preyswitch import (
     MultipleRoots,
     NoBracket,
     NoReturn,
+    PreySwitchError,
     RegionLabel,
     SameSign,
     TangencyAmbiguity,
@@ -242,6 +243,45 @@ def test_distances_agree_with_brentq_on_lone_launches(table1, cfg, coarse_curve)
     )
 
 
+def test_distances_solver_call_budget(table1, cfg, coarse_curve, monkeypatch):
+    # each iteration matching all 32 rows together is one solver call; with
+    # the Illinois weight instead of Anderson and Bjorck's it took 5
+    sols = solver_solutions(monkeypatch)
+    params = [table1.replace(beta1=b) for b in np.linspace(1.2, 9.8, 32)]
+    rows = distances_to_connection(params, cfg, coarse_curve)
+    assert not any(isinstance(row, PreySwitchError) for row in rows)
+    assert len(sols) <= 4
+
+
+def test_root_solver_fails_a_raising_bracket_alone(table1, cfg, coarse_curve, monkeypatch):
+    # three brackets of u = x_c solved together, the middle one's residual
+    # raising at every iterate: it fails alone, and the other two match as
+    # they do without it, to the lanes' coupling
+    sols = solver_solutions(monkeypatch)
+    brackets, xcs = [], []
+    for beta1 in (2.0, 5.0, 7.5):
+        x_c = pseudo_equilibria(table1.replace(beta1=beta1))[1].x
+        d = coarse_curve.us - x_c
+        j = next(j for j in range(len(d) - 1) if (d[j] < 0.0) != (d[j + 1] < 0.0))
+        brackets.append((lambda u, v, x_c=x_c: u - x_c, coarse_curve.node(j), coarse_curve.node(j + 1)))
+        xcs.append(x_c)
+
+    def raising(u, v):
+        if u not in coarse_curve.us:
+            raise Lemma2Violation(f"no repulsive focus at u = {u}")
+        return u - xcs[1]
+
+    brackets[1] = (raising, *brackets[1][1:])
+    out = connection_mod._solve_on_curve(brackets, cfg, table1)
+    assert isinstance(out[1], Lemma2Violation) and len(sols) >= 2
+    alone = connection_mod._solve_on_curve(brackets[::2], cfg, table1)
+    for x_c, (root, far), (root_alone, _) in zip(xcs[::2], out[::2], alone):
+        assert abs(root[1] - x_c) <= abs(far[1] - x_c) and abs(root[1] - x_c) <= 1e-10
+        assert (root[1] - x_c) * (far[1] - x_c) <= 0.0
+        assert abs(root[0] - far[0]) <= 1e-12 + 4.0 * np.finfo(float).eps * root[0]
+        assert abs(root[0] - root_alone[0]) <= 1e-12
+
+
 def test_distance_rejects_curve_of_other_x_flow(table1, table1_b10, cfg, coarse_curve):
     # beta1 and beta2 leave the X-flow alone; r1, r2, m and e*q1 do not
     curve = replace(coarse_curve, params=table1_b10.replace(beta2=2.0))
@@ -318,17 +358,20 @@ def test_find_shilnikov_matches_an_end_where_the_neighbour_node_is_undefined(
     cert, _ = connection
     betas = [connection_mod._beta1_with_focus_at(u, table1) for u in coarse_curve.us]
     assert betas[8] < 0.0 and 64.0 < betas[9] < 100.0
-    matched = []
-    match = connection_mod._match_focus_abscissae
+    calls = []
+    solve = connection_mod._solve_on_curve
 
-    def counted(brackets, cfg, params):
-        matched.extend((x_c, a[0], b[0]) for x_c, a, b in brackets)
-        return match(brackets, cfg, params)
+    def recorded(brackets, cfg, params):
+        calls.append(brackets)
+        return solve(brackets, cfg, params)
 
-    monkeypatch.setattr(connection_mod, "_match_focus_abscissae", counted)
+    monkeypatch.setattr(connection_mod, "_solve_on_curve", recorded)
     other = find_shilnikov(table1, (0.994, 100.0), cfg)
     x_c = pseudo_equilibria(table1.replace(beta1=100.0))[1].x
-    assert matched == [(x_c, coarse_curve.x0s[8], coarse_curve.x0s[9])]
+    # one solve matches u = x_c on nodes 8 and 9, and the next finds G's root
+    [[(r, a, b)], [_]] = calls
+    assert (r(x_c, 1.0), r(1.0, 2.0)) == (0.0, 1.0 - x_c)
+    assert (a[0], b[0]) == (coarse_curve.x0s[8], coarse_curve.x0s[9])
     assert abs(other.beta1_star - cert.beta1_star) <= 1e-9
 
 

@@ -48,6 +48,12 @@ def test_config_validation():
         IntegratorConfig(rel_tol=-1.0)
     with pytest.raises(DomainError):
         IntegratorConfig(event_tol=1e-6, abs_tol=1e-12)
+    # NaN fails every comparison, so a "<= 0" test alone would admit it
+    for name in ("rel_tol", "abs_tol", "event_tol", "max_step", "t_max", "norm_bound"):
+        for value in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(DomainError, match=name):
+                IntegratorConfig(**{name: value})
+    assert IntegratorConfig(max_step=None).max_step is None
     cfg = IntegratorConfig()
     assert cfg.event_tol <= 100.0 * cfg.abs_tol
 
@@ -337,10 +343,13 @@ NAN, INF = float("nan"), float("inf")
         lambda p, cfg: mu_point(NAN, p, cfg),
         lambda p, cfg: integrate_sliding((0.5, NAN), Direction.FORWARD, cfg, p),
         lambda p, cfg: integrate_smooth(Piece.X, (0.5, 0.3, NAN), Direction.FORWARD, cfg, p),
+        lambda p, cfg: integrate_smooth(
+            Piece.X, (-0.5, -0.6, 0.7), Direction.FORWARD, replace(cfg, t_max=5.0), p
+        ),
         lambda p, cfg: integrate_filippov((0.5, 0.3, INF), cfg, p),
         lambda p, cfg: integrate_filippov((-0.5, 0.3, 0.7), replace(cfg, t_max=5.0), p),
     ],
-    ids=["mu_point-nan", "sliding-nan", "smooth-nan", "filippov-inf", "filippov-negative"],
+    ids=["mu_point-nan", "sliding-nan", "smooth-nan", "smooth-negative", "filippov-inf", "filippov-negative"],
 )
 def test_non_finite_and_negative_starts_raise_domain_error(table1, cfg, call):
     with pytest.raises(DomainError):
