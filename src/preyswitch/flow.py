@@ -1,18 +1,21 @@
 """Event-detecting integration and Filippov concatenation.
 
-Every arc is integrated with an adaptive embedded Runge-Kutta pair
-(scipy's solve_ivp) whose dense output localizes event times, and ends at
-the first event of one table: the arc's own events (the switching plane
+Smooth arcs are integrated with an adaptive embedded Runge-Kutta pair
+(scipy's solve_ivp, DOP853) whose dense output localizes event times.
+Sliding arcs are integrated with a Taylor series of the closed-form sliding
+field (:func:`~preyswitch.sliding.sliding_series`), on whose step
+polynomials each event is either excluded or located.  Every arc ends at the
+first event of one table: the arc's own events (the switching plane
 h = x - y for a smooth arc; the fold exit and the focus capture for a
-sliding arc of the closed-form sliding field), a DOMAIN_EXIT for each
-coordinate that starts above the event tolerance, and the norm bound, which
-raises :class:`BlowUp`.  A start that is not finite, or has a negative
-coordinate, raises :class:`DomainError`.  The Filippov concatenator stitches smooth and
-sliding arcs per the convex-combination convention: trajectories entering
-the sliding region follow the sliding field until the visible fold hands
-them back to X.  The fold launches and the period of the planar center
-call the solver directly, since their lanes and section crossings are not
-arcs.
+sliding arc), a DOMAIN_EXIT for each coordinate that starts above the event
+tolerance (only x for a sliding arc, whose z meets the fold line first), and
+the norm bound, which raises :class:`BlowUp`.  A start that is not finite,
+or has a negative coordinate, raises :class:`DomainError`.  The Filippov
+concatenator stitches smooth and sliding arcs per the convex-combination
+convention: trajectories entering the sliding region follow the sliding
+field until the visible fold hands them back to X.  The fold launches and
+the period of the planar center call the solver directly, since their lanes
+and section crossings are not arcs.
 
 Every integration that starts on a tangency watches a desingularised
 event function, stateless and valued at t = 0 by its limit, so the initial
@@ -22,8 +25,9 @@ solver call by :func:`integrate_fold_launches`, and the X-arc leaving the
 visible fold inside a Filippov trajectory) watches h/t**2, whose limit
 X2h/2 is positive on the visible fold; a return before the lift-off
 X2h*t**2/2 exceeds the event tolerance raises :class:`TangencyAmbiguity`.
-A sliding arc starting on the fold line watches (z - phi)/t, whose limit is
-its initial z-rate.
+A sliding arc starting on the fold line (z0 within the event tolerance of
+phi) watches (z - z0)/t on its first step, the step polynomial with t
+divided out exactly, whose value at t = 0 is its initial z-rate.
 """
 
 from __future__ import annotations
@@ -31,9 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import (
     BlowUp,
@@ -44,11 +50,24 @@ from .errors import (
     StepFailure,
     TangencyAmbiguity,
 )
-from .model import Parameters, Piece, RegionLabel, classify_sigma_point, lie_derivatives, smooth_rhs
-from .sliding import classify_focus, eval_sliding, pseudo_equilibria, sliding_rhs
+from .model import (
+    Parameters,
+    Piece,
+    RegionLabel,
+    SigmaState,
+    classify_sigma_point,
+    lie_derivatives,
+    smooth_rhs,
+)
+from .sliding import eval_sliding, pseudo_equilibria, sliding_rhs, sliding_series
 
-# every step cap and oracle bound was measured with this method
+# every step cap and oracle bound of the smooth arcs was measured with this method
 _METHOD = "DOP853"
+# sliding arcs: Taylor order, and local tolerance relative to abs_tol
+# (1e-16 at the defaults; order 16 at 1e-12 drifted 5.5e-12 from DOP853 on
+# the certificate's capture arc, close to the oracle bound 1e-11)
+_TAYLOR_ORDER = 24
+_TAYLOR_TOL = 1e-4
 _MAX_ARCS = 10_000
 _FOLD_LABELS = (RegionLabel.VISIBLE_FOLD, RegionLabel.CUSP)
 
@@ -77,12 +96,14 @@ class EventKind(Enum):
 class IntegratorConfig:
     """Tolerances and horizon for all integrations.
 
-    ``max_step`` of None caps every step at 0.01 of the period of the field
-    being integrated: for sliding arcs, 2*pi/|lambda| of the interior
-    pseudo-focus (see :func:`integrate_sliding`); for everything else, the
-    characteristic time 2*pi/sqrt(m*r1) of the planar center.  A number
-    caps every integration alike.  All fields must be finite and positive,
-    and ``event_tol`` may not exceed 100 * ``abs_tol``.
+    ``rel_tol`` and ``abs_tol`` are DOP853's tolerances; ``abs_tol`` also
+    sets the local tolerance 1e-4*abs_tol of the Taylor steps of sliding
+    arcs (see :func:`integrate_sliding`), so :meth:`halved` tightens both
+    methods.  ``max_step`` of None caps every DOP853 step at 0.01 of the
+    characteristic time 2*pi/sqrt(m*r1) of the planar center and leaves
+    Taylor steps uncapped; a number caps every step of every integration
+    alike.  All fields must be finite and positive, and ``event_tol`` may
+    not exceed 100 * ``abs_tol``.
     """
 
     rel_tol: float = 1e-10
@@ -122,7 +143,9 @@ class Arc:
     arcs (embedded in Sigma as (x, x, z)); planar arcs of the restricted
     Lotka-Volterra field also store (x, z), living in the plane y = 0.
     ``ts`` is strictly increasing for forward arcs and strictly decreasing
-    for backward arcs.
+    for backward arcs.  ``steps`` counts the accepted steps of the arc's
+    integration: DOP853 steps for a smooth arc, Taylor steps for a sliding
+    arc.
     """
 
     kind: ArcKind
@@ -131,6 +154,7 @@ class Arc:
     ts: np.ndarray
     states: np.ndarray
     terminal_event: EventRecord
+    steps: int
 
     @property
     def samples(self) -> list[tuple[float, np.ndarray]]:
@@ -161,24 +185,6 @@ def _resolve_max_step(cfg: IntegratorConfig, params: Parameters) -> float:
     return 0.01 * characteristic_time(params)
 
 
-def _sliding_max_step(cfg: IntegratorConfig, params: Parameters) -> float:
-    """Step cap for sliding arcs: 0.01 of the pseudo-focus's own period.
-
-    The sliding arcs circle the interior pseudo-equilibrium, so the cap is
-    0.01*2*pi/|lambda| when it is a focus.  Where it is not, or cannot be
-    classified, the planar center's cap applies.
-    """
-    if cfg.max_step is not None:
-        return cfg.max_step
-    try:
-        pe = classify_focus(params)
-    except PreySwitchError:
-        return _resolve_max_step(cfg, params)
-    if pe.beta_imag > 0.0:
-        return 0.01 * 2.0 * math.pi / math.hypot(pe.alpha, pe.beta_imag)
-    return _resolve_max_step(cfg, params)
-
-
 def _terminal(g, direction: float):
     g.terminal = True
     g.direction = direction
@@ -192,9 +198,8 @@ def _run(
     params: Parameters,
     events,
     horizon: float,
-    max_step: float | None = None,
 ):
-    step = max_step if max_step is not None else _resolve_max_step(cfg, params)
+    step = _resolve_max_step(cfg, params)
     sol = solve_ivp(
         f,
         (0.0, horizon),
@@ -220,7 +225,6 @@ def _arc(
     t_start: float,
     cfg: IntegratorConfig,
     params: Parameters,
-    max_step: float | None = None,
 ) -> tuple[Arc, float]:
     """Integrate f from s0 until the first event of one table, or the horizon.
 
@@ -246,7 +250,7 @@ def _arc(
     # no kind: crossing the norm bound is an error, not an end
     table.append((None, lambda t, s: b2 - sum(v * v for v in s.tolist()), -1.0))
     events = [_terminal(g, direction) for _, g, direction in table]
-    sol = _run(f, s0, cfg, params, events, cfg.t_max, max_step)
+    sol = _run(f, s0, cfg, params, events, cfg.t_max)
     ts = t_start + sgn * sol.t
     states = sol.y.T.copy()
 
@@ -255,7 +259,7 @@ def _arc(
     if end is None:
         raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {float(ts[-1])}")
     record = EventRecord(end, float(ts[-1]), states[-1].copy())
-    return Arc(kind, t_start, float(ts[-1]), ts, states, record), float(sol.t[-1])
+    return Arc(kind, t_start, float(ts[-1]), ts, states, record, len(sol.t) - 1), float(sol.t[-1])
 
 
 def _snap_sigma(state: np.ndarray) -> np.ndarray:
@@ -342,6 +346,180 @@ def integrate_smooth(
     return replace(arc, terminal_event=replace(ev, state=_snap_sigma(ev.state)))
 
 
+def _bernstein_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degree-n maps on coefficient vectors: power basis on [0, 1] to
+    Bernstein basis, and Bernstein basis to the Bernstein bases of the left
+    and right halves (de Casteljau at 1/2)."""
+    to_bernstein = np.zeros((n + 1, n + 1))
+    left = np.zeros((n + 1, n + 1))
+    right = np.zeros((n + 1, n + 1))
+    for j in range(n + 1):
+        for k in range(j + 1):
+            to_bernstein[j, k] = math.comb(j, k) / math.comb(n, k)
+            left[j, k] = math.comb(j, k) / 2.0**j
+            right[n - j, n - k] = math.comb(j, k) / 2.0**j
+    return to_bernstein, left, right
+
+
+_TO_BERNSTEIN, _LEFT_HALF, _RIGHT_HALF = _bernstein_matrices(_TAYLOR_ORDER)
+_POWERS = np.arange(_TAYLOR_ORDER + 1)
+_ROOT_TOL = 4.0 * np.finfo(float).eps
+
+
+def _horner(coefficients: list[float], u: float) -> float:
+    value = 0.0
+    for c in reversed(coefficients):
+        value = value * u + c
+    return value
+
+
+def _first_root(a: np.ndarray, b: np.ndarray) -> float | None:
+    """The first u in (0, 1] where p(u) = sum a_k u**k falls to zero, or None.
+
+    ``b`` holds p's Bernstein coefficients on [0, 1]; p(0) = b_0 must not be
+    negative beyond roundoff.  p is their combination with weights positive
+    on (0, 1), so an interval where b_0 >= 0 and every other b_j > 0 holds no
+    root.  Any other interval is halved, left half first, until one sign
+    change of its b brackets a single root, which brentq locates to 4 eps.
+    """
+    coefficients = a.tolist()
+    stack = [(0.0, 1.0, b)]
+    while stack:
+        lo, hi, b = stack.pop()
+        if b[0] >= 0.0 and b[1:].min() > 0.0:
+            continue
+        # every interval left of lo is root-free, so p(lo) < 0 is roundoff
+        # of a root at lo
+        if b[0] < 0.0:
+            return lo
+        if hi - lo <= _ROOT_TOL:
+            return hi
+        positive = b > 0.0
+        if b[0] > 0.0 and b[-1] <= 0.0 and np.count_nonzero(positive[1:] != positive[:-1]) == 1:
+            p_lo, p_hi = _horner(coefficients, lo), _horner(coefficients, hi)
+            if p_lo <= 0.0:
+                return lo
+            if p_hi <= 0.0:
+                return brentq(partial(_horner, coefficients), lo, hi, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+        mid = 0.5 * (lo + hi)
+        stack.append((mid, hi, _RIGHT_HALF @ b))
+        stack.append((lo, mid, _LEFT_HALF @ b))
+    return None
+
+
+def _taylor_sliding_arc(
+    p0: np.ndarray,
+    sgn: float,
+    on_fold: bool,
+    focus: SigmaState,
+    capture_radius: float,
+    t_start: float,
+    cfg: IntegratorConfig,
+    params: Parameters,
+) -> Arc:
+    """The sliding arc from p0 by Taylor steps, up to its first event or the horizon.
+
+    Each step expands the solution to order _TAYLOR_ORDER and takes Jorba
+    and Zou's step h = min over k = n-1, n of (tol/|c_k|)**(1/k), with
+    tol = _TAYLOR_TOL*abs_tol, capped by ``cfg.max_step`` if set.  In
+    u = s/h on [0, 1] the event functions are polynomials, all falling
+    through zero: z - phi (on the first step from the fold line,
+    (z - z0)/u, its constant clamped at 0 against the cusp's roundoff), the
+    squared distance to the focus minus its square radius (when positive),
+    x (when above ``cfg.event_tol``), and 1 - |state|**2/norm_bound**2.
+    Each step proves that none has a root in (0, 1] or ends at the first
+    root.  The norm polynomial is formed only when the step's enclosure
+    sum |c_k| h**k of each coordinate reaches the bound, so no state is
+    formed before the bound is checked.
+    """
+    n = _TAYLOR_ORDER
+    series = sliding_series(params, sgn)
+    tol = _TAYLOR_TOL * cfg.abs_tol
+    cap = math.inf if cfg.max_step is None else cfg.max_step
+    r2 = capture_radius * capture_radius
+    watch_x = p0[0] > cfg.event_tol
+    s, state, steps = 0.0, p0, 0
+    ts, states = [t_start], [p0]
+    end = EventKind.HORIZON_REACHED
+    while s < cfg.t_max:
+        c = np.array(series(state, n))
+        if not np.isfinite(c).all():
+            raise StepFailure(f"Taylor coefficients overflow at t = {t_start + sgn * s}, state {state}")
+        h = cap
+        for k in (n - 1, n):
+            norm = float(np.abs(c[:, k]).max())
+            if norm > 0.0:
+                h = min(h, (tol / norm) ** (1.0 / k))
+        # the step taken is the difference of representable times, no longer than the cap
+        if h >= cfg.t_max - s:
+            s_end = cfg.t_max
+            h = cfg.t_max - s
+        else:
+            s_end = s + h
+            if s_end - s > cap:
+                s_end = math.nextafter(s_end, s)
+            h = s_end - s
+            if not h > 0.0:
+                raise StepFailure(f"Taylor step underflow at t = {t_start + sgn * s}")
+        a = c * h**_POWERS
+
+        fold = a[1].copy()
+        if s == 0.0 and on_fold:
+            fold = np.append(fold[1:], 0.0)
+            fold[0] = max(fold[0], 0.0)
+        else:
+            fold[0] -= params.phi
+        rows = [(EventKind.FOLD_EXIT, fold)]
+        if r2 > 0.0:
+            dx, dz = a[0].copy(), a[1].copy()
+            dx[0] -= focus.x
+            dz[0] -= focus.z
+            d2 = (np.convolve(dx, dx) + np.convolve(dz, dz))[: n + 1]
+            d2[0] -= r2
+            rows.append((EventKind.FOCUS_CAPTURE, d2))
+        if watch_x:
+            rows.append((EventKind.DOMAIN_EXIT, a[0]))
+        if not math.hypot(*np.abs(a).sum(axis=1).tolist()) < cfg.norm_bound:
+            w = a / cfg.norm_bound
+            q = -(np.convolve(w[0], w[0]) + np.convolve(w[1], w[1]))[: n + 1]
+            q[0] += 1.0
+            rows.append((None, q))
+
+        polys = np.array([p for _, p in rows])
+        bs = polys @ _TO_BERNSTEIN.T
+        hit = None
+        if bs.min() <= 0.0:
+            for (kind, _), poly, b in zip(rows, polys, bs):
+                u = _first_root(poly, b)
+                if u is not None and (hit is None or u < hit[1]):
+                    hit = (kind, u)
+
+        steps += 1
+        if hit is None:
+            s = s_end
+            state = a.sum(axis=1)
+        else:
+            kind, u = hit
+            s += u * h
+            if kind is None:
+                raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {t_start + sgn * s}")
+            state = np.array([_horner(a[0].tolist(), u), _horner(a[1].tolist(), u)])
+            end = kind
+        t = t_start + sgn * s
+        if t == ts[-1]:  # a root at the very start of the step
+            states[-1] = state
+        else:
+            ts.append(t)
+            states.append(state)
+        if hit is not None:
+            break
+
+    ts_arr = np.array(ts)
+    states_arr = np.array(states)
+    record = EventRecord(end, float(ts_arr[-1]), states_arr[-1].copy())
+    return Arc(ArcKind.SLIDING, t_start, float(ts_arr[-1]), ts_arr, states_arr, record, steps)
+
+
 def integrate_sliding(
     p0,
     direction: Direction,
@@ -355,19 +533,29 @@ def integrate_sliding(
     Terminal events: FOLD_EXIT when z falls through phi (the visible fold,
     where the flow hands off to X), FOCUS_CAPTURE when the distance to the
     interior pseudo-equilibrium drops below ``focus_capture_radius`` (a
-    radius of zero disables capture), then the domain and norm-bound events
-    every arc watches, and the horizon; a FOLD_EXIT state is snapped to
+    radius of zero disables capture), a DOMAIN_EXIT when x falls through
+    zero if it starts above the event tolerance (z cannot leave before it
+    passes the fold line phi > 0), the norm bound, which raises
+    :class:`BlowUp`, and the horizon; a FOLD_EXIT state is snapped to
     z = phi.  Starting on the fold line is allowed: if the flow points out
-    of the region the arc is an immediate fold exit, otherwise the fold
-    event watches (z - phi)/t, valued at the initial z-rate at t = 0.  Unless
-    ``cfg.max_step`` is set, steps are capped at 0.01*2*pi/|lambda|, with
-    |lambda| = hypot(alpha, beta_imag) the eigenvalue modulus of the
-    interior pseudo-focus, since the arcs circle that point; where it is
-    not a focus, at 0.01*2*pi/sqrt(m*r1).
+    of the region the arc is an immediate fold exit, otherwise the first
+    step watches (z - z0)/t, whose value at t = 0 is the initial z-rate.  A
+    start that is not finite raises :class:`DomainError`.
+
+    The arc is integrated by Taylor series of order 24
+    (:func:`~preyswitch.sliding.sliding_series`), with the step rule of
+    Jorba and Zou (2005) at the local tolerance 1e-4*abs_tol.  On each step
+    every event function is a polynomial, which the step either proves
+    root-free or stops at, on its first root to 4 eps in t; so no step cap
+    keeps events from being stepped over, and only an explicit
+    ``cfg.max_step`` caps the steps.  ``ts`` and ``states`` hold the step
+    ends.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (2,):
         raise DomainError("sliding state must be (x, z)")
+    if not np.all(np.isfinite(p0)):
+        raise DomainError(f"initial state must be finite, got {p0}")
     if focus_capture_radius < 0.0:
         raise DomainError("focus_capture_radius must be nonnegative")
     phi = params.phi
@@ -377,40 +565,21 @@ def integrate_sliding(
         raise DomainError(f"sliding requires z >= phi = {phi}, got z = {p0[1]}")
     sgn = 1.0 if direction is Direction.FORWARD else -1.0
     _, focus = pseudo_equilibria(params)
-    fx, fz = focus.x, focus.z
 
-    dist0 = math.hypot(p0[0] - fx, p0[1] - fz)
-    if dist0 <= focus_capture_radius:
+    if math.hypot(p0[0] - focus.x, p0[1] - focus.z) <= focus_capture_radius:
         record = EventRecord(EventKind.FOCUS_CAPTURE, t_start, p0.copy())
-        return Arc(ArcKind.SLIDING, t_start, t_start, np.array([t_start]), p0[None, :].copy(), record)
+        return Arc(ArcKind.SLIDING, t_start, t_start, np.array([t_start]), p0[None, :].copy(), record, 0)
 
-    f = sliding_rhs(params, sgn)
     on_fold = p0[1] - phi <= cfg.event_tol
-    rate0 = f(0.0, p0)
+    rate0 = sliding_rhs(params, sgn)(0.0, p0)
     # at the cusp the z-rate is analytically zero; a roundoff-scale residue
     # must not be mistaken for an outgoing flow
     if on_fold and rate0[1] < -1e-10 * max(1.0, abs(rate0[0])):
         snapped = np.array([p0[0], phi])
         record = EventRecord(EventKind.FOLD_EXIT, t_start, snapped)
-        return Arc(ArcKind.SLIDING, t_start, t_start, np.array([t_start]), snapped[None, :], record)
+        return Arc(ArcKind.SLIDING, t_start, t_start, np.array([t_start]), snapped[None, :], record, 0)
 
-    if on_fold:
-
-        def g_fold(t, s):
-            if t == 0.0:
-                return rate0[1]
-            return (s[1] - phi) / t
-
-    else:
-
-        def g_fold(t, s):
-            return s[1] - phi
-
-    def g_capture(t, s):
-        return math.hypot(s[0] - fx, s[1] - fz) - focus_capture_radius
-
-    watch = [(EventKind.FOLD_EXIT, g_fold, -1.0), (EventKind.FOCUS_CAPTURE, g_capture, -1.0)]
-    arc, _ = _arc(ArcKind.SLIDING, f, p0, watch, sgn, t_start, cfg, params, _sliding_max_step(cfg, params))
+    arc = _taylor_sliding_arc(p0, sgn, on_fold, focus, focus_capture_radius, t_start, cfg, params)
     ev = arc.terminal_event
     if ev.kind is EventKind.FOLD_EXIT:
         arc = replace(arc, terminal_event=replace(ev, state=np.array([ev.state[0], phi])))

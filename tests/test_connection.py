@@ -393,12 +393,21 @@ def test_find_shilnikov_fold_launch_budget(table1, cfg, monkeypatch):
 
 
 def test_find_shilnikov_step_budget(table1, cfg, monkeypatch):
-    # the certificate's sliding arcs are capped at 0.01 of the pseudo-focus's
-    # period; capped at 0.01 of the planar center's, the search took 2,058
-    # steps
-    sols = solver_solutions(monkeypatch)
+    # DOP853 steps of the fold launches plus the Taylor steps of the
+    # certificate's two sliding arcs; with those arcs by DOP853 capped at 0.01
+    # of the pseudo-focus's period the search took 1,251 steps, and capped at
+    # 0.01 of the planar center's, 2,058
+    sols, arcs = solver_solutions(monkeypatch), []
+    sliding = connection_mod.integrate_sliding
+
+    def recorded(*args, **kwargs):
+        arcs.append(sliding(*args, **kwargs))
+        return arcs[-1]
+
+    monkeypatch.setattr(connection_mod, "integrate_sliding", recorded)
     find_shilnikov(table1, (0.994, 10.0), cfg)
-    assert sum(len(sol.t) - 1 for sol in sols) <= 1500
+    assert len(arcs) == 2
+    assert sum(len(sol.t) - 1 for sol in sols) + sum(arc.steps for arc in arcs) <= 1500
 
 
 def test_verify_connection_at_certificate(connection, cfg):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from preyswitch import (
     ArcKind,
@@ -29,7 +30,9 @@ from preyswitch import (
     pseudo_equilibria,
 )
 from preyswitch import flow as flow_mod
+from preyswitch import sliding as sliding_mod
 from preyswitch.flow import trajectory_rows
+from preyswitch.sliding import sliding_jacobian, sliding_rhs, sliding_series
 from conftest import draw_params, solver_solutions
 
 
@@ -150,6 +153,19 @@ def test_blowup_raised(table1):
     cfg = IntegratorConfig(norm_bound=10.0, t_max=50.0)
     with pytest.raises(BlowUp):
         integrate_smooth(Piece.X, (2.0, 1.0, 0.001), Direction.FORWARD, cfg, table1)
+    # the sliding spiral out of the focus passes norm 1.392 before its fold exit
+    _, focus = pseudo_equilibria(table1)
+    start = (focus.x, focus.z + 1e-3)
+    free = integrate_sliding(start, Direction.FORWARD, IntegratorConfig(), table1)
+    assert free.terminal_event.kind is EventKind.FOLD_EXIT
+    assert np.max(np.hypot(*free.states.T)) > 1.392
+    with pytest.raises(BlowUp) as err:
+        integrate_sliding(start, Direction.FORWARD, IntegratorConfig(norm_bound=1.392), table1)
+    t = float(str(err.value).rsplit("t = ", 1)[1])
+    assert 0.0 < t < free.t1
+    # a sliding start beyond the bound fails at once
+    with pytest.raises(BlowUp, match="at t = 0.0"):
+        integrate_sliding((2.0, 1.0), Direction.FORWARD, IntegratorConfig(norm_bound=1.0), table1)
 
 
 def test_sliding_backward_capture_envelope(table1, cfg):
@@ -194,49 +210,104 @@ def focus_period(params):
     return 2.0 * math.pi / math.hypot(pe.alpha, pe.beta_imag)
 
 
-def test_sliding_step_cap_follows_the_focus_period(table1, cfg, monkeypatch):
-    x_cap = 0.01 * characteristic_time(table1)
-    cap = flow_mod._sliding_max_step(cfg, table1)
-    assert cap == pytest.approx(0.01 * focus_period(table1), rel=1e-14)
-    assert cap > x_cap
-    # an explicit max_step overrides it
-    assert flow_mod._sliding_max_step(replace(cfg, max_step=0.05), table1) == 0.05
-    # a pseudo-equilibrium that is no focus keeps the planar center's cap
-    node = table1.replace(m=20.0)
-    assert classify_focus(node).beta_imag == 0.0
-    assert flow_mod._sliding_max_step(cfg, node) == 0.01 * characteristic_time(node)
+def test_sliding_series_starts_with_the_field(rng):
+    # order 1 is sliding_rhs itself, and order 2 is J*f/2 in either direction
+    for _ in range(10):
+        params = draw_params(rng)
+        p = np.array([rng.uniform(0.01, 2.0 * params.tau), rng.uniform(params.phi, 3.0 * params.phi)])
+        for sgn in (1.0, -1.0):
+            xs, zs = sliding_series(params, sgn)(p, 24)
+            assert len(xs) == len(zs) == 25 and [xs[0], zs[0]] == p.tolist()
+            f = sliding_rhs(params, sgn)(0.0, p)
+            assert [xs[1], zs[1]] == f
+            second = sgn * sliding_jacobian(p, params) @ f / 2.0
+            assert np.allclose([xs[2], zs[2]], second, rtol=1e-13, atol=1e-15)
 
-    # and so does one that cannot be classified, without a new error
+
+def test_sliding_steps_obey_an_explicit_max_step(table1):
+    cfg = IntegratorConfig(max_step=0.05)
+    for start, direction in (
+        ((0.5 * table1.tau, table1.phi), Direction.BACKWARD),
+        ((table1.tau, table1.phi), Direction.FORWARD),
+    ):
+        arc = integrate_sliding(start, direction, cfg, table1)
+        assert arc.steps == len(arc.ts) - 1 > 20
+        assert np.max(np.abs(np.diff(arc.ts))) <= 0.05
+
+
+def test_sliding_arcs_do_not_need_the_focus_classified(table1, cfg, monkeypatch):
     def unclassifiable(params):
         raise PreySwitchError("no classification")
 
-    monkeypatch.setattr(flow_mod, "classify_focus", unclassifiable)
-    assert flow_mod._sliding_max_step(cfg, table1) == x_cap
+    monkeypatch.setattr(sliding_mod, "classify_focus", unclassifiable)
+    monkeypatch.setattr(flow_mod, "classify_focus", unclassifiable, raising=False)
     arc = integrate_sliding((0.5 * table1.tau, table1.phi), Direction.BACKWARD, cfg, table1)
     assert arc.terminal_event.kind is EventKind.FOCUS_CAPTURE
 
 
+def test_first_root_finds_two_roots_inside_one_step():
+    # (u - 0.3)(u - 0.35) is positive at both ends of the step
+    n = flow_mod._TAYLOR_ORDER
+    a = np.zeros(n + 1)
+    a[:3] = (0.3 * 0.35, -0.65, 1.0)
+    b = flow_mod._TO_BERNSTEIN @ a
+    assert b[0] > 0.0 and b[-1] > 0.0
+    assert abs(flow_mod._first_root(a, b) - 0.3) <= 1e-15
+    a[0] += 0.03  # no real root
+    assert flow_mod._first_root(a, flow_mod._TO_BERNSTEIN @ a) is None
+
+
+def reference_sliding_end(params, start, direction, t_max, radius=1e-4):
+    """Terminal kind and state of a sliding arc by DOP853 at rel_tol 1e-13,
+    with a fifth of the planar center's default cap and its own fold and
+    capture events."""
+    sgn = 1.0 if direction is Direction.FORWARD else -1.0
+    f = sliding_rhs(params, sgn)
+    phi = params.phi
+    _, focus = pseudo_equilibria(params)
+    rate0 = f(0.0, np.array(start))[1]
+    if rate0 < 0.0:  # the flow leaves the sliding region at once
+        return EventKind.FOLD_EXIT, np.array([start[0], phi])
+
+    def fold(t, s):  # falls through zero where z does through phi, but not at t = 0
+        return rate0 if t == 0.0 else (s[1] - phi) / t
+
+    def capture(t, s):
+        return math.hypot(s[0] - focus.x, s[1] - focus.z) - radius
+
+    for g in (fold, capture):
+        g.terminal, g.direction = True, -1.0
+    sol = solve_ivp(
+        f,
+        (0.0, t_max),
+        start,
+        method="DOP853",
+        events=[fold, capture],
+        rtol=1e-13,
+        atol=1e-15,
+        max_step=0.002 * characteristic_time(params),
+    )
+    end = sol.y[:, -1]
+    if len(sol.t_events[0]):
+        return EventKind.FOLD_EXIT, np.array([end[0], phi])
+    if len(sol.t_events[1]):
+        return EventKind.FOCUS_CAPTURE, end
+    return EventKind.HORIZON_REACHED, end
+
+
 def test_sliding_arcs_match_a_tight_reference_over_the_admissible_region(rng):
     # forward and backward arcs from fold points on both sides of the cusp,
-    # over two periods of the focus, against DOP853 at rel_tol 1e-13 with a
-    # fifth of the planar center's default cap
+    # over two periods of the focus
     for _ in range(10):
         params = draw_params(rng, require_focus=True)
         cfg = IntegratorConfig(t_max=2.0 * focus_period(params))
-        ref = replace(
-            cfg,
-            rel_tol=1e-13,
-            abs_tol=1e-15,
-            event_tol=1e-15,
-            max_step=0.002 * characteristic_time(params),
-        )
         for frac in (0.4, 0.8, 1.5):
             start = (frac * params.tau, params.phi)
             for direction in Direction:
                 arc = integrate_sliding(start, direction, cfg, params)
-                exact = integrate_sliding(start, direction, ref, params)
-                assert arc.terminal_event.kind is exact.terminal_event.kind, (params, start)
-                err = np.max(np.abs(arc.terminal_event.state - exact.terminal_event.state))
+                kind, state = reference_sliding_end(params, start, direction, cfg.t_max)
+                assert arc.terminal_event.kind is kind, (params, start)
+                err = np.max(np.abs(arc.terminal_event.state - state))
                 assert err <= 1e-10, (params, start, direction)
 
 
@@ -327,11 +398,14 @@ def test_trajectory_export_shapes(table1):
 
 
 def test_filippov_solver_budget(table1, monkeypatch):
-    """Every arc of a Filippov trajectory is one solver call."""
+    """Every smooth arc of a Filippov trajectory is one solver call; the
+    budget counts its DOP853 steps and the sliding arcs' Taylor steps."""
     sols = solver_solutions(monkeypatch)
     traj = integrate_filippov((1.2, 0.4, 1.0), IntegratorConfig(t_max=60.0), table1)
-    assert len(sols) == len(traj.arcs) == 12
-    assert sum(len(sol.t) - 1 for sol in sols) <= 750
+    smooth = [a for a in traj.arcs if a.kind is not ArcKind.SLIDING]
+    assert len(traj.arcs) == 12
+    assert [a.steps for a in smooth] == [len(sol.t) - 1 for sol in sols]
+    assert sum(a.steps for a in traj.arcs) <= 750
 
 
 NAN, INF = float("nan"), float("inf")
