@@ -1,33 +1,33 @@
 """Event-detecting integration and Filippov concatenation.
 
-Smooth arcs are integrated with an adaptive embedded Runge-Kutta pair
-(scipy's solve_ivp, DOP853) whose dense output localizes event times.
-Sliding arcs are integrated with a Taylor series of the closed-form sliding
-field (:func:`~preyswitch.sliding.sliding_series`), on whose step
-polynomials each event is either excluded or located.  Every arc ends at the
-first event of one table: the arc's own events (the switching plane
-h = x - y for a smooth arc; the fold exit and the focus capture for a
-sliding arc), a DOMAIN_EXIT for each coordinate that starts above the event
-tolerance (only x for a sliding arc, whose z meets the fold line first), and
-the norm bound, which raises :class:`BlowUp`.  A start that is not finite,
-or has a negative coordinate, raises :class:`DomainError`.  The Filippov
-concatenator stitches smooth and sliding arcs per the convex-combination
-convention: trajectories entering the sliding region follow the sliding
-field until the visible fold hands them back to X.  The fold launches and
-the period of the planar center call the solver directly, since their lanes
-and section crossings are not arcs.
+Every arc, smooth or sliding, and both arcs of the planar period
+(:func:`lv_period`) run through one Taylor-series core.  Each field of the
+model is quadratic, so each step expands the solution to order 24 by one
+Cauchy-product recurrence (:func:`~preyswitch.model.quadratic_series`), and
+on the step's polynomials each event is either excluded or located.  Every
+arc ends at the first event of one table: the arc's own events (the
+switching plane h = x - y for a smooth arc; the fold exit and the focus
+capture for a sliding arc), a DOMAIN_EXIT for each coordinate that starts
+above the event tolerance (only x for a sliding arc, whose z meets the fold
+line first), and the norm bound, which raises :class:`BlowUp`.  A start that
+is not finite, or has a negative coordinate, raises :class:`DomainError`.
+The Filippov concatenator stitches smooth and sliding arcs per the
+convex-combination convention: trajectories entering the sliding region
+follow the sliding field until the visible fold hands them back to X.  Only
+the fold launches call scipy's solve_ivp (DOP853), with their planar lanes
+stacked in one call; ``rel_tol`` and the default step cap reach nothing else.
 
-Every integration that starts on a tangency watches a desingularised
-event function, stateless and valued at t = 0 by its limit, so the initial
-contact is never mistaken for a return.  An X-arc from a fold point (the
-fold launches of the fold-return curve, stacked as planar lanes in one
-solver call by :func:`integrate_fold_launches`, and the X-arc leaving the
-visible fold inside a Filippov trajectory) watches h/t**2, whose limit
-X2h/2 is positive on the visible fold; a return before the lift-off
-X2h*t**2/2 exceeds the event tolerance raises :class:`TangencyAmbiguity`.
-A sliding arc starting on the fold line (z0 within the event tolerance of
-phi) watches (z - z0)/t on its first step, the step polynomial with t
-divided out exactly, whose value at t = 0 is its initial z-rate.
+Every integration that starts on a tangency watches a desingularised event,
+valued at the start by its limit, so the initial contact is never mistaken
+for a return.  On the first step of an arc, in u = t/step on [0, 1], the
+event polynomial has the contact divided out exactly: an X-arc leaving a
+fold point watches h/u**2, positive at u = 0 on the visible fold; a sliding
+arc starting on the fold line (z0 within the event tolerance of phi) watches
+(z - z0)/u; each arc of the planar period watches its section value over u.
+A fold-launch lane of :func:`integrate_fold_launches` watches h/t**2, valued
+X2h/2 at t = 0.  A fold launch, lane or arc, that returns before its
+lift-off X2h*t**2/2 exceeds the event tolerance is a
+:class:`TangencyAmbiguity`.
 """
 
 from __future__ import annotations
@@ -54,18 +54,16 @@ from .model import (
     Parameters,
     Piece,
     RegionLabel,
-    SigmaState,
     classify_sigma_point,
     lie_derivatives,
     smooth_rhs,
+    smooth_series,
 )
 from .sliding import eval_sliding, pseudo_equilibria, sliding_rhs, sliding_series
 
-# every step cap and oracle bound of the smooth arcs was measured with this method
-_METHOD = "DOP853"
-# sliding arcs: Taylor order, and local tolerance relative to abs_tol
-# (1e-16 at the defaults; order 16 at 1e-12 drifted 5.5e-12 from DOP853 on
-# the certificate's capture arc, close to the oracle bound 1e-11)
+# Taylor order, and local tolerance relative to abs_tol (1e-16 at the
+# defaults; order 16 at 1e-12 drifted 5.5e-12 from DOP853 on the
+# certificate's capture arc, close to the oracle bound 1e-11)
 _TAYLOR_ORDER = 24
 _TAYLOR_TOL = 1e-4
 _MAX_ARCS = 10_000
@@ -96,14 +94,16 @@ class EventKind(Enum):
 class IntegratorConfig:
     """Tolerances and horizon for all integrations.
 
-    ``rel_tol`` and ``abs_tol`` are DOP853's tolerances; ``abs_tol`` also
-    sets the local tolerance 1e-4*abs_tol of the Taylor steps of sliding
-    arcs (see :func:`integrate_sliding`), so :meth:`halved` tightens both
-    methods.  ``max_step`` of None caps every DOP853 step at 0.01 of the
-    characteristic time 2*pi/sqrt(m*r1) of the planar center and leaves
-    Taylor steps uncapped; a number caps every step of every integration
-    alike.  All fields must be finite and positive, and ``event_tol`` may
-    not exceed 100 * ``abs_tol``.
+    ``abs_tol`` sets the local tolerance 1e-4*abs_tol of every Taylor step
+    (see :func:`integrate_smooth`).  ``rel_tol`` and ``abs_tol`` are also
+    the tolerances of DOP853, which integrates only the fold launches
+    (:func:`integrate_fold_launches`), so ``rel_tol`` reaches nothing else;
+    :meth:`halved` tightens both methods.  ``max_step`` of None caps the
+    fold launches' steps at 0.01 of the characteristic time
+    2*pi/sqrt(m*r1) of the planar center and leaves Taylor steps uncapped;
+    a number caps every step of every integration alike.  All fields must
+    be finite and positive, and ``event_tol`` may not exceed
+    100 * ``abs_tol``.
     """
 
     rel_tol: float = 1e-10
@@ -143,9 +143,8 @@ class Arc:
     arcs (embedded in Sigma as (x, x, z)); planar arcs of the restricted
     Lotka-Volterra field also store (x, z), living in the plane y = 0.
     ``ts`` is strictly increasing for forward arcs and strictly decreasing
-    for backward arcs.  ``steps`` counts the accepted steps of the arc's
-    integration: DOP853 steps for a smooth arc, Taylor steps for a sliding
-    arc.
+    for backward arcs.  ``ts`` and ``states`` hold the start and the end
+    of each of the arc's Taylor steps, and ``steps`` counts those steps.
     """
 
     kind: ArcKind
@@ -183,167 +182,6 @@ def _resolve_max_step(cfg: IntegratorConfig, params: Parameters) -> float:
     if cfg.max_step is not None:
         return cfg.max_step
     return 0.01 * characteristic_time(params)
-
-
-def _terminal(g, direction: float):
-    g.terminal = True
-    g.direction = direction
-    return g
-
-
-def _run(
-    f,
-    s0,
-    cfg: IntegratorConfig,
-    params: Parameters,
-    events,
-    horizon: float,
-):
-    step = _resolve_max_step(cfg, params)
-    sol = solve_ivp(
-        f,
-        (0.0, horizon),
-        s0,
-        method=_METHOD,
-        events=events,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=step,
-        first_step=min(step / 4.0, horizon / 2.0),
-    )
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-    return sol
-
-
-def _arc(
-    kind: ArcKind,
-    f,
-    s0: np.ndarray,
-    watch: list,
-    sgn: float,
-    t_start: float,
-    cfg: IntegratorConfig,
-    params: Parameters,
-) -> tuple[Arc, float]:
-    """Integrate f from s0 until the first event of one table, or the horizon.
-
-    ``watch`` lists the arc's own terminal events as (EventKind, g,
-    direction).  The table adds a DOMAIN_EXIT for each coordinate above
-    ``cfg.event_tol`` (one starting at numerical zero lies on an invariant
-    plane and stays exactly zero, so watching it would fire spuriously every
-    step) and the norm bound, which raises :class:`BlowUp`.  The arc's
-    terminal record carries the kind of the event that fired, or
-    HORIZON_REACHED, and the arc's last time and state; it is returned with
-    the solver time of that end, counted from 0 along the integration.  A
-    start that is not finite and nonnegative raises :class:`DomainError`.
-    """
-    if not np.all(np.isfinite(s0)):
-        raise DomainError(f"initial state must be finite, got {s0}")
-    if np.any(s0 < 0.0):
-        raise DomainError(f"initial state must be nonnegative, got {s0}")
-    table = list(watch)
-    for i, v in enumerate(s0):
-        if v > cfg.event_tol:
-            table.append((EventKind.DOMAIN_EXIT, lambda t, s, i=i: s[i], -1.0))
-    b2 = cfg.norm_bound * cfg.norm_bound
-    # no kind: crossing the norm bound is an error, not an end
-    table.append((None, lambda t, s: b2 - sum(v * v for v in s.tolist()), -1.0))
-    events = [_terminal(g, direction) for _, g, direction in table]
-    sol = _run(f, s0, cfg, params, events, cfg.t_max)
-    ts = t_start + sgn * sol.t
-    states = sol.y.T.copy()
-
-    # every event is terminal: at most one fires, and the solution ends on it
-    end = next((table[i][0] for i, te in enumerate(sol.t_events) if len(te)), EventKind.HORIZON_REACHED)
-    if end is None:
-        raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {float(ts[-1])}")
-    record = EventRecord(end, float(ts[-1]), states[-1].copy())
-    return Arc(kind, t_start, float(ts[-1]), ts, states, record, len(sol.t) - 1), float(sol.t[-1])
-
-
-def _snap_sigma(state: np.ndarray) -> np.ndarray:
-    xm = 0.5 * (state[0] + state[1])
-    return np.array([xm, xm, state[2]])
-
-
-def _lift_off_ambiguity(x0: float, half_X2h: float, t1: float, cfg: IntegratorConfig):
-    """The error of a launch from the fold point x0 that returns to Sigma at
-    t1 before its lift-off X2h*t1**2/2 exceeds ``cfg.event_tol``, so that the
-    return is below the resolution of the integration (at the cusp); else
-    None."""
-    lift = half_X2h * t1 * t1
-    if lift > cfg.event_tol:
-        return None
-    return TangencyAmbiguity(
-        f"launch at x0 = {x0} returns at t = {t1:.2e}, before it separates "
-        f"from Sigma by more than event_tol (X2h*t**2/2 = {lift:.2e})"
-    )
-
-
-def integrate_smooth(
-    piece: Piece,
-    s0,
-    direction: Direction,
-    cfg: IntegratorConfig,
-    params: Parameters,
-    t_start: float = 0.0,
-) -> Arc:
-    """Integrate one smooth piece until the first event or the horizon.
-
-    For the 3D pieces the event table adds the switching plane h = x - y
-    (falling through zero for X, rising for Y) to the domain and norm-bound
-    events every arc watches; a SIGMA_CROSSING state is snapped onto Sigma
-    as (xm, xm, z).  An X-arc starting on the fold line (h within the event
-    tolerance, labelled VISIBLE_FOLD or CUSP) is tangent to Sigma, and
-    watches h/t**2 instead, valued X2h/2 at t = 0; a return whose lift-off
-    X2h*t1**2/2 is not above the event tolerance raises
-    :class:`TangencyAmbiguity`, as does a start with X2h <= 0.
-    """
-    s0 = np.asarray(s0, dtype=float)
-    dim = 2 if piece is Piece.PLANAR_LV else 3
-    if s0.shape != (dim,):
-        raise DomainError(f"{piece.value} expects a state of dimension {dim}")
-    sgn = 1.0 if direction is Direction.FORWARD else -1.0
-
-    watch: list = []
-    half_X2h = None
-    if piece in (Piece.X, Piece.Y):
-        h0 = s0[0] - s0[1]
-        side = 1.0 if piece is Piece.X else -1.0
-        if h0 * side < -cfg.event_tol:
-            raise DomainError(
-                f"initial state is on the wrong side of Sigma for {piece.value}: h = {h0}"
-            )
-        xm = 0.5 * (s0[0] + s0[1])
-        if (
-            piece is Piece.X
-            and abs(h0) <= cfg.event_tol
-            and classify_sigma_point((xm, s0[2]), params, tol=cfg.event_tol) in _FOLD_LABELS
-        ):
-            half_X2h = 0.5 * lie_derivatives((xm, s0[2]), params)[2]
-            if half_X2h <= 0.0:  # no lift-off: the return is immediate
-                raise _lift_off_ambiguity(xm, half_X2h, 0.0, cfg)
-
-            def g(t, s):
-                if t == 0.0:
-                    return half_X2h
-                return (s[0] - s[1]) / (t * t)
-
-            watch.append((EventKind.SIGMA_CROSSING, g, -1.0))
-        else:
-            watch.append((EventKind.SIGMA_CROSSING, lambda t, s: s[0] - s[1], -side))
-
-    kind = ArcKind.SMOOTH_Y if piece is Piece.Y else ArcKind.SMOOTH_X
-    arc, te = _arc(kind, smooth_rhs(piece, params, sgn), s0, watch, sgn, t_start, cfg, params)
-    ev = arc.terminal_event
-    if ev.kind is not EventKind.SIGMA_CROSSING:
-        return arc
-    if half_X2h is not None:
-        err = _lift_off_ambiguity(xm, half_X2h, te, cfg)
-        if err is not None:
-            raise err
-    return replace(arc, terminal_event=replace(ev, state=_snap_sigma(ev.state)))
 
 
 def _bernstein_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,37 +245,36 @@ def _first_root(a: np.ndarray, b: np.ndarray) -> float | None:
     return None
 
 
-def _taylor_sliding_arc(
+def _taylor_arc(
+    kind: ArcKind,
+    series,
     p0: np.ndarray,
+    events,
+    watch,
     sgn: float,
-    on_fold: bool,
-    focus: SigmaState,
-    capture_radius: float,
     t_start: float,
     cfg: IntegratorConfig,
-    params: Parameters,
 ) -> Arc:
-    """The sliding arc from p0 by Taylor steps, up to its first event or the horizon.
+    """The arc of ``series`` from p0 by Taylor steps, up to its first event or the horizon.
 
     Each step expands the solution to order _TAYLOR_ORDER and takes Jorba
     and Zou's step h = min over k = n-1, n of (tol/|c_k|)**(1/k), with
     tol = _TAYLOR_TOL*abs_tol, capped by ``cfg.max_step`` if set.  In
     u = s/h on [0, 1] the event functions are polynomials, all falling
-    through zero: z - phi (on the first step from the fold line,
-    (z - z0)/u, its constant clamped at 0 against the cusp's roundoff), the
-    squared distance to the focus minus its square radius (when positive),
-    x (when above ``cfg.event_tol``), and 1 - |state|**2/norm_bound**2.
-    Each step proves that none has a root in (0, 1] or ends at the first
-    root.  The norm polynomial is formed only when the step's enclosure
-    sum |c_k| h**k of each coordinate reaches the bound, so no state is
-    formed before the bound is checked.
+    through zero: the arc's own, ``events(a, first)`` of the step's
+    coefficients a_k = c_k h**k (``first`` on the arc's first step, where a
+    tangential start divides its contact out exactly), with their constants
+    clamped at 0 on the first step so that a start within roundoff of an
+    event surface is not an event; coordinate i for each i in ``watch``
+    (DOMAIN_EXIT); and 1 - |state|**2/norm_bound**2, which raises
+    :class:`BlowUp`.  Each step proves that none has a root in (0, 1] or
+    ends at the first root.  The norm polynomial is formed only when the
+    step's enclosure sum |c_k| h**k of each coordinate reaches the bound, so
+    no state is formed before the bound is checked.
     """
     n = _TAYLOR_ORDER
-    series = sliding_series(params, sgn)
     tol = _TAYLOR_TOL * cfg.abs_tol
     cap = math.inf if cfg.max_step is None else cfg.max_step
-    r2 = capture_radius * capture_radius
-    watch_x = p0[0] > cfg.event_tol
     s, state, steps = 0.0, p0, 0
     ts, states = [t_start], [p0]
     end = EventKind.HORIZON_REACHED
@@ -446,8 +283,7 @@ def _taylor_sliding_arc(
         if not np.isfinite(c).all():
             raise StepFailure(f"Taylor coefficients overflow at t = {t_start + sgn * s}, state {state}")
         h = cap
-        for k in (n - 1, n):
-            norm = float(np.abs(c[:, k]).max())
+        for k, norm in zip((n - 1, n), np.abs(c[:, -2:]).max(axis=0).tolist()):
             if norm > 0.0:
                 h = min(h, (tol / norm) ** (1.0 / k))
         # the step taken is the difference of representable times, no longer than the cap
@@ -463,48 +299,37 @@ def _taylor_sliding_arc(
                 raise StepFailure(f"Taylor step underflow at t = {t_start + sgn * s}")
         a = c * h**_POWERS
 
-        fold = a[1].copy()
-        if s == 0.0 and on_fold:
-            fold = np.append(fold[1:], 0.0)
-            fold[0] = max(fold[0], 0.0)
-        else:
-            fold[0] -= params.phi
-        rows = [(EventKind.FOLD_EXIT, fold)]
-        if r2 > 0.0:
-            dx, dz = a[0].copy(), a[1].copy()
-            dx[0] -= focus.x
-            dz[0] -= focus.z
-            d2 = (np.convolve(dx, dx) + np.convolve(dz, dz))[: n + 1]
-            d2[0] -= r2
-            rows.append((EventKind.FOCUS_CAPTURE, d2))
-        if watch_x:
-            rows.append((EventKind.DOMAIN_EXIT, a[0]))
+        rows = events(a, s == 0.0)
+        if s == 0.0:
+            for _, poly in rows:
+                poly[0] = max(poly[0], 0.0)
+        rows += [(EventKind.DOMAIN_EXIT, a[i]) for i in watch]
         if not math.hypot(*np.abs(a).sum(axis=1).tolist()) < cfg.norm_bound:
             w = a / cfg.norm_bound
-            q = -(np.convolve(w[0], w[0]) + np.convolve(w[1], w[1]))[: n + 1]
+            q = -sum(np.convolve(v, v) for v in w)[: n + 1]
             q[0] += 1.0
             rows.append((None, q))
 
-        polys = np.array([p for _, p in rows])
+        polys = np.array([p for _, p in rows]).reshape(len(rows), n + 1)
         bs = polys @ _TO_BERNSTEIN.T
         hit = None
-        if bs.min() <= 0.0:
-            for (kind, _), poly, b in zip(rows, polys, bs):
+        if (bs <= 0.0).any():
+            for (event, _), poly, b in zip(rows, polys, bs):
                 u = _first_root(poly, b)
                 if u is not None and (hit is None or u < hit[1]):
-                    hit = (kind, u)
+                    hit = (event, u)
 
         steps += 1
         if hit is None:
             s = s_end
             state = a.sum(axis=1)
         else:
-            kind, u = hit
+            event, u = hit
             s += u * h
-            if kind is None:
+            if event is None:
                 raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {t_start + sgn * s}")
-            state = np.array([_horner(a[0].tolist(), u), _horner(a[1].tolist(), u)])
-            end = kind
+            state = np.array([_horner(v, u) for v in a.tolist()])
+            end = event
         t = t_start + sgn * s
         if t == ts[-1]:  # a root at the very start of the step
             states[-1] = state
@@ -514,10 +339,101 @@ def _taylor_sliding_arc(
         if hit is not None:
             break
 
-    ts_arr = np.array(ts)
-    states_arr = np.array(states)
+    ts_arr, states_arr = np.array(ts), np.array(states)
     record = EventRecord(end, float(ts_arr[-1]), states_arr[-1].copy())
-    return Arc(ArcKind.SLIDING, t_start, float(ts_arr[-1]), ts_arr, states_arr, record, steps)
+    return Arc(kind, t_start, float(ts_arr[-1]), ts_arr, states_arr, record, steps)
+
+
+def _lift_off_ambiguity(x0: float, half_X2h: float, t1: float, cfg: IntegratorConfig):
+    """The error of a launch from the fold point x0 that returns to Sigma at
+    t1 before its lift-off X2h*t1**2/2 exceeds ``cfg.event_tol``, so that the
+    return is below the resolution of the integration (at the cusp); else
+    None."""
+    lift = half_X2h * t1 * t1
+    if lift > cfg.event_tol:
+        return None
+    return TangencyAmbiguity(
+        f"launch at x0 = {x0} returns at t = {t1:.2e}, before it separates "
+        f"from Sigma by more than event_tol (X2h*t**2/2 = {lift:.2e})"
+    )
+
+
+def _no_events(a: np.ndarray, first: bool) -> list:
+    return []
+
+
+def integrate_smooth(
+    piece: Piece,
+    s0,
+    direction: Direction,
+    cfg: IntegratorConfig,
+    params: Parameters,
+    t_start: float = 0.0,
+) -> Arc:
+    """Integrate one smooth piece until the first event or the horizon.
+
+    For the 3D pieces the event table adds the switching plane h = x - y
+    (falling through zero for X, rising for Y) to the domain and norm-bound
+    events every arc watches; a SIGMA_CROSSING state is snapped onto Sigma
+    as (xm, xm, z).  An X-arc starting on the fold line (h within the event
+    tolerance, labelled VISIBLE_FOLD or CUSP) is tangent to Sigma, and
+    watches h/u**2 on its first step instead, valued X2h*step**2/2 at
+    u = 0; a return whose lift-off X2h*t1**2/2 is not above the event
+    tolerance raises :class:`TangencyAmbiguity`, as does a start with
+    X2h <= 0.
+
+    The arc is integrated by Taylor series of order 24
+    (:func:`~preyswitch.model.smooth_series`) with the step rule of Jorba
+    and Zou (2005) at the local tolerance 1e-4*abs_tol; each step proves
+    every event absent or stops at the first, so only an explicit
+    ``cfg.max_step`` caps the steps, and ``rel_tol`` does not reach them.
+    """
+    s0 = np.asarray(s0, dtype=float)
+    dim = 2 if piece is Piece.PLANAR_LV else 3
+    if s0.shape != (dim,):
+        raise DomainError(f"{piece.value} expects a state of dimension {dim}")
+    if not (np.all(np.isfinite(s0)) and np.all(s0 >= 0.0)):
+        raise DomainError(f"initial state must be finite and nonnegative, got {s0}")
+    sgn = 1.0 if direction is Direction.FORWARD else -1.0
+
+    events = _no_events
+    half_X2h = None
+    if piece in (Piece.X, Piece.Y):
+        h0 = s0[0] - s0[1]
+        side = 1.0 if piece is Piece.X else -1.0
+        if h0 * side < -cfg.event_tol:
+            raise DomainError(
+                f"initial state is on the wrong side of Sigma for {piece.value}: h = {h0}"
+            )
+        xm = 0.5 * (s0[0] + s0[1])
+        if (
+            piece is Piece.X
+            and abs(h0) <= cfg.event_tol
+            and classify_sigma_point((xm, s0[2]), params, tol=cfg.event_tol) in _FOLD_LABELS
+        ):
+            half_X2h = 0.5 * lie_derivatives((xm, s0[2]), params)[2]
+            if half_X2h <= 0.0:  # no lift-off: the return is immediate
+                raise _lift_off_ambiguity(xm, half_X2h, 0.0, cfg)
+
+        def events(a, first):
+            g = side * (a[0] - a[1])  # h for X, -h for Y: both fall through zero
+            if first and half_X2h is not None:
+                g = np.append(g[2:], (0.0, 0.0))
+            return [(EventKind.SIGMA_CROSSING, g)]
+
+    kind = ArcKind.SMOOTH_Y if piece is Piece.Y else ArcKind.SMOOTH_X
+    # a coordinate at numerical zero lies on an invariant plane and stays there
+    watch = [i for i, v in enumerate(s0) if v > cfg.event_tol]
+    arc = _taylor_arc(kind, smooth_series(piece, params, sgn), s0, events, watch, sgn, t_start, cfg)
+    ev = arc.terminal_event
+    if ev.kind is not EventKind.SIGMA_CROSSING:
+        return arc
+    if half_X2h is not None:
+        err = _lift_off_ambiguity(xm, half_X2h, abs(arc.t1 - arc.t0), cfg)
+        if err is not None:
+            raise err
+    xm = 0.5 * (ev.state[0] + ev.state[1])
+    return replace(arc, terminal_event=replace(ev, state=np.array([xm, xm, ev.state[2]])))
 
 
 def integrate_sliding(
@@ -539,17 +455,13 @@ def integrate_sliding(
     :class:`BlowUp`, and the horizon; a FOLD_EXIT state is snapped to
     z = phi.  Starting on the fold line is allowed: if the flow points out
     of the region the arc is an immediate fold exit, otherwise the first
-    step watches (z - z0)/t, whose value at t = 0 is the initial z-rate.  A
-    start that is not finite raises :class:`DomainError`.
+    step watches (z - z0)/u, whose value at u = 0 is the initial z-rate
+    times the step.  A start that is not finite raises :class:`DomainError`.
 
-    The arc is integrated by Taylor series of order 24
-    (:func:`~preyswitch.sliding.sliding_series`), with the step rule of
-    Jorba and Zou (2005) at the local tolerance 1e-4*abs_tol.  On each step
-    every event function is a polynomial, which the step either proves
-    root-free or stops at, on its first root to 4 eps in t; so no step cap
-    keeps events from being stepped over, and only an explicit
-    ``cfg.max_step`` caps the steps.  ``ts`` and ``states`` hold the step
-    ends.
+    The arc is integrated like a smooth one (see :func:`integrate_smooth`),
+    by the Taylor series of the closed-form sliding field
+    (:func:`~preyswitch.sliding.sliding_series`); the squared distance to
+    the focus is a polynomial on each step too.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (2,):
@@ -579,7 +491,26 @@ def integrate_sliding(
         record = EventRecord(EventKind.FOLD_EXIT, t_start, snapped)
         return Arc(ArcKind.SLIDING, t_start, t_start, np.array([t_start]), snapped[None, :], record, 0)
 
-    arc = _taylor_sliding_arc(p0, sgn, on_fold, focus, focus_capture_radius, t_start, cfg, params)
+    r2 = focus_capture_radius * focus_capture_radius
+
+    def events(a, first):
+        if first and on_fold:
+            fold = np.append(a[1, 1:], 0.0)
+        else:
+            fold = a[1].copy()
+            fold[0] -= phi
+        rows = [(EventKind.FOLD_EXIT, fold)]
+        if r2 > 0.0:
+            dx, dz = a[0].copy(), a[1].copy()
+            dx[0] -= focus.x
+            dz[0] -= focus.z
+            d2 = (np.convolve(dx, dx) + np.convolve(dz, dz))[: len(dx)]
+            d2[0] -= r2
+            rows.append((EventKind.FOCUS_CAPTURE, d2))
+        return rows
+
+    watch = [0] if p0[0] > cfg.event_tol else []
+    arc = _taylor_arc(ArcKind.SLIDING, sliding_series(params, sgn), p0, events, watch, sgn, t_start, cfg)
     ev = arc.terminal_event
     if ev.kind is EventKind.FOLD_EXIT:
         arc = replace(arc, terminal_event=replace(ev, state=np.array([ev.state[0], phi])))
@@ -644,9 +575,24 @@ def integrate_fold_launches(
             return float(np.max(half_X2h))
         return float(np.max(s[:k] - x0 * math.exp(r2 * t))) / (t * t)
 
-    events = [lane_event(j) for j in range(k)] + [_terminal(all_below, -1.0)]
+    all_below.terminal = True
+    all_below.direction = -1.0
+    events = [lane_event(j) for j in range(k)] + [all_below]
     s0 = np.concatenate((x0, np.full(k, phi)))
-    sol = _run(smooth_rhs(Piece.PLANAR_LV, params), s0, cfg, params, events, cfg.t_max)
+    step = _resolve_max_step(cfg, params)
+    sol = solve_ivp(
+        smooth_rhs(Piece.PLANAR_LV, params),
+        (0.0, cfg.t_max),
+        s0,
+        method="DOP853",  # the lanes' step cap and oracle bounds were measured with it
+        events=events,
+        rtol=cfg.rel_tol,
+        atol=cfg.abs_tol,
+        max_step=step,
+        first_step=min(step / 4.0, cfg.t_max / 2.0),
+    )
+    if sol.status == -1:
+        raise StepFailure(sol.message)
 
     for j, i in enumerate(lanes):
         xi = x0s[i]
@@ -761,28 +707,36 @@ def lv_period(x0: float, cfg: IntegratorConfig, params: Parameters) -> float:
 
     The orbit leaves the section z = r1 downward, recrosses it upward on the
     far side of the center, and the next downward crossing closes the loop.
-    Raises :class:`NoReturn` if either crossing is missing within the
-    horizon.
+    Two arcs of the Taylor core (see :func:`integrate_smooth`) watch r1 - z,
+    then z - r1, each divided by u on its first step, which starts on the
+    section.  Raises :class:`NoReturn` if either crossing is missing within
+    the horizon.
     """
     x0 = float(x0)
     tau = params.tau
     if not 0.0 < x0 < tau:
         raise DomainError(f"lv_period requires 0 < x0 < tau = {tau}, got {x0}")
     r1 = params.r1
-    f = smooth_rhs(Piece.PLANAR_LV, params)
+    series = smooth_series(Piece.PLANAR_LV, params)
+    state, t = np.array([x0, r1]), 0.0
+    for side, crossing in ((-1.0, "upward recrossing"), (1.0, "closing crossing")):
 
-    up = _terminal(lambda t, s: s[1] - r1, 1.0)
-    sol1 = _run(f, np.array([x0, r1]), cfg, params, [up], cfg.t_max)
-    if not len(sol1.t_events[0]):
-        raise NoReturn(f"no upward recrossing of z = r1 within t_max = {cfg.t_max}")
-    t_up = float(sol1.t_events[0][0])
-    s_up = np.array(sol1.y_events[0][0])
+        def section(a, first, side=side):
+            if first:
+                g = np.append(a[1, 1:], 0.0)
+            else:
+                g = a[1].copy()
+                g[0] -= r1
+            # the section is the arc's only event, so it reuses SIGMA_CROSSING
+            return [(EventKind.SIGMA_CROSSING, side * g)]
 
-    down = _terminal(lambda t, s: s[1] - r1, -1.0)
-    sol2 = _run(f, s_up, cfg, params, [down], cfg.t_max - t_up)
-    if not len(sol2.t_events[0]):
-        raise NoReturn(f"no closing crossing of z = r1 within t_max = {cfg.t_max}")
-    return t_up + float(sol2.t_events[0][0])
+        arc = _taylor_arc(
+            ArcKind.SMOOTH_X, series, state, section, (), 1.0, t, replace(cfg, t_max=cfg.t_max - t)
+        )
+        if arc.terminal_event.kind is EventKind.HORIZON_REACHED:
+            raise NoReturn(f"no {crossing} of z = r1 within t_max = {cfg.t_max}")
+        state, t = arc.terminal_event.state, arc.t1
+    return t
 
 
 def trajectory_rows(traj: Trajectory) -> list[tuple[float, float, float, float, str, int]]:

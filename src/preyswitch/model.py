@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -252,6 +253,72 @@ def smooth_rhs(piece: Piece, params: Parameters, sgn: float = 1.0):
             return sgn * s * np.concatenate((r1 - z, eq1 * x - m))
 
         return f
+    raise ValueError(f"unknown piece: {piece!r}")
+
+
+def quadratic_series(rhs, linear, c, i: int, j: int, sgn: float = 1.0):
+    """Taylor coefficients of the flow of s' = sgn*(L s + c s_i s_j).
+
+    Every field of the model has this form, with one product s_i s_j.
+    ``rhs`` is the field itself, ``linear`` the rows of L and ``c`` the
+    weights of the product.  ``series(p, order)`` returns one list per
+    coordinate, s_0..s_order, with s(t) = sum s_k t**k the solution through
+    p at t = 0.  Order 1 is ``rhs(0, p)``, so it is exactly the field; every
+    higher order follows from the Cauchy product
+    (s_i s_j)_k = sum_l s_(i,l) s_(j,k-l):
+
+        (k+1) s_(k+1) = sgn*(L s_k + c (s_i s_j)_k)
+
+    at O(order**2) cost.  Only the nonzero entries of L and c enter, the
+    product's first; every row must have one.
+    """
+    n = len(c)
+    # each row as (weight, index) pairs into (s_0, .., s_(n-1), s_i s_j)
+    rows = [[(sgn * v, q) for q, v in ((n, w), *enumerate(row)) if v != 0.0] for w, row in zip(c, linear)]
+    mul = operator.mul
+
+    def series(p, order: int) -> list[list[float]]:
+        cols = [[v, w] for v, w in zip(p.tolist(), rhs(0.0, p))]
+        products = [0.0]  # (s_i s_j)_k at index k; order 0 is never read
+        seqs = cols + [products]
+        # each row's first term starts its sum
+        terms = [
+            (col, v0, seqs[q0], [(v, seqs[q]) for v, q in rest])
+            for col, ((v0, q0), *rest) in zip(cols, rows)
+        ]
+        left, right = cols[i], cols[j][::-1]  # s_j reversed, for the Cauchy product
+        for k in range(1, order):
+            products.append(sum(map(mul, left, right)))
+            for col, v0, seq0, rest in terms:
+                acc = v0 * seq0[k]
+                for v, seq in rest:
+                    acc += v * seq[k]
+                col.append(acc / (k + 1))
+            right.insert(0, cols[j][k + 1])
+        return cols
+
+    return series
+
+
+def smooth_series(piece: Piece, params: Parameters, sgn: float = 1.0):
+    """Taylor coefficients of the flow of :func:`smooth_rhs` (one state).
+
+    See :func:`quadratic_series`: X is x' = r1 x - xz, y' = r2 y,
+    z' = -m z + e q1 xz; Y swaps the product for yz, with weights
+    -beta2/beta1 and e q2/a_q; PLANAR_LV is X without y.
+    """
+    r1, r2, m = params.r1, params.r2, params.m
+    eq1 = params.e * params.q1
+    rhs = smooth_rhs(piece, params, sgn)
+    diagonal = [[r1, 0.0, 0.0], [0.0, r2, 0.0], [0.0, 0.0, -m]]
+    if piece is Piece.X:
+        return quadratic_series(rhs, diagonal, (-1.0, 0.0, eq1), 0, 2, sgn)
+    if piece is Piece.Y:
+        ratio = params.beta2 / params.beta1
+        eq2a = params.e * params.q2 / params.a_q
+        return quadratic_series(rhs, diagonal, (0.0, -ratio, eq2a), 1, 2, sgn)
+    if piece is Piece.PLANAR_LV:
+        return quadratic_series(rhs, [[r1, 0.0], [0.0, -m]], (-1.0, eq1), 0, 1, sgn)
     raise ValueError(f"unknown piece: {piece!r}")
 
 

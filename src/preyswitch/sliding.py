@@ -13,7 +13,6 @@ global backward convergence onto the repulsive focus.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError, PreySwitchError, TangencyDenominator
 from .model import Parameters, Piece, SigmaState, eval_field, first_integral_F, lie_derivatives
+from .model import quadratic_series
 
 
 class SlidingMode(Enum):
@@ -74,37 +74,13 @@ def sliding_rhs(params: Parameters, sgn: float = 1.0):
 
 
 def sliding_series(params: Parameters, sgn: float = 1.0):
-    """Taylor coefficients of the sliding flow of :func:`sliding_rhs` times ``sgn``.
+    """Taylor coefficients of the flow of :func:`sliding_rhs` times ``sgn``.
 
-    ``series(p, order)`` returns two lists, x_0..x_order and z_0..z_order,
-    with x(t) = sum x_k t**k and z(t) = sum z_k t**k the solution through
-    p = (x, z) at t = 0.  Order 1 is ``sliding_rhs`` itself; since the field
-    is quadratic, every higher order follows from the Cauchy product
-    (xz)_k = sum_j x_j z_(k-j):
-
-        (k+1) x_(k+1) = sgn*(R x_k - B (xz)_k)
-        (k+1) z_(k+1) = sgn*(-K x_k - m z_k + C (xz)_k)
-
-    at O(order**2) cost.
+    See :func:`~preyswitch.model.quadratic_series`: the field is
+    x' = R x - B xz, z' = -K x - m z + C xz.
     """
     R, B, K, C = _coefficients(params)
-    sR, sB, sK, sm, sC = (sgn * v for v in (R, B, K, params.m, C))
-    f = sliding_rhs(params, sgn)
-    mul = operator.mul
-
-    def series(p, order: int) -> tuple[list[float], list[float]]:
-        x0, z0 = p.tolist()
-        x1, z1 = f(0.0, p)
-        xs, zr = [x0, x1], [z1, z0]  # zr holds the z coefficients reversed
-        for k in range(1, order):
-            xz = sum(map(mul, xs, zr))
-            xk, zk = xs[k], zr[0]
-            xs.append((sR * xk - sB * xz) / (k + 1))
-            zr.insert(0, (sC * xz - sK * xk - sm * zk) / (k + 1))
-        zr.reverse()
-        return xs, zr
-
-    return series
+    return quadratic_series(sliding_rhs(params, sgn), [[R, 0.0], [-K, -params.m]], (-B, C), 0, 1, sgn)
 
 
 def eval_sliding(p, params: Parameters, mode: SlidingMode = SlidingMode.CLOSED_FORM) -> np.ndarray:

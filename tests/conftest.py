@@ -83,3 +83,17 @@ def solver_solutions(monkeypatch):
 
     monkeypatch.setattr(flow_mod, "solve_ivp", counted)
     return sols
+
+
+def taylor_arcs(monkeypatch):
+    """The list of every arc the Taylor core of flow returns from now on,
+    also those whose caller then raises (a tangential return)."""
+    arcs = []
+    taylor_arc = flow_mod._taylor_arc
+
+    def recorded(*args, **kwargs):
+        arcs.append(taylor_arc(*args, **kwargs))
+        return arcs[-1]
+
+    monkeypatch.setattr(flow_mod, "_taylor_arc", recorded)
+    return arcs

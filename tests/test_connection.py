@@ -41,7 +41,7 @@ from preyswitch import (
     working_window,
 )
 from preyswitch import connection as connection_mod
-from conftest import solver_solutions
+from conftest import solver_solutions, taylor_arcs
 
 
 def pi_map(s, params, cfg):
@@ -112,7 +112,8 @@ def filippov_return(x0, params, cfg):
     ],
 )
 def test_mu_point_near_cusp_answers_within_1000_steps(table1, cfg, monkeypatch, launch, ratio):
-    sols = solver_solutions(monkeypatch)
+    # fold launches are DOP853 lanes, Filippov arcs are Taylor arcs
+    sols, arcs = solver_solutions(monkeypatch), taylor_arcs(monkeypatch)
     tau = table1.tau
     eps = ratio * tau
     try:
@@ -123,13 +124,13 @@ def test_mu_point_near_cusp_answers_within_1000_steps(table1, cfg, monkeypatch, 
         # Lemma 1: u(tau - eps) = tau + 2*eps + O(eps^2), v - phi = O(eps^2)
         assert abs((u - tau) / eps - 2.0) <= 0.05
         assert abs(v - table1.phi) / eps <= 0.01
-    steps = sum(len(sol.t) - 1 for sol in sols)
+    steps = sum(len(sol.t) - 1 for sol in sols) + sum(arc.steps for arc in arcs)
     assert steps <= 1000
     # only a launch from the cusp itself, where X2h = 0, fails before integrating
     assert steps >= 1 or ratio == 0.0
-    if launch is filippov_return and sols:
+    if launch is filippov_return and arcs:
         # the X-arc leaving the fold, also when its return raised
-        x, y, _ = sols[0].y
+        x, y, _ = arcs[0].states.T
         assert np.min(x - y) >= -cfg.event_tol
 
 

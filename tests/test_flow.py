@@ -32,6 +32,7 @@ from preyswitch import (
 from preyswitch import flow as flow_mod
 from preyswitch import sliding as sliding_mod
 from preyswitch.flow import trajectory_rows
+from preyswitch.model import smooth_rhs, smooth_series
 from preyswitch.sliding import sliding_jacobian, sliding_rhs, sliding_series
 from conftest import draw_params, solver_solutions
 
@@ -163,9 +164,13 @@ def test_blowup_raised(table1):
         integrate_sliding(start, Direction.FORWARD, IntegratorConfig(norm_bound=1.392), table1)
     t = float(str(err.value).rsplit("t = ", 1)[1])
     assert 0.0 < t < free.t1
-    # a sliding start beyond the bound fails at once
+    # a sliding or smooth start beyond the bound fails at once
     with pytest.raises(BlowUp, match="at t = 0.0"):
         integrate_sliding((2.0, 1.0), Direction.FORWARD, IntegratorConfig(norm_bound=1.0), table1)
+    with pytest.raises(BlowUp, match="at t = 0.0"):
+        integrate_smooth(
+            Piece.X, (2.0, 1.0, 0.5), Direction.FORWARD, IntegratorConfig(norm_bound=1.0, t_max=5.0), table1
+        )
 
 
 def test_sliding_backward_capture_envelope(table1, cfg):
@@ -210,18 +215,43 @@ def focus_period(params):
     return 2.0 * math.pi / math.hypot(pe.alpha, pe.beta_imag)
 
 
-def test_sliding_series_starts_with_the_field(rng):
-    # order 1 is sliding_rhs itself, and order 2 is J*f/2 in either direction
+def central_jf(f, p):
+    """J*f at p by a central difference along f, exact up to roundoff for a
+    quadratic field."""
+    v = np.array(f(0.0, p))
+    d = 0.1 * np.max(np.abs(p)) / np.max(np.abs(v))
+    return (np.array(f(0.0, p + d * v)) - np.array(f(0.0, p - d * v))) / (2.0 * d)
+
+
+@pytest.mark.parametrize(
+    "field", (Piece.X, Piece.Y, Piece.PLANAR_LV, "Sliding"), ids=("X", "Y", "PlanarLV", "Sliding")
+)
+def test_series_start_with_the_field(rng, field):
+    # order 1 is the field itself, and order 2 is J*f/2 in either direction
     for _ in range(10):
         params = draw_params(rng)
-        p = np.array([rng.uniform(0.01, 2.0 * params.tau), rng.uniform(params.phi, 3.0 * params.phi)])
+        if field == "Sliding":
+            p = np.array([rng.uniform(0.01, 2.0 * params.tau), rng.uniform(params.phi, 3.0 * params.phi)])
+        else:
+            dim = 2 if field is Piece.PLANAR_LV else 3
+            p = rng.uniform(0.01, 2.0, dim) * params.tau
         for sgn in (1.0, -1.0):
-            xs, zs = sliding_series(params, sgn)(p, 24)
-            assert len(xs) == len(zs) == 25 and [xs[0], zs[0]] == p.tolist()
-            f = sliding_rhs(params, sgn)(0.0, p)
-            assert [xs[1], zs[1]] == f
-            second = sgn * sliding_jacobian(p, params) @ f / 2.0
-            assert np.allclose([xs[2], zs[2]], second, rtol=1e-13, atol=1e-15)
+            if field == "Sliding":
+                series, f = sliding_series(params, sgn), sliding_rhs(params, sgn)
+                jf = sgn * sliding_jacobian(p, params) @ f(0.0, p)
+                atol = 1e-15
+            else:
+                series, f = smooth_series(field, params, sgn), smooth_rhs(field, params, sgn)
+                jf = central_jf(f, p)
+                # the difference's roundoff scales with its largest component
+                atol = 1e-13 * np.max(np.abs(jf)) / 2.0
+            coefficients = series(p, 24)
+            assert len(coefficients) == len(p)
+            assert all(len(col) == 25 for col in coefficients)
+            assert [col[0] for col in coefficients] == p.tolist()
+            assert [col[1] for col in coefficients] == f(0.0, p)
+            second = [col[2] for col in coefficients]
+            assert np.allclose(second, jf / 2.0, rtol=1e-13, atol=atol), (field, sgn)
 
 
 def test_sliding_steps_obey_an_explicit_max_step(table1):
@@ -257,9 +287,29 @@ def test_first_root_finds_two_roots_inside_one_step():
     assert flow_mod._first_root(a, flow_mod._TO_BERNSTEIN @ a) is None
 
 
+def tight_dop853(f, start, t_max, params, events):
+    """End of f's flow from start by DOP853 at rel_tol 1e-13, with a fifth
+    of the planar center's default cap, at the first of ``events`` (each
+    falling through zero) or the horizon: the index of the event that fired,
+    or None, and the end state."""
+    for g in events:
+        g.terminal, g.direction = True, -1.0
+    sol = solve_ivp(
+        f,
+        (0.0, t_max),
+        start,
+        method="DOP853",
+        events=events,
+        rtol=1e-13,
+        atol=1e-15,
+        max_step=0.002 * characteristic_time(params),
+    )
+    fired = next((i for i, te in enumerate(sol.t_events) if len(te)), None)
+    return fired, sol.y[:, -1]
+
+
 def reference_sliding_end(params, start, direction, t_max, radius=1e-4):
-    """Terminal kind and state of a sliding arc by DOP853 at rel_tol 1e-13,
-    with a fifth of the planar center's default cap and its own fold and
+    """Terminal kind and state of a sliding arc, with its own fold and
     capture events."""
     sgn = 1.0 if direction is Direction.FORWARD else -1.0
     f = sliding_rhs(params, sgn)
@@ -275,29 +325,32 @@ def reference_sliding_end(params, start, direction, t_max, radius=1e-4):
     def capture(t, s):
         return math.hypot(s[0] - focus.x, s[1] - focus.z) - radius
 
-    for g in (fold, capture):
-        g.terminal, g.direction = True, -1.0
-    sol = solve_ivp(
-        f,
-        (0.0, t_max),
-        start,
-        method="DOP853",
-        events=[fold, capture],
-        rtol=1e-13,
-        atol=1e-15,
-        max_step=0.002 * characteristic_time(params),
-    )
-    end = sol.y[:, -1]
-    if len(sol.t_events[0]):
+    fired, end = tight_dop853(f, start, t_max, params, [fold, capture])
+    if fired == 0:
         return EventKind.FOLD_EXIT, np.array([end[0], phi])
-    if len(sol.t_events[1]):
+    if fired == 1:
         return EventKind.FOCUS_CAPTURE, end
     return EventKind.HORIZON_REACHED, end
 
 
-def test_sliding_arcs_match_a_tight_reference_over_the_admissible_region(rng):
-    # forward and backward arcs from fold points on both sides of the cusp,
-    # over two periods of the focus
+def reference_smooth_end(params, piece, start, t_max):
+    """Terminal kind and state of an X or Y arc, with its own Sigma event."""
+    side = 1.0 if piece is Piece.X else -1.0
+
+    def sigma(t, s):
+        return side * (s[0] - s[1])
+
+    fired, end = tight_dop853(smooth_rhs(piece, params), start, t_max, params, [sigma])
+    if fired is None:
+        return EventKind.HORIZON_REACHED, end
+    xm = 0.5 * (end[0] + end[1])
+    return EventKind.SIGMA_CROSSING, np.array([xm, xm, end[2]])
+
+
+def test_arcs_match_a_tight_reference_over_the_admissible_region(rng):
+    # over two periods of the focus: sliding arcs forward and backward from
+    # fold points on both sides of the cusp, and X and Y arcs from random
+    # starts on their own side of Sigma
     for _ in range(10):
         params = draw_params(rng, require_focus=True)
         cfg = IntegratorConfig(t_max=2.0 * focus_period(params))
@@ -309,6 +362,16 @@ def test_sliding_arcs_match_a_tight_reference_over_the_admissible_region(rng):
                 assert arc.terminal_event.kind is kind, (params, start)
                 err = np.max(np.abs(arc.terminal_event.state - state))
                 assert err <= 1e-10, (params, start, direction)
+        for piece in (Piece.X, Piece.Y):
+            high = rng.uniform(0.2, 1.5) * params.tau
+            low = rng.uniform(0.1, 0.9) * high
+            z = rng.uniform(0.2, 2.0) * params.r1
+            start = (high, low, z) if piece is Piece.X else (low, high, z)
+            arc = integrate_smooth(piece, start, Direction.FORWARD, cfg, params)
+            kind, state = reference_smooth_end(params, piece, start, cfg.t_max)
+            assert arc.terminal_event.kind is kind, (params, piece, start)
+            err = np.max(np.abs(arc.terminal_event.state - state))
+            assert err <= 1e-10, (params, piece, start)
 
 
 def test_sliding_rejects_bad_starts(table1, cfg):
@@ -398,13 +461,12 @@ def test_trajectory_export_shapes(table1):
 
 
 def test_filippov_solver_budget(table1, monkeypatch):
-    """Every smooth arc of a Filippov trajectory is one solver call; the
-    budget counts its DOP853 steps and the sliding arcs' Taylor steps."""
+    """Every arc of a Filippov trajectory is a Taylor arc, with no solver
+    call; the budget counts the Taylor steps of all of them."""
     sols = solver_solutions(monkeypatch)
     traj = integrate_filippov((1.2, 0.4, 1.0), IntegratorConfig(t_max=60.0), table1)
-    smooth = [a for a in traj.arcs if a.kind is not ArcKind.SLIDING]
     assert len(traj.arcs) == 12
-    assert [a.steps for a in smooth] == [len(sol.t) - 1 for sol in sols]
+    assert sols == []
     assert sum(a.steps for a in traj.arcs) <= 750
 
 
