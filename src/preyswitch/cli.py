@@ -7,7 +7,7 @@ class and message go to stderr), 2 usage error.
 
 ``sweep`` evaluates every row of its beta1 grid in one process with one
 :func:`~preyswitch.connection.distances_to_connection` call, which stacks
-the rows' fold launches into shared solver calls; a row that fails is
+the rows' fold launches into shared batches of lanes; a row that fails is
 written as ``nan``.  Its ``--jobs`` option has no effect and is accepted so
 that existing invocations still parse.
 """
@@ -88,8 +88,6 @@ def _count(text: str) -> int:
 def _cfg_from_args(args) -> IntegratorConfig:
     cfg = IntegratorConfig()
     overrides = {}
-    if args.rel_tol is not None:
-        overrides["rel_tol"] = args.rel_tol
     if args.abs_tol is not None:
         overrides["abs_tol"] = args.abs_tol
     if args.tol is not None:
@@ -104,7 +102,6 @@ def _cfg_from_args(args) -> IntegratorConfig:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--params", required=True, help="path to the parameters JSON")
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
-    sub.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
     sub.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
     sub.add_argument("--tol", type=float, default=None, help="event tolerance")
     sub.add_argument("--max-step", dest="max_step", type=float, default=None)

@@ -7,11 +7,10 @@ pseudo-equilibrium (x_c, z_c) of the sliding field lands on that curve.
 The X-flow is free of beta1 and x_c is a Moebius function of beta1, so the
 connection is one root in x0 of G(x0) = v(x0) - z_c(beta1(u(x0))).  Every
 root on the curve is found by one bracketed solver, lockstep regula falsi
-whose iterations are each one solver call with a lane per open bracket:
-u(x0) = x_c for the signed vertical distance D from the focus to the curve
-(for many beta1 at once, so a row's D depends on the other rows at about
-1e-13), and G = 0 on the pair of coarse nodes across which G changes sign
-inside a beta1 range.  The module also certifies the resulting loop
+whose iterations are each one batch of fold launches with a lane per open
+bracket: u(x0) = x_c for the signed vertical distance D from the focus to
+the curve (for many beta1 at once), and G = 0 on the pair of coarse nodes
+across which G changes sign inside a beta1 range.  The module also certifies the resulting loop
 (finite-time forward arc onto the focus, asymptotic backward sliding
 capture, and the ordering of the sliding return x* below the fold point),
 constructs explicit parameter points of the codimension-one connection
@@ -190,11 +189,11 @@ def mu_point(x0: float, params: Parameters, cfg: IntegratorConfig) -> tuple[floa
 def mu_curve(grid, params: Parameters, cfg: IntegratorConfig) -> MuCurve:
     """Evaluate the fold-return map over a sorted grid of launch points.
 
-    All launches are stacked lanes of one solver call
-    (:func:`~preyswitch.flow.integrate_fold_launches`), so a node's (u, v)
-    depends, at about 1e-12, on the other nodes of the grid.  A failing
-    launch raises the error :func:`mu_point` would raise there, naming the
-    first failing node.
+    All launches are lanes of one batch
+    (:func:`~preyswitch.flow.integrate_fold_launches`), and each node's
+    (u, v) is the one :func:`mu_point` gives there.  A failing launch raises
+    the error :func:`mu_point` would raise there, naming the first failing
+    node.
     """
     x0s = np.asarray(grid, dtype=float)
     if x0s.ndim != 1:
@@ -238,9 +237,9 @@ _COARSE_SPAN = (0.02, 0.99)
 def coarse_mu_curve(params: Parameters, cfg: IntegratorConfig) -> MuCurve:
     """The fold-return curve on the coarse grid that brackets the matching.
 
-    48 launches evenly spaced over [0.02, 0.99]*tau, stacked as lanes of
-    one solver call.  X depends on (r1, r2, m, e*q1) only, so one curve
-    serves every beta1 and beta2.
+    48 launches evenly spaced over [0.02, 0.99]*tau, as lanes of one
+    batch.  X depends on (r1, r2, m, e*q1) only, so one curve serves every
+    beta1 and beta2.
     """
     tau = params.tau
     grid = np.linspace(_COARSE_SPAN[0] * tau, _COARSE_SPAN[1] * tau, _COARSE_N)
@@ -340,15 +339,14 @@ def _solve_on_curve(
     evaluated fold points (x0, u, v) at which r has opposite signs or
     vanishes.  Regula falsi advances all brackets in lockstep: each
     iteration is one :func:`integrate_fold_launches` call whose lanes are
-    the iterates of the brackets still open.  When an iterate keeps the far
+    the iterates of the brackets still open, each as it would be alone.  When an iterate keeps the far
     end, that end's residual is weighted by Anderson and Bjorck's 1 - f/fb
     (f at the iterate, fb at the one before), or by 1/2 if that is not
     positive.  As in Brent's method, no iterate lies closer than half the
     tolerance to the latest point, and a bracket closes when its ends are
     within 1e-12 + 4*eps*|x0| or an iterate gives r = 0 exactly.  It then
     yields its ends (root, far), root the one with the smaller |r|, so that
-    its x0, u and v come from one lane.  The lanes share step-size control,
-    so a root depends on the other brackets at about 1e-13.  A launch error,
+    its x0, u and v come from one lane.  A launch error,
     or a :class:`PreySwitchError` raised by r, fails its own bracket only,
     and so does a bracket still open after 100 iterations.
     """
@@ -430,11 +428,10 @@ def distances_to_connection(
     :func:`distance_to_connection` would raise for it, unraised.  Each
     row's checks run before any launch; the rows that pass them solve
     u(x0) = x_c together with the lockstep root solver that also finds the
-    connection (:func:`find_shilnikov`), every iteration one solver call
-    whose lanes are the rows' current iterates.  A row's match is the end
-    of its final bracket with the smaller |u - x_c|.  So a row's D depends
-    on the other rows at about 1e-13, and a launch error fails its own row
-    only.
+    connection (:func:`find_shilnikov`), every iteration one batch of
+    fold launches whose lanes are the rows' current iterates.  A row's match
+    is the end of its final bracket with the smaller |u - x_c|.  So a row's
+    D is the one it has alone, and a launch error fails its own row only.
     """
     out: list = [None] * len(params_list)
     rows, brackets = [], []
@@ -505,11 +502,10 @@ def find_shilnikov(
     changes sign across more than one; :class:`NoBracket` when no node pair
     meets the range; :class:`Lemma2Violation`, naming its beta1, when the
     focus is not repulsive at either end of the range or at any G evaluated
-    inside it.  The nodes are stacked lanes of one solver call, so their G
-    differs from a lone launch's at about 1e-12.  The root is the end of the
-    final x0 bracket with the smaller |G|, certified with the (u, v) its own
-    launch produced; ``bracket_width`` is the beta1 distance from it to the
-    bracket's other end, across which G changes sign.
+    inside it.  The root is the end of the final x0 bracket with the
+    smaller |G|, certified with the (u, v) its own launch produced, which a
+    lone launch from it reproduces; ``bracket_width`` is the beta1 distance
+    from it to the bracket's other end, across which G changes sign.
     """
     lo, hi = (float(beta1_range[0]), float(beta1_range[1]))
     if not lo < hi:
@@ -800,10 +796,9 @@ def return_map_sample(
 
     Each point s launches the X-arc from (s, s, phi) to its landing on the
     sliding region, follows the sliding flow to its fold exit, and records
-    the exit abscissa pi(s).  The n X-arcs are stacked lanes of one solver
-    call (:func:`~preyswitch.flow.integrate_fold_launches`), so a landing
-    depends on the other samples at about 1e-12; errors are raised in the
-    order of s.  Sign changes of pi(s) - s witness sliding
+    the exit abscissa pi(s).  The n X-arcs are lanes of one batch
+    (:func:`~preyswitch.flow.integrate_fold_launches`), each landing as it
+    would alone; errors are raised in the order of s.  Sign changes of pi(s) - s witness sliding
     periodic orbits.  Raises :class:`FocusLanding` if an X-arc lands within
     ``cfg.event_tol`` of the pseudo-focus (as the one from the connection's
     fold point does), and :class:`OrbitEscaped` if any other orbit fails to

@@ -1,21 +1,24 @@
 """Event-detecting integration and Filippov concatenation.
 
+Every integration runs by Taylor series.  Each field of the model is
+quadratic, so each step expands the solution to order 24 by one
+Cauchy-product recurrence (:func:`~preyswitch.model.quadratic_series`), takes
+the step of Jorba and Zou (2005) at the local tolerance 1e-4*abs_tol, and on
+the step's polynomials either excludes each event or locates the first.
 Every arc, smooth or sliding, and both arcs of the planar period
-(:func:`lv_period`) run through one Taylor-series core.  Each field of the
-model is quadratic, so each step expands the solution to order 24 by one
-Cauchy-product recurrence (:func:`~preyswitch.model.quadratic_series`), and
-on the step's polynomials each event is either excluded or located.  Every
-arc ends at the first event of one table: the arc's own events (the
-switching plane h = x - y for a smooth arc; the fold exit and the focus
-capture for a sliding arc), a DOMAIN_EXIT for each coordinate that starts
-above the event tolerance (only x for a sliding arc, whose z meets the fold
-line first), and the norm bound, which raises :class:`BlowUp`.  A start that
-is not finite, or has a negative coordinate, raises :class:`DomainError`.
+(:func:`lv_period`) run through one scalar core; the fold launches
+(:func:`integrate_fold_launches`) run through a batched one, whose lanes
+advance in lockstep rounds, each lane by its own step.  Only an explicit
+``max_step`` caps any step.  Every arc ends at the first event of one
+table: the arc's own events (the switching plane h = x - y for a smooth
+arc; the fold exit and the focus capture for a sliding arc), a DOMAIN_EXIT
+for each coordinate that starts above the event tolerance (only x for a
+sliding arc, whose z meets the fold line first), and the norm bound, which
+raises :class:`BlowUp`.  A start that is not finite, or has a negative
+coordinate, raises :class:`DomainError`.
 The Filippov concatenator stitches smooth and sliding arcs per the
 convex-combination convention: trajectories entering the sliding region
-follow the sliding field until the visible fold hands them back to X.  Only
-the fold launches call scipy's solve_ivp (DOP853), with their planar lanes
-stacked in one call; ``rel_tol`` and the default step cap reach nothing else.
+follow the sliding field until the visible fold hands them back to X.
 
 Every integration that starts on a tangency watches a desingularised event,
 valued at the start by its limit, so the initial contact is never mistaken
@@ -24,8 +27,8 @@ event polynomial has the contact divided out exactly: an X-arc leaving a
 fold point watches h/u**2, positive at u = 0 on the visible fold; a sliding
 arc starting on the fold line (z0 within the event tolerance of phi) watches
 (z - z0)/u; each arc of the planar period watches its section value over u.
-A fold-launch lane of :func:`integrate_fold_launches` watches h/t**2, valued
-X2h/2 at t = 0.  A fold launch, lane or arc, that returns before its
+A fold-launch lane of :func:`integrate_fold_launches` watches h/u**2 on its
+first step likewise.  A fold launch, lane or arc, that returns before its
 lift-off X2h*t**2/2 exceeds the event tolerance is a
 :class:`TangencyAmbiguity`.
 """
@@ -38,7 +41,7 @@ from enum import Enum
 from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  never called; the benchmark's probe wraps flow.solve_ivp
 from scipy.optimize import brentq
 
 from .errors import (
@@ -56,7 +59,6 @@ from .model import (
     RegionLabel,
     classify_sigma_point,
     lie_derivatives,
-    smooth_rhs,
     smooth_series,
 )
 from .sliding import eval_sliding, pseudo_equilibria, sliding_rhs, sliding_series
@@ -94,19 +96,14 @@ class EventKind(Enum):
 class IntegratorConfig:
     """Tolerances and horizon for all integrations.
 
-    ``abs_tol`` sets the local tolerance 1e-4*abs_tol of every Taylor step
-    (see :func:`integrate_smooth`).  ``rel_tol`` and ``abs_tol`` are also
-    the tolerances of DOP853, which integrates only the fold launches
-    (:func:`integrate_fold_launches`), so ``rel_tol`` reaches nothing else;
-    :meth:`halved` tightens both methods.  ``max_step`` of None caps the
-    fold launches' steps at 0.01 of the characteristic time
-    2*pi/sqrt(m*r1) of the planar center and leaves Taylor steps uncapped;
-    a number caps every step of every integration alike.  All fields must
-    be finite and positive, and ``event_tol`` may not exceed
+    ``abs_tol`` sets the local tolerance 1e-4*abs_tol of every Taylor step,
+    fold-launch lanes included (see :func:`integrate_smooth`), and
+    :meth:`halved` halves it.  ``max_step`` of None leaves the steps
+    uncapped; a number caps every step of every integration alike.  All
+    fields must be finite and positive, and ``event_tol`` may not exceed
     100 * ``abs_tol``.
     """
 
-    rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     event_tol: float = 1e-12
     max_step: float | None = None
@@ -114,7 +111,7 @@ class IntegratorConfig:
     norm_bound: float = 1e6
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "event_tol", "max_step", "t_max", "norm_bound"):
+        for name in ("abs_tol", "event_tol", "max_step", "t_max", "norm_bound"):
             value = getattr(self, name)
             if name == "max_step" and value is None:
                 continue
@@ -124,8 +121,8 @@ class IntegratorConfig:
             raise DomainError("event_tol must not exceed 100 * abs_tol")
 
     def halved(self) -> "IntegratorConfig":
-        """A copy with both integration tolerances halved (for cross-checks)."""
-        return replace(self, rel_tol=self.rel_tol / 2.0, abs_tol=self.abs_tol / 2.0)
+        """A copy with the integration tolerance halved (for cross-checks)."""
+        return replace(self, abs_tol=self.abs_tol / 2.0)
 
 
 @dataclass(frozen=True)
@@ -176,12 +173,6 @@ class Trajectory:
 def characteristic_time(params: Parameters) -> float:
     """Linearized period of the planar center, 2*pi/sqrt(m*r1)."""
     return 2.0 * math.pi / math.sqrt(params.m * params.r1)
-
-
-def _resolve_max_step(cfg: IntegratorConfig, params: Parameters) -> float:
-    if cfg.max_step is not None:
-        return cfg.max_step
-    return 0.01 * characteristic_time(params)
 
 
 def _bernstein_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,7 +377,7 @@ def integrate_smooth(
     (:func:`~preyswitch.model.smooth_series`) with the step rule of Jorba
     and Zou (2005) at the local tolerance 1e-4*abs_tol; each step proves
     every event absent or stops at the first, so only an explicit
-    ``cfg.max_step`` caps the steps, and ``rel_tol`` does not reach them.
+    ``cfg.max_step`` caps the steps.
     """
     s0 = np.asarray(s0, dtype=float)
     dim = 2 if piece is Piece.PLANAR_LV else 3
@@ -517,20 +508,106 @@ def integrate_sliding(
     return arc
 
 
+@dataclass(frozen=True)
+class FoldLanes:
+    """The returns of a batch of fold-launch lanes, from :func:`_fold_lanes`.
+
+    ``returns`` holds one entry per lane, in order: (t1, u, v) at its first
+    return to Sigma, or None if it reaches the horizon first.  ``rounds``
+    counts the lockstep rounds, each one Taylor step of every lane still
+    running.
+    """
+
+    returns: list[tuple[float, float, float] | None]
+    rounds: int
+
+
+_INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in _POWERS.tolist()])
+# below this many lanes, Python floats expand each lane faster than numpy
+# expands them all: about 30 us a lane against 400-550 us a batch
+_ARRAY_LANES = 16
+
+
+def _fold_lanes(x0: np.ndarray, cfg: IntegratorConfig, params: Parameters) -> FoldLanes:
+    """First returns to Sigma of the X-launches from the fold points (x0, x0, phi).
+
+    Along X, y = x0*exp(r2*t) exactly and (x, z) follows the planar field,
+    which does not depend on x0; so the launches run as K planar lanes in
+    lockstep rounds.  Each round expands every running lane by the planar
+    series (:func:`~preyswitch.model.quadratic_series`: all lanes in one call
+    as arrays, or below _ARRAY_LANES lanes one call a lane in floats), and
+    each lane takes its own step by the rule of :func:`_taylor_arc`.  On a step of length h from
+    time s, y's series is y_s*(r2*h)**k/k! with y_s = x0*exp(r2*s), so
+    h = x - y is a polynomial in u on [0, 1]; on the first step it has the
+    tangential contact u**2 divided out.  One matrix product gives every
+    lane's Bernstein coefficients, and :func:`_first_root` runs only on the
+    lanes they do not clear.  A lane leaves the batch at its return or at
+    the horizon.  Every lane runs the operations it would run alone, its
+    end state summed order by order, so its return does not depend on the
+    other lanes.
+    """
+    n = _TAYLOR_ORDER
+    tol = _TAYLOR_TOL * cfg.abs_tol
+    cap = math.inf if cfg.max_step is None else cfg.max_step
+    series = smooth_series(Piece.PLANAR_LV, params)
+    r2 = params.r2
+    returns: list = [None] * len(x0)
+    live = np.arange(len(x0))
+    s = np.zeros(len(x0))
+    state = np.array([x0, np.full(len(x0), params.phi)])
+    rounds = 0
+    while live.size:
+        if live.size < _ARRAY_LANES:
+            c = np.stack([series(p, n) for p in state.T], axis=-1)
+        else:
+            c = np.array(series(state, n))
+        if not np.isfinite(c).all():
+            raise StepFailure(f"Taylor coefficients overflow in the fold launches from x0 = {x0[live]}")
+        # Jorba and Zou's step per lane; a zero coefficient sets no bound
+        norms = np.abs(c[:, n - 1 :]).max(axis=0)
+        with np.errstate(divide="ignore"):
+            h = np.minimum((tol / norms[0]) ** (1.0 / (n - 1)), (tol / norms[1]) ** (1.0 / n))
+        h = np.minimum(h, cap)
+        s_end = s + h
+        s_end[h >= cfg.t_max - s] = cfg.t_max
+        over = s_end - s > cap
+        s_end[over] = np.nextafter(s_end[over], s[over])
+        h = s_end - s
+        if not (h > 0.0).all():
+            raise StepFailure(f"Taylor step underflow in a fold launch at t = {s.min()}")
+        a = c * h ** _POWERS[:, None]
+        y = x0[live] * np.exp(r2 * s) * (r2 * h) ** _POWERS[:, None] * _INV_FACTORIALS[:, None]
+        g = a[0] - y
+        if rounds == 0:  # every lane starts tangent to Sigma: divide out u**2
+            g = np.concatenate((g[2:], np.zeros((2, live.size))))
+            g[0] = np.maximum(g[0], 0.0)
+        b = _TO_BERNSTEIN @ g
+        running = s_end < cfg.t_max
+        for j in np.flatnonzero((b <= 0.0).any(axis=0)).tolist():
+            u = _first_root(g[:, j], b[:, j])
+            if u is not None:
+                x, z = (_horner(v, u) for v in a[:, :, j].tolist())
+                returns[live[j]] = (float(s[j] + u * h[j]), x, z)
+                running[j] = False
+        rounds += 1
+        # accumulate adds the orders in turn for any number of lanes, where
+        # sum may add them pairwise
+        state = np.add.accumulate(a, axis=1)[:, -1]
+        live, s, state = live[running], s_end[running], state[:, running]
+    return FoldLanes(returns, rounds)
+
+
 def integrate_fold_launches(
     x0s, cfg: IntegratorConfig, params: Parameters
 ) -> list[tuple[float, float] | PreySwitchError]:
     """First transversal returns (u, v) of X-launches from fold points.
 
-    Along X, y = x0*exp(r2*t) exactly and (x, z) follows the planar
-    Lotka-Volterra field, which does not depend on x0.  So the launches
-    (x0, x0, phi) are integrated as planar lanes stacked in one solver call.
-    Lane i returns to Sigma where h_i = x_i - x0_i*exp(r2*t) falls through
-    zero.  Its event function is h_i/t**2, whose limit at t = 0 is X2h/2 > 0
-    for x0 < tau, so the tangential start is never taken for a return and
-    no event needs arming.  The call ends once every lane is below Sigma at
-    the same time.  The lanes share one step-size control, so a lane's
-    (u, v) depends, at about 1e-12, on the other lanes in its call.
+    The launches (x0, x0, phi) run as planar Taylor lanes in lockstep
+    (:func:`_fold_lanes`).  Lane i returns to Sigma where h_i = x_i - y_i
+    falls through zero.  On its first step it watches h_i/u**2, valued
+    X2h*step**2/2 > 0 at u = 0 for x0 < tau, so the tangential start is never
+    taken for a return.  A lane's return does not depend on the other lanes
+    of its call.
 
     Returns one entry per launch, in order: (u, v), or the error that launch
     met, unraised.  DomainError when x0 is not positive (NaN included);
@@ -552,64 +629,25 @@ def integrate_fold_launches(
                 f"x0 = {x0} >= tau = {tau}: the fold contact is not visible there"
             )
         else:
-            lanes.append(i)
+            half_X2h = 0.5 * lie_derivatives((x0, phi), params)[2]
+            if half_X2h > 0.0:
+                lanes.append((i, half_X2h))
+            else:  # no lift-off: the return is immediate
+                out[i] = _lift_off_ambiguity(x0, half_X2h, 0.0, cfg)
     if not lanes:
         return out
 
-    x0 = np.array([x0s[i] for i in lanes])
-    k = len(x0)
-    half_X2h = np.array([0.5 * lie_derivatives((x, phi), params)[2] for x in x0])
-
-    def lane_event(j):
-        def g(t, s):
-            if t == 0.0:
-                return half_X2h[j]
-            return (s[j] - x0[j] * math.exp(r2 * t)) / (t * t)
-
-        g.terminal = False
-        g.direction = -1.0
-        return g
-
-    def all_below(t, s):
-        if t == 0.0:
-            return float(np.max(half_X2h))
-        return float(np.max(s[:k] - x0 * math.exp(r2 * t))) / (t * t)
-
-    all_below.terminal = True
-    all_below.direction = -1.0
-    events = [lane_event(j) for j in range(k)] + [all_below]
-    s0 = np.concatenate((x0, np.full(k, phi)))
-    step = _resolve_max_step(cfg, params)
-    sol = solve_ivp(
-        smooth_rhs(Piece.PLANAR_LV, params),
-        (0.0, cfg.t_max),
-        s0,
-        method="DOP853",  # the lanes' step cap and oracle bounds were measured with it
-        events=events,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=step,
-        first_step=min(step / 4.0, cfg.t_max / 2.0),
-    )
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-
-    for j, i in enumerate(lanes):
+    run = _fold_lanes(np.array([x0s[i] for i, _ in lanes]), cfg, params)
+    for (i, half_X2h), ret in zip(lanes, run.returns):
         xi = x0s[i]
-        if len(sol.t_events[j]):
-            t1, state = float(sol.t_events[j][0]), sol.y_events[j][0]
-        elif len(sol.t_events[k]):
-            # the lane crossed at the very root that ended the call, and
-            # solve_ivp dropped its own event as coming after the terminal one
-            t1, state = float(sol.t_events[k][0]), sol.y_events[k][0]
-        else:
+        if ret is None:
             out[i] = NoReturn(f"no return to Sigma within t_max = {cfg.t_max} from x0 = {xi}")
             continue
-        err = _lift_off_ambiguity(xi, float(half_X2h[j]), t1, cfg)
+        t1, u, v = ret
+        err = _lift_off_ambiguity(xi, half_X2h, t1, cfg)
         if err is not None:
             out[i] = err
             continue
-        u, v = float(state[j]), float(state[k + j])
         expected = xi * math.exp(r2 * t1)
         if abs(u - expected) > 1e-10 * abs(u):
             out[i] = PreySwitchError(

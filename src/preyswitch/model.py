@@ -222,8 +222,8 @@ def smooth_rhs(piece: Piece, params: Parameters, sgn: float = 1.0):
     """The right-hand side f(t, s) of one smooth piece, times ``sgn``.
 
     ``s`` is a float array (x, y, z) for the 3D pieces and (x, z) for
-    PLANAR_LV.  PLANAR_LV also takes K states stacked as (x_1..x_K,
-    z_1..z_K) and returns their rates stacked alike.
+    PLANAR_LV.  PLANAR_LV also takes K lanes as an array of shape (2, K),
+    rows x and z, and returns the rows of their rates.
     """
     r1, r2, m = params.r1, params.r2, params.m
     eq1 = params.e * params.q1
@@ -246,11 +246,9 @@ def smooth_rhs(piece: Piece, params: Parameters, sgn: float = 1.0):
     if piece is Piece.PLANAR_LV:
 
         def f(t, s):
-            if len(s) == 2:  # one lane: Python arithmetic beats numpy's per-call cost
-                x, z = s.tolist()
-                return [sgn * (r1 - z) * x, sgn * (eq1 * x - m) * z]
-            x, z = s.reshape(2, -1)
-            return sgn * s * np.concatenate((r1 - z, eq1 * x - m))
+            # one state as Python floats, which beat numpy's per-call cost
+            x, z = s.tolist() if s.ndim == 1 else s
+            return [sgn * (r1 - z) * x, sgn * (eq1 * x - m) * z]
 
         return f
     raise ValueError(f"unknown piece: {piece!r}")
@@ -270,7 +268,10 @@ def quadratic_series(rhs, linear, c, i: int, j: int, sgn: float = 1.0):
         (k+1) s_(k+1) = sgn*(L s_k + c (s_i s_j)_k)
 
     at O(order**2) cost.  Only the nonzero entries of L and c enter, the
-    product's first; every row must have one.
+    product's first; every row must have one.  ``p`` may also hold K lanes,
+    an array of shape (dim, K), where ``rhs`` takes them: each coefficient is
+    then the array of the K lanes' coefficients, bit-identical to theirs one
+    lane at a time, since each lane sees the same operations in the same order.
     """
     n = len(c)
     # each row as (weight, index) pairs into (s_0, .., s_(n-1), s_i s_j)
@@ -278,7 +279,7 @@ def quadratic_series(rhs, linear, c, i: int, j: int, sgn: float = 1.0):
     mul = operator.mul
 
     def series(p, order: int) -> list[list[float]]:
-        cols = [[v, w] for v, w in zip(p.tolist(), rhs(0.0, p))]
+        cols = [[v, w] for v, w in zip(p.tolist() if p.ndim == 1 else list(p), rhs(0.0, p))]
         products = [0.0]  # (s_i s_j)_k at index k; order 0 is never read
         seqs = cols + [products]
         # each row's first term starts its sum

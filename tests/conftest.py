@@ -85,6 +85,20 @@ def solver_solutions(monkeypatch):
     return sols
 
 
+def fold_lane_runs(monkeypatch):
+    """The list of every FoldLanes result the batched Taylor core of flow
+    returns from now on: one per call, with its lockstep rounds."""
+    runs = []
+    fold_lanes = flow_mod._fold_lanes
+
+    def recorded(*args, **kwargs):
+        runs.append(fold_lanes(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(flow_mod, "_fold_lanes", recorded)
+    return runs
+
+
 def taylor_arcs(monkeypatch):
     """The list of every arc the Taylor core of flow returns from now on,
     also those whose caller then raises (a tangential return)."""

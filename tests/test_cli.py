@@ -10,7 +10,7 @@ from preyswitch import (
     validate_parameters,
 )
 from preyswitch.cli import main
-from conftest import TABLE1, solver_solutions
+from conftest import TABLE1, fold_lane_runs
 
 
 @pytest.fixture()
@@ -276,15 +276,15 @@ def test_sweep_failing_row_writes_nan(tmp_path):
 
 
 def test_sweep_solver_call_budget(params_file, tmp_path, monkeypatch):
-    # the coarse curve is one call, and each iteration matching all 32 rows
-    # together is one more
-    sols = solver_solutions(monkeypatch)
+    # the coarse curve is one call of the batched lanes, and each iteration
+    # matching all 32 rows together is one more
+    runs = fold_lane_runs(monkeypatch)
     out = tmp_path / "sweep.csv"
     args = ["sweep", "--params", params_file, "--beta1-range", "1.2:9.8", "--n", "32", "--out", str(out)]
     assert run(args) == 0
     ds = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
     assert len(ds) == 32 and not any(math.isnan(d) for d in ds)
-    assert len(sols) <= 10
+    assert len(runs) <= 10
 
 
 def test_sweep_curve_failure_exits_1(params_file, capsys):

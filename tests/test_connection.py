@@ -41,7 +41,7 @@ from preyswitch import (
     working_window,
 )
 from preyswitch import connection as connection_mod
-from conftest import solver_solutions, taylor_arcs
+from conftest import fold_lane_runs, solver_solutions, taylor_arcs
 
 
 def pi_map(s, params, cfg):
@@ -112,8 +112,9 @@ def filippov_return(x0, params, cfg):
     ],
 )
 def test_mu_point_near_cusp_answers_within_1000_steps(table1, cfg, monkeypatch, launch, ratio):
-    # fold launches are DOP853 lanes, Filippov arcs are Taylor arcs
-    sols, arcs = solver_solutions(monkeypatch), taylor_arcs(monkeypatch)
+    # fold launches are batched Taylor lanes, counted by their rounds, and
+    # Filippov arcs are Taylor arcs
+    runs, arcs = fold_lane_runs(monkeypatch), taylor_arcs(monkeypatch)
     tau = table1.tau
     eps = ratio * tau
     try:
@@ -124,7 +125,7 @@ def test_mu_point_near_cusp_answers_within_1000_steps(table1, cfg, monkeypatch, 
         # Lemma 1: u(tau - eps) = tau + 2*eps + O(eps^2), v - phi = O(eps^2)
         assert abs((u - tau) / eps - 2.0) <= 0.05
         assert abs(v - table1.phi) / eps <= 0.01
-    steps = sum(len(sol.t) - 1 for sol in sols) + sum(arc.steps for arc in arcs)
+    steps = sum(run.rounds for run in runs) + sum(arc.steps for arc in arcs)
     assert steps <= 1000
     # only a launch from the cusp itself, where X2h = 0, fails before integrating
     assert steps >= 1 or ratio == 0.0
@@ -149,6 +150,13 @@ def test_mu_curve_window_and_classification(table1, cfg):
         assert classify_sigma_point((curve.us[i], curve.vs[i]), table1) is RegionLabel.SLIDING
         Xh, Yh, _ = lie_derivatives((curve.us[i], curve.vs[i]), table1)
         assert Xh < 0.0 < Yh
+
+
+def test_coarse_curve_nodes_equal_lone_launches(coarse_curve, table1, cfg):
+    # each lane takes its own steps, so a node does not depend on the others
+    lone = np.array([mu_point(x0, table1, cfg) for x0 in coarse_curve.x0s])
+    assert np.max(np.abs(coarse_curve.us - lone[:, 0])) <= 1e-14
+    assert np.max(np.abs(coarse_curve.vs - lone[:, 1])) <= 1e-14
 
 
 def test_mu_curve_is_beta_free(table1, table1_b10, cfg):
@@ -245,20 +253,20 @@ def test_distances_agree_with_brentq_on_lone_launches(table1, cfg, coarse_curve)
 
 
 def test_distances_solver_call_budget(table1, cfg, coarse_curve, monkeypatch):
-    # each iteration matching all 32 rows together is one solver call; with
-    # the Illinois weight instead of Anderson and Bjorck's it took 5
-    sols = solver_solutions(monkeypatch)
+    # each iteration matching all 32 rows together is one call of the batched
+    # lanes; with the Illinois weight instead of Anderson and Bjorck's it took 5
+    runs = fold_lane_runs(monkeypatch)
     params = [table1.replace(beta1=b) for b in np.linspace(1.2, 9.8, 32)]
     rows = distances_to_connection(params, cfg, coarse_curve)
     assert not any(isinstance(row, PreySwitchError) for row in rows)
-    assert len(sols) <= 4
+    assert len(runs) <= 4
 
 
 def test_root_solver_fails_a_raising_bracket_alone(table1, cfg, coarse_curve, monkeypatch):
     # three brackets of u = x_c solved together, the middle one's residual
     # raising at every iterate: it fails alone, and the other two match as
-    # they do without it, to the lanes' coupling
-    sols = solver_solutions(monkeypatch)
+    # they do without it
+    runs = fold_lane_runs(monkeypatch)
     brackets, xcs = [], []
     for beta1 in (2.0, 5.0, 7.5):
         x_c = pseudo_equilibria(table1.replace(beta1=beta1))[1].x
@@ -274,13 +282,15 @@ def test_root_solver_fails_a_raising_bracket_alone(table1, cfg, coarse_curve, mo
 
     brackets[1] = (raising, *brackets[1][1:])
     out = connection_mod._solve_on_curve(brackets, cfg, table1)
-    assert isinstance(out[1], Lemma2Violation) and len(sols) >= 2
+    assert isinstance(out[1], Lemma2Violation) and len(runs) >= 2
     alone = connection_mod._solve_on_curve(brackets[::2], cfg, table1)
-    for x_c, (root, far), (root_alone, _) in zip(xcs[::2], out[::2], alone):
+    for x_c, (root, far), ends_alone in zip(xcs[::2], out[::2], alone):
         assert abs(root[1] - x_c) <= abs(far[1] - x_c) and abs(root[1] - x_c) <= 1e-10
         assert (root[1] - x_c) * (far[1] - x_c) <= 0.0
-        assert abs(root[0] - far[0]) <= 1e-12 + 4.0 * np.finfo(float).eps * root[0]
-        assert abs(root[0] - root_alone[0]) <= 1e-12
+        # a bracket closes at the tolerance, or at an iterate with r = 0 exactly
+        assert root[1] == x_c or abs(root[0] - far[0]) <= 1e-12 + 4.0 * np.finfo(float).eps * root[0]
+        # a lane does not depend on the other lanes of its call
+        assert abs(root[0] - ends_alone[0][0]) <= 1e-14
 
 
 def test_distance_rejects_curve_of_other_x_flow(table1, table1_b10, cfg, coarse_curve):
@@ -377,9 +387,10 @@ def test_find_shilnikov_matches_an_end_where_the_neighbour_node_is_undefined(
 
 
 def test_find_shilnikov_fold_launch_budget(table1, cfg, monkeypatch):
-    # every integration goes through flow.solve_ivp, and every fold launch
-    # through integrate_fold_launches, each lane counting as one launch
-    sols, lanes = solver_solutions(monkeypatch), []
+    # every fold launch goes through integrate_fold_launches, each lane
+    # counting as one launch, and every call of it with a lane to run through
+    # one call of the batched Taylor lanes; nothing calls solve_ivp
+    sols, runs, lanes = solver_solutions(monkeypatch), fold_lane_runs(monkeypatch), []
     launch = connection_mod.integrate_fold_launches
 
     def counted_launches(x0s, cfg, params):
@@ -389,16 +400,18 @@ def test_find_shilnikov_fold_launch_budget(table1, cfg, monkeypatch):
     monkeypatch.setattr(connection_mod, "integrate_fold_launches", counted_launches)
     find_shilnikov(table1, (0.994, 10.0), cfg)
     assert len(lanes) >= 48  # the coarse curve's lanes were counted
-    assert len(sols) <= 12
+    assert sols == []
+    assert len(runs) <= 12
     assert len(lanes) <= 60
 
 
 def test_find_shilnikov_step_budget(table1, cfg, monkeypatch):
-    # DOP853 steps of the fold launches plus the Taylor steps of the
-    # certificate's two sliding arcs; with those arcs by DOP853 capped at 0.01
-    # of the pseudo-focus's period the search took 1,251 steps, and capped at
-    # 0.01 of the planar center's, 2,058
-    sols, arcs = solver_solutions(monkeypatch), []
+    # the fold launches' lockstep rounds plus the Taylor steps of the
+    # certificate's two sliding arcs; with the launches by DOP853 the search
+    # took 630 steps, and with those arcs by DOP853 too, capped at 0.01 of
+    # the pseudo-focus's period, 1,251, and capped at 0.01 of the planar
+    # center's, 2,058
+    runs, arcs = fold_lane_runs(monkeypatch), []
     sliding = connection_mod.integrate_sliding
 
     def recorded(*args, **kwargs):
@@ -408,7 +421,7 @@ def test_find_shilnikov_step_budget(table1, cfg, monkeypatch):
     monkeypatch.setattr(connection_mod, "integrate_sliding", recorded)
     find_shilnikov(table1, (0.994, 10.0), cfg)
     assert len(arcs) == 2
-    assert sum(len(sol.t) - 1 for sol in sols) + sum(arc.steps for arc in arcs) <= 1500
+    assert sum(run.rounds for run in runs) + sum(arc.steps for arc in arcs) <= 1500
 
 
 def test_verify_connection_at_certificate(connection, cfg):

@@ -34,7 +34,7 @@ from preyswitch import sliding as sliding_mod
 from preyswitch.flow import trajectory_rows
 from preyswitch.model import smooth_rhs, smooth_series
 from preyswitch.sliding import sliding_jacobian, sliding_rhs, sliding_series
-from conftest import draw_params, solver_solutions
+from conftest import draw_params, fold_lane_runs, solver_solutions
 
 
 def arc_gap(a, b):
@@ -49,11 +49,11 @@ def arc_gap(a, b):
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        IntegratorConfig(rel_tol=-1.0)
+        IntegratorConfig(abs_tol=-1.0)
     with pytest.raises(DomainError):
         IntegratorConfig(event_tol=1e-6, abs_tol=1e-12)
     # NaN fails every comparison, so a "<= 0" test alone would admit it
-    for name in ("rel_tol", "abs_tol", "event_tol", "max_step", "t_max", "norm_bound"):
+    for name in ("abs_tol", "event_tol", "max_step", "t_max", "norm_bound"):
         for value in (float("nan"), float("inf"), 0.0):
             with pytest.raises(DomainError, match=name):
                 IntegratorConfig(**{name: value})
@@ -72,7 +72,7 @@ def test_smooth_x_exponential_y_on_center_line(table1, cfg):
     assert np.max(np.abs(xs - tau)) < 1e-9
     assert np.max(np.abs(zs - r1)) < 1e-9
     exact = np.exp(table1.r2 * (arc.ts - arc.t0))
-    assert np.max(np.abs(ys - exact) / exact) < 10.0 * cfg.rel_tol
+    assert np.max(np.abs(ys - exact) / exact) < 1e-9
     # the growing y eventually catches x = tau and the arc ends on Sigma
     ev = arc.terminal_event
     assert ev.kind is EventKind.SIGMA_CROSSING
@@ -85,7 +85,7 @@ def test_smooth_y_component_law_generic_arc(table1, cfg):
     )
     y0 = arc.states[0, 1]
     exact = y0 * np.exp(table1.r2 * (arc.ts - arc.t0))
-    assert np.max(np.abs(arc.states[:, 1] - exact) / exact) < 10.0 * cfg.rel_tol
+    assert np.max(np.abs(arc.states[:, 1] - exact) / exact) < 1e-9
 
 
 def test_smooth_arc_near_sigma_terminates_on_crossing(table1, cfg):
@@ -252,6 +252,24 @@ def test_series_start_with_the_field(rng, field):
             assert [col[1] for col in coefficients] == f(0.0, p)
             second = [col[2] for col in coefficients]
             assert np.allclose(second, jf / 2.0, rtol=1e-13, atol=atol), (field, sgn)
+
+
+def test_planar_series_of_lanes_equals_each_lane_alone(rng, table1):
+    # the fold-launch lanes expand K states in one call of the recurrence
+    series = smooth_series(Piece.PLANAR_LV, table1)
+    lanes = rng.uniform(0.01, 2.0, (2, 5)) * table1.tau
+    together = np.array(series(lanes, 24))
+    alone = np.array([series(lane, 24) for lane in lanes.T])
+    assert np.array_equal(together, alone.transpose(1, 2, 0))
+
+
+def test_fold_lanes_run_as_many_rounds_as_their_slowest_lane(table1, cfg):
+    # each lane takes its own steps, as numpy lanes (from 16 up) or alone
+    x0s = np.linspace(0.05, 0.95, 20) * table1.tau
+    batch = flow_mod._fold_lanes(x0s, cfg, table1)
+    alone = [flow_mod._fold_lanes(x0s[i : i + 1], cfg, table1) for i in range(len(x0s))]
+    assert batch.rounds == max(run.rounds for run in alone)
+    assert np.max(np.abs(np.array(batch.returns) - [run.returns[0] for run in alone])) <= 1e-14
 
 
 def test_sliding_steps_obey_an_explicit_max_step(table1):
@@ -461,12 +479,13 @@ def test_trajectory_export_shapes(table1):
 
 
 def test_filippov_solver_budget(table1, monkeypatch):
-    """Every arc of a Filippov trajectory is a Taylor arc, with no solver
-    call; the budget counts the Taylor steps of all of them."""
-    sols = solver_solutions(monkeypatch)
+    """Every arc of a Filippov trajectory is a scalar Taylor arc, with no
+    solver call and no fold-launch lane; the budget counts the Taylor steps
+    of all of them."""
+    sols, runs = solver_solutions(monkeypatch), fold_lane_runs(monkeypatch)
     traj = integrate_filippov((1.2, 0.4, 1.0), IntegratorConfig(t_max=60.0), table1)
     assert len(traj.arcs) == 12
-    assert sols == []
+    assert sols == [] and runs == []
     assert sum(a.steps for a in traj.arcs) <= 750
 
 

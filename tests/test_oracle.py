@@ -25,6 +25,8 @@ from preyswitch import (
 
 FRACTIONS = (0.02, 0.3, 0.6, 0.9, 0.99, 0.999)  # x0/tau
 BOUND = 1e-11
+# what the fold-launch lanes reach, 3.0e-12 by DOP853 before them
+LANE_BOUND = 1e-13
 
 
 def first_return(params, x0: float, t_guess: float) -> tuple[float, float]:
@@ -70,6 +72,15 @@ def test_mu_curve_matches_the_oracle(oracle, table1, cfg):
     ref = np.array(list(oracle.values()))
     assert np.max(np.abs(curve.us - ref[:, 0])) <= BOUND
     assert np.max(np.abs(curve.vs - ref[:, 1])) <= BOUND
+
+
+def test_fold_lanes_match_the_oracle_tightly(oracle, table1, cfg):
+    # the lanes of one batch and each lane alone
+    curve = mu_curve(list(oracle), table1, cfg)
+    lone = np.array([mu_point(x0, table1, cfg) for x0 in oracle])
+    ref = np.array(list(oracle.values()))
+    for landings in (np.column_stack((curve.us, curve.vs)), lone):
+        assert np.max(np.abs(landings - ref)) <= LANE_BOUND
 
 
 def test_x_arc_from_the_fold_matches_the_oracle(oracle, table1, cfg):
