@@ -339,14 +339,15 @@ def _solve_on_curve(
     evaluated fold points (x0, u, v) at which r has opposite signs or
     vanishes.  Regula falsi advances all brackets in lockstep: each
     iteration is one :func:`integrate_fold_launches` call whose lanes are
-    the iterates of the brackets still open, each as it would be alone.  When an iterate keeps the far
-    end, that end's residual is weighted by Anderson and Bjorck's 1 - f/fb
-    (f at the iterate, fb at the one before), or by 1/2 if that is not
-    positive.  As in Brent's method, no iterate lies closer than half the
-    tolerance to the latest point, and a bracket closes when its ends are
-    within 1e-12 + 4*eps*|x0| or an iterate gives r = 0 exactly.  It then
-    yields its ends (root, far), root the one with the smaller |r|, so that
-    its x0, u and v come from one lane.  A launch error,
+    the iterates of the brackets still open, each as it would be alone.
+    When an iterate keeps the far end, that end's residual is weighted by
+    Anderson and Bjorck's 1 - f/fb (f at the iterate, fb at the one before),
+    or by 1/2 if that is not positive.  As in Brent's method, no iterate lies
+    closer than half the tolerance to the latest point, and a bracket closes
+    when its ends are within 1e-12 + 4*eps*|x0|.  It then yields its ends
+    (root, far), root the one with the smaller |r|, so that its x0, u and v
+    come from one lane.  A fold point where r = 0 exactly, an end or an
+    iterate, closes its bracket at once as (root, root).  A launch error,
     or a :class:`PreySwitchError` raised by r, fails its own bracket only,
     and so does a bracket still open after 100 iterations.
     """
@@ -363,7 +364,7 @@ def _solve_on_curve(
         if abs(fa) < abs(fb):
             a, fa, b, fb = b, fb, a, fa
         if fb == 0.0:
-            out[i] = (b, a)
+            out[i] = (b, b)
         else:
             open_[i] = [r, a, fa, b, fb]
     eps = np.finfo(float).eps
@@ -400,7 +401,7 @@ def _solve_on_curve(
                 continue
             c = (x, *ret)
             if f == 0.0:
-                out[i] = (c, b)
+                out[i] = (c, c)
             elif (f < 0.0) != (fb < 0.0):
                 # across a sign change the old b becomes the far end
                 open_[i] = [r, b, fb, c, f]
@@ -505,7 +506,8 @@ def find_shilnikov(
     inside it.  The root is the end of the final x0 bracket with the
     smaller |G|, certified with the (u, v) its own launch produced, which a
     lone launch from it reproduces; ``bracket_width`` is the beta1 distance
-    from it to the bracket's other end, across which G changes sign.
+    from it to the bracket's other end, across which G changes sign (0 if G
+    vanishes exactly at the root).
     """
     lo, hi = (float(beta1_range[0]), float(beta1_range[1]))
     if not lo < hi:

@@ -236,6 +236,30 @@ def _first_root(a: np.ndarray, b: np.ndarray) -> float | None:
     return None
 
 
+def _step_end(norms: list[float], s: float, cfg: IntegratorConfig) -> float:
+    """The end of Jorba and Zou's step from time s into an integration.
+
+    The step is h = min over k = n-1, n of (tol/|c_k|)**(1/k), with
+    tol = _TAYLOR_TOL*abs_tol and ``norms`` the largest |c_{n-1}| and |c_n|
+    of the coordinates (a zero one sets no bound), capped by
+    ``cfg.max_step`` if set and clamped to ``cfg.t_max``.  The step taken
+    is the difference of two representable times, no longer than the cap.
+    """
+    cap = math.inf if cfg.max_step is None else cfg.max_step
+    h = cap
+    for k, norm in zip((_TAYLOR_ORDER - 1, _TAYLOR_ORDER), norms):
+        if norm > 0.0:
+            h = min(h, (_TAYLOR_TOL * cfg.abs_tol / norm) ** (1.0 / k))
+    if h >= cfg.t_max - s:
+        return cfg.t_max
+    s_end = s + h
+    if s_end - s > cap:
+        s_end = math.nextafter(s_end, s)
+    if not s_end > s:
+        raise StepFailure(f"Taylor step underflow at {s} after the start of an integration")
+    return s_end
+
+
 def _taylor_arc(
     kind: ArcKind,
     series,
@@ -249,8 +273,7 @@ def _taylor_arc(
     """The arc of ``series`` from p0 by Taylor steps, up to its first event or the horizon.
 
     Each step expands the solution to order _TAYLOR_ORDER and takes Jorba
-    and Zou's step h = min over k = n-1, n of (tol/|c_k|)**(1/k), with
-    tol = _TAYLOR_TOL*abs_tol, capped by ``cfg.max_step`` if set.  In
+    and Zou's step (:func:`_step_end`), capped by ``cfg.max_step`` if set.  In
     u = s/h on [0, 1] the event functions are polynomials, all falling
     through zero: the arc's own, ``events(a, first)`` of the step's
     coefficients a_k = c_k h**k (``first`` on the arc's first step, where a
@@ -264,8 +287,6 @@ def _taylor_arc(
     no state is formed before the bound is checked.
     """
     n = _TAYLOR_ORDER
-    tol = _TAYLOR_TOL * cfg.abs_tol
-    cap = math.inf if cfg.max_step is None else cfg.max_step
     s, state, steps = 0.0, p0, 0
     ts, states = [t_start], [p0]
     end = EventKind.HORIZON_REACHED
@@ -273,21 +294,8 @@ def _taylor_arc(
         c = np.array(series(state, n))
         if not np.isfinite(c).all():
             raise StepFailure(f"Taylor coefficients overflow at t = {t_start + sgn * s}, state {state}")
-        h = cap
-        for k, norm in zip((n - 1, n), np.abs(c[:, -2:]).max(axis=0).tolist()):
-            if norm > 0.0:
-                h = min(h, (tol / norm) ** (1.0 / k))
-        # the step taken is the difference of representable times, no longer than the cap
-        if h >= cfg.t_max - s:
-            s_end = cfg.t_max
-            h = cfg.t_max - s
-        else:
-            s_end = s + h
-            if s_end - s > cap:
-                s_end = math.nextafter(s_end, s)
-            h = s_end - s
-            if not h > 0.0:
-                raise StepFailure(f"Taylor step underflow at t = {t_start + sgn * s}")
+        s_end = _step_end(np.abs(c[:, -2:]).max(axis=0).tolist(), s, cfg)
+        h = s_end - s
         a = c * h**_POWERS
 
         rows = events(a, s == 0.0)
@@ -536,19 +544,20 @@ def _fold_lanes(x0: np.ndarray, cfg: IntegratorConfig, params: Parameters) -> Fo
     lockstep rounds.  Each round expands every running lane by the planar
     series (:func:`~preyswitch.model.quadratic_series`: all lanes in one call
     as arrays, or below _ARRAY_LANES lanes one call a lane in floats), and
-    each lane takes its own step by the rule of :func:`_taylor_arc`.  On a step of length h from
-    time s, y's series is y_s*(r2*h)**k/k! with y_s = x0*exp(r2*s), so
-    h = x - y is a polynomial in u on [0, 1]; on the first step it has the
-    tangential contact u**2 divided out.  One matrix product gives every
+    each lane takes its own step (:func:`_step_end`).  On a step of length
+    h from time s, y's series is y_s*(r2*h)**k/k! with y_s = x0*exp(r2*s),
+    so h = x - y is a polynomial in u on [0, 1]; on the first step it has
+    the tangential contact u**2 divided out.  One matrix product gives every
     lane's Bernstein coefficients, and :func:`_first_root` runs only on the
-    lanes they do not clear.  A lane leaves the batch at its return or at
-    the horizon.  Every lane runs the operations it would run alone, its
-    end state summed order by order, so its return does not depend on the
-    other lanes.
+    lanes they do not clear, each with its own product.  A lane leaves the
+    batch at its return or at the horizon.  Every lane runs the operations
+    it would run alone, its end state summed order by order, except the
+    batch's product, whose rounding can depend on the number of lanes; it
+    only decides which lanes are searched.  So a lane's return is the one it
+    has alone unless a Bernstein coefficient of its step lies within
+    roundoff of zero without a root.
     """
     n = _TAYLOR_ORDER
-    tol = _TAYLOR_TOL * cfg.abs_tol
-    cap = math.inf if cfg.max_step is None else cfg.max_step
     series = smooth_series(Piece.PLANAR_LV, params)
     r2 = params.r2
     returns: list = [None] * len(x0)
@@ -563,18 +572,9 @@ def _fold_lanes(x0: np.ndarray, cfg: IntegratorConfig, params: Parameters) -> Fo
             c = np.array(series(state, n))
         if not np.isfinite(c).all():
             raise StepFailure(f"Taylor coefficients overflow in the fold launches from x0 = {x0[live]}")
-        # Jorba and Zou's step per lane; a zero coefficient sets no bound
-        norms = np.abs(c[:, n - 1 :]).max(axis=0)
-        with np.errstate(divide="ignore"):
-            h = np.minimum((tol / norms[0]) ** (1.0 / (n - 1)), (tol / norms[1]) ** (1.0 / n))
-        h = np.minimum(h, cap)
-        s_end = s + h
-        s_end[h >= cfg.t_max - s] = cfg.t_max
-        over = s_end - s > cap
-        s_end[over] = np.nextafter(s_end[over], s[over])
+        norms = np.abs(c[:, n - 1 :]).max(axis=0).T.tolist()
+        s_end = np.array([_step_end(pair, s_j, cfg) for pair, s_j in zip(norms, s.tolist())])
         h = s_end - s
-        if not (h > 0.0).all():
-            raise StepFailure(f"Taylor step underflow in a fold launch at t = {s.min()}")
         a = c * h ** _POWERS[:, None]
         y = x0[live] * np.exp(r2 * s) * (r2 * h) ** _POWERS[:, None] * _INV_FACTORIALS[:, None]
         g = a[0] - y
@@ -584,7 +584,8 @@ def _fold_lanes(x0: np.ndarray, cfg: IntegratorConfig, params: Parameters) -> Fo
         b = _TO_BERNSTEIN @ g
         running = s_end < cfg.t_max
         for j in np.flatnonzero((b <= 0.0).any(axis=0)).tolist():
-            u = _first_root(g[:, j], b[:, j])
+            # the lane's own product, which does not round with the batch's size
+            u = _first_root(g[:, j], _TO_BERNSTEIN @ g[:, j])
             if u is not None:
                 x, z = (_horner(v, u) for v in a[:, :, j].tolist())
                 returns[live[j]] = (float(s[j] + u * h[j]), x, z)
@@ -606,8 +607,9 @@ def integrate_fold_launches(
     (:func:`_fold_lanes`).  Lane i returns to Sigma where h_i = x_i - y_i
     falls through zero.  On its first step it watches h_i/u**2, valued
     X2h*step**2/2 > 0 at u = 0 for x0 < tau, so the tangential start is never
-    taken for a return.  A lane's return does not depend on the other lanes
-    of its call.
+    taken for a return.  A lane's return is the one it has alone, unless a
+    Bernstein coefficient of one of its steps lies within roundoff of zero
+    without a root (see :func:`_fold_lanes`).
 
     Returns one entry per launch, in order: (u, v), or the error that launch
     met, unraised.  DomainError when x0 is not positive (NaN included);

@@ -287,10 +287,17 @@ def test_root_solver_fails_a_raising_bracket_alone(table1, cfg, coarse_curve, mo
     for x_c, (root, far), ends_alone in zip(xcs[::2], out[::2], alone):
         assert abs(root[1] - x_c) <= abs(far[1] - x_c) and abs(root[1] - x_c) <= 1e-10
         assert (root[1] - x_c) * (far[1] - x_c) <= 0.0
-        # a bracket closes at the tolerance, or at an iterate with r = 0 exactly
-        assert root[1] == x_c or abs(root[0] - far[0]) <= 1e-12 + 4.0 * np.finfo(float).eps * root[0]
+        assert abs(root[0] - far[0]) <= 1e-12 + 4.0 * np.finfo(float).eps * root[0]
         # a lane does not depend on the other lanes of its call
         assert abs(root[0] - ends_alone[0][0]) <= 1e-14
+
+
+def test_root_solver_closes_at_an_exact_zero(table1, cfg, coarse_curve, monkeypatch):
+    # an end where r = 0 exactly is the root, and its bracket is that point
+    runs = fold_lane_runs(monkeypatch)
+    a, b = coarse_curve.node(3), coarse_curve.node(4)
+    (out,) = connection_mod._solve_on_curve([(lambda u, v: u - b[1], a, b)], cfg, table1)
+    assert out == (b, b) and runs == []
 
 
 def test_distance_rejects_curve_of_other_x_flow(table1, table1_b10, cfg, coarse_curve):
