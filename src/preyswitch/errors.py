@@ -44,7 +44,7 @@ class PoleError(PreySwitchError):
 
 
 class StepFailure(PreySwitchError):
-    """The adaptive step controller underflowed its minimum step size."""
+    """A Taylor step failed: its coefficients overflowed or its length underflowed."""
 
 
 class BlowUp(PreySwitchError):

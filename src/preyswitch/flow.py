@@ -5,13 +5,14 @@ quadratic, so each step expands the solution to order 24 by one
 Cauchy-product recurrence (:func:`~preyswitch.model.quadratic_series`), takes
 the step of Jorba and Zou (2005) at the local tolerance 1e-4*abs_tol, and on
 the step's polynomials either excludes each event or locates the first.
-Every arc, smooth or sliding, and both arcs of the planar period
-(:func:`lv_period`) run through one scalar core; the fold launches
-(:func:`integrate_fold_launches`) run through a batched one, whose lanes
-advance in lockstep rounds, each lane by its own step.  Only an explicit
-``max_step`` caps any step.  Every arc ends at the first event of one
-table: the arc's own events (the switching plane h = x - y for a smooth
-arc; the fold exit and the focus capture for a sliding arc), a DOMAIN_EXIT
+Every integration runs through one Taylor step loop (:func:`_taylor_lanes`),
+which advances K lanes in lockstep rounds, each lane by its own step: one
+lane for every arc, smooth or sliding, and for both arcs of the planar
+period (:func:`lv_period`); one planar lane a launch for the fold launches
+(:func:`integrate_fold_launches`).  Only an explicit ``max_step`` caps any
+step.  Every lane ends at the first event of one table: the caller's events
+(the switching plane h = x - y for a smooth arc or a fold launch; the fold
+exit and the focus capture for a sliding arc), a DOMAIN_EXIT
 for each coordinate that starts above the event tolerance (only x for a
 sliding arc, whose z meets the fold line first), and the norm bound, which
 raises :class:`BlowUp`.  A start that is not finite, or has a negative
@@ -96,12 +97,12 @@ class EventKind(Enum):
 class IntegratorConfig:
     """Tolerances and horizon for all integrations.
 
-    ``abs_tol`` sets the local tolerance 1e-4*abs_tol of every Taylor step,
-    fold-launch lanes included (see :func:`integrate_smooth`), and
-    :meth:`halved` halves it.  ``max_step`` of None leaves the steps
-    uncapped; a number caps every step of every integration alike.  All
-    fields must be finite and positive, and ``event_tol`` may not exceed
-    100 * ``abs_tol``.
+    ``abs_tol`` sets the local tolerance 1e-4*abs_tol of every Taylor step
+    of the one step loop, arcs and fold launches alike (see
+    :func:`_taylor_lanes`), and :meth:`halved` halves it.  ``max_step`` of
+    None leaves the steps uncapped; a number caps every step of every
+    integration alike.  All fields must be finite and positive, and
+    ``event_tol`` may not exceed 100 * ``abs_tol``.
     """
 
     abs_tol: float = 1e-12
@@ -193,6 +194,10 @@ def _bernstein_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _TO_BERNSTEIN, _LEFT_HALF, _RIGHT_HALF = _bernstein_matrices(_TAYLOR_ORDER)
 _POWERS = np.arange(_TAYLOR_ORDER + 1)
 _ROOT_TOL = 4.0 * np.finfo(float).eps
+_INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in _POWERS.tolist()])
+# below this many lanes, Python floats expand each lane faster than numpy
+# expands them all: about 30 us a lane against 400-550 us a batch
+_ARRAY_LANES = 16
 
 
 def _horner(coefficients: list[float], u: float) -> float:
@@ -260,7 +265,19 @@ def _step_end(norms: list[float], s: float, cfg: IntegratorConfig) -> float:
     return s_end
 
 
-def _taylor_arc(
+def _divide_out(g: np.ndarray, k: int) -> np.ndarray:
+    """g/u**k on every lane (row) of g, whose k lowest orders are the
+    contact of a tangential start, zero up to roundoff."""
+    return np.concatenate((g[:, k:], np.zeros((len(g), k))), axis=1)
+
+
+def _sum_of_squares(v: np.ndarray) -> np.ndarray:
+    """The series of the sum of squares of the coordinates of v, shape
+    (lanes, dim, order + 1), to their order, on every lane."""
+    return np.array([sum(map(np.convolve, lane, lane)) for lane in v])[:, : v.shape[2]]
+
+
+def _taylor_lanes(
     kind: ArcKind,
     series,
     p0: np.ndarray,
@@ -269,78 +286,109 @@ def _taylor_arc(
     sgn: float,
     t_start: float,
     cfg: IntegratorConfig,
-) -> Arc:
-    """The arc of ``series`` from p0 by Taylor steps, up to its first event or the horizon.
+) -> list[Arc]:
+    """The arcs of ``series`` from the rows of p0 by Taylor steps, each up to
+    its first event or the horizon.
 
-    Each step expands the solution to order _TAYLOR_ORDER and takes Jorba
-    and Zou's step (:func:`_step_end`), capped by ``cfg.max_step`` if set.  In
-    u = s/h on [0, 1] the event functions are polynomials, all falling
-    through zero: the arc's own, ``events(a, first)`` of the step's
-    coefficients a_k = c_k h**k (``first`` on the arc's first step, where a
-    tangential start divides its contact out exactly), with their constants
-    clamped at 0 on the first step so that a start within roundoff of an
-    event surface is not an event; coordinate i for each i in ``watch``
-    (DOMAIN_EXIT); and 1 - |state|**2/norm_bound**2, which raises
-    :class:`BlowUp`.  Each step proves that none has a root in (0, 1] or
-    ends at the first root.  The norm polynomial is formed only when the
-    step's enclosure sum |c_k| h**k of each coordinate reaches the bound, so
-    no state is formed before the bound is checked.
+    The K lanes, one a row of p0, advance in lockstep rounds, each lane by
+    its own step.  Each round expands every running lane to order
+    _TAYLOR_ORDER (all lanes in one call of ``series`` as arrays, or below
+    _ARRAY_LANES lanes one call a lane in floats) and takes Jorba and Zou's
+    step (:func:`_step_end`) per lane.  In u = s/h on [0, 1] the event
+    functions are polynomials, all falling through zero: the caller's,
+    ``events(a, first, s, h, live)`` of the step's coefficients
+    a_k = c_k h**k (shape (lanes, dim, order + 1)), ``first`` on the first
+    round, where a tangential start divides its contact out exactly, and
+    each running lane's start time (the list s), step (the array h) and
+    index in p0 (the list live), one array of shape (lanes, order + 1) an
+    event, with their constants clamped at 0 on the first round so that a
+    start within roundoff of an event surface is not an event; coordinate i
+    for each i in ``watch`` (DOMAIN_EXIT); and 1 - |state|**2/norm_bound**2,
+    which raises :class:`BlowUp`.  Each step
+    proves that none has a root in (0, 1] or ends its lane at the first
+    root.  The norm polynomial is formed only when the step's enclosure
+    sum |c_k| h**k of a lane's coordinates reaches the bound, so no state is
+    formed before the bound is checked.
+
+    One matrix product gives the Bernstein coefficients of every event of
+    every lane, and :func:`_first_root` runs only on those it does not
+    clear, each with its own product.  Every lane runs the operations it
+    would run alone, its end state summed order by order, except that
+    batch product, whose rounding can depend on the number of lanes; it
+    only decides which lanes are searched.  So a lane's arc is the one it
+    has alone unless a Bernstein coefficient of its step lies within
+    roundoff of zero without a root.  A lane's ``steps`` count its rounds,
+    so a call takes as many rounds as its slowest lane takes steps.
     """
     n = _TAYLOR_ORDER
-    s, state, steps = 0.0, p0, 0
-    ts, states = [t_start], [p0]
-    end = EventKind.HORIZON_REACHED
-    while s < cfg.t_max:
-        c = np.array(series(state, n))
+    live = list(range(len(p0)))
+    s = [0.0] * len(p0)
+    state = p0
+    ts, states = [[t_start] for _ in live], [[p] for p in p0.tolist()]
+    arcs: list = [None] * len(p0)
+    rounds = 0
+    while live:
+        if len(live) < _ARRAY_LANES:
+            c = np.array([series(p, n) for p in state])
+        else:
+            c = np.array(series(state.T, n)).transpose(2, 0, 1).copy()
         if not np.isfinite(c).all():
-            raise StepFailure(f"Taylor coefficients overflow at t = {t_start + sgn * s}, state {state}")
-        s_end = _step_end(np.abs(c[:, -2:]).max(axis=0).tolist(), s, cfg)
-        h = s_end - s
-        a = c * h**_POWERS
+            j = (~np.isfinite(c)).any(axis=(1, 2)).argmax()
+            raise StepFailure(f"Taylor coefficients overflow at t = {t_start + sgn * s[j]}, state {state[j]}")
+        norms = np.abs(c[:, :, n - 1 :]).max(axis=1).tolist()
+        ends = [_step_end(pair, s_j, cfg) for pair, s_j in zip(norms, s)]
+        h = np.array([end - s_j for end, s_j in zip(ends, s)])
+        a = c * h[:, None, None] ** _POWERS
 
-        rows = events(a, s == 0.0)
-        if s == 0.0:
-            for _, poly in rows:
-                poly[0] = max(poly[0], 0.0)
-        rows += [(EventKind.DOMAIN_EXIT, a[i]) for i in watch]
-        if not math.hypot(*np.abs(a).sum(axis=1).tolist()) < cfg.norm_bound:
-            w = a / cfg.norm_bound
-            q = -sum(np.convolve(v, v) for v in w)[: n + 1]
-            q[0] += 1.0
+        rows = events(a, rounds == 0, s, h, live)
+        if rounds == 0:
+            for _, g in rows:
+                g[:, 0] = np.maximum(g[:, 0], 0.0)
+        rows += [(EventKind.DOMAIN_EXIT, a[:, i]) for i in watch]
+        if not max(math.hypot(*e) for e in np.abs(a).sum(axis=2).tolist()) < cfg.norm_bound:
+            q = -_sum_of_squares(a / cfg.norm_bound)
+            q[:, 0] += 1.0
             rows.append((None, q))
 
-        polys = np.array([p for _, p in rows]).reshape(len(rows), n + 1)
-        bs = polys @ _TO_BERNSTEIN.T
-        hit = None
-        if (bs <= 0.0).any():
-            for (event, _), poly, b in zip(rows, polys, bs):
-                u = _first_root(poly, b)
-                if u is not None and (hit is None or u < hit[1]):
-                    hit = (event, u)
+        polys = np.array([g for _, g in rows]).reshape(len(rows) * len(live), n + 1)
+        cleared = polys @ _TO_BERNSTEIN.T > 0.0
+        hits = {}
+        for k in () if cleared.all() else np.flatnonzero(~cleared.all(axis=1)).tolist():
+            r, j = divmod(k, len(live))
+            # the lane's own product, which does not round with the number of lanes
+            u = _first_root(polys[k], _TO_BERNSTEIN @ polys[k])
+            if u is not None and (j not in hits or u < hits[j][1]):
+                hits[j] = (rows[r][0], u)
 
-        steps += 1
-        if hit is None:
-            s = s_end
-            state = a.sum(axis=1)
-        else:
-            event, u = hit
-            s += u * h
+        rounds += 1
+        # accumulate adds the orders in turn for any number of lanes, where
+        # sum may add them pairwise
+        state = np.add.accumulate(a, axis=2)[:, :, -1]
+        for j, (event, u) in hits.items():
+            ends[j] = s[j] + u * h[j]
             if event is None:
-                raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {t_start + sgn * s}")
-            state = np.array([_horner(v, u) for v in a.tolist()])
-            end = event
-        t = t_start + sgn * s
-        if t == ts[-1]:  # a root at the very start of the step
-            states[-1] = state
-        else:
-            ts.append(t)
-            states.append(state)
-        if hit is not None:
-            break
-
-    ts_arr, states_arr = np.array(ts), np.array(states)
-    record = EventRecord(end, float(ts_arr[-1]), states_arr[-1].copy())
-    return Arc(kind, t_start, float(ts_arr[-1]), ts_arr, states_arr, record, steps)
+                raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {t_start + sgn * ends[j]}")
+            state[j] = [_horner(v, u) for v in a[j].tolist()]
+        for i, end, p in zip(live, ends, state.tolist()):
+            t = t_start + sgn * end
+            if t == ts[i][-1]:  # a root at the very start of the step
+                states[i][-1] = p
+            else:
+                ts[i].append(t)
+                states[i].append(p)
+        s = ends
+        if hits or max(ends) >= cfg.t_max:
+            keep = []
+            for j, (i, end) in enumerate(zip(live, ends)):
+                if j in hits or end >= cfg.t_max:
+                    ts_i, states_i = np.array(ts[i], dtype=float), np.array(states[i])
+                    event = hits[j][0] if j in hits else EventKind.HORIZON_REACHED
+                    record = EventRecord(event, float(ts_i[-1]), states_i[-1].copy())
+                    arcs[i] = Arc(kind, t_start, float(ts_i[-1]), ts_i, states_i, record, rounds)
+                else:
+                    keep.append(j)
+            live, s, state = [live[j] for j in keep], [ends[j] for j in keep], state[keep]
+    return arcs
 
 
 def _lift_off_ambiguity(x0: float, half_X2h: float, t1: float, cfg: IntegratorConfig):
@@ -355,10 +403,6 @@ def _lift_off_ambiguity(x0: float, half_X2h: float, t1: float, cfg: IntegratorCo
         f"launch at x0 = {x0} returns at t = {t1:.2e}, before it separates "
         f"from Sigma by more than event_tol (X2h*t**2/2 = {lift:.2e})"
     )
-
-
-def _no_events(a: np.ndarray, first: bool) -> list:
-    return []
 
 
 def integrate_smooth(
@@ -395,8 +439,7 @@ def integrate_smooth(
         raise DomainError(f"initial state must be finite and nonnegative, got {s0}")
     sgn = 1.0 if direction is Direction.FORWARD else -1.0
 
-    events = _no_events
-    half_X2h = None
+    half_X2h = side = None
     if piece in (Piece.X, Piece.Y):
         h0 = s0[0] - s0[1]
         side = 1.0 if piece is Piece.X else -1.0
@@ -414,16 +457,18 @@ def integrate_smooth(
             if half_X2h <= 0.0:  # no lift-off: the return is immediate
                 raise _lift_off_ambiguity(xm, half_X2h, 0.0, cfg)
 
-        def events(a, first):
-            g = side * (a[0] - a[1])  # h for X, -h for Y: both fall through zero
-            if first and half_X2h is not None:
-                g = np.append(g[2:], (0.0, 0.0))
-            return [(EventKind.SIGMA_CROSSING, g)]
+    def events(a, first, *_):
+        if side is None:  # the planar field has no switching plane
+            return []
+        g = side * (a[:, 0] - a[:, 1])  # h for X, -h for Y: both fall through zero
+        if first and half_X2h is not None:
+            g = _divide_out(g, 2)
+        return [(EventKind.SIGMA_CROSSING, g)]
 
     kind = ArcKind.SMOOTH_Y if piece is Piece.Y else ArcKind.SMOOTH_X
     # a coordinate at numerical zero lies on an invariant plane and stays there
     watch = [i for i, v in enumerate(s0) if v > cfg.event_tol]
-    arc = _taylor_arc(kind, smooth_series(piece, params, sgn), s0, events, watch, sgn, t_start, cfg)
+    (arc,) = _taylor_lanes(kind, smooth_series(piece, params, sgn), s0[None], events, watch, sgn, t_start, cfg)
     ev = arc.terminal_event
     if ev.kind is not EventKind.SIGMA_CROSSING:
         return arc
@@ -467,8 +512,8 @@ def integrate_sliding(
         raise DomainError("sliding state must be (x, z)")
     if not np.all(np.isfinite(p0)):
         raise DomainError(f"initial state must be finite, got {p0}")
-    if focus_capture_radius < 0.0:
-        raise DomainError("focus_capture_radius must be nonnegative")
+    if not 0.0 <= focus_capture_radius < math.inf:  # false for NaN too
+        raise DomainError(f"focus_capture_radius must be finite and nonnegative, got {focus_capture_radius}")
     phi = params.phi
     if p0[0] <= 0.0:
         raise DomainError(f"sliding requires x > 0, got x = {p0[0]}")
@@ -491,111 +536,27 @@ def integrate_sliding(
         return Arc(ArcKind.SLIDING, t_start, t_start, np.array([t_start]), snapped[None, :], record, 0)
 
     r2 = focus_capture_radius * focus_capture_radius
+    # the constants of z - phi and of (x, z) - focus, as series
+    at_phi = np.zeros(_TAYLOR_ORDER + 1)
+    at_phi[0] = phi
+    at_focus = np.zeros((2, _TAYLOR_ORDER + 1))
+    at_focus[:, 0] = focus.x, focus.z
 
-    def events(a, first):
-        if first and on_fold:
-            fold = np.append(a[1, 1:], 0.0)
-        else:
-            fold = a[1].copy()
-            fold[0] -= phi
+    def events(a, first, *_):
+        fold = _divide_out(a[:, 1], 1) if first and on_fold else a[:, 1] - at_phi
         rows = [(EventKind.FOLD_EXIT, fold)]
         if r2 > 0.0:
-            dx, dz = a[0].copy(), a[1].copy()
-            dx[0] -= focus.x
-            dz[0] -= focus.z
-            d2 = (np.convolve(dx, dx) + np.convolve(dz, dz))[: len(dx)]
-            d2[0] -= r2
+            d2 = _sum_of_squares(a - at_focus)
+            d2[:, 0] -= r2
             rows.append((EventKind.FOCUS_CAPTURE, d2))
         return rows
 
     watch = [0] if p0[0] > cfg.event_tol else []
-    arc = _taylor_arc(ArcKind.SLIDING, sliding_series(params, sgn), p0, events, watch, sgn, t_start, cfg)
+    (arc,) = _taylor_lanes(ArcKind.SLIDING, sliding_series(params, sgn), p0[None], events, watch, sgn, t_start, cfg)
     ev = arc.terminal_event
     if ev.kind is EventKind.FOLD_EXIT:
         arc = replace(arc, terminal_event=replace(ev, state=np.array([ev.state[0], phi])))
     return arc
-
-
-@dataclass(frozen=True)
-class FoldLanes:
-    """The returns of a batch of fold-launch lanes, from :func:`_fold_lanes`.
-
-    ``returns`` holds one entry per lane, in order: (t1, u, v) at its first
-    return to Sigma, or None if it reaches the horizon first.  ``rounds``
-    counts the lockstep rounds, each one Taylor step of every lane still
-    running.
-    """
-
-    returns: list[tuple[float, float, float] | None]
-    rounds: int
-
-
-_INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in _POWERS.tolist()])
-# below this many lanes, Python floats expand each lane faster than numpy
-# expands them all: about 30 us a lane against 400-550 us a batch
-_ARRAY_LANES = 16
-
-
-def _fold_lanes(x0: np.ndarray, cfg: IntegratorConfig, params: Parameters) -> FoldLanes:
-    """First returns to Sigma of the X-launches from the fold points (x0, x0, phi).
-
-    Along X, y = x0*exp(r2*t) exactly and (x, z) follows the planar field,
-    which does not depend on x0; so the launches run as K planar lanes in
-    lockstep rounds.  Each round expands every running lane by the planar
-    series (:func:`~preyswitch.model.quadratic_series`: all lanes in one call
-    as arrays, or below _ARRAY_LANES lanes one call a lane in floats), and
-    each lane takes its own step (:func:`_step_end`).  On a step of length
-    h from time s, y's series is y_s*(r2*h)**k/k! with y_s = x0*exp(r2*s),
-    so h = x - y is a polynomial in u on [0, 1]; on the first step it has
-    the tangential contact u**2 divided out.  One matrix product gives every
-    lane's Bernstein coefficients, and :func:`_first_root` runs only on the
-    lanes they do not clear, each with its own product.  A lane leaves the
-    batch at its return or at the horizon.  Every lane runs the operations
-    it would run alone, its end state summed order by order, except the
-    batch's product, whose rounding can depend on the number of lanes; it
-    only decides which lanes are searched.  So a lane's return is the one it
-    has alone unless a Bernstein coefficient of its step lies within
-    roundoff of zero without a root.
-    """
-    n = _TAYLOR_ORDER
-    series = smooth_series(Piece.PLANAR_LV, params)
-    r2 = params.r2
-    returns: list = [None] * len(x0)
-    live = np.arange(len(x0))
-    s = np.zeros(len(x0))
-    state = np.array([x0, np.full(len(x0), params.phi)])
-    rounds = 0
-    while live.size:
-        if live.size < _ARRAY_LANES:
-            c = np.stack([series(p, n) for p in state.T], axis=-1)
-        else:
-            c = np.array(series(state, n))
-        if not np.isfinite(c).all():
-            raise StepFailure(f"Taylor coefficients overflow in the fold launches from x0 = {x0[live]}")
-        norms = np.abs(c[:, n - 1 :]).max(axis=0).T.tolist()
-        s_end = np.array([_step_end(pair, s_j, cfg) for pair, s_j in zip(norms, s.tolist())])
-        h = s_end - s
-        a = c * h ** _POWERS[:, None]
-        y = x0[live] * np.exp(r2 * s) * (r2 * h) ** _POWERS[:, None] * _INV_FACTORIALS[:, None]
-        g = a[0] - y
-        if rounds == 0:  # every lane starts tangent to Sigma: divide out u**2
-            g = np.concatenate((g[2:], np.zeros((2, live.size))))
-            g[0] = np.maximum(g[0], 0.0)
-        b = _TO_BERNSTEIN @ g
-        running = s_end < cfg.t_max
-        for j in np.flatnonzero((b <= 0.0).any(axis=0)).tolist():
-            # the lane's own product, which does not round with the batch's size
-            u = _first_root(g[:, j], _TO_BERNSTEIN @ g[:, j])
-            if u is not None:
-                x, z = (_horner(v, u) for v in a[:, :, j].tolist())
-                returns[live[j]] = (float(s[j] + u * h[j]), x, z)
-                running[j] = False
-        rounds += 1
-        # accumulate adds the orders in turn for any number of lanes, where
-        # sum may add them pairwise
-        state = np.add.accumulate(a, axis=1)[:, -1]
-        live, s, state = live[running], s_end[running], state[:, running]
-    return FoldLanes(returns, rounds)
 
 
 def integrate_fold_launches(
@@ -603,13 +564,16 @@ def integrate_fold_launches(
 ) -> list[tuple[float, float] | PreySwitchError]:
     """First transversal returns (u, v) of X-launches from fold points.
 
-    The launches (x0, x0, phi) run as planar Taylor lanes in lockstep
-    (:func:`_fold_lanes`).  Lane i returns to Sigma where h_i = x_i - y_i
-    falls through zero.  On its first step it watches h_i/u**2, valued
-    X2h*step**2/2 > 0 at u = 0 for x0 < tau, so the tangential start is never
-    taken for a return.  A lane's return is the one it has alone, unless a
-    Bernstein coefficient of one of its steps lies within roundoff of zero
-    without a root (see :func:`_fold_lanes`).
+    Along X, y = x0*exp(r2*t) exactly and (x, z) follows the planar field,
+    which does not depend on x0; so the launches (x0, x0, phi) run as planar
+    lanes of the one Taylor loop that runs every arc (:func:`_taylor_lanes`).
+    On a step of length h from time s, y's series is y_s*(r2*h)**k/k! with
+    y_s = x0*exp(r2*s), so lane i's event h_i = x_i - y_i is a polynomial in
+    the step, and the lane returns to Sigma where it falls through zero.  On
+    its first step it watches h_i/u**2, valued X2h*step**2/2 > 0 at u = 0 for
+    x0 < tau, so the tangential start is never taken for a return.  A lane's
+    return is the one it has alone, unless a Bernstein coefficient of one of
+    its steps lies within roundoff of zero without a root.
 
     Returns one entry per launch, in order: (u, v), or the error that launch
     met, unraised.  DomainError when x0 is not positive (NaN included);
@@ -639,13 +603,21 @@ def integrate_fold_launches(
     if not lanes:
         return out
 
-    run = _fold_lanes(np.array([x0s[i] for i, _ in lanes]), cfg, params)
-    for (i, half_X2h), ret in zip(lanes, run.returns):
+    x0 = np.array([x0s[i] for i, _ in lanes])
+
+    def sigma(a, first, s, h, live):
+        y = (x0[live] * np.exp(r2 * np.array(s)))[:, None] * (r2 * h)[:, None] ** _POWERS * _INV_FACTORIALS
+        g = a[:, 0] - y
+        return [(EventKind.SIGMA_CROSSING, _divide_out(g, 2) if first else g)]
+
+    p0 = np.array([x0, np.full(len(x0), phi)]).T
+    arcs = _taylor_lanes(ArcKind.SMOOTH_X, smooth_series(Piece.PLANAR_LV, params), p0, sigma, (), 1.0, 0.0, cfg)
+    for (i, half_X2h), arc in zip(lanes, arcs):
         xi = x0s[i]
-        if ret is None:
+        if arc.terminal_event.kind is EventKind.HORIZON_REACHED:
             out[i] = NoReturn(f"no return to Sigma within t_max = {cfg.t_max} from x0 = {xi}")
             continue
-        t1, u, v = ret
+        t1, (u, v) = arc.t1, arc.terminal_event.state.tolist()
         err = _lift_off_ambiguity(xi, half_X2h, t1, cfg)
         if err is not None:
             out[i] = err
@@ -761,17 +733,17 @@ def lv_period(x0: float, cfg: IntegratorConfig, params: Parameters) -> float:
     state, t = np.array([x0, r1]), 0.0
     for side, crossing in ((-1.0, "upward recrossing"), (1.0, "closing crossing")):
 
-        def section(a, first, side=side):
+        def section(a, first, *_, side=side):
             if first:
-                g = np.append(a[1, 1:], 0.0)
+                g = _divide_out(a[:, 1], 1)
             else:
-                g = a[1].copy()
-                g[0] -= r1
+                g = a[:, 1].copy()
+                g[:, 0] -= r1
             # the section is the arc's only event, so it reuses SIGMA_CROSSING
             return [(EventKind.SIGMA_CROSSING, side * g)]
 
-        arc = _taylor_arc(
-            ArcKind.SMOOTH_X, series, state, section, (), 1.0, t, replace(cfg, t_max=cfg.t_max - t)
+        (arc,) = _taylor_lanes(
+            ArcKind.SMOOTH_X, series, state[None], section, (), 1.0, t, replace(cfg, t_max=cfg.t_max - t)
         )
         if arc.terminal_event.kind is EventKind.HORIZON_REACHED:
             raise NoReturn(f"no {crossing} of z = r1 within t_max = {cfg.t_max}")

@@ -85,29 +85,22 @@ def solver_solutions(monkeypatch):
     return sols
 
 
-def fold_lane_runs(monkeypatch):
-    """The list of every FoldLanes result the batched Taylor core of flow
-    returns from now on: one per call, with its lockstep rounds."""
+def taylor_runs(monkeypatch):
+    """The list of every call of flow's Taylor loop from now on, each as its
+    arcs, one a lane, also those whose caller then raises (a tangential
+    return)."""
     runs = []
-    fold_lanes = flow_mod._fold_lanes
+    taylor_lanes = flow_mod._taylor_lanes
 
     def recorded(*args, **kwargs):
-        runs.append(fold_lanes(*args, **kwargs))
+        runs.append(taylor_lanes(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(flow_mod, "_fold_lanes", recorded)
+    monkeypatch.setattr(flow_mod, "_taylor_lanes", recorded)
     return runs
 
 
-def taylor_arcs(monkeypatch):
-    """The list of every arc the Taylor core of flow returns from now on,
-    also those whose caller then raises (a tangential return)."""
-    arcs = []
-    taylor_arc = flow_mod._taylor_arc
-
-    def recorded(*args, **kwargs):
-        arcs.append(taylor_arc(*args, **kwargs))
-        return arcs[-1]
-
-    monkeypatch.setattr(flow_mod, "_taylor_arc", recorded)
-    return arcs
+def rounds(runs):
+    """The lockstep rounds of recorded calls: each call runs as many rounds as
+    its slowest lane takes steps."""
+    return sum(max(arc.steps for arc in run) for run in runs)

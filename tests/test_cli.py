@@ -10,7 +10,7 @@ from preyswitch import (
     validate_parameters,
 )
 from preyswitch.cli import main
-from conftest import TABLE1, fold_lane_runs
+from conftest import TABLE1, taylor_runs
 
 
 @pytest.fixture()
@@ -276,9 +276,9 @@ def test_sweep_failing_row_writes_nan(tmp_path):
 
 
 def test_sweep_solver_call_budget(params_file, tmp_path, monkeypatch):
-    # the coarse curve is one call of the batched lanes, and each iteration
+    # the coarse curve is one call of the Taylor loop, and each iteration
     # matching all 32 rows together is one more
-    runs = fold_lane_runs(monkeypatch)
+    runs = taylor_runs(monkeypatch)
     out = tmp_path / "sweep.csv"
     args = ["sweep", "--params", params_file, "--beta1-range", "1.2:9.8", "--n", "32", "--out", str(out)]
     assert run(args) == 0

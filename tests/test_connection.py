@@ -10,12 +10,14 @@ from preyswitch import (
     DomainError,
     EventKind,
     FocusLanding,
+    IdentityInfeasible,
     InequalityViolated,
     Lemma2Violation,
     MuCurve,
     MultipleRoots,
     NoBracket,
     NoReturn,
+    OrbitEscaped,
     PreySwitchError,
     RegionLabel,
     SameSign,
@@ -41,7 +43,7 @@ from preyswitch import (
     working_window,
 )
 from preyswitch import connection as connection_mod
-from conftest import fold_lane_runs, solver_solutions, taylor_arcs
+from conftest import rounds, solver_solutions, taylor_runs
 
 
 def pi_map(s, params, cfg):
@@ -112,9 +114,9 @@ def filippov_return(x0, params, cfg):
     ],
 )
 def test_mu_point_near_cusp_answers_within_1000_steps(table1, cfg, monkeypatch, launch, ratio):
-    # fold launches are batched Taylor lanes, counted by their rounds, and
-    # Filippov arcs are Taylor arcs
-    runs, arcs = fold_lane_runs(monkeypatch), taylor_arcs(monkeypatch)
+    # fold launches and Filippov arcs alike run through the Taylor loop,
+    # counted by its rounds
+    runs = taylor_runs(monkeypatch)
     tau = table1.tau
     eps = ratio * tau
     try:
@@ -125,13 +127,13 @@ def test_mu_point_near_cusp_answers_within_1000_steps(table1, cfg, monkeypatch, 
         # Lemma 1: u(tau - eps) = tau + 2*eps + O(eps^2), v - phi = O(eps^2)
         assert abs((u - tau) / eps - 2.0) <= 0.05
         assert abs(v - table1.phi) / eps <= 0.01
-    steps = sum(run.rounds for run in runs) + sum(arc.steps for arc in arcs)
+    steps = rounds(runs)
     assert steps <= 1000
     # only a launch from the cusp itself, where X2h = 0, fails before integrating
     assert steps >= 1 or ratio == 0.0
-    if launch is filippov_return and arcs:
+    if launch is filippov_return and runs:
         # the X-arc leaving the fold, also when its return raised
-        x, y, _ = arcs[0].states.T
+        x, y, _ = runs[0][0].states.T
         assert np.min(x - y) >= -cfg.event_tol
 
 
@@ -253,9 +255,9 @@ def test_distances_agree_with_brentq_on_lone_launches(table1, cfg, coarse_curve)
 
 
 def test_distances_solver_call_budget(table1, cfg, coarse_curve, monkeypatch):
-    # each iteration matching all 32 rows together is one call of the batched
-    # lanes; with the Illinois weight instead of Anderson and Bjorck's it took 5
-    runs = fold_lane_runs(monkeypatch)
+    # each iteration matching all 32 rows together is one call of the Taylor
+    # loop; with the Illinois weight instead of Anderson and Bjorck's it took 5
+    runs = taylor_runs(monkeypatch)
     params = [table1.replace(beta1=b) for b in np.linspace(1.2, 9.8, 32)]
     rows = distances_to_connection(params, cfg, coarse_curve)
     assert not any(isinstance(row, PreySwitchError) for row in rows)
@@ -266,7 +268,7 @@ def test_root_solver_fails_a_raising_bracket_alone(table1, cfg, coarse_curve, mo
     # three brackets of u = x_c solved together, the middle one's residual
     # raising at every iterate: it fails alone, and the other two match as
     # they do without it
-    runs = fold_lane_runs(monkeypatch)
+    runs = taylor_runs(monkeypatch)
     brackets, xcs = [], []
     for beta1 in (2.0, 5.0, 7.5):
         x_c = pseudo_equilibria(table1.replace(beta1=beta1))[1].x
@@ -294,7 +296,7 @@ def test_root_solver_fails_a_raising_bracket_alone(table1, cfg, coarse_curve, mo
 
 def test_root_solver_closes_at_an_exact_zero(table1, cfg, coarse_curve, monkeypatch):
     # an end where r = 0 exactly is the root, and its bracket is that point
-    runs = fold_lane_runs(monkeypatch)
+    runs = taylor_runs(monkeypatch)
     a, b = coarse_curve.node(3), coarse_curve.node(4)
     (out,) = connection_mod._solve_on_curve([(lambda u, v: u - b[1], a, b)], cfg, table1)
     assert out == (b, b) and runs == []
@@ -396,29 +398,32 @@ def test_find_shilnikov_matches_an_end_where_the_neighbour_node_is_undefined(
 def test_find_shilnikov_fold_launch_budget(table1, cfg, monkeypatch):
     # every fold launch goes through integrate_fold_launches, each lane
     # counting as one launch, and every call of it with a lane to run through
-    # one call of the batched Taylor lanes; nothing calls solve_ivp
-    sols, runs, lanes = solver_solutions(monkeypatch), fold_lane_runs(monkeypatch), []
+    # one call of the Taylor loop; nothing calls solve_ivp
+    sols, runs, lanes, launch_runs = solver_solutions(monkeypatch), taylor_runs(monkeypatch), [], []
     launch = connection_mod.integrate_fold_launches
 
     def counted_launches(x0s, cfg, params):
         lanes.extend(x0s)
-        return launch(x0s, cfg, params)
+        before = len(runs)
+        out = launch(x0s, cfg, params)
+        launch_runs.extend(runs[before:])
+        return out
 
     monkeypatch.setattr(connection_mod, "integrate_fold_launches", counted_launches)
     find_shilnikov(table1, (0.994, 10.0), cfg)
     assert len(lanes) >= 48  # the coarse curve's lanes were counted
     assert sols == []
-    assert len(runs) <= 12
-    assert len(lanes) <= 60
+    assert len(launch_runs) <= 12
+    assert sum(len(run) for run in launch_runs) == len(lanes) <= 60
 
 
 def test_find_shilnikov_step_budget(table1, cfg, monkeypatch):
-    # the fold launches' lockstep rounds plus the Taylor steps of the
+    # the Taylor loop's rounds: the fold launches' plus the steps of the
     # certificate's two sliding arcs; with the launches by DOP853 the search
     # took 630 steps, and with those arcs by DOP853 too, capped at 0.01 of
     # the pseudo-focus's period, 1,251, and capped at 0.01 of the planar
     # center's, 2,058
-    runs, arcs = fold_lane_runs(monkeypatch), []
+    runs, arcs = taylor_runs(monkeypatch), []
     sliding = connection_mod.integrate_sliding
 
     def recorded(*args, **kwargs):
@@ -428,7 +433,7 @@ def test_find_shilnikov_step_budget(table1, cfg, monkeypatch):
     monkeypatch.setattr(connection_mod, "integrate_sliding", recorded)
     find_shilnikov(table1, (0.994, 10.0), cfg)
     assert len(arcs) == 2
-    assert sum(run.rounds for run in runs) + sum(arc.steps for arc in arcs) <= 1500
+    assert rounds(runs) <= 1500
 
 
 def test_verify_connection_at_certificate(connection, cfg):
@@ -512,6 +517,13 @@ def test_build_n_point_rejects_bad_inputs(table1, cfg):
         build_N_point(0.35 * table1.tau, table1.r1, table1, cfg)
 
 
+def test_build_n_point_identity_infeasible(table1, cfg):
+    # at r2 = 0.5 the fold return from tau/2 lands at v = 0.712, below r1,
+    # where the beta2 identity has no positive solution
+    with pytest.raises(IdentityInfeasible, match="<= r1"):
+        build_N_point(0.5 * table1.tau, 0.5, table1, cfg)
+
+
 def test_return_map_empty_and_bad_segment(table1, cfg):
     assert return_map_sample(table1, (0.2, 0.3), 0, cfg) == []
     with pytest.raises(DomainError):
@@ -519,6 +531,13 @@ def test_return_map_empty_and_bad_segment(table1, cfg):
     # both ends lie inside (0, tau): the message names the order condition
     with pytest.raises(DomainError, match="must satisfy 0 < lo <= hi < tau"):
         return_map_sample(table1, (0.3, 0.25), 3, cfg)
+
+
+def test_return_map_orbit_escaped(table1, cfg):
+    # no fold launch of the segment returns to Sigma within t_max = 0.5
+    with pytest.raises(OrbitEscaped) as err:
+        return_map_sample(table1, (0.2 * table1.tau, 0.3 * table1.tau), 3, replace(cfg, t_max=0.5))
+    assert isinstance(err.value.__cause__, NoReturn)
 
 
 def test_return_map_fold_leg_matches_lone_launches(connection, cfg, monkeypatch):

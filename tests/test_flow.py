@@ -16,6 +16,7 @@ from preyswitch import (
     Piece,
     RegionLabel,
     PreySwitchError,
+    StepFailure,
     characteristic_time,
     classify_focus,
     classify_sigma_point,
@@ -31,10 +32,10 @@ from preyswitch import (
 )
 from preyswitch import flow as flow_mod
 from preyswitch import sliding as sliding_mod
-from preyswitch.flow import trajectory_rows
+from preyswitch.flow import integrate_fold_launches, trajectory_rows
 from preyswitch.model import smooth_rhs, smooth_series
 from preyswitch.sliding import sliding_jacobian, sliding_rhs, sliding_series
-from conftest import draw_params, fold_lane_runs, solver_solutions
+from conftest import draw_params, rounds, solver_solutions, taylor_runs
 
 
 def arc_gap(a, b):
@@ -150,6 +151,11 @@ def test_reversibility_smooth(table1, cfg):
         assert np.max(np.abs(back.states[-1] - np.asarray(s0))) <= 10.0 * cfg.abs_tol
 
 
+def test_coefficient_overflow_raises_step_failure(table1, cfg):
+    with pytest.raises(StepFailure, match="t = 0.0"):
+        integrate_smooth(Piece.X, (1e200, 0.0, 1e200), Direction.FORWARD, cfg, table1)
+
+
 def test_blowup_raised(table1):
     cfg = IntegratorConfig(norm_bound=10.0, t_max=50.0)
     with pytest.raises(BlowUp):
@@ -263,13 +269,28 @@ def test_planar_series_of_lanes_equals_each_lane_alone(rng, table1):
     assert np.array_equal(together, alone.transpose(1, 2, 0))
 
 
-def test_fold_lanes_run_as_many_rounds_as_their_slowest_lane(table1, cfg):
-    # each lane takes its own steps, so a batch runs as many rounds as its
-    # slowest lane alone
+def test_fold_lanes_run_as_many_rounds_as_their_slowest_lane(table1, cfg, monkeypatch):
+    # each lane takes its own steps, so a batch of fold launches takes each
+    # lane's steps alone and runs as many rounds as its slowest lane
+    runs = taylor_runs(monkeypatch)
     x0s = np.linspace(0.05, 0.95, 20) * table1.tau
-    batch = flow_mod._fold_lanes(x0s, cfg, table1)
-    alone = [flow_mod._fold_lanes(x0s[i : i + 1], cfg, table1) for i in range(len(x0s))]
-    assert batch.rounds == max(run.rounds for run in alone)
+    integrate_fold_launches(x0s, cfg, table1)
+    for x0 in x0s:
+        integrate_fold_launches([x0], cfg, table1)
+    batch, alone = runs[0], [run for (run,) in runs[1:]]
+    assert [arc.steps for arc in batch] == [arc.steps for arc in alone]
+    assert rounds(runs[:1]) == max(arc.steps for arc in alone) > min(arc.steps for arc in alone)
+
+
+def test_fold_launches_and_smooth_x_arcs_return_alike(table1, cfg):
+    # the lanes watch h = x - y with y's exact series, a 3-D X-arc watches
+    # h on the series of (x, y, z): both are events of the one Taylor loop
+    x0s = np.linspace(0.05, 0.95, 19) * table1.tau
+    for x0, launch in zip(x0s, integrate_fold_launches(x0s, cfg, table1)):
+        arc = integrate_smooth(Piece.X, (x0, x0, table1.phi), Direction.FORWARD, cfg, table1)
+        assert arc.terminal_event.kind is EventKind.SIGMA_CROSSING
+        u, _, v = arc.terminal_event.state
+        assert max(abs(u - launch[0]), abs(v - launch[1])) <= 1e-13
 
 
 def test_sliding_steps_obey_an_explicit_max_step(table1):
@@ -397,6 +418,10 @@ def test_sliding_rejects_bad_starts(table1, cfg):
         integrate_sliding((0.0, 1.0), Direction.FORWARD, cfg, table1)
     with pytest.raises(DomainError):
         integrate_sliding((0.5, 0.1), Direction.FORWARD, cfg, table1)
+    # a NaN radius would switch capture off, an infinite one capture every start
+    for radius in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="focus_capture_radius"):
+            integrate_sliding((0.3, table1.phi + 0.2), Direction.FORWARD, cfg, table1, radius)
 
 
 def test_filippov_invariant_plane_y0(table1):
@@ -479,14 +504,15 @@ def test_trajectory_export_shapes(table1):
 
 
 def test_filippov_solver_budget(table1, monkeypatch):
-    """Every arc of a Filippov trajectory is a scalar Taylor arc, with no
-    solver call and no fold-launch lane; the budget counts the Taylor steps
-    of all of them."""
-    sols, runs = solver_solutions(monkeypatch), fold_lane_runs(monkeypatch)
+    """Every arc of a Filippov trajectory is one lane of the Taylor loop, with
+    no solver call and no fold launch, whose lanes are planar X-arcs; the
+    budget counts the Taylor steps of all of them."""
+    sols, runs = solver_solutions(monkeypatch), taylor_runs(monkeypatch)
     traj = integrate_filippov((1.2, 0.4, 1.0), IntegratorConfig(t_max=60.0), table1)
     assert len(traj.arcs) == 12
-    assert sols == [] and runs == []
-    assert sum(a.steps for a in traj.arcs) <= 750
+    assert sols == [] and all(len(run) == 1 for run in runs)
+    assert not any(arc.kind is ArcKind.SMOOTH_X and arc.planar for (arc,) in runs)
+    assert rounds(runs) <= 750
 
 
 NAN, INF = float("nan"), float("inf")
