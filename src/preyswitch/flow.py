@@ -306,9 +306,9 @@ def _taylor_lanes(
     for each i in ``watch`` (DOMAIN_EXIT); and 1 - |state|**2/norm_bound**2,
     which raises :class:`BlowUp`.  Each step
     proves that none has a root in (0, 1] or ends its lane at the first
-    root.  The norm polynomial is formed only when the step's enclosure
-    sum |c_k| h**k of a lane's coordinates reaches the bound, so no state is
-    formed before the bound is checked.
+    root.  The norm polynomial is formed only when the step's enclosure, the
+    sum of |c_k| h**k over every coordinate of every lane, reaches the bound,
+    so no state is formed before the bound is checked.
 
     One matrix product gives the Bernstein coefficients of every event of
     every lane, and :func:`_first_root` runs only on those it does not
@@ -345,7 +345,7 @@ def _taylor_lanes(
             for _, g in rows:
                 g[:, 0] = np.maximum(g[:, 0], 0.0)
         rows += [(EventKind.DOMAIN_EXIT, a[:, i]) for i in watch]
-        if not max(math.hypot(*e) for e in np.abs(a).sum(axis=2).tolist()) < cfg.norm_bound:
+        if not np.abs(a).sum() < cfg.norm_bound:
             q = -_sum_of_squares(a / cfg.norm_bound)
             q[:, 0] += 1.0
             rows.append((None, q))
