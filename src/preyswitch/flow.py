@@ -4,7 +4,8 @@ Every integration runs by Taylor series.  Each field of the model is
 quadratic, so each step expands the solution to order 24 by one
 Cauchy-product recurrence (:func:`~preyswitch.model.quadratic_series`), takes
 the step of Jorba and Zou (2005) at the local tolerance 1e-4*abs_tol, and on
-the step's polynomials either excludes each event or locates the first.
+the step's polynomials either excludes each event or locates the first, by
+an in-house port of Brent's method (:func:`_brent`), so no scipy is loaded.
 Every integration runs through one Taylor step loop (:func:`_taylor_lanes`),
 which advances K lanes in lockstep rounds, each lane by its own step: one
 lane for every arc, smooth or sliding, and for both arcs of the planar
@@ -39,11 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401  never called; the benchmark's probe wraps flow.solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     BlowUp,
@@ -63,6 +61,18 @@ from .model import (
     smooth_series,
 )
 from .sliding import eval_sliding, pseudo_equilibria, sliding_rhs, sliding_series
+
+
+# never called, and scipy is not imported until it is looked up; the
+# benchmark's probe wraps flow.solve_ivp, and this goes once it stops
+# (ROADMAP item 1)
+def __getattr__(name: str):
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Taylor order, and local tolerance relative to abs_tol (1e-16 at the
 # defaults; order 16 at 1e-12 drifted 5.5e-12 from DOP853 on the
@@ -193,7 +203,7 @@ def _bernstein_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _TO_BERNSTEIN, _LEFT_HALF, _RIGHT_HALF = _bernstein_matrices(_TAYLOR_ORDER)
 _POWERS = np.arange(_TAYLOR_ORDER + 1)
-_ROOT_TOL = 4.0 * np.finfo(float).eps
+_ROOT_TOL = 4.0 * math.ulp(1.0)
 _INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in _POWERS.tolist()])
 # below this many lanes, Python floats expand each lane faster than numpy
 # expands them all: about 30 us a lane against 400-550 us a batch
@@ -207,6 +217,54 @@ def _horner(coefficients: list[float], u: float) -> float:
     return value
 
 
+def _brent(coefficients: list[float], lo: float, hi: float) -> float:
+    """The root in [lo, hi] of the polynomial with these coefficients, by
+    Brent's method to 4 eps.
+
+    A port of scipy's ``brentq.c`` at ``xtol = rtol = 4 eps``: the same
+    iteration on the same floats, so it returns the same root.  p(lo) and
+    p(hi) must differ in sign unless one is zero.  Raises
+    :class:`StepFailure` if 100 iterations do not converge.
+    """
+    xpre, xcur = lo, hi
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = _horner(coefficients, xpre), _horner(coefficients, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_TOL + _ROOT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _horner(coefficients, xcur)
+    raise StepFailure(f"Brent's method did not converge on [{lo}, {hi}] in 100 iterations")
+
+
 def _first_root(a: np.ndarray, b: np.ndarray) -> float | None:
     """The first u in (0, 1] where p(u) = sum a_k u**k falls to zero, or None.
 
@@ -214,7 +272,8 @@ def _first_root(a: np.ndarray, b: np.ndarray) -> float | None:
     negative beyond roundoff.  p is their combination with weights positive
     on (0, 1), so an interval where b_0 >= 0 and every other b_j > 0 holds no
     root.  Any other interval is halved, left half first, until one sign
-    change of its b brackets a single root, which brentq locates to 4 eps.
+    change of its b brackets a single root, which :func:`_brent` locates
+    to 4 eps.
     """
     coefficients = a.tolist()
     stack = [(0.0, 1.0, b)]
@@ -234,7 +293,7 @@ def _first_root(a: np.ndarray, b: np.ndarray) -> float | None:
             if p_lo <= 0.0:
                 return lo
             if p_hi <= 0.0:
-                return brentq(partial(_horner, coefficients), lo, hi, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                return _brent(coefficients, lo, hi)
         mid = 0.5 * (lo + hi)
         stack.append((mid, hi, _RIGHT_HALF @ b))
         stack.append((lo, mid, _LEFT_HALF @ b))

@@ -72,19 +72,6 @@ def draw_params(rng, require_focus=False, max_tries=2000):
     raise RuntimeError("parameter sampler failed to find an admissible draw")
 
 
-def solver_solutions(monkeypatch):
-    """The list of every solution flow.solve_ivp returns from now on."""
-    sols = []
-    solve_ivp = flow_mod.solve_ivp
-
-    def counted(*args, **kwargs):
-        sols.append(solve_ivp(*args, **kwargs))
-        return sols[-1]
-
-    monkeypatch.setattr(flow_mod, "solve_ivp", counted)
-    return sols
-
-
 def taylor_runs(monkeypatch):
     """The list of every call of flow's Taylor loop from now on, each as its
     arcs, one a lane, also those whose caller then raises (a tangential

@@ -43,7 +43,7 @@ from preyswitch import (
     working_window,
 )
 from preyswitch import connection as connection_mod
-from conftest import rounds, solver_solutions, taylor_runs
+from conftest import rounds, taylor_runs
 
 
 def pi_map(s, params, cfg):
@@ -398,8 +398,9 @@ def test_find_shilnikov_matches_an_end_where_the_neighbour_node_is_undefined(
 def test_find_shilnikov_fold_launch_budget(table1, cfg, monkeypatch):
     # every fold launch goes through integrate_fold_launches, each lane
     # counting as one launch, and every call of it with a lane to run through
-    # one call of the Taylor loop; nothing calls solve_ivp
-    sols, runs, lanes, launch_runs = solver_solutions(monkeypatch), taylor_runs(monkeypatch), [], []
+    # one call of the Taylor loop (that no scipy solver runs,
+    # test_a_library_run_loads_no_scipy checks)
+    runs, lanes, launch_runs = taylor_runs(monkeypatch), [], []
     launch = connection_mod.integrate_fold_launches
 
     def counted_launches(x0s, cfg, params):
@@ -412,7 +413,6 @@ def test_find_shilnikov_fold_launch_budget(table1, cfg, monkeypatch):
     monkeypatch.setattr(connection_mod, "integrate_fold_launches", counted_launches)
     find_shilnikov(table1, (0.994, 10.0), cfg)
     assert len(lanes) >= 48  # the coarse curve's lanes were counted
-    assert sols == []
     assert len(launch_runs) <= 12
     assert sum(len(run) for run in launch_runs) == len(lanes) <= 60
 

@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from preyswitch import (
     ArcKind,
@@ -35,7 +37,7 @@ from preyswitch import sliding as sliding_mod
 from preyswitch.flow import integrate_fold_launches, trajectory_rows
 from preyswitch.model import smooth_rhs, smooth_series
 from preyswitch.sliding import sliding_jacobian, sliding_rhs, sliding_series
-from conftest import draw_params, rounds, solver_solutions, taylor_runs
+from conftest import draw_params, rounds, taylor_runs
 
 
 def arc_gap(a, b):
@@ -326,6 +328,31 @@ def test_first_root_finds_two_roots_inside_one_step():
     assert flow_mod._first_root(a, flow_mod._TO_BERNSTEIN @ a) is None
 
 
+def test_brent_returns_brentqs_roots_bit_for_bit(rng):
+    tol = 4.0 * np.finfo(float).eps
+    powers = np.arange(flow_mod._TAYLOR_ORDER + 1)
+    cases = 0
+    while cases < 3000:
+        a = (rng.standard_normal(powers.size) * rng.uniform(0.2, 3.0) ** powers).tolist()
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, 2)).tolist()
+        if (flow_mod._horner(a, lo) < 0.0) == (flow_mod._horner(a, hi) < 0.0):
+            continue
+        cases += 1
+        # a zero at an end, which both return at once: p(0) = 0
+        ends = [(lo, hi), (0.0, hi), (-hi, 0.0)] if cases % 100 == 0 else [(lo, hi)]
+        for lo, hi in ends:
+            if lo == 0.0 or hi == 0.0:
+                a[0] = 0.0
+            f = partial(flow_mod._horner, a)
+            assert flow_mod._brent(a, lo, hi) == brentq(f, lo, hi, xtol=tol, rtol=tol)
+
+
+def test_brent_raises_step_failure_when_it_does_not_converge():
+    # from an infinite end the iterates turn NaN and never narrow
+    with pytest.raises(StepFailure, match="did not converge"):
+        flow_mod._brent([-0.3, 1.0], 0.0, float("inf"))
+
+
 def tight_dop853(f, start, t_max, params, events):
     """End of f's flow from start by DOP853 at rel_tol 1e-13, with a fifth
     of the planar center's default cap, at the first of ``events`` (each
@@ -505,12 +532,13 @@ def test_trajectory_export_shapes(table1):
 
 def test_filippov_solver_budget(table1, monkeypatch):
     """Every arc of a Filippov trajectory is one lane of the Taylor loop, with
-    no solver call and no fold launch, whose lanes are planar X-arcs; the
-    budget counts the Taylor steps of all of them."""
-    sols, runs = solver_solutions(monkeypatch), taylor_runs(monkeypatch)
+    no fold launch, whose lanes are planar X-arcs; the budget counts the
+    Taylor steps of all of them.  That no scipy solver runs either,
+    test_a_library_run_loads_no_scipy checks."""
+    runs = taylor_runs(monkeypatch)
     traj = integrate_filippov((1.2, 0.4, 1.0), IntegratorConfig(t_max=60.0), table1)
     assert len(traj.arcs) == 12
-    assert sols == [] and all(len(run) == 1 for run in runs)
+    assert all(len(run) == 1 for run in runs)
     assert not any(arc.kind is ArcKind.SMOOTH_X and arc.planar for (arc,) in runs)
     assert rounds(runs) <= 750
 
