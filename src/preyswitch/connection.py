@@ -498,10 +498,12 @@ def find_shilnikov(
     :func:`distances_to_connection`, without its working window, all such
     ends together).  The same solver then solves G = 0 on that pair.
 
-    Raises :class:`SameSign` when G changes sign across no pair, or when the
-    root's beta1 lies outside the range; :class:`MultipleRoots` when it
-    changes sign across more than one; :class:`NoBracket` when no node pair
-    meets the range; :class:`Lemma2Violation`, naming its beta1, when the
+    Raises :class:`DomainError` when an end of the range is not finite;
+    :class:`SameSign` when the range is empty, when G changes sign across no
+    pair, or when the root's beta1 lies outside the range;
+    :class:`MultipleRoots` when it changes sign across more than one;
+    :class:`NoBracket` when no node pair meets the range;
+    :class:`Lemma2Violation`, naming its beta1, when the
     focus is not repulsive at either end of the range or at any G evaluated
     inside it.  The root is the end of the final x0 bracket with the
     smaller |G|, certified with the (u, v) its own launch produced, which a
@@ -510,6 +512,8 @@ def find_shilnikov(
     vanishes exactly at the root).
     """
     lo, hi = (float(beta1_range[0]), float(beta1_range[1]))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"beta1 range ({lo}, {hi}) must have finite ends")
     if not lo < hi:
         raise SameSign(f"beta1 range ({lo}, {hi}) is empty")
     abscissae = [_repulsive_focus(base.replace(beta1=b)).x for b in (lo, hi)]

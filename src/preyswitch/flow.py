@@ -9,10 +9,12 @@ an in-house port of Brent's method (:func:`_brent`), so no scipy is loaded.
 Every integration runs through one Taylor step loop (:func:`_taylor_lanes`),
 which advances K lanes in lockstep rounds, each lane by its own step: one
 lane for every arc, smooth or sliding, and for both arcs of the planar
-period (:func:`lv_period`); one planar lane a launch for the fold launches
-(:func:`integrate_fold_launches`).  Only an explicit ``max_step`` caps any
+period (:func:`lv_period`); one X-lane a launch for the fold launches
+(:func:`integrate_fold_launches`), which are X-arcs leaving the fold like
+those :func:`integrate_smooth` runs, by the same code
+(:func:`_smooth_lanes`).  Only an explicit ``max_step`` caps any
 step.  Every lane ends at the first event of one table: the caller's events
-(the switching plane h = x - y for a smooth arc or a fold launch; the fold
+(the switching plane h = x - y for a smooth arc; the fold
 exit and the focus capture for a sliding arc), a DOMAIN_EXIT
 for each coordinate that starts above the event tolerance (only x for a
 sliding arc, whose z meets the fold line first), and the norm bound, which
@@ -29,10 +31,8 @@ event polynomial has the contact divided out exactly: an X-arc leaving a
 fold point watches h/u**2, positive at u = 0 on the visible fold; a sliding
 arc starting on the fold line (z0 within the event tolerance of phi) watches
 (z - z0)/u; each arc of the planar period watches its section value over u.
-A fold-launch lane of :func:`integrate_fold_launches` watches h/u**2 on its
-first step likewise.  A fold launch, lane or arc, that returns before its
-lift-off X2h*t**2/2 exceeds the event tolerance is a
-:class:`TangencyAmbiguity`.
+An X-arc from the fold that returns before its lift-off X2h*t**2/2 exceeds
+the event tolerance is a :class:`TangencyAmbiguity`.
 """
 
 from __future__ import annotations
@@ -203,8 +203,8 @@ def _bernstein_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _TO_BERNSTEIN, _LEFT_HALF, _RIGHT_HALF = _bernstein_matrices(_TAYLOR_ORDER)
 _POWERS = np.arange(_TAYLOR_ORDER + 1)
+_ONE = np.eye(1, _TAYLOR_ORDER + 1)[0]  # the series of the constant 1
 _ROOT_TOL = 4.0 * math.ulp(1.0)
-_INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in _POWERS.tolist()])
 # below this many lanes, Python floats expand each lane faster than numpy
 # expands them all: about 30 us a lane against 400-550 us a batch
 _ARRAY_LANES = 16
@@ -355,13 +355,12 @@ def _taylor_lanes(
     _ARRAY_LANES lanes one call a lane in floats) and takes Jorba and Zou's
     step (:func:`_step_end`) per lane.  In u = s/h on [0, 1] the event
     functions are polynomials, all falling through zero: the caller's,
-    ``events(a, first, s, h, live)`` of the step's coefficients
-    a_k = c_k h**k (shape (lanes, dim, order + 1)), ``first`` on the first
-    round, where a tangential start divides its contact out exactly, and
-    each running lane's start time (the list s), step (the array h) and
-    index in p0 (the list live), one array of shape (lanes, order + 1) an
-    event, with their constants clamped at 0 on the first round so that a
-    start within roundoff of an event surface is not an event; coordinate i
+    ``events(a, first)`` of the step's coefficients a_k = c_k h**k (shape
+    (lanes, dim, order + 1)), ``first`` on the first round, where every lane
+    runs and a tangential start divides its contact out exactly, one array
+    of shape (lanes, order + 1) an event, with their constants clamped at 0
+    on the first round so that a start within roundoff of an event surface
+    is not an event; coordinate i
     for each i in ``watch`` (DOMAIN_EXIT); and 1 - |state|**2/norm_bound**2,
     which raises :class:`BlowUp`.  Each step
     proves that none has a root in (0, 1] or ends its lane at the first
@@ -399,7 +398,7 @@ def _taylor_lanes(
         h = np.array([end - s_j for end, s_j in zip(ends, s)])
         a = c * h[:, None, None] ** _POWERS
 
-        rows = events(a, rounds == 0, s, h, live)
+        rows = events(a, rounds == 0)
         if rounds == 0:
             for _, g in rows:
                 g[:, 0] = np.maximum(g[:, 0], 0.0)
@@ -464,6 +463,69 @@ def _lift_off_ambiguity(x0: float, half_X2h: float, t1: float, cfg: IntegratorCo
     )
 
 
+def _smooth_lanes(
+    piece: Piece, p0: np.ndarray, sgn: float, t_start: float, cfg: IntegratorConfig, params: Parameters
+) -> list[Arc | PreySwitchError]:
+    """The arcs of one smooth piece from the rows of p0, the lanes of one call
+    of :func:`_taylor_lanes`, each up to its first event or the horizon; a
+    lane that meets an error has it, unraised, in place of its arc.
+
+    For the 3D pieces the event table adds the switching plane h = x - y
+    (falling through zero for X, rising for Y) to the domain and norm-bound
+    events; a start on its wrong side beyond the event tolerance is a
+    :class:`DomainError`, and a SIGMA_CROSSING state is snapped onto Sigma
+    as (xm, xm, z).  An X-lane starting on the fold line short of tau (h and
+    z - phi within the event tolerance, (xm, z) not labelled BOUNDARY) is
+    tangent to Sigma, and watches h/u**2 on its first step instead, valued
+    X2h*step**2/2 at u = 0; a start with X2h <= 0, or a return whose
+    lift-off X2h*t1**2/2 is not above the event tolerance, is a
+    :class:`TangencyAmbiguity`.  A coordinate at numerical zero lies on an
+    invariant plane and stays there, so DOMAIN_EXIT watches only the
+    coordinates that start above the event tolerance in every lane.
+    """
+    tol = cfg.event_tol
+    side = {Piece.X: 1.0, Piece.Y: -1.0}.get(piece)
+    out: list = [None] * len(p0)
+    folds = {}  # each fold start's (xm, X2h/2)
+    for i, p in enumerate(p0.tolist() if side is not None else []):
+        h0, xm = p[0] - p[1], 0.5 * (p[0] + p[1])
+        if h0 * side < -tol:
+            out[i] = DomainError(f"initial state is on the wrong side of Sigma for {piece.value}: h = {h0}")
+        elif (
+            piece is Piece.X
+            and abs(h0) <= tol
+            and abs(p[2] - params.phi) <= tol
+            and classify_sigma_point((xm, p[2]), params, tol=tol) is not RegionLabel.BOUNDARY
+        ):
+            folds[i] = xm, 0.5 * lie_derivatives((xm, p[2]), params)[2]
+            if folds[i][1] <= 0.0:  # no lift-off: the return is immediate
+                out[i] = _lift_off_ambiguity(*folds[i], 0.0, cfg)
+    lanes = [i for i, err in enumerate(out) if err is None]
+    if not lanes:
+        return out
+    fold = np.array([[i in folds] for i in lanes])
+
+    def events(a, first):
+        if side is None:  # the planar field has no switching plane
+            return []
+        g = side * (a[:, 0] - a[:, 1])  # h for X, -h for Y: both fall through zero
+        return [(EventKind.SIGMA_CROSSING, np.where(fold, _divide_out(g, 2), g) if first and folds else g)]
+
+    start = p0[lanes]
+    watch = [k for k, v in enumerate(start.min(axis=0).tolist()) if v > tol]
+    kind = ArcKind.SMOOTH_Y if piece is Piece.Y else ArcKind.SMOOTH_X
+    arcs = _taylor_lanes(kind, smooth_series(piece, params, sgn), start, events, watch, sgn, t_start, cfg)
+    for i, arc in zip(lanes, arcs):
+        ev = arc.terminal_event
+        if ev.kind is EventKind.SIGMA_CROSSING:
+            xm = 0.5 * (ev.state[0] + ev.state[1])
+            arc = replace(arc, terminal_event=replace(ev, state=np.array([xm, xm, ev.state[2]])))
+            if i in folds:
+                arc = _lift_off_ambiguity(*folds[i], abs(arc.t1 - arc.t0), cfg) or arc
+        out[i] = arc
+    return out
+
+
 def integrate_smooth(
     piece: Piece,
     s0,
@@ -474,18 +536,11 @@ def integrate_smooth(
 ) -> Arc:
     """Integrate one smooth piece until the first event or the horizon.
 
-    For the 3D pieces the event table adds the switching plane h = x - y
-    (falling through zero for X, rising for Y) to the domain and norm-bound
-    events every arc watches; a SIGMA_CROSSING state is snapped onto Sigma
-    as (xm, xm, z).  An X-arc starting on the fold line (h within the event
-    tolerance, labelled VISIBLE_FOLD or CUSP) is tangent to Sigma, and
-    watches h/u**2 on its first step instead, valued X2h*step**2/2 at
-    u = 0; a return whose lift-off X2h*t1**2/2 is not above the event
-    tolerance raises :class:`TangencyAmbiguity`, as does a start with
-    X2h <= 0.
-
-    The arc is integrated by Taylor series of order 24
-    (:func:`~preyswitch.model.smooth_series`) with the step rule of Jorba
+    The one-lane case of :func:`_smooth_lanes`, which sets its events and
+    the rule of an X-arc leaving the fold; the error it meets is raised.  A
+    start that is not finite, or has a negative coordinate, raises
+    :class:`DomainError`.  The arc is integrated by Taylor series of order
+    24 (:func:`~preyswitch.model.smooth_series`) with the step rule of Jorba
     and Zou (2005) at the local tolerance 1e-4*abs_tol; each step proves
     every event absent or stops at the first, so only an explicit
     ``cfg.max_step`` caps the steps.
@@ -497,46 +552,10 @@ def integrate_smooth(
     if not (np.all(np.isfinite(s0)) and np.all(s0 >= 0.0)):
         raise DomainError(f"initial state must be finite and nonnegative, got {s0}")
     sgn = 1.0 if direction is Direction.FORWARD else -1.0
-
-    half_X2h = side = None
-    if piece in (Piece.X, Piece.Y):
-        h0 = s0[0] - s0[1]
-        side = 1.0 if piece is Piece.X else -1.0
-        if h0 * side < -cfg.event_tol:
-            raise DomainError(
-                f"initial state is on the wrong side of Sigma for {piece.value}: h = {h0}"
-            )
-        xm = 0.5 * (s0[0] + s0[1])
-        if (
-            piece is Piece.X
-            and abs(h0) <= cfg.event_tol
-            and classify_sigma_point((xm, s0[2]), params, tol=cfg.event_tol) in _FOLD_LABELS
-        ):
-            half_X2h = 0.5 * lie_derivatives((xm, s0[2]), params)[2]
-            if half_X2h <= 0.0:  # no lift-off: the return is immediate
-                raise _lift_off_ambiguity(xm, half_X2h, 0.0, cfg)
-
-    def events(a, first, *_):
-        if side is None:  # the planar field has no switching plane
-            return []
-        g = side * (a[:, 0] - a[:, 1])  # h for X, -h for Y: both fall through zero
-        if first and half_X2h is not None:
-            g = _divide_out(g, 2)
-        return [(EventKind.SIGMA_CROSSING, g)]
-
-    kind = ArcKind.SMOOTH_Y if piece is Piece.Y else ArcKind.SMOOTH_X
-    # a coordinate at numerical zero lies on an invariant plane and stays there
-    watch = [i for i, v in enumerate(s0) if v > cfg.event_tol]
-    (arc,) = _taylor_lanes(kind, smooth_series(piece, params, sgn), s0[None], events, watch, sgn, t_start, cfg)
-    ev = arc.terminal_event
-    if ev.kind is not EventKind.SIGMA_CROSSING:
-        return arc
-    if half_X2h is not None:
-        err = _lift_off_ambiguity(xm, half_X2h, abs(arc.t1 - arc.t0), cfg)
-        if err is not None:
-            raise err
-    xm = 0.5 * (ev.state[0] + ev.state[1])
-    return replace(arc, terminal_event=replace(ev, state=np.array([xm, xm, ev.state[2]])))
+    (arc,) = _smooth_lanes(piece, s0[None], sgn, t_start, cfg, params)
+    if isinstance(arc, PreySwitchError):
+        raise arc
+    return arc
 
 
 def integrate_sliding(
@@ -596,12 +615,10 @@ def integrate_sliding(
 
     r2 = focus_capture_radius * focus_capture_radius
     # the constants of z - phi and of (x, z) - focus, as series
-    at_phi = np.zeros(_TAYLOR_ORDER + 1)
-    at_phi[0] = phi
-    at_focus = np.zeros((2, _TAYLOR_ORDER + 1))
-    at_focus[:, 0] = focus.x, focus.z
+    at_phi = phi * _ONE
+    at_focus = np.array([[focus.x], [focus.z]]) * _ONE
 
-    def events(a, first, *_):
+    def events(a, first):
         fold = _divide_out(a[:, 1], 1) if first and on_fold else a[:, 1] - at_phi
         rows = [(EventKind.FOLD_EXIT, fold)]
         if r2 > 0.0:
@@ -623,29 +640,27 @@ def integrate_fold_launches(
 ) -> list[tuple[float, float] | PreySwitchError]:
     """First transversal returns (u, v) of X-launches from fold points.
 
-    Along X, y = x0*exp(r2*t) exactly and (x, z) follows the planar field,
-    which does not depend on x0; so the launches (x0, x0, phi) run as planar
-    lanes of the one Taylor loop that runs every arc (:func:`_taylor_lanes`).
-    On a step of length h from time s, y's series is y_s*(r2*h)**k/k! with
-    y_s = x0*exp(r2*s), so lane i's event h_i = x_i - y_i is a polynomial in
-    the step, and the lane returns to Sigma where it falls through zero.  On
-    its first step it watches h_i/u**2, valued X2h*step**2/2 > 0 at u = 0 for
-    x0 < tau, so the tangential start is never taken for a return.  A lane's
-    return is the one it has alone, unless a Bernstein coefficient of one of
-    its steps lies within roundoff of zero without a root.
+    The launches are X-arcs from (x0, x0, phi), run as the lanes of one call
+    of the Taylor loop by the code that runs an X-arc leaving the fold in
+    :func:`integrate_smooth` (:func:`_smooth_lanes`): each watches h/u**2 on
+    its first step, valued X2h*step**2/2 > 0 at u = 0 for x0 < tau, so the
+    tangential start is never taken for a return.  A lane's return is the
+    one it has alone, unless a Bernstein coefficient of one of its steps
+    lies within roundoff of zero without a root.
 
     Returns one entry per launch, in order: (u, v), or the error that launch
     met, unraised.  DomainError when x0 is not positive (NaN included);
     TangencyAmbiguity when x0 >= tau, or when the lift-off excursion
     X2h*t1**2/2 before the return at t1 is not above ``cfg.event_tol``, so
     that the return is below the resolution of the integration (at the
-    cusp); NoReturn when a lane does not return within ``cfg.t_max``.  Each
-    return must satisfy u = x0*exp(r2*t1) to 1e-10 relative.
+    cusp); NoReturn when a lane does not return to Sigma within
+    ``cfg.t_max``.  Along X, y = x0*exp(r2*t) exactly, so each return, whose
+    u the integrated y sets with x, must satisfy u = x0*exp(r2*t1) to 1e-10
+    relative.
     """
     x0s = [float(x0) for x0 in x0s]
-    tau, phi, r2 = params.tau, params.phi, params.r2
+    tau = params.tau
     out: list = [None] * len(x0s)
-    lanes = []
     for i, x0 in enumerate(x0s):
         if not x0 > 0.0:
             out[i] = DomainError(f"fold launch requires x0 > 0, got {x0}")
@@ -653,42 +668,23 @@ def integrate_fold_launches(
             out[i] = TangencyAmbiguity(
                 f"x0 = {x0} >= tau = {tau}: the fold contact is not visible there"
             )
+    lanes = [i for i, err in enumerate(out) if err is None]
+    p0 = np.reshape([[x0s[i], x0s[i], params.phi] for i in lanes], (-1, 3))
+    for i, arc in zip(lanes, _smooth_lanes(Piece.X, p0, 1.0, 0.0, cfg, params)):
+        x0 = x0s[i]
+        if isinstance(arc, PreySwitchError):
+            out[i] = arc
+        elif arc.terminal_event.kind is not EventKind.SIGMA_CROSSING:
+            out[i] = NoReturn(f"no return to Sigma within t_max = {cfg.t_max} from x0 = {x0}")
         else:
-            half_X2h = 0.5 * lie_derivatives((x0, phi), params)[2]
-            if half_X2h > 0.0:
-                lanes.append((i, half_X2h))
-            else:  # no lift-off: the return is immediate
-                out[i] = _lift_off_ambiguity(x0, half_X2h, 0.0, cfg)
-    if not lanes:
-        return out
-
-    x0 = np.array([x0s[i] for i, _ in lanes])
-
-    def sigma(a, first, s, h, live):
-        y = (x0[live] * np.exp(r2 * np.array(s)))[:, None] * (r2 * h)[:, None] ** _POWERS * _INV_FACTORIALS
-        g = a[:, 0] - y
-        return [(EventKind.SIGMA_CROSSING, _divide_out(g, 2) if first else g)]
-
-    p0 = np.array([x0, np.full(len(x0), phi)]).T
-    arcs = _taylor_lanes(ArcKind.SMOOTH_X, smooth_series(Piece.PLANAR_LV, params), p0, sigma, (), 1.0, 0.0, cfg)
-    for (i, half_X2h), arc in zip(lanes, arcs):
-        xi = x0s[i]
-        if arc.terminal_event.kind is EventKind.HORIZON_REACHED:
-            out[i] = NoReturn(f"no return to Sigma within t_max = {cfg.t_max} from x0 = {xi}")
-            continue
-        t1, (u, v) = arc.t1, arc.terminal_event.state.tolist()
-        err = _lift_off_ambiguity(xi, half_X2h, t1, cfg)
-        if err is not None:
-            out[i] = err
-            continue
-        expected = xi * math.exp(r2 * t1)
-        if abs(u - expected) > 1e-10 * abs(u):
-            out[i] = PreySwitchError(
-                f"return consistency u = x0*exp(r2*t1) violated at x0 = {xi}: "
-                f"u = {u!r}, x0*exp(r2*t1) = {expected!r}"
-            )
-            continue
-        out[i] = (u, v)
+            u, _, v = arc.terminal_event.state.tolist()
+            expected = x0 * math.exp(params.r2 * arc.t1)
+            out[i] = (u, v)
+            if abs(u - expected) > 1e-10 * abs(u):
+                out[i] = PreySwitchError(
+                    f"return consistency u = x0*exp(r2*t1) violated at x0 = {x0}: "
+                    f"u = {u!r}, x0*exp(r2*t1) = {expected!r}"
+                )
     return out
 
 
@@ -792,12 +788,8 @@ def lv_period(x0: float, cfg: IntegratorConfig, params: Parameters) -> float:
     state, t = np.array([x0, r1]), 0.0
     for side, crossing in ((-1.0, "upward recrossing"), (1.0, "closing crossing")):
 
-        def section(a, first, *_, side=side):
-            if first:
-                g = _divide_out(a[:, 1], 1)
-            else:
-                g = a[:, 1].copy()
-                g[:, 0] -= r1
+        def section(a, first, side=side):
+            g = _divide_out(a[:, 1], 1) if first else a[:, 1] - r1 * _ONE
             # the section is the arc's only event, so it reuses SIGMA_CROSSING
             return [(EventKind.SIGMA_CROSSING, side * g)]
 

@@ -222,15 +222,16 @@ def smooth_rhs(piece: Piece, params: Parameters, sgn: float = 1.0):
     """The right-hand side f(t, s) of one smooth piece, times ``sgn``.
 
     ``s`` is a float array (x, y, z) for the 3D pieces and (x, z) for
-    PLANAR_LV.  PLANAR_LV also takes K lanes as an array of shape (2, K),
-    rows x and z, and returns the rows of their rates.
+    PLANAR_LV.  X also takes K lanes as an array of shape (3, K), rows x, y
+    and z, and returns the rows of their rates.
     """
     r1, r2, m = params.r1, params.r2, params.m
     eq1 = params.e * params.q1
     if piece is Piece.X:
 
         def f(t, s):
-            x, y, z = s.tolist()
+            # one state as Python floats, which beat numpy's per-call cost
+            x, y, z = s.tolist() if s.ndim == 1 else s
             return [sgn * (r1 - z) * x, sgn * r2 * y, sgn * (eq1 * x - m) * z]
 
         return f
@@ -246,8 +247,7 @@ def smooth_rhs(piece: Piece, params: Parameters, sgn: float = 1.0):
     if piece is Piece.PLANAR_LV:
 
         def f(t, s):
-            # one state as Python floats, which beat numpy's per-call cost
-            x, z = s.tolist() if s.ndim == 1 else s
+            x, z = s.tolist()
             return [sgn * (r1 - z) * x, sgn * (eq1 * x - m) * z]
 
         return f

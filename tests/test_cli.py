@@ -202,6 +202,14 @@ def test_find_connection_same_sign(params_file, capsys):
     assert "SameSign" in capsys.readouterr().err
 
 
+def test_find_connection_rejects_a_non_finite_range(params_file, capsys):
+    for beta1_range in ("nan:10", "inf:10", "0.994:nan"):
+        assert run(["find-connection", "--params", params_file, "--beta1-range", beta1_range]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("DomainError: ") and "Traceback" not in captured.err
+
+
 def test_build_n_point_cli(params_file, tmp_path):
     out = tmp_path / "npoint.json"
     code = run(

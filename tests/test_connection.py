@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -336,6 +337,13 @@ def test_find_shilnikov_same_sign(table1, cfg):
     with pytest.raises(SameSign) as err:
         find_shilnikov(table1, (0.994, 7.6), cfg)
     assert "outside the range" in str(err.value)
+
+
+def test_find_shilnikov_rejects_a_non_finite_range(table1, cfg):
+    # NaN and infinity fail lo < hi like an empty range, but are not one
+    for beta1_range in ((math.nan, 10.0), (math.inf, 10.0), (-math.inf, 10.0), (0.994, math.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            find_shilnikov(table1, beta1_range, cfg)
 
 
 def test_find_shilnikov_multiple_sign_changes(table1, cfg, monkeypatch):

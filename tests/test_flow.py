@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from preyswitch import (
     ArcKind,
     BlowUp,
+    ChatteringGuard,
     Direction,
     DomainError,
     EventKind,
@@ -262,10 +263,10 @@ def test_series_start_with_the_field(rng, field):
             assert np.allclose(second, jf / 2.0, rtol=1e-13, atol=atol), (field, sgn)
 
 
-def test_planar_series_of_lanes_equals_each_lane_alone(rng, table1):
+def test_x_series_of_lanes_equals_each_lane_alone(rng, table1):
     # the fold-launch lanes expand K states in one call of the recurrence
-    series = smooth_series(Piece.PLANAR_LV, table1)
-    lanes = rng.uniform(0.01, 2.0, (2, 5)) * table1.tau
+    series = smooth_series(Piece.X, table1)
+    lanes = rng.uniform(0.01, 2.0, (3, 5)) * table1.tau
     together = np.array(series(lanes, 24))
     alone = np.array([series(lane, 24) for lane in lanes.T])
     assert np.array_equal(together, alone.transpose(1, 2, 0))
@@ -285,14 +286,14 @@ def test_fold_lanes_run_as_many_rounds_as_their_slowest_lane(table1, cfg, monkey
 
 
 def test_fold_launches_and_smooth_x_arcs_return_alike(table1, cfg):
-    # the lanes watch h = x - y with y's exact series, a 3-D X-arc watches
-    # h on the series of (x, y, z): both are events of the one Taylor loop
+    # a launch is a lane of the code that runs an X-arc leaving the fold, so
+    # the two differ only where the batch's Bernstein product rounds apart
     x0s = np.linspace(0.05, 0.95, 19) * table1.tau
     for x0, launch in zip(x0s, integrate_fold_launches(x0s, cfg, table1)):
         arc = integrate_smooth(Piece.X, (x0, x0, table1.phi), Direction.FORWARD, cfg, table1)
         assert arc.terminal_event.kind is EventKind.SIGMA_CROSSING
         u, _, v = arc.terminal_event.state
-        assert max(abs(u - launch[0]), abs(v - launch[1])) <= 1e-13
+        assert max(abs(u - launch[0]), abs(v - launch[1])) <= 1e-15
 
 
 def test_sliding_steps_obey_an_explicit_max_step(table1):
@@ -531,16 +532,42 @@ def test_trajectory_export_shapes(table1):
 
 
 def test_filippov_solver_budget(table1, monkeypatch):
-    """Every arc of a Filippov trajectory is one lane of the Taylor loop, with
-    no fold launch, whose lanes are planar X-arcs; the budget counts the
-    Taylor steps of all of them.  That no scipy solver runs either,
-    test_a_library_run_loads_no_scipy checks."""
-    runs = taylor_runs(monkeypatch)
+    """Every arc of a Filippov trajectory is one lane of the Taylor loop, and
+    no fold launch runs; the budget counts the Taylor steps of all of them.
+    That no scipy solver runs either, test_a_library_run_loads_no_scipy
+    checks."""
+    runs, launches = taylor_runs(monkeypatch), []
+    launch = flow_mod.integrate_fold_launches
+
+    def counted(*args, **kwargs):
+        launches.append(args)
+        return launch(*args, **kwargs)
+
+    monkeypatch.setattr(flow_mod, "integrate_fold_launches", counted)
     traj = integrate_filippov((1.2, 0.4, 1.0), IntegratorConfig(t_max=60.0), table1)
     assert len(traj.arcs) == 12
     assert all(len(run) == 1 for run in runs)
-    assert not any(arc.kind is ArcKind.SMOOTH_X and arc.planar for (arc,) in runs)
+    assert not launches
     assert rounds(runs) <= 750
+
+
+def test_chattering_raises_on_the_fiftieth_switching_event(table1, cfg, monkeypatch):
+    # every X-arc returns at once to the crossing point it starts from, so the
+    # switching events pile up at one time
+    calls = []
+
+    def instant_return(piece, s0, direction, cfg, params, t_start=0.0):
+        calls.append(t_start)
+        state = np.asarray(s0, dtype=float)
+        record = flow_mod.EventRecord(EventKind.SIGMA_CROSSING, t_start, state)
+        return flow_mod.Arc(ArcKind.SMOOTH_X, t_start, t_start, np.array([t_start]), state[None], record, 0)
+
+    monkeypatch.setattr(flow_mod, "integrate_smooth", instant_return)
+    start = (0.5, 0.5, 0.3)
+    assert classify_sigma_point((0.5, 0.3), table1) is RegionLabel.CROSSING
+    with pytest.raises(ChatteringGuard):
+        integrate_filippov(start, cfg, table1)
+    assert len(calls) == 50
 
 
 NAN, INF = float("nan"), float("inf")

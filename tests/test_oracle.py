@@ -3,8 +3,8 @@
 The oracle integrates the full three-dimensional X field from the fold point
 (x0, x0, phi) with mpmath's Taylor integrator at 30 digits, and solves
 x - y = 0 for the first return with mpmath's root finder.  It shares no code
-with the library: neither the planar reduction, nor the closed form of y,
-nor the step control, nor the event location.
+with the library: neither the Taylor recurrence, nor the step control, nor
+the event location.
 """
 
 import math
