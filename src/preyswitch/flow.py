@@ -9,7 +9,8 @@ an in-house port of Brent's method (:func:`_brent`), so no scipy is loaded.
 Every integration runs through one Taylor step loop (:func:`_taylor_lanes`),
 which advances K lanes in lockstep rounds, each lane by its own step: one
 lane for every arc, smooth or sliding, and for both arcs of the planar
-period (:func:`lv_period`); one X-lane a launch for the fold launches
+period (:func:`lv_period`), which are X-arcs on the invariant plane y = 0;
+one X-lane a launch for the fold launches
 (:func:`integrate_fold_launches`), which are X-arcs leaving the fold like
 those :func:`integrate_smooth` runs, by the same code
 (:func:`_smooth_lanes`).  Only an explicit ``max_step`` caps any
@@ -60,7 +61,7 @@ from .model import (
     lie_derivatives,
     smooth_series,
 )
-from .sliding import eval_sliding, pseudo_equilibria, sliding_rhs, sliding_series
+from .sliding import eval_sliding, pseudo_equilibria, sliding_series
 
 
 # never called, and scipy is not imported until it is looked up; the
@@ -148,8 +149,7 @@ class Arc:
     """One piece of a Filippov trajectory under a single vector field.
 
     ``states`` rows are (x, y, z) for smooth arcs and (x, z) for sliding
-    arcs (embedded in Sigma as (x, x, z)); planar arcs of the restricted
-    Lotka-Volterra field also store (x, z), living in the plane y = 0.
+    arcs (embedded in Sigma as (x, x, z)), the only planar arcs.
     ``ts`` is strictly increasing for forward arcs and strictly decreasing
     for backward arcs.  ``ts`` and ``states`` hold the start and the end
     of each of the arc's Taylor steps, and ``steps`` counts those steps.
@@ -470,13 +470,13 @@ def _smooth_lanes(
     of :func:`_taylor_lanes`, each up to its first event or the horizon; a
     lane that meets an error has it, unraised, in place of its arc.
 
-    For the 3D pieces the event table adds the switching plane h = x - y
-    (falling through zero for X, rising for Y) to the domain and norm-bound
-    events; a start on its wrong side beyond the event tolerance is a
-    :class:`DomainError`, and a SIGMA_CROSSING state is snapped onto Sigma
-    as (xm, xm, z).  An X-lane starting on the fold line short of tau (h and
-    z - phi within the event tolerance, (xm, z) not labelled BOUNDARY) is
-    tangent to Sigma, and watches h/u**2 on its first step instead, valued
+    The event table adds the switching plane h = x - y (falling through
+    zero for X, rising for Y) to the domain and norm-bound events; a start
+    on its wrong side beyond the event tolerance is a :class:`DomainError`,
+    and a SIGMA_CROSSING state is snapped onto Sigma as (xm, xm, z).  An
+    X-lane starting on the fold line short of tau (h and z - phi within the
+    event tolerance, (xm, z) not labelled BOUNDARY) is tangent to Sigma,
+    and watches h/u**2 on its first step instead, valued
     X2h*step**2/2 at u = 0; a start with X2h <= 0, or a return whose
     lift-off X2h*t1**2/2 is not above the event tolerance, is a
     :class:`TangencyAmbiguity`.  A coordinate at numerical zero lies on an
@@ -484,10 +484,10 @@ def _smooth_lanes(
     coordinates that start above the event tolerance in every lane.
     """
     tol = cfg.event_tol
-    side = {Piece.X: 1.0, Piece.Y: -1.0}.get(piece)
+    side = 1.0 if piece is Piece.X else -1.0
     out: list = [None] * len(p0)
     folds = {}  # each fold start's (xm, X2h/2)
-    for i, p in enumerate(p0.tolist() if side is not None else []):
+    for i, p in enumerate(p0.tolist()):
         h0, xm = p[0] - p[1], 0.5 * (p[0] + p[1])
         if h0 * side < -tol:
             out[i] = DomainError(f"initial state is on the wrong side of Sigma for {piece.value}: h = {h0}")
@@ -506,8 +506,6 @@ def _smooth_lanes(
     fold = np.array([[i in folds] for i in lanes])
 
     def events(a, first):
-        if side is None:  # the planar field has no switching plane
-            return []
         g = side * (a[:, 0] - a[:, 1])  # h for X, -h for Y: both fall through zero
         return [(EventKind.SIGMA_CROSSING, np.where(fold, _divide_out(g, 2), g) if first and folds else g)]
 
@@ -546,9 +544,8 @@ def integrate_smooth(
     ``cfg.max_step`` caps the steps.
     """
     s0 = np.asarray(s0, dtype=float)
-    dim = 2 if piece is Piece.PLANAR_LV else 3
-    if s0.shape != (dim,):
-        raise DomainError(f"{piece.value} expects a state of dimension {dim}")
+    if s0.shape != (3,):
+        raise DomainError(f"{piece.value} expects a state (x, y, z)")
     if not (np.all(np.isfinite(s0)) and np.all(s0 >= 0.0)):
         raise DomainError(f"initial state must be finite and nonnegative, got {s0}")
     sgn = 1.0 if direction is Direction.FORWARD else -1.0
@@ -605,7 +602,8 @@ def integrate_sliding(
         return Arc(ArcKind.SLIDING, t_start, t_start, np.array([t_start]), p0[None, :].copy(), record, 0)
 
     on_fold = p0[1] - phi <= cfg.event_tol
-    rate0 = sliding_rhs(params, sgn)(0.0, p0)
+    series = sliding_series(params, sgn)
+    rate0 = [col[1] for col in series(p0, 1)]
     # at the cusp the z-rate is analytically zero; a roundoff-scale residue
     # must not be mistaken for an outgoing flow
     if on_fold and rate0[1] < -1e-10 * max(1.0, abs(rate0[0])):
@@ -628,7 +626,7 @@ def integrate_sliding(
         return rows
 
     watch = [0] if p0[0] > cfg.event_tol else []
-    (arc,) = _taylor_lanes(ArcKind.SLIDING, sliding_series(params, sgn), p0[None], events, watch, sgn, t_start, cfg)
+    (arc,) = _taylor_lanes(ArcKind.SLIDING, series, p0[None], events, watch, sgn, t_start, cfg)
     ev = arc.terminal_event
     if ev.kind is EventKind.FOLD_EXIT:
         arc = replace(arc, terminal_event=replace(ev, state=np.array([ev.state[0], phi])))
@@ -772,24 +770,25 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
 def lv_period(x0: float, cfg: IntegratorConfig, params: Parameters) -> float:
     """Period of the planar Lotka-Volterra orbit through (x0, r1).
 
-    The orbit leaves the section z = r1 downward, recrosses it upward on the
-    far side of the center, and the next downward crossing closes the loop.
-    Two arcs of the Taylor core (see :func:`integrate_smooth`) watch r1 - z,
-    then z - r1, each divided by u on its first step, which starts on the
-    section.  Raises :class:`NoReturn` if either crossing is missing within
-    the horizon.
+    The orbit is X's from (x0, 0, r1), on the invariant plane y = 0, where
+    y' = r2 y keeps y = 0 exactly.  It leaves the section z = r1 downward,
+    recrosses it upward on the far side of the center, and the next downward
+    crossing closes the loop.  Two arcs of the Taylor core (see
+    :func:`integrate_smooth`) watch r1 - z, then z - r1, each divided by u on
+    its first step, which starts on the section.  Raises :class:`NoReturn`
+    if either crossing is missing within the horizon.
     """
     x0 = float(x0)
     tau = params.tau
     if not 0.0 < x0 < tau:
         raise DomainError(f"lv_period requires 0 < x0 < tau = {tau}, got {x0}")
     r1 = params.r1
-    series = smooth_series(Piece.PLANAR_LV, params)
-    state, t = np.array([x0, r1]), 0.0
+    series = smooth_series(Piece.X, params)
+    state, t = np.array([x0, 0.0, r1]), 0.0
     for side, crossing in ((-1.0, "upward recrossing"), (1.0, "closing crossing")):
 
         def section(a, first, side=side):
-            g = _divide_out(a[:, 1], 1) if first else a[:, 1] - r1 * _ONE
+            g = _divide_out(a[:, 2], 1) if first else a[:, 2] - r1 * _ONE
             # the section is the arc's only event, so it reuses SIGMA_CROSSING
             return [(EventKind.SIGMA_CROSSING, side * g)]
 
@@ -805,15 +804,13 @@ def lv_period(x0: float, cfg: IntegratorConfig, params: Parameters) -> float:
 def trajectory_rows(traj: Trajectory) -> list[tuple[float, float, float, float, str, int]]:
     """Flatten a trajectory to (t, x, y, z, arc_kind, arc_index) rows.
 
-    Sliding samples are embedded in Sigma as (x, x, z); planar samples live
-    in the invariant plane y = 0.
+    Sliding samples are embedded in Sigma as (x, x, z).
     """
     rows = []
     for i, arc in enumerate(traj.arcs):
         for t, state in arc.samples:
             if arc.planar:
-                y = state[0] if arc.kind is ArcKind.SLIDING else 0.0
-                row = (t, float(state[0]), float(y), float(state[1]), arc.kind.value, i)
+                row = (t, float(state[0]), float(state[0]), float(state[1]), arc.kind.value, i)
             else:
                 row = (t, float(state[0]), float(state[1]), float(state[2]), arc.kind.value, i)
             rows.append(row)

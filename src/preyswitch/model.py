@@ -4,7 +4,9 @@ The model is a 1-predator/2-prey system with instantaneous prey switching,
 written in rescaled coordinates (x, y, z) = (p1/beta1, p2/(a_q*beta2), P/beta1)
 so that the switching plane becomes Sigma = {x = y}.  The field X governs
 x >= y (predator on preferred prey), Y governs x <= y, and the planar
-Lotka-Volterra field is the restriction of X to the invariant plane y = 0.
+Lotka-Volterra field is X on its invariant plane y = 0.  Each field is
+defined once, by its quadratic form (:func:`quadratic_series`), which gives
+its Taylor series and, as their order 1, its rates.
 """
 
 from __future__ import annotations
@@ -30,6 +32,15 @@ PARAM_KEYS = ("r1", "r2", "a_q", "q1", "q2", "beta1", "beta2", "m", "e")
 #: Absolute tolerance used for membership in the measure-zero sets of Sigma
 #: (fold line, cusp point, origin line).
 DEFAULT_BOUNDARY_TOL = 1e-12
+
+
+def _finite(p, what: str) -> list[float]:
+    """The coordinates of p as floats; :class:`DomainError` if one is not
+    finite, so that no NaN or infinity enters a result silently."""
+    values = [float(v) for v in p]
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{what} must be finite, got {tuple(values)}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,7 @@ class State:
     z: float
 
     def __post_init__(self):
-        if min(self.x, self.y, self.z) < 0.0:
+        if min(_finite((self.x, self.y, self.z), "state")) < 0.0:
             raise DomainError(f"state components must be nonnegative: {self}")
 
     def as_array(self) -> np.ndarray:
@@ -102,7 +113,7 @@ class SigmaState:
     z: float
 
     def __post_init__(self):
-        if min(self.x, self.z) < 0.0:
+        if min(_finite((self.x, self.z), "Sigma point")) < 0.0:
             raise DomainError(f"Sigma point components must be nonnegative: {self}")
 
     def as_array(self) -> np.ndarray:
@@ -121,11 +132,10 @@ class RegionLabel(Enum):
 
 
 class Piece(Enum):
-    """Which right-hand side to evaluate."""
+    """Which smooth piece of the model: X on x >= y, Y on x <= y."""
 
     X = "X"
     Y = "Y"
-    PLANAR_LV = "PlanarLV"
 
 
 def validate_parameters(
@@ -203,7 +213,7 @@ def to_model_coords(bio: tuple[float, float, float], params: Parameters) -> Stat
     The switching function in the new coordinates is h = x - y; the rescaling
     removes the parameter dependence of the switching plane.
     """
-    p1, p2, P = bio
+    p1, p2, P = _finite(bio, "densities")
     if min(p1, p2, P) < 0.0:
         raise DomainError("densities must be nonnegative")
     return State(
@@ -218,60 +228,24 @@ def switching_function(state) -> float:
     return float(state[0]) - float(state[1])
 
 
-def smooth_rhs(piece: Piece, params: Parameters, sgn: float = 1.0):
-    """The right-hand side f(t, s) of one smooth piece, times ``sgn``.
-
-    ``s`` is a float array (x, y, z) for the 3D pieces and (x, z) for
-    PLANAR_LV.  X also takes K lanes as an array of shape (3, K), rows x, y
-    and z, and returns the rows of their rates.
-    """
-    r1, r2, m = params.r1, params.r2, params.m
-    eq1 = params.e * params.q1
-    if piece is Piece.X:
-
-        def f(t, s):
-            # one state as Python floats, which beat numpy's per-call cost
-            x, y, z = s.tolist() if s.ndim == 1 else s
-            return [sgn * (r1 - z) * x, sgn * r2 * y, sgn * (eq1 * x - m) * z]
-
-        return f
-    if piece is Piece.Y:
-        ratio = params.beta2 / params.beta1
-        eq2a = params.e * params.q2 / params.a_q
-
-        def f(t, s):
-            x, y, z = s.tolist()
-            return [sgn * r1 * x, sgn * (r2 - ratio * z) * y, sgn * (eq2a * y - m) * z]
-
-        return f
-    if piece is Piece.PLANAR_LV:
-
-        def f(t, s):
-            x, z = s.tolist()
-            return [sgn * (r1 - z) * x, sgn * (eq1 * x - m) * z]
-
-        return f
-    raise ValueError(f"unknown piece: {piece!r}")
-
-
-def quadratic_series(rhs, linear, c, i: int, j: int, sgn: float = 1.0):
+def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
     """Taylor coefficients of the flow of s' = sgn*(L s + c s_i s_j).
 
-    Every field of the model has this form, with one product s_i s_j.
-    ``rhs`` is the field itself, ``linear`` the rows of L and ``c`` the
+    Every field of the model has this form, with one product s_i s_j, and
+    is defined by it alone: ``linear`` holds the rows of L and ``c`` the
     weights of the product.  ``series(p, order)`` returns one list per
     coordinate, s_0..s_order, with s(t) = sum s_k t**k the solution through
-    p at t = 0.  Order 1 is ``rhs(0, p)``, so it is exactly the field; every
-    higher order follows from the Cauchy product
+    p at t = 0.  Every order after s_0 = p follows from the Cauchy product
     (s_i s_j)_k = sum_l s_(i,l) s_(j,k-l):
 
         (k+1) s_(k+1) = sgn*(L s_k + c (s_i s_j)_k)
 
-    at O(order**2) cost.  Only the nonzero entries of L and c enter, the
-    product's first; every row must have one.  ``p`` may also hold K lanes,
-    an array of shape (dim, K), where ``rhs`` takes them: each coefficient is
-    then the array of the K lanes' coefficients, bit-identical to theirs one
-    lane at a time, since each lane sees the same operations in the same order.
+    at O(order**2) cost, so order 1 (k = 0) is the field's rate at p.  Only
+    the nonzero entries of L and c enter, the product's first; every row
+    must have one.  ``p`` may also hold K lanes, an array of shape (dim, K):
+    each coefficient is then the array of the K lanes' coefficients,
+    bit-identical to theirs one lane at a time, since each lane sees the
+    same operations in the same order.
     """
     n = len(c)
     # each row as (weight, index) pairs into (s_0, .., s_(n-1), s_i s_j)
@@ -279,8 +253,8 @@ def quadratic_series(rhs, linear, c, i: int, j: int, sgn: float = 1.0):
     mul = operator.mul
 
     def series(p, order: int) -> list[list[float]]:
-        cols = [[v, w] for v, w in zip(p.tolist() if p.ndim == 1 else list(p), rhs(0.0, p))]
-        products = [0.0]  # (s_i s_j)_k at index k; order 0 is never read
+        cols = [[v] for v in (p.tolist() if p.ndim == 1 else list(p))]
+        products = []  # (s_i s_j)_k at index k
         seqs = cols + [products]
         # each row's first term starts its sum
         terms = [
@@ -288,7 +262,7 @@ def quadratic_series(rhs, linear, c, i: int, j: int, sgn: float = 1.0):
             for col, ((v0, q0), *rest) in zip(cols, rows)
         ]
         left, right = cols[i], cols[j][::-1]  # s_j reversed, for the Cauchy product
-        for k in range(1, order):
+        for k in range(order):
             products.append(sum(map(mul, left, right)))
             for col, v0, seq0, rest in terms:
                 acc = v0 * seq0[k]
@@ -302,33 +276,31 @@ def quadratic_series(rhs, linear, c, i: int, j: int, sgn: float = 1.0):
 
 
 def smooth_series(piece: Piece, params: Parameters, sgn: float = 1.0):
-    """Taylor coefficients of the flow of :func:`smooth_rhs` (one state).
+    """Taylor coefficients of the flow of one smooth piece, times ``sgn``.
 
     See :func:`quadratic_series`: X is x' = r1 x - xz, y' = r2 y,
     z' = -m z + e q1 xz; Y swaps the product for yz, with weights
-    -beta2/beta1 and e q2/a_q; PLANAR_LV is X without y.
+    -beta2/beta1 and e q2/a_q.  On the invariant plane y = 0, X is the
+    planar Lotka-Volterra field in (x, z).
     """
-    r1, r2, m = params.r1, params.r2, params.m
-    eq1 = params.e * params.q1
-    rhs = smooth_rhs(piece, params, sgn)
-    diagonal = [[r1, 0.0, 0.0], [0.0, r2, 0.0], [0.0, 0.0, -m]]
+    diagonal = [[params.r1, 0.0, 0.0], [0.0, params.r2, 0.0], [0.0, 0.0, -params.m]]
     if piece is Piece.X:
-        return quadratic_series(rhs, diagonal, (-1.0, 0.0, eq1), 0, 2, sgn)
+        return quadratic_series(diagonal, (-1.0, 0.0, params.e * params.q1), 0, 2, sgn)
     if piece is Piece.Y:
         ratio = params.beta2 / params.beta1
-        eq2a = params.e * params.q2 / params.a_q
-        return quadratic_series(rhs, diagonal, (0.0, -ratio, eq2a), 1, 2, sgn)
-    if piece is Piece.PLANAR_LV:
-        return quadratic_series(rhs, [[r1, 0.0], [0.0, -m]], (-1.0, eq1), 0, 1, sgn)
+        return quadratic_series(diagonal, (0.0, -ratio, params.e * params.q2 / params.a_q), 1, 2, sgn)
     raise ValueError(f"unknown piece: {piece!r}")
 
 
 def eval_field(piece: Piece, state, params: Parameters) -> np.ndarray:
-    """Evaluate one smooth piece of the model at a state.
-
-    ``state`` is (x, y, z) for the 3D pieces and (x, z) for PLANAR_LV.
+    """The rate of one smooth piece at a state (x, y, z): order 1 of its
+    :func:`smooth_series`.  A state that is not three finite coordinates
+    raises :class:`DomainError`.
     """
-    return np.array(smooth_rhs(piece, params)(0.0, np.asarray(state, dtype=float)))
+    p = np.array(_finite(state, "state"))
+    if p.shape != (3,):
+        raise DomainError(f"{piece.value} expects a state (x, y, z), got {tuple(p)}")
+    return np.array([col[1] for col in smooth_series(piece, params)(p, 1)])
 
 
 def lie_derivatives(p, params: Parameters) -> tuple[float, float, float]:
@@ -336,9 +308,10 @@ def lie_derivatives(p, params: Parameters) -> tuple[float, float, float]:
 
     Returns (Xh, Yh, X2h) where Xh = (phi - z)*x, Yh = (phi + (b2/b1)*z)*x,
     and X2h = phi*(m - e*q1*x)*x is the second derivative along X evaluated
-    with z on the fold line; it is meaningful only where Xh = 0.
+    with z on the fold line; it is meaningful only where Xh = 0.  A
+    coordinate that is not finite raises :class:`DomainError`.
     """
-    x, z = (float(v) for v in p)
+    x, z = _finite(p, "Sigma point")
     phi = params.phi
     Xh = (phi - z) * x
     Yh = (phi + (params.beta2 / params.beta1) * z) * x
@@ -357,9 +330,7 @@ def classify_sigma_point(
     this model is empty, so no escaping label exists.  A coordinate that is
     not finite raises :class:`DomainError`.
     """
-    x, z = (float(v) for v in p)
-    if not (math.isfinite(x) and math.isfinite(z)):
-        raise DomainError(f"Sigma point must be finite, got ({x}, {z})")
+    x, z = _finite(p, "Sigma point")
     phi = params.phi
     if x <= tol:
         return RegionLabel.ORIGIN_LINE
@@ -376,13 +347,14 @@ def classify_sigma_point(
 
 
 def first_integral_F(p, params: Parameters) -> float:
-    """Conserved quantity of the planar Lotka-Volterra piece.
+    """Conserved quantity of X on the plane y = 0, the planar Lotka-Volterra field.
 
     F(x, z) = -m - r1 + e*q1*x + z - m*log(e*q1*x/m) - r1*log(z/r1);
     it vanishes at the center (tau, r1) and is positive elsewhere on the
-    open quadrant.
+    open quadrant.  A coordinate that is not finite raises
+    :class:`DomainError`.
     """
-    x, z = (float(v) for v in p)
+    x, z = _finite(p, "point")
     if x <= 0.0 or z <= 0.0:
         raise DomainError(f"first integral requires x > 0 and z > 0, got ({x}, {z})")
     if params.q1 == 0.0:

@@ -3,7 +3,9 @@
 On the sliding region z > phi the Filippov convention selects the unique
 convex combination of X and Y tangent to Sigma.  For this model the
 combination collapses to a planar field in (x, z) with an explicit closed
-form: a Lotka-Volterra core plus a linear drift in the z-rate.  This module
+form: a Lotka-Volterra core plus a linear drift in the z-rate.  That form is
+defined once, as a quadratic form (:func:`sliding_series`), which gives the
+field's Taylor series, its rates and its Jacobian.  This module
 evaluates that field, locates and classifies its pseudo-equilibria, and
 computes the analytic witnesses (Dulac divergence, a scaled first integral
 of the core, the hyperbola of z-nullcline balance) used to certify the
@@ -19,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, PoleError, PreySwitchError, TangencyDenominator
-from .model import Parameters, Piece, SigmaState, eval_field, first_integral_F, lie_derivatives
+from .model import Parameters, Piece, SigmaState, _finite, eval_field, first_integral_F, lie_derivatives
 from .model import quadratic_series
 
 
@@ -61,26 +63,19 @@ def _coefficients(params: Parameters) -> tuple[float, float, float, float]:
     return R, B, K, C
 
 
-def sliding_rhs(params: Parameters, sgn: float = 1.0):
-    """The closed-form sliding field f(t, s), s = (x, z), times ``sgn``."""
+def _form(params: Parameters):
+    """The sliding field as (L, c, i, j) of s' = L s + c s_i s_j, s = (x, z)."""
     R, B, K, C = _coefficients(params)
-    m = params.m
-
-    def f(t, s):
-        x, z = s.tolist()
-        return [sgn * x * (R - B * z), sgn * (-K * x - m * z + C * x * z)]
-
-    return f
+    return [[R, 0.0], [-K, -params.m]], (-B, C), 0, 1
 
 
 def sliding_series(params: Parameters, sgn: float = 1.0):
-    """Taylor coefficients of the flow of :func:`sliding_rhs` times ``sgn``.
+    """Taylor coefficients of the flow of the sliding field times ``sgn``.
 
     See :func:`~preyswitch.model.quadratic_series`: the field is
     x' = R x - B xz, z' = -K x - m z + C xz.
     """
-    R, B, K, C = _coefficients(params)
-    return quadratic_series(sliding_rhs(params, sgn), [[R, 0.0], [-K, -params.m]], (-B, C), 0, 1, sgn)
+    return quadratic_series(*_form(params), sgn)
 
 
 def eval_sliding(p, params: Parameters, mode: SlidingMode = SlidingMode.CLOSED_FORM) -> np.ndarray:
@@ -91,10 +86,12 @@ def eval_sliding(p, params: Parameters, mode: SlidingMode = SlidingMode.CLOSED_F
     (Yh*X - Xh*Y)/(Yh - Xh) at (x, x, z) and is meaningful on the closed
     sliding region; it exists as an independent cross-check of the closed
     form and raises :class:`TangencyDenominator` where |Yh - Xh| < 1e-12.
+    CLOSED_FORM reads the rates as order 1 of :func:`sliding_series`.  A
+    coordinate that is not finite raises :class:`DomainError`.
     """
-    x, z = (float(v) for v in p)
+    x, z = _finite(p, "Sigma point")
     if mode is SlidingMode.CLOSED_FORM:
-        return np.array(sliding_rhs(params)(0.0, np.array([x, z])))
+        return np.array([col[1] for col in sliding_series(params)(np.array([x, z]), 1)])
 
     Xh, Yh, _ = lie_derivatives((x, z), params)
     denom = Yh - Xh
@@ -132,12 +129,13 @@ def pseudo_equilibria(params: Parameters) -> tuple[SigmaState, SigmaState]:
 
 
 def sliding_jacobian(p, params: Parameters) -> np.ndarray:
-    """Jacobian of the closed-form sliding field at (x, z)."""
-    x, z = (float(v) for v in p)
-    R, B, K, C = _coefficients(params)
-    return np.array(
-        [[R - B * z, -B * x], [-K + C * z, -params.m + C * x]]
-    )
+    """Jacobian L + c d(s_i s_j)/ds of the closed-form sliding field at (x, z)."""
+    s = _finite(p, "Sigma point")
+    linear, c, i, j = _form(params)
+    grad = [0.0] * len(s)
+    grad[i] += s[j]
+    grad[j] += s[i]
+    return np.array([[l + w * g for l, g in zip(row, grad)] for row, w in zip(linear, c)])
 
 
 def classify_focus(params: Parameters) -> PseudoEquilibrium:
@@ -186,17 +184,17 @@ def classify_focus(params: Parameters) -> PseudoEquilibrium:
 
 
 def focus_condition_holds(params: Parameters) -> bool:
-    """Inequality form of the complex-pair condition: m < admissible bound."""
+    """Inequality form of the complex-pair condition: m < admissible bound.
+
+    At b_q = 0 the bound is infinite (the pseudo-equilibrium is a center),
+    so the condition holds.
+    """
     p = params
     W = p.q2 * p.r2 * p.beta1 + p.a_q * p.q1 * p.r1 * p.beta2
-    bound = (
-        4.0
-        * (p.beta1 + p.beta2)
-        * (p.r2 * p.beta1 + p.r1 * p.beta2)
-        * W
-        * W
-        / (p.b_q**2 * p.phi**2 * p.beta1**2 * p.beta2**2)
-    )
+    denom = p.b_q**2 * p.phi**2 * p.beta1**2 * p.beta2**2
+    if denom == 0.0:
+        return True
+    bound = 4.0 * (p.beta1 + p.beta2) * (p.r2 * p.beta1 + p.r1 * p.beta2) * W * W / denom
     return p.m < bound
 
 
@@ -213,7 +211,7 @@ def monotonicity_witnesses(p, params: Parameters) -> tuple[float, float, float]:
       where a rescales x so the level sets are centered on the
       pseudo-equilibrium; nonnegative, vanishing exactly on z = z_c.
     """
-    x, z = (float(v) for v in p)
+    x, z = _finite(p, "Sigma point")
     if x <= 0.0 or z <= 0.0:
         raise DomainError(f"witnesses require x > 0 and z > 0, got ({x}, {z})")
     par = params
@@ -263,7 +261,7 @@ def hyperbola_and_Fc(x: float, params: Parameters, focus: SigmaState) -> tuple[f
     hyperbola point lies outside (positive) or inside (negative) the
     F-level set through the focus.
     """
-    x = float(x)
+    (x,) = _finite((x,), "x")
     if x <= 0.0:
         raise DomainError(f"hyperbola requires x > 0, got {x}")
     p = params

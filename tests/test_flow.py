@@ -36,9 +36,44 @@ from preyswitch import (
 from preyswitch import flow as flow_mod
 from preyswitch import sliding as sliding_mod
 from preyswitch.flow import integrate_fold_launches, trajectory_rows
-from preyswitch.model import smooth_rhs, smooth_series
-from preyswitch.sliding import sliding_jacobian, sliding_rhs, sliding_series
+from preyswitch.model import smooth_series
+from preyswitch.sliding import sliding_jacobian, sliding_series
 from conftest import draw_params, rounds, taylor_runs
+
+
+def reference_field(field, params, sgn=1.0):
+    """X, Y or the sliding field ("Sliding") as f(t, s) times ``sgn``, in
+    factored form: the tests' own copy of the model's fields, sharing no
+    code with the library's quadratic forms."""
+    r1, r2, m = params.r1, params.r2, params.m
+    if field is Piece.X:
+        eq1 = params.e * params.q1
+
+        def f(t, s):
+            x, y, z = s.tolist()
+            return [sgn * (r1 - z) * x, sgn * r2 * y, sgn * (eq1 * x - m) * z]
+
+    elif field is Piece.Y:
+        ratio = params.beta2 / params.beta1
+        eq2a = params.e * params.q2 / params.a_q
+
+        def f(t, s):
+            x, y, z = s.tolist()
+            return [sgn * r1 * x, sgn * (r2 - ratio * z) * y, sgn * (eq2a * y - m) * z]
+
+    else:
+        # the Filippov combination of X and Y on Sigma, in (x, z)
+        b1, b2 = params.beta1, params.beta2
+        R = (b1 * r2 + b2 * r1) / (b1 + b2)
+        B = b2 / (b1 + b2)
+        K = params.e * params.b_q * params.phi * b1 / (params.a_q * (b1 + b2))
+        C = params.e * (b1 * params.q2 + params.a_q * b2 * params.q1) / (params.a_q * (b1 + b2))
+
+        def f(t, s):
+            x, z = s.tolist()
+            return [sgn * x * (R - B * z), sgn * (-K * x - m * z + C * x * z)]
+
+    return f
 
 
 def arc_gap(a, b):
@@ -115,15 +150,16 @@ def test_smooth_wrong_side_rejected(table1, cfg):
 def test_planar_f_drift_over_one_period(table1, cfg):
     x0 = 0.5 * table1.tau
     T = lv_period(x0, cfg, table1)
+    # X on its invariant plane y = 0 is the planar Lotka-Volterra field
     arc = integrate_smooth(
-        Piece.PLANAR_LV, (x0, table1.r1), Direction.FORWARD, replace(cfg, t_max=T), table1
+        Piece.X, (x0, 0.0, table1.r1), Direction.FORWARD, replace(cfg, t_max=T), table1
     )
     F0 = first_integral_F((x0, table1.r1), table1)
     drift = max(
-        abs(first_integral_F(s, table1) - F0) for s in arc.states[:: max(1, len(arc.ts) // 50)]
+        abs(first_integral_F(s[::2], table1) - F0) for s in arc.states[:: max(1, len(arc.ts) // 50)]
     )
     assert drift <= 1e-8
-    assert np.max(np.abs(arc.states[-1] - (x0, table1.r1))) <= 1e-9
+    assert np.max(np.abs(arc.states[-1] - (x0, 0.0, table1.r1))) <= 1e-9
 
 
 def test_lv_period_limits_and_closure(table1, cfg):
@@ -143,7 +179,7 @@ def test_reversibility_smooth(table1, cfg):
     for s0, piece in [
         ((0.9, 0.5, 0.9), Piece.X),
         ((0.5, 0.9, 0.4), Piece.Y),
-        ((0.6, 1.2), Piece.PLANAR_LV),
+        ((0.6, 0.0, 1.2), Piece.X),
     ]:
         fwd = integrate_smooth(piece, s0, Direction.FORWARD, replace(cfg, t_max=2.0), table1)
         span = fwd.t1 - fwd.t0
@@ -232,9 +268,7 @@ def central_jf(f, p):
     return (np.array(f(0.0, p + d * v)) - np.array(f(0.0, p - d * v))) / (2.0 * d)
 
 
-@pytest.mark.parametrize(
-    "field", (Piece.X, Piece.Y, Piece.PLANAR_LV, "Sliding"), ids=("X", "Y", "PlanarLV", "Sliding")
-)
+@pytest.mark.parametrize("field", (Piece.X, Piece.Y, "Sliding"), ids=("X", "Y", "Sliding"))
 def test_series_start_with_the_field(rng, field):
     # order 1 is the field itself, and order 2 is J*f/2 in either direction
     for _ in range(10):
@@ -242,15 +276,15 @@ def test_series_start_with_the_field(rng, field):
         if field == "Sliding":
             p = np.array([rng.uniform(0.01, 2.0 * params.tau), rng.uniform(params.phi, 3.0 * params.phi)])
         else:
-            dim = 2 if field is Piece.PLANAR_LV else 3
-            p = rng.uniform(0.01, 2.0, dim) * params.tau
+            p = rng.uniform(0.01, 2.0, 3) * params.tau
         for sgn in (1.0, -1.0):
+            f = reference_field(field, params, sgn)
             if field == "Sliding":
-                series, f = sliding_series(params, sgn), sliding_rhs(params, sgn)
+                series = sliding_series(params, sgn)
                 jf = sgn * sliding_jacobian(p, params) @ f(0.0, p)
                 atol = 1e-15
             else:
-                series, f = smooth_series(field, params, sgn), smooth_rhs(field, params, sgn)
+                series = smooth_series(field, params, sgn)
                 jf = central_jf(f, p)
                 # the difference's roundoff scales with its largest component
                 atol = 1e-13 * np.max(np.abs(jf)) / 2.0
@@ -258,18 +292,25 @@ def test_series_start_with_the_field(rng, field):
             assert len(coefficients) == len(p)
             assert all(len(col) == 25 for col in coefficients)
             assert [col[0] for col in coefficients] == p.tolist()
-            assert [col[1] for col in coefficients] == f(0.0, p)
+            rate = np.array(f(0.0, p))
+            first = np.array([col[1] for col in coefficients])
+            assert np.max(np.abs(first - rate)) <= 1e-14 * np.max(np.abs(rate)), (field, sgn)
             second = [col[2] for col in coefficients]
             assert np.allclose(second, jf / 2.0, rtol=1e-13, atol=atol), (field, sgn)
 
 
-def test_x_series_of_lanes_equals_each_lane_alone(rng, table1):
-    # the fold-launch lanes expand K states in one call of the recurrence
-    series = smooth_series(Piece.X, table1)
-    lanes = rng.uniform(0.01, 2.0, (3, 5)) * table1.tau
-    together = np.array(series(lanes, 24))
-    alone = np.array([series(lane, 24) for lane in lanes.T])
-    assert np.array_equal(together, alone.transpose(1, 2, 0))
+def test_series_of_lanes_equals_each_lane_alone(rng, table1):
+    # K lanes expand in one call of the recurrence, each lane bit for bit as
+    # it would alone: the fold launches' X-lanes, and Y and the sliding field
+    for series, dim in (
+        (smooth_series(Piece.X, table1), 3),
+        (smooth_series(Piece.Y, table1), 3),
+        (sliding_series(table1, -1.0), 2),
+    ):
+        lanes = rng.uniform(0.01, 2.0, (dim, 5)) * table1.tau
+        together = np.array(series(lanes, 24))
+        alone = np.array([series(lane, 24) for lane in lanes.T])
+        assert np.array_equal(together, alone.transpose(1, 2, 0))
 
 
 def test_fold_lanes_run_as_many_rounds_as_their_slowest_lane(table1, cfg, monkeypatch):
@@ -379,7 +420,7 @@ def reference_sliding_end(params, start, direction, t_max, radius=1e-4):
     """Terminal kind and state of a sliding arc, with its own fold and
     capture events."""
     sgn = 1.0 if direction is Direction.FORWARD else -1.0
-    f = sliding_rhs(params, sgn)
+    f = reference_field("Sliding", params, sgn)
     phi = params.phi
     _, focus = pseudo_equilibria(params)
     rate0 = f(0.0, np.array(start))[1]
@@ -407,7 +448,7 @@ def reference_smooth_end(params, piece, start, t_max):
     def sigma(t, s):
         return side * (s[0] - s[1])
 
-    fired, end = tight_dop853(smooth_rhs(piece, params), start, t_max, params, [sigma])
+    fired, end = tight_dop853(reference_field(piece, params), start, t_max, params, [sigma])
     if fired is None:
         return EventKind.HORIZON_REACHED, end
     xm = 0.5 * (end[0] + end[1])

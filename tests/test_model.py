@@ -9,12 +9,19 @@ from preyswitch import (
     ParameterLoadError,
     Piece,
     RegionLabel,
+    SigmaState,
+    SlidingMode,
+    State,
     classify_sigma_point,
     eval_field,
+    eval_sliding,
     first_integral_F,
+    hyperbola_and_Fc,
     lie_derivatives,
     load_parameters,
+    monotonicity_witnesses,
     parameters_from_dict,
+    pseudo_equilibria,
     switching_function,
     to_model_coords,
     validate_parameters,
@@ -115,18 +122,14 @@ def test_eval_field_y_keeps_z_zero_plane(table1):
 
 
 def test_eval_field_planar_example(table1):
-    vel = eval_field(Piece.PLANAR_LV, (0.5, 0.9), table1)
+    # X on its invariant plane y = 0 is the planar Lotka-Volterra field
+    vel = eval_field(Piece.X, (0.5, 0.0, 0.9), table1)
     assert vel[0] == pytest.approx(-0.032, rel=1e-12)
-    assert vel[1] == pytest.approx(-0.3816648, rel=1e-12)
-
-
-def test_planar_matches_x_piece_for_any_y(table1, rng):
-    for _ in range(50):
-        x, z = rng.uniform(0.01, 3.0, size=2)
-        y = rng.uniform(0.0, 3.0)
-        v3 = eval_field(Piece.X, (x, y, z), table1)
-        v2 = eval_field(Piece.PLANAR_LV, (x, z), table1)
-        assert v3[0] == v2[0] and v3[2] == v2[1]
+    assert vel[1] == 0.0
+    assert vel[2] == pytest.approx(-0.3816648, rel=1e-12)
+    # the planar (x, z) form of the call is gone, and a named error says so
+    with pytest.raises(DomainError, match="x, y, z"):
+        eval_field(Piece.X, (0.5, 0.9), table1)
 
 
 def test_x_field_invariant_plane_y0(table1, rng):
@@ -209,3 +212,39 @@ def test_first_integral_domain(table1):
         first_integral_F((0.0, 1.0), table1)
     with pytest.raises(DomainError):
         first_integral_F((1.0, -0.2), table1)
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf")), ids=("nan", "inf"))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, v: State(v, 0.0, 0.0),
+        lambda p, v: SigmaState(0.1, v),
+        lambda p, v: to_model_coords((v, 1.0, 1.0), p),
+        lambda p, v: first_integral_F((v, 1.0), p),
+        lambda p, v: lie_derivatives((v, 1.0), p),
+        lambda p, v: classify_sigma_point((1.0, v), p),
+        lambda p, v: eval_field(Piece.X, (1.0, 0.5, v), p),
+        lambda p, v: eval_sliding((v, 1.0), p),
+        lambda p, v: eval_sliding((v, 1.0), p, SlidingMode.GENERIC_FILIPPOV),
+        lambda p, v: monotonicity_witnesses((1.0, v), p),
+        lambda p, v: hyperbola_and_Fc(v, p, pseudo_equilibria(p)[1]),
+    ],
+    ids=[
+        "State",
+        "SigmaState",
+        "to_model_coords",
+        "first_integral_F",
+        "lie_derivatives",
+        "classify_sigma_point",
+        "eval_field",
+        "eval_sliding",
+        "eval_sliding-generic",
+        "monotonicity_witnesses",
+        "hyperbola_and_Fc",
+    ],
+)
+def test_non_finite_points_raise_domain_error(table1, call, bad):
+    # no NaN or infinity passes silently into a result
+    with pytest.raises(DomainError, match="finite"):
+        call(table1, bad)

@@ -105,6 +105,17 @@ def test_classify_focus_degenerate_when_bq_zero():
     assert pe.kind is FocusKind.DEGENERATE
 
 
+def test_focus_condition_holds_at_bq_zero():
+    # the bound on m is infinite at b_q = 0, where the pseudo-equilibrium
+    # is a center with a complex pair
+    vals = dict(TABLE1, beta1=0.994)
+    vals["q2"] = vals["a_q"] * vals["q1"]
+    p = validate_parameters(**vals)
+    assert p.b_q == 0.0
+    assert focus_condition_holds(p) is True
+    assert classify_focus(p).beta_imag > 0.0
+
+
 def test_alpha_matches_numeric_jacobian_eigenvalues(table1, rng):
     for _ in range(30):
         params = draw_params(rng, require_focus=True)
