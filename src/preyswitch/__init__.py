@@ -26,7 +26,6 @@ from .errors import (
     SameSign,
     StepFailure,
     TangencyAmbiguity,
-    TangencyDenominator,
     VerificationFailure,
 )
 from .model import (
@@ -48,7 +47,6 @@ from .model import (
 from .sliding import (
     FocusKind,
     PseudoEquilibrium,
-    SlidingMode,
     classify_focus,
     eval_sliding,
     fc_slope_at_focus,

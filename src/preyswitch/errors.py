@@ -35,10 +35,6 @@ class DomainError(PreySwitchError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class TangencyDenominator(PreySwitchError):
-    """The Filippov denominator Yh - Xh vanished (tangency point)."""
-
-
 class PoleError(PreySwitchError):
     """Evaluation at the vertical asymptote of the hyperbola branch."""
 

@@ -19,8 +19,8 @@ step.  Every lane ends at the first event of one table: the caller's events
 exit and the focus capture for a sliding arc), a DOMAIN_EXIT
 for each coordinate that starts above the event tolerance (only x for a
 sliding arc, whose z meets the fold line first), and the norm bound, which
-raises :class:`BlowUp`.  A start that is not finite, or has a negative
-coordinate, raises :class:`DomainError`.
+raises :class:`BlowUp`.  A start that is not finite coordinates of the
+right number, or has a negative one, raises :class:`DomainError`.
 The Filippov concatenator stitches smooth and sliding arcs per the
 convex-combination convention: trajectories entering the sliding region
 follow the sliding field until the visible fold hands them back to X.
@@ -57,6 +57,7 @@ from .model import (
     Parameters,
     Piece,
     RegionLabel,
+    _finite,
     classify_sigma_point,
     lie_derivatives,
     smooth_series,
@@ -536,23 +537,29 @@ def integrate_smooth(
 
     The one-lane case of :func:`_smooth_lanes`, which sets its events and
     the rule of an X-arc leaving the fold; the error it meets is raised.  A
-    start that is not finite, or has a negative coordinate, raises
-    :class:`DomainError`.  The arc is integrated by Taylor series of order
+    start that is not three finite coordinates, or has a negative one,
+    raises :class:`DomainError`.  The arc is integrated by Taylor series of order
     24 (:func:`~preyswitch.model.smooth_series`) with the step rule of Jorba
     and Zou (2005) at the local tolerance 1e-4*abs_tol; each step proves
     every event absent or stops at the first, so only an explicit
     ``cfg.max_step`` caps the steps.
     """
-    s0 = np.asarray(s0, dtype=float)
-    if s0.shape != (3,):
-        raise DomainError(f"{piece.value} expects a state (x, y, z)")
-    if not (np.all(np.isfinite(s0)) and np.all(s0 >= 0.0)):
-        raise DomainError(f"initial state must be finite and nonnegative, got {s0}")
+    values = _finite(s0, "initial state (x, y, z)", 3)
+    if min(values) < 0.0:
+        raise DomainError(f"initial state must be nonnegative, got {tuple(values)}")
     sgn = 1.0 if direction is Direction.FORWARD else -1.0
-    (arc,) = _smooth_lanes(piece, s0[None], sgn, t_start, cfg, params)
+    (arc,) = _smooth_lanes(piece, np.array([values]), sgn, t_start, cfg, params)
     if isinstance(arc, PreySwitchError):
         raise arc
     return arc
+
+
+def _leaves_fold(rate) -> bool:
+    """Whether the sliding flow with this (x-rate, z-rate) at a point of the
+    fold line leaves the sliding region there.  At the cusp the z-rate is
+    analytically zero, so a roundoff-scale residue is not taken for an
+    outgoing flow: the z-rate must fall below -1e-10*max(1, |x-rate|)."""
+    return rate[1] < -1e-10 * max(1.0, abs(rate[0]))
 
 
 def integrate_sliding(
@@ -575,18 +582,15 @@ def integrate_sliding(
     z = phi.  Starting on the fold line is allowed: if the flow points out
     of the region the arc is an immediate fold exit, otherwise the first
     step watches (z - z0)/u, whose value at u = 0 is the initial z-rate
-    times the step.  A start that is not finite raises :class:`DomainError`.
+    times the step.  A start that is not two finite coordinates raises
+    :class:`DomainError`.
 
     The arc is integrated like a smooth one (see :func:`integrate_smooth`),
     by the Taylor series of the closed-form sliding field
     (:func:`~preyswitch.sliding.sliding_series`); the squared distance to
     the focus is a polynomial on each step too.
     """
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (2,):
-        raise DomainError("sliding state must be (x, z)")
-    if not np.all(np.isfinite(p0)):
-        raise DomainError(f"initial state must be finite, got {p0}")
+    p0 = np.array(_finite(p0, "sliding state (x, z)", 2))
     if not 0.0 <= focus_capture_radius < math.inf:  # false for NaN too
         raise DomainError(f"focus_capture_radius must be finite and nonnegative, got {focus_capture_radius}")
     phi = params.phi
@@ -603,10 +607,7 @@ def integrate_sliding(
 
     on_fold = p0[1] - phi <= cfg.event_tol
     series = sliding_series(params, sgn)
-    rate0 = [col[1] for col in series(p0, 1)]
-    # at the cusp the z-rate is analytically zero; a roundoff-scale residue
-    # must not be mistaken for an outgoing flow
-    if on_fold and rate0[1] < -1e-10 * max(1.0, abs(rate0[0])):
+    if on_fold and _leaves_fold([col[1] for col in series(p0, 1)]):
         snapped = np.array([p0[0], phi])
         record = EventRecord(EventKind.FOLD_EXIT, t_start, snapped)
         return Arc(ArcKind.SLIDING, t_start, t_start, np.array([t_start]), snapped[None, :], record, 0)
@@ -695,11 +696,10 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
     resumes from the fold point.  Terminates at the horizon, on domain
     exit, or on focus capture.  Raises :class:`ChatteringGuard` when
     switching events accumulate faster than the event tolerance resolves.
-    A sliding arc is captured within 1e-4 of the pseudo-focus.
+    A sliding arc is captured within 1e-4 of the pseudo-focus.  A start
+    that is not three finite coordinates raises :class:`DomainError`.
     """
-    s = np.asarray(s0, dtype=float)
-    if s.shape != (3,):
-        raise DomainError("Filippov initial state must be (x, y, z)")
+    s = np.array(_finite(s0, "Filippov initial state (x, y, z)", 3))
     initial = s.copy()
     arcs: list[Arc] = []
     t = 0.0
@@ -725,7 +725,7 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
             if label is RegionLabel.ORIGIN_LINE:
                 raise DomainError("trajectory reached the origin line of Sigma")
             if label is RegionLabel.SLIDING or (
-                label in _FOLD_LABELS and eval_sliding((xm, s[2]), params)[1] > 0.0
+                label in _FOLD_LABELS and not _leaves_fold(eval_sliding((xm, s[2]), params))
             ):
                 arc = integrate_sliding((xm, s[2]), Direction.FORWARD, sub, params, t_start=t)
                 arcs.append(arc)

@@ -34,10 +34,13 @@ PARAM_KEYS = ("r1", "r2", "a_q", "q1", "q2", "beta1", "beta2", "m", "e")
 DEFAULT_BOUNDARY_TOL = 1e-12
 
 
-def _finite(p, what: str) -> list[float]:
-    """The coordinates of p as floats; :class:`DomainError` if one is not
-    finite, so that no NaN or infinity enters a result silently."""
+def _finite(p, what: str, dim: int) -> list[float]:
+    """The ``dim`` coordinates of p as floats; :class:`DomainError` if p has
+    another number of them, or one is not finite, so that no point is cut
+    short and no NaN or infinity enters a result silently."""
     values = [float(v) for v in p]
+    if len(values) != dim:
+        raise DomainError(f"{what} must have {dim} coordinates, got {tuple(values)}")
     if not all(map(math.isfinite, values)):
         raise DomainError(f"{what} must be finite, got {tuple(values)}")
     return values
@@ -98,7 +101,7 @@ class State:
     z: float
 
     def __post_init__(self):
-        if min(_finite((self.x, self.y, self.z), "state")) < 0.0:
+        if min(_finite((self.x, self.y, self.z), "state (x, y, z)", 3)) < 0.0:
             raise DomainError(f"state components must be nonnegative: {self}")
 
     def as_array(self) -> np.ndarray:
@@ -113,7 +116,7 @@ class SigmaState:
     z: float
 
     def __post_init__(self):
-        if min(_finite((self.x, self.z), "Sigma point")) < 0.0:
+        if min(_finite((self.x, self.z), "Sigma point (x, z)", 2)) < 0.0:
             raise DomainError(f"Sigma point components must be nonnegative: {self}")
 
     def as_array(self) -> np.ndarray:
@@ -213,7 +216,7 @@ def to_model_coords(bio: tuple[float, float, float], params: Parameters) -> Stat
     The switching function in the new coordinates is h = x - y; the rescaling
     removes the parameter dependence of the switching plane.
     """
-    p1, p2, P = _finite(bio, "densities")
+    p1, p2, P = _finite(bio, "densities (p1, p2, P)", 3)
     if min(p1, p2, P) < 0.0:
         raise DomainError("densities must be nonnegative")
     return State(
@@ -297,9 +300,7 @@ def eval_field(piece: Piece, state, params: Parameters) -> np.ndarray:
     :func:`smooth_series`.  A state that is not three finite coordinates
     raises :class:`DomainError`.
     """
-    p = np.array(_finite(state, "state"))
-    if p.shape != (3,):
-        raise DomainError(f"{piece.value} expects a state (x, y, z), got {tuple(p)}")
+    p = np.array(_finite(state, "state (x, y, z)", 3))
     return np.array([col[1] for col in smooth_series(piece, params)(p, 1)])
 
 
@@ -308,10 +309,10 @@ def lie_derivatives(p, params: Parameters) -> tuple[float, float, float]:
 
     Returns (Xh, Yh, X2h) where Xh = (phi - z)*x, Yh = (phi + (b2/b1)*z)*x,
     and X2h = phi*(m - e*q1*x)*x is the second derivative along X evaluated
-    with z on the fold line; it is meaningful only where Xh = 0.  A
-    coordinate that is not finite raises :class:`DomainError`.
+    with z on the fold line; it is meaningful only where Xh = 0.  A point
+    that is not two finite coordinates raises :class:`DomainError`.
     """
-    x, z = _finite(p, "Sigma point")
+    x, z = _finite(p, "Sigma point (x, z)", 2)
     phi = params.phi
     Xh = (phi - z) * x
     Yh = (phi + (params.beta2 / params.beta1) * z) * x
@@ -327,10 +328,10 @@ def classify_sigma_point(
     Open regions (sliding z > phi, crossing 0 < z < phi) require x > 0; the
     measure-zero sets (origin line, fold segment, cusp, remaining boundary)
     are resolved with absolute tolerance ``tol``.  The escaping region of
-    this model is empty, so no escaping label exists.  A coordinate that is
-    not finite raises :class:`DomainError`.
+    this model is empty, so no escaping label exists.  A point that is not
+    two finite coordinates raises :class:`DomainError`.
     """
-    x, z = _finite(p, "Sigma point")
+    x, z = _finite(p, "Sigma point (x, z)", 2)
     phi = params.phi
     if x <= tol:
         return RegionLabel.ORIGIN_LINE
@@ -351,10 +352,10 @@ def first_integral_F(p, params: Parameters) -> float:
 
     F(x, z) = -m - r1 + e*q1*x + z - m*log(e*q1*x/m) - r1*log(z/r1);
     it vanishes at the center (tau, r1) and is positive elsewhere on the
-    open quadrant.  A coordinate that is not finite raises
+    open quadrant.  A point that is not two finite coordinates raises
     :class:`DomainError`.
     """
-    x, z = _finite(p, "point")
+    x, z = _finite(p, "point (x, z)", 2)
     if x <= 0.0 or z <= 0.0:
         raise DomainError(f"first integral requires x > 0 and z > 0, got ({x}, {z})")
     if params.q1 == 0.0:

@@ -3,13 +3,15 @@
 On the sliding region z > phi the Filippov convention selects the unique
 convex combination of X and Y tangent to Sigma.  For this model the
 combination collapses to a planar field in (x, z) with an explicit closed
-form: a Lotka-Volterra core plus a linear drift in the z-rate.  That form is
-defined once, as a quadratic form (:func:`sliding_series`), which gives the
-field's Taylor series, its rates and its Jacobian.  This module
-evaluates that field, locates and classifies its pseudo-equilibria, and
-computes the analytic witnesses (Dulac divergence, a scaled first integral
-of the core, the hyperbola of z-nullcline balance) used to certify the
-global backward convergence onto the repulsive focus.
+form: a Lotka-Volterra core plus a linear drift in the z-rate,
+x' = x(R - Bz), z' = -Kx - mz + Cxz.  The field is defined once: its rates
+(R, B, K, C) by :func:`_coefficients`, its quadratic form by
+:func:`sliding_series`, which gives the field's Taylor series, its rates and
+its Jacobian.  This module evaluates that field, locates and classifies its
+pseudo-equilibria, and computes the analytic witnesses (Dulac divergence, a
+scaled first integral of the core, the hyperbola of z-nullcline balance)
+used to certify the global backward convergence onto the repulsive focus;
+the focus and the witnesses read the same rates.
 """
 
 from __future__ import annotations
@@ -20,14 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, PoleError, PreySwitchError, TangencyDenominator
-from .model import Parameters, Piece, SigmaState, _finite, eval_field, first_integral_F, lie_derivatives
-from .model import quadratic_series
-
-
-class SlidingMode(Enum):
-    CLOSED_FORM = "ClosedForm"
-    GENERIC_FILIPPOV = "GenericFilippov"
+from .errors import DomainError, PoleError, PreySwitchError
+from .model import Parameters, SigmaState, _finite, first_integral_F, quadratic_series
 
 
 class FocusKind(Enum):
@@ -78,59 +74,37 @@ def sliding_series(params: Parameters, sgn: float = 1.0):
     return quadratic_series(*_form(params), sgn)
 
 
-def eval_sliding(p, params: Parameters, mode: SlidingMode = SlidingMode.CLOSED_FORM) -> np.ndarray:
+def eval_sliding(p, params: Parameters) -> np.ndarray:
     """Sliding velocity (x-rate, z-rate) at a point (x, z) of Sigma.
 
-    CLOSED_FORM evaluates the explicit planar field and is defined for all
-    (x, z).  GENERIC_FILIPPOV forms the convex combination
-    (Yh*X - Xh*Y)/(Yh - Xh) at (x, x, z) and is meaningful on the closed
-    sliding region; it exists as an independent cross-check of the closed
-    form and raises :class:`TangencyDenominator` where |Yh - Xh| < 1e-12.
-    CLOSED_FORM reads the rates as order 1 of :func:`sliding_series`.  A
-    coordinate that is not finite raises :class:`DomainError`.
+    The rates of the closed-form field, order 1 of :func:`sliding_series`,
+    defined for all (x, z).  A point that is not two finite coordinates
+    raises :class:`DomainError`.
     """
-    x, z = _finite(p, "Sigma point")
-    if mode is SlidingMode.CLOSED_FORM:
-        return np.array([col[1] for col in sliding_series(params)(np.array([x, z]), 1)])
-
-    Xh, Yh, _ = lie_derivatives((x, z), params)
-    denom = Yh - Xh
-    if abs(denom) < 1e-12:
-        raise TangencyDenominator(
-            f"Yh - Xh = {denom:.3e} at (x, z) = ({x}, {z}); "
-            "the Filippov combination degenerates on the tangency set"
-        )
-    s3 = (x, x, z)
-    w = (Yh * eval_field(Piece.X, s3, params) - Xh * eval_field(Piece.Y, s3, params)) / denom
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if abs(w[0] - w[1]) > 1e-9 * scale:
-        raise PreySwitchError(
-            "Filippov combination is not tangent to Sigma: "
-            f"x-rate {w[0]!r} != y-rate {w[1]!r}"
-        )
-    return np.array([w[0], w[2]])
+    s = np.array(_finite(p, "Sigma point (x, z)", 2))
+    return np.array([col[1] for col in sliding_series(params)(s, 1)])
 
 
 def pseudo_equilibria(params: Parameters) -> tuple[SigmaState, SigmaState]:
     """The two zeros of the sliding field: the origin and the interior point.
 
-    The interior point satisfies 0 < x_c < tau and z_c > r1 for every
-    admissible parameter set.
+    The interior point zeroes x' = x(R - Bz) at z_c = R/B and
+    z' = -Kx - mz + Cxz at x_c = m z_c/(C z_c - K), in the rates of
+    :func:`_coefficients`.  It satisfies 0 < x_c < tau and z_c > r1 for
+    every admissible parameter set.
     """
-    p = params
-    x_c = (
-        p.a_q
-        * p.m
-        * (p.beta1 * p.r2 + p.beta2 * p.r1)
-        / (p.e * (p.beta1 * p.q2 * p.r2 + p.a_q * p.beta2 * p.q1 * p.r1))
-    )
-    z_c = p.r1 + (p.beta1 / p.beta2) * p.r2
+    R, B, K, C = _coefficients(params)
+    z_c = R / B
+    x_c = params.m * z_c / (C * z_c - K)
     return SigmaState(0.0, 0.0), SigmaState(x_c, z_c)
 
 
 def sliding_jacobian(p, params: Parameters) -> np.ndarray:
-    """Jacobian L + c d(s_i s_j)/ds of the closed-form sliding field at (x, z)."""
-    s = _finite(p, "Sigma point")
+    """Jacobian L + c d(s_i s_j)/ds of the closed-form sliding field at (x, z).
+
+    A point that is not two finite coordinates raises :class:`DomainError`.
+    """
+    s = _finite(p, "Sigma point (x, z)", 2)
     linear, c, i, j = _form(params)
     grad = [0.0] * len(s)
     grad[i] += s[j]
@@ -211,46 +185,26 @@ def monotonicity_witnesses(p, params: Parameters) -> tuple[float, float, float]:
       where a rescales x so the level sets are centered on the
       pseudo-equilibrium; nonnegative, vanishing exactly on z = z_c.
     """
-    x, z = _finite(p, "Sigma point")
+    x, z = _finite(p, "Sigma point (x, z)", 2)
     if x <= 0.0 or z <= 0.0:
         raise DomainError(f"witnesses require x > 0 and z > 0, got ({x}, {z})")
-    par = params
-    s = par.beta1 + par.beta2
+    m = params.m
     R, B, K, C = _coefficients(params)
-
-    dulac = par.e * par.b_q * par.phi * par.beta1 / (par.a_q * s * z * z)
-
-    H = (
-        -par.m
-        - R
-        + C * x
-        + B * z
-        - par.m * math.log(C * x / par.m)
-        - R * math.log(B * z / R)
-    )
-
-    z_c = par.r1 + (par.beta1 / par.beta2) * par.r2
-    dH = (
-        par.e
-        * par.b_q
-        * par.phi
-        * par.beta1
-        * par.beta2**2
-        * x
-        * (z - z_c) ** 2
-        / (par.a_q * z * s * s * (par.beta1 * par.r2 + par.beta2 * par.r1))
-    )
+    _, focus = pseudo_equilibria(params)
+    dulac = K / (z * z)
+    H = -m - R + C * x + B * z - m * math.log(C * x / m) - R * math.log(B * z / R)
+    dH = K * B * B * x * (z - focus.z) ** 2 / (R * z)
     return dulac, H, dH
 
 
 def h_rescale_constant(params: Parameters) -> float:
-    """The x-rescaling a that centers the level sets of H on the focus."""
-    p = params
-    return (
-        (p.beta1 + p.beta2)
-        * (p.q2 * p.r2 * p.beta1 + p.a_q * p.q1 * p.r1 * p.beta2)
-        / ((p.q2 * p.beta1 + p.a_q * p.q1 * p.beta2) * (p.r2 * p.beta1 + p.r1 * p.beta2))
-    )
+    """The x-rescaling a that centers the level sets of H on the focus.
+
+    The core's centre m/C moves onto x_c: a = m/(C x_c).
+    """
+    _, _, _, C = _coefficients(params)
+    _, focus = pseudo_equilibria(params)
+    return params.m / (C * focus.x)
 
 
 def hyperbola_and_Fc(x: float, params: Parameters, focus: SigmaState) -> tuple[float, float]:
@@ -261,7 +215,7 @@ def hyperbola_and_Fc(x: float, params: Parameters, focus: SigmaState) -> tuple[f
     hyperbola point lies outside (positive) or inside (negative) the
     F-level set through the focus.
     """
-    (x,) = _finite((x,), "x")
+    (x,) = _finite((x,), "x", 1)
     if x <= 0.0:
         raise DomainError(f"hyperbola requires x > 0, got {x}")
     p = params

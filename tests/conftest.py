@@ -1,8 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 
 from preyswitch import (
     IntegratorConfig,
+    Piece,
     coarse_mu_curve,
     find_shilnikov,
     focus_condition_holds,
@@ -91,3 +93,62 @@ def rounds(runs):
     """The lockstep rounds of recorded calls: each call runs as many rounds as
     its slowest lane takes steps."""
     return sum(max(arc.steps for arc in run) for run in runs)
+
+
+def reference_field(field, params, sgn=1.0):
+    """X, Y or the sliding field ("Sliding") as f(t, s) times ``sgn``, in
+    factored form: the tests' own copy of the model's fields, sharing no
+    code with the library's quadratic forms."""
+    r1, r2, m = params.r1, params.r2, params.m
+    if field is Piece.X:
+        eq1 = params.e * params.q1
+
+        def f(t, s):
+            x, y, z = s.tolist()
+            return [sgn * (r1 - z) * x, sgn * r2 * y, sgn * (eq1 * x - m) * z]
+
+    elif field is Piece.Y:
+        ratio = params.beta2 / params.beta1
+        eq2a = params.e * params.q2 / params.a_q
+
+        def f(t, s):
+            x, y, z = s.tolist()
+            return [sgn * r1 * x, sgn * (r2 - ratio * z) * y, sgn * (eq2a * y - m) * z]
+
+    else:
+        # the closed form of the Filippov combination of X and Y on Sigma, in (x, z)
+        b1, b2 = params.beta1, params.beta2
+        R = (b1 * r2 + b2 * r1) / (b1 + b2)
+        B = b2 / (b1 + b2)
+        K = params.e * params.b_q * params.phi * b1 / (params.a_q * (b1 + b2))
+        C = params.e * (b1 * params.q2 + params.a_q * b2 * params.q1) / (params.a_q * (b1 + b2))
+
+        def f(t, s):
+            x, z = s.tolist()
+            return [sgn * x * (R - B * z), sgn * (-K * x - m * z + C * x * z)]
+
+    return f
+
+
+def filippov_combination(params):
+    """The Filippov combination (Yh X - Xh Y)/(Yh - Xh) at the point (x, x, z)
+    of Sigma, as its (x, y, z) rates: the tests' second definition of the
+    sliding field, built from :func:`reference_field`'s X and Y, with Xh and
+    Yh each field's x-rate minus its y-rate, so that it shares no code with
+    the library.
+
+    It is evaluated at 40 digits and rounded once.  Near the x-nullcline
+    z = z_c the x-rate cancels to a small difference of O(1) terms, so any
+    two float evaluations differ there by about 1e-12 relative; evaluated
+    exactly, the comparison measures the library's rounding alone.
+    """
+    X, Y = reference_field(Piece.X, params), reference_field(Piece.Y, params)
+
+    def w(x, z):
+        with mpmath.workdps(40):
+            s = np.array([mpmath.mpf(x), mpmath.mpf(x), mpmath.mpf(z)], dtype=object)
+            vx, vy = X(0.0, s), Y(0.0, s)
+            Xh, Yh = vx[0] - vx[1], vy[0] - vy[1]
+            return np.array([float((Yh * a - Xh * b) / (Yh - Xh)) for a, b in zip(vx, vy)])
+
+    return w

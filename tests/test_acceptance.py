@@ -15,7 +15,6 @@ from preyswitch import (
     EventKind,
     Piece,
     RegionLabel,
-    SlidingMode,
     classify_focus,
     classify_sigma_point,
     distance_to_connection,
@@ -36,7 +35,7 @@ from preyswitch import (
     return_map_sample,
 )
 from preyswitch.sliding import sliding_jacobian
-from conftest import draw_params
+from conftest import draw_params, filippov_combination
 
 
 def report(num, text):
@@ -178,12 +177,15 @@ def test_criterion_06_conservation(table1, cfg):
 
 
 def test_criterion_07_sliding_formula_equivalence(table1, rng):
+    # the library's one sliding field against the tests' own Filippov
+    # combination of their factored X and Y
+    combination = filippov_combination(table1)
     worst = 0.0
     for _ in range(1000):
         x = rng.uniform(0.01, 2.0 * table1.tau)
         z = table1.phi + rng.uniform(1e-6, 2.0 * table1.phi)
-        cf = eval_sliding((x, z), table1, SlidingMode.CLOSED_FORM)
-        gf = eval_sliding((x, z), table1, SlidingMode.GENERIC_FILIPPOV)
+        cf = eval_sliding((x, z), table1)
+        gf = combination(x, z)[::2]
         rel = float(np.max(np.abs(cf - gf) / np.maximum(np.abs(cf), 1e-10)))
         worst = max(worst, rel)
         assert rel <= 1e-12
@@ -200,7 +202,7 @@ def test_criterion_07_sliding_formula_equivalence(table1, rng):
         assert gap <= 1e-14
     report(
         7,
-        f"closed form vs generic Filippov: worst relative gap {worst:.2e} <= 1e-12 on 1000 "
+        f"closed form vs Filippov combination: worst relative gap {worst:.2e} <= 1e-12 on 1000 "
         f"sliding points; fold-line identity gap {worst_fold:.2e} <= 1e-14",
     )
 

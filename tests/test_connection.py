@@ -94,11 +94,10 @@ def test_mu_point_errors(table1, cfg):
 
 def filippov_return(x0, params, cfg):
     """(u, v) where the Filippov trajectory from the fold point (x0, x0, phi)
-    first returns to Sigma; its X-arcs must stay on or above Sigma."""
+    first returns to Sigma, or None where it slides first."""
     traj = integrate_filippov((x0, x0, params.phi), replace(cfg, t_max=5.0), params)
-    for arc in traj.arcs:
-        if arc.kind is ArcKind.SMOOTH_X:
-            assert np.min(arc.states[:, 0] - arc.states[:, 1]) >= -cfg.event_tol
+    if traj.arcs[0].kind is ArcKind.SLIDING:
+        return None
     ev = traj.arcs[0].terminal_event
     assert ev.kind in (EventKind.SIGMA_ENTRY_SLIDING, EventKind.SIGMA_CROSSING), ev.kind
     return ev.state[0], ev.state[2]
@@ -121,21 +120,25 @@ def test_mu_point_near_cusp_answers_within_1000_steps(table1, cfg, monkeypatch, 
     tau = table1.tau
     eps = ratio * tau
     try:
-        u, v = launch(tau - eps, table1, cfg)
+        landing = launch(tau - eps, table1, cfg)
     except TangencyAmbiguity:
-        pass
+        assert ratio > 0.0
     else:
-        # Lemma 1: u(tau - eps) = tau + 2*eps + O(eps^2), v - phi = O(eps^2)
-        assert abs((u - tau) / eps - 2.0) <= 0.05
-        assert abs(v - table1.phi) / eps <= 0.01
+        if ratio == 0.0:
+            # from the cusp itself, where the sliding z-rate vanishes, the
+            # Filippov trajectory slides, as integrate_sliding does from there
+            assert landing is None
+        else:
+            # Lemma 1: u(tau - eps) = tau + 2*eps + O(eps^2), v - phi = O(eps^2)
+            u, v = landing
+            assert abs((u - tau) / eps - 2.0) <= 0.05
+            assert abs(v - table1.phi) / eps <= 0.01
     steps = rounds(runs)
-    assert steps <= 1000
-    # only a launch from the cusp itself, where X2h = 0, fails before integrating
-    assert steps >= 1 or ratio == 0.0
-    if launch is filippov_return and runs:
-        # the X-arc leaving the fold, also when its return raised
-        x, y, _ = runs[0][0].states.T
-        assert np.min(x - y) >= -cfg.event_tol
+    assert 1 <= steps <= 1000
+    if launch is filippov_return:
+        # every X-arc stays on or above Sigma, also one whose return raised
+        for arc in (arc for run in runs for arc in run if arc.kind is ArcKind.SMOOTH_X):
+            assert np.min(arc.states[:, 0] - arc.states[:, 1]) >= -cfg.event_tol
 
 
 def test_mu_curve_window_and_classification(table1, cfg):

@@ -38,42 +38,7 @@ from preyswitch import sliding as sliding_mod
 from preyswitch.flow import integrate_fold_launches, trajectory_rows
 from preyswitch.model import smooth_series
 from preyswitch.sliding import sliding_jacobian, sliding_series
-from conftest import draw_params, rounds, taylor_runs
-
-
-def reference_field(field, params, sgn=1.0):
-    """X, Y or the sliding field ("Sliding") as f(t, s) times ``sgn``, in
-    factored form: the tests' own copy of the model's fields, sharing no
-    code with the library's quadratic forms."""
-    r1, r2, m = params.r1, params.r2, params.m
-    if field is Piece.X:
-        eq1 = params.e * params.q1
-
-        def f(t, s):
-            x, y, z = s.tolist()
-            return [sgn * (r1 - z) * x, sgn * r2 * y, sgn * (eq1 * x - m) * z]
-
-    elif field is Piece.Y:
-        ratio = params.beta2 / params.beta1
-        eq2a = params.e * params.q2 / params.a_q
-
-        def f(t, s):
-            x, y, z = s.tolist()
-            return [sgn * r1 * x, sgn * (r2 - ratio * z) * y, sgn * (eq2a * y - m) * z]
-
-    else:
-        # the Filippov combination of X and Y on Sigma, in (x, z)
-        b1, b2 = params.beta1, params.beta2
-        R = (b1 * r2 + b2 * r1) / (b1 + b2)
-        B = b2 / (b1 + b2)
-        K = params.e * params.b_q * params.phi * b1 / (params.a_q * (b1 + b2))
-        C = params.e * (b1 * params.q2 + params.a_q * b2 * params.q1) / (params.a_q * (b1 + b2))
-
-        def f(t, s):
-            x, z = s.tolist()
-            return [sgn * x * (R - B * z), sgn * (-K * x - m * z + C * x * z)]
-
-    return f
+from conftest import draw_params, reference_field, rounds, taylor_runs
 
 
 def arc_gap(a, b):
@@ -513,6 +478,23 @@ def test_filippov_fold_start_lands_in_sliding(table1, cfg):
     assert ev.state[2] == pytest.approx(v, rel=1e-10)
     assert classify_sigma_point((ev.state[0], ev.state[2]), table1) is RegionLabel.SLIDING
     assert traj.arcs[1].kind is ArcKind.SLIDING
+
+
+@pytest.mark.parametrize("offset", ("cusp", "ulp", "1e-12"))
+def test_filippov_slides_from_the_cusp_as_integrate_sliding_does(table1, cfg, offset):
+    # one rule decides whether the sliding flow leaves a fold point; at the
+    # cusp its z-rate is zero up to roundoff, and neither takes that residue
+    # for an exit
+    tau, phi = table1.tau, table1.phi
+    x = {"cusp": tau, "ulp": math.nextafter(tau, 0.0), "1e-12": tau - 1e-12}[offset]
+    first = integrate_filippov((x, x, phi), cfg, table1).arcs[0]
+    alone = integrate_sliding((x, phi), Direction.FORWARD, cfg, table1)
+    assert alone.terminal_event.kind is EventKind.FOLD_EXIT
+    assert first.kind is ArcKind.SLIDING
+    assert first.terminal_event.kind is EventKind.FOLD_EXIT
+    assert (first.steps, first.t1) == (alone.steps, alone.t1)
+    assert first.ts.tobytes() == alone.ts.tobytes()
+    assert first.states.tobytes() == alone.states.tobytes()
 
 
 def test_filippov_crossing_start_passes_without_sliding(table1):

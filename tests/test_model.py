@@ -5,18 +5,22 @@ import pytest
 from preyswitch import (
     ConstraintViolation,
     DegenerateTau,
+    Direction,
     DomainError,
+    IntegratorConfig,
     ParameterLoadError,
     Piece,
     RegionLabel,
     SigmaState,
-    SlidingMode,
     State,
     classify_sigma_point,
     eval_field,
     eval_sliding,
     first_integral_F,
     hyperbola_and_Fc,
+    integrate_filippov,
+    integrate_sliding,
+    integrate_smooth,
     lie_derivatives,
     load_parameters,
     monotonicity_witnesses,
@@ -26,6 +30,7 @@ from preyswitch import (
     to_model_coords,
     validate_parameters,
 )
+from preyswitch.sliding import sliding_jacobian
 from conftest import TABLE1
 
 
@@ -226,7 +231,6 @@ def test_first_integral_domain(table1):
         lambda p, v: classify_sigma_point((1.0, v), p),
         lambda p, v: eval_field(Piece.X, (1.0, 0.5, v), p),
         lambda p, v: eval_sliding((v, 1.0), p),
-        lambda p, v: eval_sliding((v, 1.0), p, SlidingMode.GENERIC_FILIPPOV),
         lambda p, v: monotonicity_witnesses((1.0, v), p),
         lambda p, v: hyperbola_and_Fc(v, p, pseudo_equilibria(p)[1]),
     ],
@@ -239,7 +243,6 @@ def test_first_integral_domain(table1):
         "classify_sigma_point",
         "eval_field",
         "eval_sliding",
-        "eval_sliding-generic",
         "monotonicity_witnesses",
         "hyperbola_and_Fc",
     ],
@@ -248,3 +251,34 @@ def test_non_finite_points_raise_domain_error(table1, call, bad):
     # no NaN or infinity passes silently into a result
     with pytest.raises(DomainError, match="finite"):
         call(table1, bad)
+
+
+@pytest.mark.parametrize("count", ("short", "long"))
+@pytest.mark.parametrize(
+    "call, dim",
+    [
+        pytest.param(lambda p, s: eval_sliding(s, p), 2, id="eval_sliding"),
+        pytest.param(lambda p, s: sliding_jacobian(s, p), 2, id="sliding_jacobian"),
+        pytest.param(lambda p, s: lie_derivatives(s, p), 2, id="lie_derivatives"),
+        pytest.param(lambda p, s: classify_sigma_point(s, p), 2, id="classify_sigma_point"),
+        pytest.param(lambda p, s: first_integral_F(s, p), 2, id="first_integral_F"),
+        pytest.param(lambda p, s: monotonicity_witnesses(s, p), 2, id="monotonicity_witnesses"),
+        pytest.param(lambda p, s: to_model_coords(s, p), 3, id="to_model_coords"),
+        pytest.param(lambda p, s: eval_field(Piece.X, s, p), 3, id="eval_field"),
+        pytest.param(
+            lambda p, s: integrate_smooth(Piece.X, s, Direction.FORWARD, IntegratorConfig(), p),
+            3,
+            id="integrate_smooth",
+        ),
+        pytest.param(
+            lambda p, s: integrate_sliding(s, Direction.FORWARD, IntegratorConfig(), p), 2, id="integrate_sliding"
+        ),
+        pytest.param(lambda p, s: integrate_filippov(s, IntegratorConfig(), p), 3, id="integrate_filippov"),
+    ],
+)
+def test_wrong_coordinate_count_raises_domain_error(table1, call, dim, count):
+    # a point is neither cut short nor read in part: sliding_jacobian once
+    # took (x, z, extra) for (x, z)
+    point = (0.5, 0.4, 0.9, 1.1)[: dim - 1 if count == "short" else dim + 1]
+    with pytest.raises(DomainError, match=f"must have {dim} coordinates"):
+        call(table1, point)

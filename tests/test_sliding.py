@@ -6,8 +6,6 @@ from preyswitch import (
     FocusKind,
     Piece,
     PoleError,
-    SlidingMode,
-    TangencyDenominator,
     classify_focus,
     eval_field,
     eval_sliding,
@@ -20,7 +18,7 @@ from preyswitch import (
     validate_parameters,
 )
 from preyswitch.sliding import sliding_jacobian
-from conftest import TABLE1, draw_params
+from conftest import TABLE1, draw_params, filippov_combination
 
 
 def numeric_jacobian(p, params, h=0.1):
@@ -49,17 +47,15 @@ def test_closed_form_equals_x_on_fold_line(table1, rng):
 
 
 def test_closed_form_matches_generic_filippov(table1, rng):
+    # the tests' own combination of their factored X and Y, tangent to Sigma
+    combination = filippov_combination(table1)
     for _ in range(1000):
         x = rng.uniform(0.01, 2.0 * table1.tau)
         z = table1.phi + rng.uniform(1e-6, 2.0 * table1.phi)
-        cf = eval_sliding((x, z), table1, SlidingMode.CLOSED_FORM)
-        gf = eval_sliding((x, z), table1, SlidingMode.GENERIC_FILIPPOV)
-        assert np.allclose(cf, gf, rtol=1e-12, atol=1e-13), (x, z, cf, gf)
-
-
-def test_generic_mode_degenerates_on_tangency_set(table1):
-    with pytest.raises(TangencyDenominator):
-        eval_sliding((0.5, 0.0), table1, SlidingMode.GENERIC_FILIPPOV)
+        w = combination(x, z)
+        assert abs(w[0] - w[1]) <= 1e-12 * max(1.0, abs(w[0])), (x, z, w)
+        cf = eval_sliding((x, z), table1)
+        assert np.allclose(cf, w[::2], rtol=1e-12, atol=1e-13), (x, z, cf, w)
 
 
 def test_equilibria_zero_the_field(table1, table1_b10):
