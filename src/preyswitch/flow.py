@@ -7,20 +7,24 @@ the step of Jorba and Zou (2005) at the local tolerance 1e-4*abs_tol, and on
 the step's polynomials either excludes each event or locates the first, by
 an in-house port of Brent's method (:func:`_brent`), so no scipy is loaded.
 Every integration runs through one Taylor step loop (:func:`_taylor_lanes`),
-which advances K lanes in lockstep rounds, each lane by its own step: one
-lane for every arc, smooth or sliding, and for both arcs of the planar
-period (:func:`lv_period`), which are X-arcs on the invariant plane y = 0;
-one X-lane a launch for the fold launches
+which advances K lanes, each by its own step: one lane for every arc,
+smooth or sliding (:func:`_smooth_lanes`, :func:`_sliding_lanes`), and for
+both arcs of the planar period (:func:`lv_period`), which are X-arcs on
+the invariant plane y = 0; one X-lane a launch for the fold launches
 (:func:`integrate_fold_launches`), which are X-arcs leaving the fold like
 those :func:`integrate_smooth` runs, by the same code
-(:func:`_smooth_lanes`).  Only an explicit ``max_step`` caps any
-step.  Every lane ends at the first event of one table: the caller's events
-(the switching plane h = x - y for a smooth arc; the fold
-exit and the focus capture for a sliding arc), a DOMAIN_EXIT
-for each coordinate that starts above the event tolerance (only x for a
-sliding arc, whose z meets the fold line first), and the norm bound, which
-raises :class:`BlowUp`.  A start that is not finite coordinates of the
-right number, or has a negative one, raises :class:`DomainError`.
+(:func:`_smooth_lanes`).  Below _ARRAY_LANES lanes, each lane runs alone on
+Python floats (:func:`_lone_lane`) and forms an event's polynomial only
+when a float test cannot clear the step; from _ARRAY_LANES lanes on, the
+lanes advance in lockstep rounds on numpy arrays.  Only an explicit
+``max_step`` caps any step.  Every lane ends at the first event of one
+table: the caller's events, declared as data (the switching plane h = x - y
+for a smooth arc; the fold line and the focus ball for a sliding arc), a
+DOMAIN_EXIT for each coordinate that starts above the event tolerance
+(only x for a sliding arc, whose z meets the fold line first), and the norm
+bound, which raises :class:`BlowUp`; both kinds of round form each event's
+polynomial from the same data.  A start that is not finite coordinates of
+the right number, or has a negative one, raises :class:`DomainError`.
 The Filippov concatenator stitches smooth and sliding arcs per the
 convex-combination convention: trajectories entering the sliding region
 follow the sliding field until the visible fold hands them back to X.
@@ -41,6 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -206,8 +212,10 @@ _TO_BERNSTEIN, _LEFT_HALF, _RIGHT_HALF = _bernstein_matrices(_TAYLOR_ORDER)
 _POWERS = np.arange(_TAYLOR_ORDER + 1)
 _ONE = np.eye(1, _TAYLOR_ORDER + 1)[0]  # the series of the constant 1
 _ROOT_TOL = 4.0 * math.ulp(1.0)
-# below this many lanes, Python floats expand each lane faster than numpy
-# expands them all: about 30 us a lane against 400-550 us a batch
+# below this many lanes, each lane runs alone on Python floats: one
+# order-24 expansion takes about 30 us a lane, against 400-550 us for a
+# numpy batch of up to 48 lanes, and a lone lane forms no event polynomial
+# that a float test clears
 _ARRAY_LANES = 16
 
 
@@ -337,11 +345,183 @@ def _sum_of_squares(v: np.ndarray) -> np.ndarray:
     return np.array([sum(map(np.convolve, lane, lane)) for lane in v])[:, : v.shape[2]]
 
 
+# An event is data, and both rounds of the step loop form its rows from it:
+# ``clears(p, spread, first, lane)`` is a lone lane's float test, True only
+# if the step from the state p, each coordinate i of which moves by at most
+# spread[i], has no root; ``rows(a, first, lanes)`` is the polynomial of
+# each lane of a, shape (lanes, dim, order + 1), falling through zero, or
+# None if no lane can have a root; ``lanes`` are the lanes' indices in the
+# call.  The caller's rows of the first step are clamped at 0 at u = 0, so
+# that a start within roundoff of an event surface is not an event.
+
+
+@dataclass(frozen=True)
+class _Plane:
+    """The event side*(s_i - s_j - level), or side*(s_i - level) if j is
+    None, with side = 1 or -1.  Lane l starts tangent to it if
+    contact[l] > 0, and on its first step watches the row divided by
+    u**contact[l] instead."""
+
+    kind: EventKind
+    i: int
+    j: int | None = None
+    level: float = 0.0
+    side: float = 1.0
+    contact: tuple[int, ...] = ()
+
+    def clears(self, p: list[float], spread: list[float], first: bool, lane: int) -> bool:
+        # g_0 > sum_(k>=1) |g_k|, bounded by spread_i + spread_j with a
+        # margin for the rounding of the row and of its Bernstein coefficients
+        if first and self.contact and self.contact[lane]:
+            return False
+        g0, bound = p[self.i], spread[self.i]
+        if self.j is not None:
+            g0 -= p[self.j]
+            bound += spread[self.j]
+        return self.side * (g0 - self.level) > (1.0 + 1e-9) * bound
+
+    def rows(self, a: np.ndarray, first: bool, lanes: list[int]) -> np.ndarray:
+        g = a[:, self.i]
+        if self.j is not None:
+            g = g - a[:, self.j]
+        if self.level:
+            g = g - self.level * _ONE
+        if self.side != 1.0:
+            g = self.side * g
+        if first:
+            for k in set(self.contact) - {0}:
+                tangent = np.array([self.contact[l] == k for l in lanes])
+                g = np.where(tangent[:, None], _divide_out(g, k), g)
+            g = np.concatenate((np.maximum(g[:, :1], 0.0), g[:, 1:]), axis=1)
+        return g
+
+
+@dataclass(frozen=True)
+class _Ball:
+    """The event |s - centre|**2 - radius**2.  Its row is formed only for a
+    lane whose step can come within the radius, judged by the enclosure
+    |s_0 - centre| - sum over coordinates and k >= 1 of |a_k|, with a
+    margin of 1e-6 of the enclosure's size for the rounding of the row."""
+
+    kind: EventKind
+    centre: tuple[float, ...]
+    radius: float
+
+    def _far(self, dist, spread):
+        return dist - spread > self.radius + 1e-6 * (dist + spread)
+
+    def clears(self, p: list[float], spread: list[float], first: bool, lane: int) -> bool:
+        return self._far(math.dist(p, self.centre), sum(spread))
+
+    def rows(self, a: np.ndarray, first: bool, lanes: list[int]) -> np.ndarray | None:
+        offset = a - np.array(self.centre)[:, None] * _ONE
+        dist = np.sqrt((offset[:, :, 0] ** 2).sum(axis=1))
+        near = ~self._far(dist, np.abs(offset[:, :, 1:]).sum(axis=(1, 2)))
+        if not near.any():
+            return None
+        g = np.tile(_ONE, (len(a), 1))  # the constant 1: no root
+        g[near] = _sum_of_squares(offset[near])
+        g[near, 0] -= self.radius * self.radius
+        if first:
+            g[:, 0] = np.maximum(g[:, 0], 0.0)
+        return g
+
+
+@dataclass(frozen=True)
+class _NormBound:
+    """1 - |s|**2/bound**2, whose root raises :class:`BlowUp` (kind None).
+    Its row is formed only when the step's enclosure, the sum of |a_k| over
+    every coordinate, reaches the bound (in the array round, that of every
+    lane together), and is never clamped, so a start beyond the bound fails
+    at once."""
+
+    bound: float
+    kind: None = None
+
+    def clears(self, p: list[float], spread: list[float], first: bool, lane: int) -> bool:
+        return sum(map(abs, p)) + sum(spread) < self.bound
+
+    def rows(self, a: np.ndarray, first: bool, lanes: list[int]) -> np.ndarray | None:
+        if np.abs(a).sum() < self.bound:
+            return None
+        q = -_sum_of_squares(a / self.bound)
+        q[:, 0] += 1.0
+        return q
+
+
+def _finish(kind: ArcKind, t_start: float, ts: list, states: list, event: EventKind, steps: int) -> Arc:
+    ts_a, states_a = np.array(ts, dtype=float), np.array(states)
+    record = EventRecord(event, float(ts_a[-1]), states_a[-1].copy())
+    return Arc(kind, t_start, float(ts_a[-1]), ts_a, states_a, record, steps)
+
+
+def _overflow(c, t: float, state) -> StepFailure | None:
+    if all(map(math.isfinite, chain.from_iterable(c))):
+        return None
+    return StepFailure(f"Taylor coefficients overflow at t = {t}, state {np.asarray(state)}")
+
+
+def _lone_lane(kind: ArcKind, series, p: list[float], events, sgn, t_start, cfg, lane: int) -> Arc:
+    """The arc of one lane of :func:`_taylor_lanes`, stepped on Python floats.
+
+    The series, the step's coefficients a_k = c_k h**k, each event's float
+    test and the end state are lists; an event's row is formed, as an
+    array, only when its test fails, and then goes to :func:`_first_root`.
+    Each operation is the array round's on the same floats: h**k is numpy's
+    power, and the end state sums the orders in turn from -0.0, as
+    ``np.add.accumulate`` does.
+    """
+    n = _TAYLOR_ORDER
+    s, steps = 0.0, 0
+    ts, states = [t_start], [p]
+    while True:
+        first = steps == 0
+        c = series(p, n)
+        if not math.isfinite(sum(map(sum, c))) and (err := _overflow(c, t_start + sgn * s, p)):
+            raise err
+        end = _step_end([max(abs(col[n - 1]) for col in c), max(abs(col[n]) for col in c)], s, cfg)
+        h = end - s
+        powers = (np.array([h]) ** _POWERS).tolist()
+        a = [list(map(mul, col, powers)) for col in c]
+        spread = [sum(map(abs, col[1:])) for col in a]
+        hit, lane_a = None, None
+        for ev in events:
+            if ev.clears(p, spread, first, lane):
+                continue
+            if lane_a is None:
+                lane_a = np.array([a])
+            g = ev.rows(lane_a, first, [lane])
+            if g is None:
+                continue
+            u = _first_root(g[0], _TO_BERNSTEIN @ g[0])
+            if u is not None and (hit is None or u < hit[1]):
+                hit = ev.kind, u
+        steps += 1
+        if hit is None:
+            p = [sum(col, -0.0) for col in a]
+        else:
+            end = s + hit[1] * h
+            if hit[0] is None:
+                raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {t_start + sgn * end}")
+            p = [_horner(col, hit[1]) for col in a]
+        t = t_start + sgn * end
+        if t == ts[-1]:  # a root at the very start of the step
+            states[-1] = p
+        else:
+            ts.append(t)
+            states.append(p)
+        if hit is not None:
+            return _finish(kind, t_start, ts, states, hit[0], steps)
+        if end >= cfg.t_max:
+            return _finish(kind, t_start, ts, states, EventKind.HORIZON_REACHED, steps)
+        s = end
+
+
 def _taylor_lanes(
     kind: ArcKind,
     series,
     p0: np.ndarray,
-    events,
+    events: list,
     watch,
     sgn: float,
     t_start: float,
@@ -350,35 +530,40 @@ def _taylor_lanes(
     """The arcs of ``series`` from the rows of p0 by Taylor steps, each up to
     its first event or the horizon.
 
-    The K lanes, one a row of p0, advance in lockstep rounds, each lane by
-    its own step.  Each round expands every running lane to order
-    _TAYLOR_ORDER (all lanes in one call of ``series`` as arrays, or below
-    _ARRAY_LANES lanes one call a lane in floats) and takes Jorba and Zou's
-    step (:func:`_step_end`) per lane.  In u = s/h on [0, 1] the event
-    functions are polynomials, all falling through zero: the caller's,
-    ``events(a, first)`` of the step's coefficients a_k = c_k h**k (shape
-    (lanes, dim, order + 1)), ``first`` on the first round, where every lane
-    runs and a tangential start divides its contact out exactly, one array
-    of shape (lanes, order + 1) an event, with their constants clamped at 0
-    on the first round so that a start within roundoff of an event surface
-    is not an event; coordinate i
-    for each i in ``watch`` (DOMAIN_EXIT); and 1 - |state|**2/norm_bound**2,
-    which raises :class:`BlowUp`.  Each step
-    proves that none has a root in (0, 1] or ends its lane at the first
-    root.  The norm polynomial is formed only when the step's enclosure, the
-    sum of |c_k| h**k over every coordinate of every lane, reaches the bound,
-    so no state is formed before the bound is checked.
+    Each step expands a lane to order _TAYLOR_ORDER and takes Jorba and
+    Zou's step (:func:`_step_end`).  In u = s/h on [0, 1] the event
+    functions are polynomials in the step's coefficients a_k = c_k h**k, all
+    falling through zero: the caller's ``events``, declared as data (a
+    :class:`_Plane` or a :class:`_Ball`); coordinate i for each i in
+    ``watch`` (DOMAIN_EXIT); and the norm bound (:class:`_NormBound`), which
+    raises :class:`BlowUp`.  Each step proves that none has a root in
+    (0, 1] or ends its lane at the first root, by :func:`_first_root`.
 
-    One matrix product gives the Bernstein coefficients of every event of
-    every lane, and :func:`_first_root` runs only on those it does not
-    clear, each with its own product.  Every lane runs the operations it
-    would run alone, its end state summed order by order, except that
-    batch product, whose rounding can depend on the number of lanes; it
-    only decides which lanes are searched.  So a lane's arc is the one it
-    has alone unless a Bernstein coefficient of its step lies within
-    roundoff of zero without a root.  A lane's ``steps`` count its rounds,
-    so a call takes as many rounds as its slowest lane takes steps.
+    Below _ARRAY_LANES lanes, each lane runs alone on Python floats
+    (:func:`_lone_lane`), and an event's row is formed only when a float
+    test cannot clear it: for a plane, g_0 > sum_(k>=1) |g_k|; for the focus
+    ball, the step's enclosure staying out of the radius; for the norm
+    bound, the enclosure staying inside it.  From _ARRAY_LANES lanes on,
+    the lanes advance in lockstep rounds, each lane by its own step: one
+    call of ``series`` on arrays expands them all, every event forms its
+    rows for every lane (the ball only for the lanes near it), and one
+    matrix product gives their Bernstein coefficients.  :func:`_first_root`
+    runs only on the rows it does not clear, each with its own product.
+    Every lane runs the operations it would run alone, its end state summed
+    order by order, except that batch product, whose rounding can depend on
+    the number of lanes; it only decides which lanes are searched.  So a
+    lane's arc is the one it has alone unless a Bernstein coefficient of its
+    step lies within roundoff of zero without a root.  A lane's ``steps``
+    count its steps, so a call takes as many rounds as its slowest lane
+    takes steps.
     """
+    events = [
+        *events,
+        *(_Plane(EventKind.DOMAIN_EXIT, i) for i in watch),
+        _NormBound(cfg.norm_bound),
+    ]
+    if len(p0) < _ARRAY_LANES:
+        return [_lone_lane(kind, series, p, events, sgn, t_start, cfg, i) for i, p in enumerate(p0.tolist())]
     n = _TAYLOR_ORDER
     live = list(range(len(p0)))
     s = [0.0] * len(p0)
@@ -388,27 +573,18 @@ def _taylor_lanes(
     rounds = 0
     while live:
         if len(live) < _ARRAY_LANES:
-            c = np.array([series(p, n) for p in state])
+            c = np.array([series(p, n) for p in state.tolist()])
         else:
             c = np.array(series(state.T, n)).transpose(2, 0, 1).copy()
         if not np.isfinite(c).all():
             j = (~np.isfinite(c)).any(axis=(1, 2)).argmax()
-            raise StepFailure(f"Taylor coefficients overflow at t = {t_start + sgn * s[j]}, state {state[j]}")
+            raise _overflow(c[j].tolist(), t_start + sgn * s[j], state[j])
         norms = np.abs(c[:, :, n - 1 :]).max(axis=1).tolist()
         ends = [_step_end(pair, s_j, cfg) for pair, s_j in zip(norms, s)]
         h = np.array([end - s_j for end, s_j in zip(ends, s)])
         a = c * h[:, None, None] ** _POWERS
 
-        rows = events(a, rounds == 0)
-        if rounds == 0:
-            for _, g in rows:
-                g[:, 0] = np.maximum(g[:, 0], 0.0)
-        rows += [(EventKind.DOMAIN_EXIT, a[:, i]) for i in watch]
-        if not np.abs(a).sum() < cfg.norm_bound:
-            q = -_sum_of_squares(a / cfg.norm_bound)
-            q[:, 0] += 1.0
-            rows.append((None, q))
-
+        rows = [(ev.kind, g) for ev in events if (g := ev.rows(a, rounds == 0, live)) is not None]
         polys = np.array([g for _, g in rows]).reshape(len(rows) * len(live), n + 1)
         cleared = polys @ _TO_BERNSTEIN.T > 0.0
         hits = {}
@@ -439,11 +615,10 @@ def _taylor_lanes(
         if hits or max(ends) >= cfg.t_max:
             keep = []
             for j, (i, end) in enumerate(zip(live, ends)):
-                if j in hits or end >= cfg.t_max:
-                    ts_i, states_i = np.array(ts[i], dtype=float), np.array(states[i])
-                    event = hits[j][0] if j in hits else EventKind.HORIZON_REACHED
-                    record = EventRecord(event, float(ts_i[-1]), states_i[-1].copy())
-                    arcs[i] = Arc(kind, t_start, float(ts_i[-1]), ts_i, states_i, record, rounds)
+                if j in hits:
+                    arcs[i] = _finish(kind, t_start, ts[i], states[i], hits[j][0], rounds)
+                elif end >= cfg.t_max:
+                    arcs[i] = _finish(kind, t_start, ts[i], states[i], EventKind.HORIZON_REACHED, rounds)
                 else:
                     keep.append(j)
             live, s, state = [live[j] for j in keep], [ends[j] for j in keep], state[keep]
@@ -504,16 +679,12 @@ def _smooth_lanes(
     lanes = [i for i, err in enumerate(out) if err is None]
     if not lanes:
         return out
-    fold = np.array([[i in folds] for i in lanes])
-
-    def events(a, first):
-        g = side * (a[:, 0] - a[:, 1])  # h for X, -h for Y: both fall through zero
-        return [(EventKind.SIGMA_CROSSING, np.where(fold, _divide_out(g, 2), g) if first and folds else g)]
-
+    # h for X, -h for Y: both fall through zero; a fold start watches h/u**2
+    sigma = _Plane(EventKind.SIGMA_CROSSING, 0, 1, side=side, contact=tuple(2 * (i in folds) for i in lanes))
     start = p0[lanes]
     watch = [k for k, v in enumerate(start.min(axis=0).tolist()) if v > tol]
     kind = ArcKind.SMOOTH_Y if piece is Piece.Y else ArcKind.SMOOTH_X
-    arcs = _taylor_lanes(kind, smooth_series(piece, params, sgn), start, events, watch, sgn, t_start, cfg)
+    arcs = _taylor_lanes(kind, smooth_series(piece, params, sgn), start, [sigma], watch, sgn, t_start, cfg)
     for i, arc in zip(lanes, arcs):
         ev = arc.terminal_event
         if ev.kind is EventKind.SIGMA_CROSSING:
@@ -562,6 +733,50 @@ def _leaves_fold(rate) -> bool:
     return rate[1] < -1e-10 * max(1.0, abs(rate[0]))
 
 
+def _sliding_lanes(
+    p0: np.ndarray, sgn: float, t_start: float, cfg: IntegratorConfig, params: Parameters, radius: float
+) -> list[Arc]:
+    """The sliding arcs from the rows of p0, points (x, z) with x > 0 and
+    z >= phi - event_tol, the lanes of one call of :func:`_taylor_lanes`,
+    each up to its first event or the horizon.
+
+    The events are the fold line z = phi (FOLD_EXIT), the focus ball of
+    ``radius`` (FOCUS_CAPTURE; none at radius 0) and, if every lane starts
+    with x above the event tolerance, x (DOMAIN_EXIT).  A start within the
+    radius of the focus is captured at once, and one on the fold line whose
+    flow leaves the region (:func:`_leaves_fold`) exits at once; another
+    fold start watches (z - z0)/u on its first step.  A FOLD_EXIT state is
+    snapped to z = phi.
+    """
+    phi = params.phi
+    _, focus = pseudo_equilibria(params)
+    series = sliding_series(params, sgn)
+    out: list = [None] * len(p0)
+    on_fold = set()
+    for i, p in enumerate(p0.tolist()):
+        if math.hypot(p[0] - focus.x, p[1] - focus.z) <= radius:
+            out[i] = _finish(ArcKind.SLIDING, t_start, [t_start], [p], EventKind.FOCUS_CAPTURE, 0)
+        elif p[1] - phi <= cfg.event_tol:
+            if _leaves_fold([col[1] for col in series(p, 1)]):
+                out[i] = _finish(ArcKind.SLIDING, t_start, [t_start], [[p[0], phi]], EventKind.FOLD_EXIT, 0)
+            else:
+                on_fold.add(i)
+    lanes = [i for i, arc in enumerate(out) if arc is None]
+    if not lanes:
+        return out
+    events = [_Plane(EventKind.FOLD_EXIT, 1, level=phi, contact=tuple(int(i in on_fold) for i in lanes))]
+    if radius > 0.0:
+        events.append(_Ball(EventKind.FOCUS_CAPTURE, (focus.x, focus.z), radius))
+    start = p0[lanes]
+    watch = [0] if start[:, 0].min() > cfg.event_tol else []
+    for i, arc in zip(lanes, _taylor_lanes(ArcKind.SLIDING, series, start, events, watch, sgn, t_start, cfg)):
+        ev = arc.terminal_event
+        if ev.kind is EventKind.FOLD_EXIT:
+            arc = replace(arc, terminal_event=replace(ev, state=np.array([ev.state[0], phi])))
+        out[i] = arc
+    return out
+
+
 def integrate_sliding(
     p0,
     direction: Direction,
@@ -572,65 +787,33 @@ def integrate_sliding(
 ) -> Arc:
     """Integrate the sliding field from a point of the closed sliding region.
 
-    Terminal events: FOLD_EXIT when z falls through phi (the visible fold,
-    where the flow hands off to X), FOCUS_CAPTURE when the distance to the
-    interior pseudo-equilibrium drops below ``focus_capture_radius`` (a
-    radius of zero disables capture), a DOMAIN_EXIT when x falls through
-    zero if it starts above the event tolerance (z cannot leave before it
-    passes the fold line phi > 0), the norm bound, which raises
-    :class:`BlowUp`, and the horizon; a FOLD_EXIT state is snapped to
-    z = phi.  Starting on the fold line is allowed: if the flow points out
-    of the region the arc is an immediate fold exit, otherwise the first
-    step watches (z - z0)/u, whose value at u = 0 is the initial z-rate
-    times the step.  A start that is not two finite coordinates raises
-    :class:`DomainError`.
+    The one-lane case of :func:`_sliding_lanes`.  Terminal events:
+    FOLD_EXIT when z falls through phi (the visible fold, where the flow
+    hands off to X), FOCUS_CAPTURE when the distance to the interior
+    pseudo-equilibrium drops below ``focus_capture_radius`` (a radius of
+    zero disables capture), a DOMAIN_EXIT when x falls through zero if it
+    starts above the event tolerance (z cannot leave before it passes the
+    fold line phi > 0), the norm bound, which raises :class:`BlowUp`, and
+    the horizon; a FOLD_EXIT state is snapped to z = phi.  Starting on the
+    fold line is allowed: if the flow points out of the region the arc is
+    an immediate fold exit, otherwise the first step watches (z - z0)/u,
+    whose value at u = 0 is the initial z-rate times the step.  A start
+    that is not two finite coordinates raises :class:`DomainError`.
 
     The arc is integrated like a smooth one (see :func:`integrate_smooth`),
     by the Taylor series of the closed-form sliding field
     (:func:`~preyswitch.sliding.sliding_series`); the squared distance to
     the focus is a polynomial on each step too.
     """
-    p0 = np.array(_finite(p0, "sliding state (x, z)", 2))
+    x, z = _finite(p0, "sliding state (x, z)", 2)
     if not 0.0 <= focus_capture_radius < math.inf:  # false for NaN too
         raise DomainError(f"focus_capture_radius must be finite and nonnegative, got {focus_capture_radius}")
-    phi = params.phi
-    if p0[0] <= 0.0:
-        raise DomainError(f"sliding requires x > 0, got x = {p0[0]}")
-    if p0[1] < phi - cfg.event_tol:
-        raise DomainError(f"sliding requires z >= phi = {phi}, got z = {p0[1]}")
+    if x <= 0.0:
+        raise DomainError(f"sliding requires x > 0, got x = {x}")
+    if z < params.phi - cfg.event_tol:
+        raise DomainError(f"sliding requires z >= phi = {params.phi}, got z = {z}")
     sgn = 1.0 if direction is Direction.FORWARD else -1.0
-    _, focus = pseudo_equilibria(params)
-
-    if math.hypot(p0[0] - focus.x, p0[1] - focus.z) <= focus_capture_radius:
-        record = EventRecord(EventKind.FOCUS_CAPTURE, t_start, p0.copy())
-        return Arc(ArcKind.SLIDING, t_start, t_start, np.array([t_start]), p0[None, :].copy(), record, 0)
-
-    on_fold = p0[1] - phi <= cfg.event_tol
-    series = sliding_series(params, sgn)
-    if on_fold and _leaves_fold([col[1] for col in series(p0, 1)]):
-        snapped = np.array([p0[0], phi])
-        record = EventRecord(EventKind.FOLD_EXIT, t_start, snapped)
-        return Arc(ArcKind.SLIDING, t_start, t_start, np.array([t_start]), snapped[None, :], record, 0)
-
-    r2 = focus_capture_radius * focus_capture_radius
-    # the constants of z - phi and of (x, z) - focus, as series
-    at_phi = phi * _ONE
-    at_focus = np.array([[focus.x], [focus.z]]) * _ONE
-
-    def events(a, first):
-        fold = _divide_out(a[:, 1], 1) if first and on_fold else a[:, 1] - at_phi
-        rows = [(EventKind.FOLD_EXIT, fold)]
-        if r2 > 0.0:
-            d2 = _sum_of_squares(a - at_focus)
-            d2[:, 0] -= r2
-            rows.append((EventKind.FOCUS_CAPTURE, d2))
-        return rows
-
-    watch = [0] if p0[0] > cfg.event_tol else []
-    (arc,) = _taylor_lanes(ArcKind.SLIDING, series, p0[None], events, watch, sgn, t_start, cfg)
-    ev = arc.terminal_event
-    if ev.kind is EventKind.FOLD_EXIT:
-        arc = replace(arc, terminal_event=replace(ev, state=np.array([ev.state[0], phi])))
+    (arc,) = _sliding_lanes(np.array([[x, z]]), sgn, t_start, cfg, params, focus_capture_radius)
     return arc
 
 
@@ -782,18 +965,13 @@ def lv_period(x0: float, cfg: IntegratorConfig, params: Parameters) -> float:
     tau = params.tau
     if not 0.0 < x0 < tau:
         raise DomainError(f"lv_period requires 0 < x0 < tau = {tau}, got {x0}")
-    r1 = params.r1
     series = smooth_series(Piece.X, params)
-    state, t = np.array([x0, 0.0, r1]), 0.0
+    state, t = np.array([x0, 0.0, params.r1]), 0.0
     for side, crossing in ((-1.0, "upward recrossing"), (1.0, "closing crossing")):
-
-        def section(a, first, side=side):
-            g = _divide_out(a[:, 2], 1) if first else a[:, 2] - r1 * _ONE
-            # the section is the arc's only event, so it reuses SIGMA_CROSSING
-            return [(EventKind.SIGMA_CROSSING, side * g)]
-
+        # the section is the arc's only event, so it reuses SIGMA_CROSSING
+        section = _Plane(EventKind.SIGMA_CROSSING, 2, level=params.r1, side=side, contact=(1,))
         (arc,) = _taylor_lanes(
-            ArcKind.SMOOTH_X, series, state[None], section, (), 1.0, t, replace(cfg, t_max=cfg.t_max - t)
+            ArcKind.SMOOTH_X, series, state[None], [section], (), 1.0, t, replace(cfg, t_max=cfg.t_max - t)
         )
         if arc.terminal_event.kind is EventKind.HORIZON_REACHED:
             raise NoReturn(f"no {crossing} of z = r1 within t_max = {cfg.t_max}")

@@ -35,10 +35,16 @@ DEFAULT_BOUNDARY_TOL = 1e-12
 
 
 def _finite(p, what: str, dim: int) -> list[float]:
-    """The ``dim`` coordinates of p as floats; :class:`DomainError` if p has
-    another number of them, or one is not finite, so that no point is cut
-    short and no NaN or infinity enters a result silently."""
-    values = [float(v) for v in p]
+    """The ``dim`` coordinates of p as floats; :class:`DomainError` if p is
+    not a sequence of numbers, has another number of them, or one is not
+    finite, so that no point is cut short and no NaN or infinity enters a
+    result silently."""
+    try:
+        if isinstance(p, (str, bytes)):  # a sequence, but of characters
+            raise TypeError
+        values = [float(v) for v in p]
+    except (TypeError, ValueError) as err:
+        raise DomainError(f"{what} must be a sequence of {dim} numbers, got {p!r}") from err
     if len(values) != dim:
         raise DomainError(f"{what} must have {dim} coordinates, got {tuple(values)}")
     if not all(map(math.isfinite, values)):
@@ -245,10 +251,10 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
 
     at O(order**2) cost, so order 1 (k = 0) is the field's rate at p.  Only
     the nonzero entries of L and c enter, the product's first; every row
-    must have one.  ``p`` may also hold K lanes, an array of shape (dim, K):
-    each coefficient is then the array of the K lanes' coefficients,
-    bit-identical to theirs one lane at a time, since each lane sees the
-    same operations in the same order.
+    must have one.  ``p`` is a list of floats, or holds K lanes as an array
+    of shape (dim, K): each coefficient is then the array of the K lanes'
+    coefficients, bit-identical to theirs one lane at a time, since each
+    lane sees the same operations in the same order.
     """
     n = len(c)
     # each row as (weight, index) pairs into (s_0, .., s_(n-1), s_i s_j)
@@ -256,7 +262,7 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
     mul = operator.mul
 
     def series(p, order: int) -> list[list[float]]:
-        cols = [[v] for v in (p.tolist() if p.ndim == 1 else list(p))]
+        cols = [[v] for v in p]
         products = []  # (s_i s_j)_k at index k
         seqs = cols + [products]
         # each row's first term starts its sum
@@ -300,7 +306,7 @@ def eval_field(piece: Piece, state, params: Parameters) -> np.ndarray:
     :func:`smooth_series`.  A state that is not three finite coordinates
     raises :class:`DomainError`.
     """
-    p = np.array(_finite(state, "state (x, y, z)", 3))
+    p = _finite(state, "state (x, y, z)", 3)
     return np.array([col[1] for col in smooth_series(piece, params)(p, 1)])
 
 

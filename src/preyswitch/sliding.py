@@ -81,7 +81,7 @@ def eval_sliding(p, params: Parameters) -> np.ndarray:
     defined for all (x, z).  A point that is not two finite coordinates
     raises :class:`DomainError`.
     """
-    s = np.array(_finite(p, "Sigma point (x, z)", 2))
+    s = _finite(p, "Sigma point (x, z)", 2)
     return np.array([col[1] for col in sliding_series(params)(s, 1)])
 
 

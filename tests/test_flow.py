@@ -184,20 +184,28 @@ def test_blowup_raised(table1):
 
 
 def test_sliding_backward_capture_envelope(table1, cfg):
+    # the focus row is formed only on steps that can come within the radius,
+    # so no capture is dropped: from a radius that the first step reaches
+    # down to 1e-6, each capture is the tight reference's
     _, focus = pseudo_equilibria(table1)
-    x0 = 0.95 * table1.tau
+    start = (0.95 * table1.tau, table1.phi)
+    free = integrate_sliding(start, Direction.BACKWARD, cfg, table1, focus_capture_radius=0.0)
+    first, second = (math.hypot(x - focus.x, z - focus.z) for x, z in free.states[:2])
+    reach = 0.5 * (first + second)
     t_prev = 0.0
-    for radius in (1e-2, 1e-3, 1e-4):
-        arc = integrate_sliding(
-            (x0, table1.phi), Direction.BACKWARD, cfg, table1, focus_capture_radius=radius
-        )
+    for radius in (reach, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        arc = integrate_sliding(start, Direction.BACKWARD, cfg, table1, focus_capture_radius=radius)
         ev = arc.terminal_event
         assert ev.kind is EventKind.FOCUS_CAPTURE
+        assert (arc.steps == 1) == (radius == reach)
         dist = math.hypot(ev.state[0] - focus.x, ev.state[1] - focus.z)
         assert dist == pytest.approx(radius, rel=1e-6)
         assert np.min(arc.states[:, 1]) >= table1.phi - cfg.event_tol
         assert abs(ev.t) > abs(t_prev)
         t_prev = ev.t
+        kind, state = reference_sliding_end(table1, start, Direction.BACKWARD, cfg.t_max, radius=radius)
+        assert kind is EventKind.FOCUS_CAPTURE
+        assert np.max(np.abs(ev.state - state)) <= 1e-10, radius
 
 
 def test_sliding_forward_immediate_fold_exit(table1, cfg):
@@ -300,6 +308,52 @@ def test_fold_launches_and_smooth_x_arcs_return_alike(table1, cfg):
         assert arc.terminal_event.kind is EventKind.SIGMA_CROSSING
         u, _, v = arc.terminal_event.state
         assert max(abs(u - launch[0]), abs(v - launch[1])) <= 1e-15
+
+
+def test_lone_lanes_and_array_rounds_agree(table1, monkeypatch):
+    # a call of _ARRAY_LANES lanes or more runs them in lockstep array
+    # rounds, and a lone lane runs on Python floats; X-arcs (four from the
+    # fold), Y-arcs and sliding arcs both ways (four from the fold line, of
+    # which two exit at once forward; backward, six are captured by the
+    # focus) take the same steps to the same events and ends either way
+    cfg = IntegratorConfig(t_max=30.0)
+    k = flow_mod._ARRAY_LANES + 2
+    rng = np.random.default_rng(11)
+    tau, phi = table1.tau, table1.phi
+    lone, lone_calls = flow_mod._lone_lane, []
+
+    def counted(*args):
+        lone_calls.append(args)
+        return lone(*args)
+
+    monkeypatch.setattr(flow_mod, "_lone_lane", counted)
+    high = rng.uniform(0.2, 1.5, k) * tau
+    low = rng.uniform(0.1, 0.9, k) * high
+    z = rng.uniform(0.2, 2.0, k) * table1.r1
+    folds = [[x0, x0, phi] for x0 in np.array([0.2, 0.4, 0.6, 0.8]) * tau]
+    x_starts = np.vstack((folds, np.column_stack((high, low, z))[4:]))
+    y_starts = np.column_stack((low, high, z))
+    on_fold = [[x0, phi] for x0 in np.array([0.5, 0.9, 1.1, 1.5]) * tau]
+    sliding_starts = np.vstack((on_fold, np.column_stack((high, phi + z))[4:]))
+    cases = [(Piece.X, x_starts, 1.0), (Piece.Y, y_starts, 1.0)]
+    cases += [("Sliding", sliding_starts, sgn) for sgn in (1.0, -1.0)]
+    for field, starts, sgn in cases:
+        lone_calls.clear()
+        if field == "Sliding":
+            direction = Direction.FORWARD if sgn > 0 else Direction.BACKWARD
+            together = flow_mod._sliding_lanes(starts, sgn, 0.0, cfg, table1, 1e-2)
+            assert not lone_calls
+            alone = [integrate_sliding(p, direction, cfg, table1, 1e-2) for p in starts]
+        else:
+            together = flow_mod._smooth_lanes(field, starts, sgn, 0.0, cfg, table1)
+            assert not lone_calls
+            alone = [integrate_smooth(field, p, Direction.FORWARD, cfg, table1) for p in starts]
+        # each start alone ran a lone lane, except an immediate fold exit
+        assert len(lone_calls) == sum(arc.steps > 0 for arc in alone) >= flow_mod._ARRAY_LANES, field
+        for start, a, b in zip(starts, together, alone):
+            assert (a.steps, a.terminal_event.kind) == (b.steps, b.terminal_event.kind), (field, sgn, start)
+            gap = np.max(np.abs(a.terminal_event.state - b.terminal_event.state))
+            assert gap <= 1e-14, (field, sgn, start)
 
 
 def test_sliding_steps_obey_an_explicit_max_step(table1):

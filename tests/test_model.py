@@ -253,32 +253,45 @@ def test_non_finite_points_raise_domain_error(table1, call, bad):
         call(table1, bad)
 
 
+POINT_CALLS = [
+    pytest.param(lambda p, s: eval_sliding(s, p), 2, id="eval_sliding"),
+    pytest.param(lambda p, s: sliding_jacobian(s, p), 2, id="sliding_jacobian"),
+    pytest.param(lambda p, s: lie_derivatives(s, p), 2, id="lie_derivatives"),
+    pytest.param(lambda p, s: classify_sigma_point(s, p), 2, id="classify_sigma_point"),
+    pytest.param(lambda p, s: first_integral_F(s, p), 2, id="first_integral_F"),
+    pytest.param(lambda p, s: monotonicity_witnesses(s, p), 2, id="monotonicity_witnesses"),
+    pytest.param(lambda p, s: to_model_coords(s, p), 3, id="to_model_coords"),
+    pytest.param(lambda p, s: eval_field(Piece.X, s, p), 3, id="eval_field"),
+    pytest.param(
+        lambda p, s: integrate_smooth(Piece.X, s, Direction.FORWARD, IntegratorConfig(), p),
+        3,
+        id="integrate_smooth",
+    ),
+    pytest.param(
+        lambda p, s: integrate_sliding(s, Direction.FORWARD, IntegratorConfig(), p), 2, id="integrate_sliding"
+    ),
+    pytest.param(lambda p, s: integrate_filippov(s, IntegratorConfig(), p), 3, id="integrate_filippov"),
+]
+
+
 @pytest.mark.parametrize("count", ("short", "long"))
-@pytest.mark.parametrize(
-    "call, dim",
-    [
-        pytest.param(lambda p, s: eval_sliding(s, p), 2, id="eval_sliding"),
-        pytest.param(lambda p, s: sliding_jacobian(s, p), 2, id="sliding_jacobian"),
-        pytest.param(lambda p, s: lie_derivatives(s, p), 2, id="lie_derivatives"),
-        pytest.param(lambda p, s: classify_sigma_point(s, p), 2, id="classify_sigma_point"),
-        pytest.param(lambda p, s: first_integral_F(s, p), 2, id="first_integral_F"),
-        pytest.param(lambda p, s: monotonicity_witnesses(s, p), 2, id="monotonicity_witnesses"),
-        pytest.param(lambda p, s: to_model_coords(s, p), 3, id="to_model_coords"),
-        pytest.param(lambda p, s: eval_field(Piece.X, s, p), 3, id="eval_field"),
-        pytest.param(
-            lambda p, s: integrate_smooth(Piece.X, s, Direction.FORWARD, IntegratorConfig(), p),
-            3,
-            id="integrate_smooth",
-        ),
-        pytest.param(
-            lambda p, s: integrate_sliding(s, Direction.FORWARD, IntegratorConfig(), p), 2, id="integrate_sliding"
-        ),
-        pytest.param(lambda p, s: integrate_filippov(s, IntegratorConfig(), p), 3, id="integrate_filippov"),
-    ],
-)
+@pytest.mark.parametrize("call, dim", POINT_CALLS)
 def test_wrong_coordinate_count_raises_domain_error(table1, call, dim, count):
     # a point is neither cut short nor read in part: sliding_jacobian once
     # took (x, z, extra) for (x, z)
     point = (0.5, 0.4, 0.9, 1.1)[: dim - 1 if count == "short" else dim + 1]
     with pytest.raises(DomainError, match=f"must have {dim} coordinates"):
+        call(table1, point)
+
+
+@pytest.mark.parametrize(
+    "point",
+    (0.5, "ab", "12", None, [0.5, None], [[0.5, 0.4], [0.9, 1.1]]),
+    ids=("number", "letters", "digits", "None", "None-coordinate", "nested"),
+)
+@pytest.mark.parametrize("call, dim", POINT_CALLS)
+def test_non_numeric_points_raise_domain_error(table1, call, dim, point):
+    # a number, a string, None or a nested sequence is not a point; the
+    # float conversion's own TypeError or ValueError used to escape
+    with pytest.raises(DomainError, match=f"must be a sequence of {dim} numbers"):
         call(table1, point)
