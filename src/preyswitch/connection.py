@@ -48,6 +48,7 @@ from .flow import (
     Direction,
     EventKind,
     IntegratorConfig,
+    _sliding_lanes,
     integrate_fold_launches,
     integrate_sliding,
     lv_period,
@@ -100,19 +101,7 @@ class ConnectionCertificate:
     bracket_width: float | None = None
 
     def payload(self) -> dict:
-        return {
-            "beta1_star": self.beta1_star,
-            "x0": self.x0,
-            "focus": {"x": self.focus.x, "z": self.focus.z},
-            "forward_error": self.forward_error,
-            "backward_captured": self.backward_captured,
-            "capture_radius": self.capture_radius,
-            "x_star": self.x_star,
-            "residual_D": self.residual_D,
-            "bracket_width": self.bracket_width,
-            "params": self.params.as_dict(),
-            "cfg": asdict(self.cfg),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -803,12 +792,15 @@ def return_map_sample(
     Each point s launches the X-arc from (s, s, phi) to its landing on the
     sliding region, follows the sliding flow to its fold exit, and records
     the exit abscissa pi(s).  The n X-arcs are lanes of one batch
-    (:func:`~preyswitch.flow.integrate_fold_launches`), each landing as it
-    would alone; errors are raised in the order of s.  Sign changes of pi(s) - s witness sliding
-    periodic orbits.  Raises :class:`FocusLanding` if an X-arc lands within
-    ``cfg.event_tol`` of the pseudo-focus (as the one from the connection's
-    fold point does), and :class:`OrbitEscaped` if any other orbit fails to
-    come back to the fold line.
+    (:func:`~preyswitch.flow.integrate_fold_launches`), and the sliding
+    legs from their landings lanes of another (``flow._sliding_lanes``),
+    each leg as :func:`~preyswitch.flow.integrate_sliding` runs it alone;
+    errors are raised in the order of s, except that a :class:`BlowUp` of
+    any sliding leg aborts the batch.  Sign changes of pi(s) - s witness
+    sliding periodic orbits.  Raises :class:`FocusLanding` if an X-arc lands
+    within ``cfg.event_tol`` of the pseudo-focus (as the one from the
+    connection's fold point does), and :class:`OrbitEscaped` if any other
+    orbit fails to come back to the fold line.
     """
     if n < 0:
         raise DomainError("sample count must be nonnegative")
@@ -819,22 +811,29 @@ def return_map_sample(
     if not 0.0 < lo <= hi < tau:
         raise DomainError(f"segment ({lo}, {hi}) must satisfy 0 < lo <= hi < tau = {tau}")
     grid = np.linspace(lo, hi, n)
+    launches = integrate_fold_launches(grid, cfg, params)
+    landings = []
+    for landing in launches:
+        if isinstance(landing, PreySwitchError) or landing[1] < params.phi - cfg.event_tol:
+            break
+        landings.append(landing)
+    # each landing has u > 0 and z >= phi - event_tol, as integrate_sliding requires
+    legs = _sliding_lanes(np.array(landings), 1.0, 0.0, cfg, params, cfg.event_tol) if landings else []
     out: list[tuple[float, float]] = []
-    for s, landing in zip(grid, integrate_fold_launches(grid, cfg, params)):
-        if isinstance(landing, (NoReturn, TangencyAmbiguity)):
-            raise OrbitEscaped(f"s = {s}: {landing}") from landing
-        if isinstance(landing, PreySwitchError):
-            raise landing
-        u, v = landing
-        if v < params.phi - cfg.event_tol:
-            raise OrbitEscaped(f"s = {s}: landing at z = {v} is below the sliding region")
-        arc = integrate_sliding((u, v), Direction.FORWARD, cfg, params, cfg.event_tol)
+    for s, (u, v), arc in zip(grid, landings, legs):
         ev = arc.terminal_event
         if ev.kind is EventKind.FOCUS_CAPTURE:
             raise FocusLanding(f"s = {s}: the X-arc lands on the pseudo-focus at ({u}, {v})")
         if ev.kind is not EventKind.FOLD_EXIT:
             raise OrbitEscaped(f"s = {s}: sliding arc ended with {ev.kind.value}")
         out.append((float(s), float(ev.state[0])))
+    if len(out) < n:  # the first landing that cannot slide
+        s, landing = grid[len(out)], launches[len(out)]
+        if isinstance(landing, (NoReturn, TangencyAmbiguity)):
+            raise OrbitEscaped(f"s = {s}: {landing}") from landing
+        if isinstance(landing, PreySwitchError):
+            raise landing
+        raise OrbitEscaped(f"s = {s}: landing at z = {landing[1]} is below the sliding region")
     return out
 
 

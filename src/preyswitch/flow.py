@@ -13,17 +13,19 @@ both arcs of the planar period (:func:`lv_period`), which are X-arcs on
 the invariant plane y = 0; one X-lane a launch for the fold launches
 (:func:`integrate_fold_launches`), which are X-arcs leaving the fold like
 those :func:`integrate_smooth` runs, by the same code
-(:func:`_smooth_lanes`).  Below _ARRAY_LANES lanes, each lane runs alone on
-Python floats (:func:`_lone_lane`) and forms an event's polynomial only
-when a float test cannot clear the step; from _ARRAY_LANES lanes on, the
-lanes advance in lockstep rounds on numpy arrays.  Only an explicit
-``max_step`` caps any step.  Every lane ends at the first event of one
-table: the caller's events, declared as data (the switching plane h = x - y
-for a smooth arc; the fold line and the focus ball for a sliding arc), a
-DOMAIN_EXIT for each coordinate that starts above the event tolerance
-(only x for a sliding arc, whose z meets the fold line first), and the norm
-bound, which raises :class:`BlowUp`; both kinds of round form each event's
-polynomial from the same data.  A start that is not finite coordinates of
+(:func:`_smooth_lanes`).  The lanes advance in rounds: while _ARRAY_LANES
+lanes or more run, a round steps them together on numpy arrays
+(:func:`_array_round`); below that, each lane takes its step on Python
+floats (:func:`_float_step`) and forms an event's polynomial only when a
+float test cannot clear the step.  Either way each lane's arc is the one
+it has alone, bit for bit.  Only an explicit ``max_step`` caps any step.
+Every lane ends at the first event of one table: the caller's events,
+declared as data (the switching plane h = x - y for a smooth arc; the fold
+line and the focus ball for a sliding arc), a DOMAIN_EXIT for each
+coordinate that starts above the event tolerance (only x for a sliding
+arc, whose z meets the fold line first), and the norm bound, which raises
+:class:`BlowUp`; both kinds of round form each event's polynomial from the
+same data.  A start that is not finite coordinates of
 the right number, or has a negative one, raises :class:`DomainError`.
 The Filippov concatenator stitches smooth and sliding arcs per the
 convex-combination convention: trajectories entering the sliding region
@@ -212,9 +214,9 @@ _TO_BERNSTEIN, _LEFT_HALF, _RIGHT_HALF = _bernstein_matrices(_TAYLOR_ORDER)
 _POWERS = np.arange(_TAYLOR_ORDER + 1)
 _ONE = np.eye(1, _TAYLOR_ORDER + 1)[0]  # the series of the constant 1
 _ROOT_TOL = 4.0 * math.ulp(1.0)
-# below this many lanes, each lane runs alone on Python floats: one
+# below this many running lanes, each takes its step on Python floats: one
 # order-24 expansion takes about 30 us a lane, against 400-550 us for a
-# numpy batch of up to 48 lanes, and a lone lane forms no event polynomial
+# numpy batch of up to 48 lanes, and a float step forms no event polynomial
 # that a float test clears
 _ARRAY_LANES = 16
 
@@ -346,7 +348,7 @@ def _sum_of_squares(v: np.ndarray) -> np.ndarray:
 
 
 # An event is data, and both rounds of the step loop form its rows from it:
-# ``clears(p, spread, first, lane)`` is a lone lane's float test, True only
+# ``clears(p, spread, first, lane)`` is a float step's test, True only
 # if the step from the state p, each coordinate i of which moves by at most
 # spread[i], has no root; ``rows(a, first, lanes)`` is the polynomial of
 # each lane of a, shape (lanes, dim, order + 1), falling through zero, or
@@ -461,8 +463,23 @@ def _overflow(c, t: float, state) -> StepFailure | None:
     return StepFailure(f"Taylor coefficients overflow at t = {t}, state {np.asarray(state)}")
 
 
-def _lone_lane(kind: ArcKind, series, p: list[float], events, sgn, t_start, cfg, lane: int) -> Arc:
-    """The arc of one lane of :func:`_taylor_lanes`, stepped on Python floats.
+@dataclass(slots=True)
+class _Lane:
+    """One lane of :func:`_taylor_lanes`: its index in the call, its state p
+    (a list of floats) at the time s into the integration, its steps so far,
+    and the times and states of its arc."""
+
+    index: int
+    p: list
+    ts: list
+    states: list
+    s: float = 0.0
+    steps: int = 0
+
+
+def _float_step(lane: _Lane, series, events: list, cfg: IntegratorConfig):
+    """One Taylor step of a lane on Python floats: its end, its end state,
+    and the event it ends at, or None.
 
     The series, the step's coefficients a_k = c_k h**k, each event's float
     test and the end state are lists; an event's row is formed, as an
@@ -472,49 +489,74 @@ def _lone_lane(kind: ArcKind, series, p: list[float], events, sgn, t_start, cfg,
     ``np.add.accumulate`` does.
     """
     n = _TAYLOR_ORDER
-    s, steps = 0.0, 0
-    ts, states = [t_start], [p]
-    while True:
-        first = steps == 0
-        c = series(p, n)
-        if not math.isfinite(sum(map(sum, c))) and (err := _overflow(c, t_start + sgn * s, p)):
-            raise err
-        end = _step_end([max(abs(col[n - 1]) for col in c), max(abs(col[n]) for col in c)], s, cfg)
-        h = end - s
-        powers = (np.array([h]) ** _POWERS).tolist()
-        a = [list(map(mul, col, powers)) for col in c]
-        spread = [sum(map(abs, col[1:])) for col in a]
-        hit, lane_a = None, None
-        for ev in events:
-            if ev.clears(p, spread, first, lane):
-                continue
-            if lane_a is None:
-                lane_a = np.array([a])
-            g = ev.rows(lane_a, first, [lane])
-            if g is None:
-                continue
-            u = _first_root(g[0], _TO_BERNSTEIN @ g[0])
-            if u is not None and (hit is None or u < hit[1]):
-                hit = ev.kind, u
-        steps += 1
-        if hit is None:
-            p = [sum(col, -0.0) for col in a]
-        else:
-            end = s + hit[1] * h
-            if hit[0] is None:
-                raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {t_start + sgn * end}")
-            p = [_horner(col, hit[1]) for col in a]
-        t = t_start + sgn * end
-        if t == ts[-1]:  # a root at the very start of the step
-            states[-1] = p
-        else:
-            ts.append(t)
-            states.append(p)
-        if hit is not None:
-            return _finish(kind, t_start, ts, states, hit[0], steps)
-        if end >= cfg.t_max:
-            return _finish(kind, t_start, ts, states, EventKind.HORIZON_REACHED, steps)
-        s = end
+    p, s, first = lane.p, lane.s, lane.steps == 0
+    c = series(p, n)
+    if not math.isfinite(sum(map(sum, c))) and (err := _overflow(c, lane.ts[-1], p)):
+        raise err
+    end = _step_end([max(abs(col[n - 1]) for col in c), max(abs(col[n]) for col in c)], s, cfg)
+    h = end - s
+    powers = (np.array([h]) ** _POWERS).tolist()
+    a = [list(map(mul, col, powers)) for col in c]
+    spread = [sum(map(abs, col[1:])) for col in a]
+    hit, lane_a = None, None
+    for ev in events:
+        if ev.clears(p, spread, first, lane.index):
+            continue
+        if lane_a is None:
+            lane_a = np.array([a])
+        g = ev.rows(lane_a, first, [lane.index])
+        if g is None:
+            continue
+        u = _first_root(g[0], _TO_BERNSTEIN @ g[0])
+        if u is not None and (hit is None or u < hit[1]):
+            hit = ev, u
+    if hit is None:
+        return end, [sum(col, -0.0) for col in a], None
+    ev, u = hit
+    return s + u * h, [_horner(col, u) for col in a], ev
+
+
+def _array_round(live: list[_Lane], series, events: list, cfg: IntegratorConfig):
+    """One Taylor step of every live lane together on numpy arrays, each by
+    its own step: per lane, as :func:`_float_step`, its end, its end state
+    and the event it ends at, or None.
+
+    One call of ``series`` on arrays expands every lane, every event forms
+    its rows for every lane (the ball only for the lanes near it), and one
+    matrix product gives their Bernstein coefficients.  It clears a row
+    only if each coefficient exceeds 1e-13*sum |g_k|, far above its
+    rounding gap from the row's own product (under 26 eps*sum |g_k|), so
+    every row that the lane alone would search is searched, by
+    :func:`_first_root` with its own product.
+    """
+    n = _TAYLOR_ORDER
+    state = np.array([lane.p for lane in live])
+    c = np.array(series(state.T, n)).transpose(2, 0, 1).copy()
+    if not np.isfinite(c).all():
+        j = int((~np.isfinite(c)).any(axis=(1, 2)).argmax())
+        raise _overflow(c[j].tolist(), live[j].ts[-1], live[j].p)
+    norms = np.abs(c[:, :, n - 1 :]).max(axis=1).tolist()
+    ends = [_step_end(pair, lane.s, cfg) for pair, lane in zip(norms, live)]
+    h = [end - lane.s for end, lane in zip(ends, live)]
+    a = c * np.array(h)[:, None, None] ** _POWERS
+    indices = [lane.index for lane in live]
+    # array rounds come first in a call, so the live lanes have taken equal steps
+    first = live[0].steps == 0
+    rows = [(ev, g) for ev in events if (g := ev.rows(a, first, indices)) is not None]
+    polys = np.array([g for _, g in rows]).reshape(len(rows) * len(live), n + 1)
+    cleared = polys @ _TO_BERNSTEIN.T > 1e-13 * np.abs(polys).sum(axis=1, keepdims=True)
+    hits = {}
+    for k in np.flatnonzero(~cleared.all(axis=1)).tolist():
+        r, j = divmod(k, len(live))
+        u = _first_root(polys[k], _TO_BERNSTEIN @ polys[k])
+        if u is not None and (j not in hits or u < hits[j][1]):
+            hits[j] = (rows[r][0], u)
+    # accumulate adds the orders in turn for any number of lanes, where sum
+    # may add them pairwise
+    out = [(end, p, None) for end, p in zip(ends, np.add.accumulate(a, axis=2)[:, :, -1].tolist())]
+    for j, (ev, u) in hits.items():
+        out[j] = live[j].s + u * h[j], [_horner(v, u) for v in a[j].tolist()], ev
+    return out
 
 
 def _taylor_lanes(
@@ -539,21 +581,20 @@ def _taylor_lanes(
     raises :class:`BlowUp`.  Each step proves that none has a root in
     (0, 1] or ends its lane at the first root, by :func:`_first_root`.
 
-    Below _ARRAY_LANES lanes, each lane runs alone on Python floats
-    (:func:`_lone_lane`), and an event's row is formed only when a float
-    test cannot clear it: for a plane, g_0 > sum_(k>=1) |g_k|; for the focus
-    ball, the step's enclosure staying out of the radius; for the norm
-    bound, the enclosure staying inside it.  From _ARRAY_LANES lanes on,
-    the lanes advance in lockstep rounds, each lane by its own step: one
-    call of ``series`` on arrays expands them all, every event forms its
-    rows for every lane (the ball only for the lanes near it), and one
-    matrix product gives their Bernstein coefficients.  :func:`_first_root`
-    runs only on the rows it does not clear, each with its own product.
-    Every lane runs the operations it would run alone, its end state summed
-    order by order, except that batch product, whose rounding can depend on
-    the number of lanes; it only decides which lanes are searched.  So a
-    lane's arc is the one it has alone unless a Bernstein coefficient of its
-    step lies within roundoff of zero without a root.  A lane's ``steps``
+    The lanes advance in rounds, each lane by its own step.  While
+    _ARRAY_LANES lanes or more run, a round steps them together on numpy
+    arrays (:func:`_array_round`); below that, each running lane takes its
+    step on Python floats (:func:`_float_step`), forming an event's row
+    only when a float test cannot clear it: for a plane,
+    g_0 > sum_(k>=1) |g_k|; for the focus ball, the step's enclosure
+    staying out of the radius; for the norm bound, the enclosure staying
+    inside it.  So a call of many lanes hands its last ones to float steps.
+    Both kinds of round run a lane's operations on the same floats, and a
+    row that the float test or the batch product clears has no root, so
+    each lane's arc is the one it has alone, bit for bit.  Every round
+    closes its lanes by one rule: the step's end is appended to the arc, or
+    replaces its last state if the event is at the step's very start, and
+    a lane leaves at its event or at ``cfg.t_max``.  A lane's ``steps``
     count its steps, so a call takes as many rounds as its slowest lane
     takes steps.
     """
@@ -562,66 +603,30 @@ def _taylor_lanes(
         *(_Plane(EventKind.DOMAIN_EXIT, i) for i in watch),
         _NormBound(cfg.norm_bound),
     ]
-    if len(p0) < _ARRAY_LANES:
-        return [_lone_lane(kind, series, p, events, sgn, t_start, cfg, i) for i, p in enumerate(p0.tolist())]
-    n = _TAYLOR_ORDER
-    live = list(range(len(p0)))
-    s = [0.0] * len(p0)
-    state = p0
-    ts, states = [[t_start] for _ in live], [[p] for p in p0.tolist()]
     arcs: list = [None] * len(p0)
-    rounds = 0
+    live = [_Lane(i, p, [t_start], [p]) for i, p in enumerate(p0.tolist())]
     while live:
-        if len(live) < _ARRAY_LANES:
-            c = np.array([series(p, n) for p in state.tolist()])
+        if len(live) >= _ARRAY_LANES:
+            stepped = _array_round(live, series, events, cfg)
         else:
-            c = np.array(series(state.T, n)).transpose(2, 0, 1).copy()
-        if not np.isfinite(c).all():
-            j = (~np.isfinite(c)).any(axis=(1, 2)).argmax()
-            raise _overflow(c[j].tolist(), t_start + sgn * s[j], state[j])
-        norms = np.abs(c[:, :, n - 1 :]).max(axis=1).tolist()
-        ends = [_step_end(pair, s_j, cfg) for pair, s_j in zip(norms, s)]
-        h = np.array([end - s_j for end, s_j in zip(ends, s)])
-        a = c * h[:, None, None] ** _POWERS
-
-        rows = [(ev.kind, g) for ev in events if (g := ev.rows(a, rounds == 0, live)) is not None]
-        polys = np.array([g for _, g in rows]).reshape(len(rows) * len(live), n + 1)
-        cleared = polys @ _TO_BERNSTEIN.T > 0.0
-        hits = {}
-        for k in () if cleared.all() else np.flatnonzero(~cleared.all(axis=1)).tolist():
-            r, j = divmod(k, len(live))
-            # the lane's own product, which does not round with the number of lanes
-            u = _first_root(polys[k], _TO_BERNSTEIN @ polys[k])
-            if u is not None and (j not in hits or u < hits[j][1]):
-                hits[j] = (rows[r][0], u)
-
-        rounds += 1
-        # accumulate adds the orders in turn for any number of lanes, where
-        # sum may add them pairwise
-        state = np.add.accumulate(a, axis=2)[:, :, -1]
-        for j, (event, u) in hits.items():
-            ends[j] = s[j] + u * h[j]
-            if event is None:
-                raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {t_start + sgn * ends[j]}")
-            state[j] = [_horner(v, u) for v in a[j].tolist()]
-        for i, end, p in zip(live, ends, state.tolist()):
+            stepped = [_float_step(lane, series, events, cfg) for lane in live]
+        running = []
+        for lane, (end, p, hit) in zip(live, stepped):
             t = t_start + sgn * end
-            if t == ts[i][-1]:  # a root at the very start of the step
-                states[i][-1] = p
+            if hit is not None and hit.kind is None:
+                raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {t}")
+            if t == lane.ts[-1]:  # a root at the very start of the step
+                lane.states[-1] = p
             else:
-                ts[i].append(t)
-                states[i].append(p)
-        s = ends
-        if hits or max(ends) >= cfg.t_max:
-            keep = []
-            for j, (i, end) in enumerate(zip(live, ends)):
-                if j in hits:
-                    arcs[i] = _finish(kind, t_start, ts[i], states[i], hits[j][0], rounds)
-                elif end >= cfg.t_max:
-                    arcs[i] = _finish(kind, t_start, ts[i], states[i], EventKind.HORIZON_REACHED, rounds)
-                else:
-                    keep.append(j)
-            live, s, state = [live[j] for j in keep], [ends[j] for j in keep], state[keep]
+                lane.ts.append(t)
+                lane.states.append(p)
+            lane.p, lane.s, lane.steps = p, end, lane.steps + 1
+            if hit is None and end < cfg.t_max:
+                running.append(lane)
+            else:
+                event = EventKind.HORIZON_REACHED if hit is None else hit.kind
+                arcs[lane.index] = _finish(kind, t_start, lane.ts, lane.states, event, lane.steps)
+        live = running
     return arcs
 
 
@@ -827,8 +832,7 @@ def integrate_fold_launches(
     :func:`integrate_smooth` (:func:`_smooth_lanes`): each watches h/u**2 on
     its first step, valued X2h*step**2/2 > 0 at u = 0 for x0 < tau, so the
     tangential start is never taken for a return.  A lane's return is the
-    one it has alone, unless a Bernstein coefficient of one of its steps
-    lies within roundoff of zero without a root.
+    one it has alone, bit for bit.
 
     Returns one entry per launch, in order: (u, v), or the error that launch
     met, unraised.  DomainError when x0 is not positive (NaN included);

@@ -159,10 +159,10 @@ def test_mu_curve_window_and_classification(table1, cfg):
 
 
 def test_coarse_curve_nodes_equal_lone_launches(coarse_curve, table1, cfg):
-    # each lane takes its own steps, so a node does not depend on the others
+    # each lane takes its own steps, so a node is its lone launch bit for bit
     lone = np.array([mu_point(x0, table1, cfg) for x0 in coarse_curve.x0s])
-    assert np.max(np.abs(coarse_curve.us - lone[:, 0])) <= 1e-14
-    assert np.max(np.abs(coarse_curve.vs - lone[:, 1])) <= 1e-14
+    assert np.array_equal(coarse_curve.us, lone[:, 0])
+    assert np.array_equal(coarse_curve.vs, lone[:, 1])
 
 
 def test_mu_curve_is_beta_free(table1, table1_b10, cfg):
@@ -552,31 +552,35 @@ def test_return_map_orbit_escaped(table1, cfg):
 
 
 def test_return_map_fold_leg_matches_lone_launches(connection, cfg, monkeypatch):
-    # the 41 X-arcs are the lanes of one solver call, made before any sliding
-    # arc; each landing must agree with a lone launch from the same fold point
+    # the 41 X-arcs are the lanes of one launch call, and the 41 sliding legs
+    # from their landings the lanes of one sliding call; each landing is a
+    # lone launch's from the same fold point, and each leg the lone
+    # integrate_sliding from that landing, bit for bit
     cert, _ = connection
-    calls = []
-    launch = connection_mod.integrate_fold_launches
+    launches, slides = [], []
+    launch, slide = connection_mod.integrate_fold_launches, connection_mod._sliding_lanes
 
-    def recorded(x0s, cfg, params):
-        calls.append((list(x0s), launch(x0s, cfg, params)))
-        return calls[-1][1]
+    def launched(x0s, cfg, params):
+        launches.append((list(x0s), launch(x0s, cfg, params)))
+        return launches[-1][1]
 
-    class SlidingLeg(Exception):
-        pass
+    def slid(p0, *args):
+        slides.append((p0, slide(p0, *args)))
+        return slides[-1][1]
 
-    def stop(*args, **kwargs):
-        raise SlidingLeg
-
-    monkeypatch.setattr(connection_mod, "integrate_fold_launches", recorded)
-    monkeypatch.setattr(connection_mod, "integrate_sliding", stop)
-    with pytest.raises(SlidingLeg):
-        return_map_sample(cert.params, (cert.x0 - 0.039, cert.x0 + 0.041), 41, cfg)
-    [(x0s, landings)] = calls
-    assert len(x0s) == 41
-    for s, (u, v) in zip(x0s, landings):
-        u1, v1 = mu_point(s, cert.params, cfg)
-        assert abs(u - u1) <= 1e-11 and abs(v - v1) <= 1e-11
+    monkeypatch.setattr(connection_mod, "integrate_fold_launches", launched)
+    monkeypatch.setattr(connection_mod, "_sliding_lanes", slid)
+    samples = return_map_sample(cert.params, (cert.x0 - 0.039, cert.x0 + 0.041), 41, cfg)
+    [(x0s, landings)] = launches
+    [(starts, legs)] = slides
+    assert len(x0s) == len(starts) == len(legs) == len(samples) == 41
+    for s, (u, v), start, leg, (_, exit_x) in zip(x0s, landings, starts, legs, samples):
+        assert (u, v) == mu_point(s, cert.params, cfg) == tuple(start)
+        alone = integrate_sliding((u, v), Direction.FORWARD, cfg, cert.params, cfg.event_tol)
+        assert (leg.steps, leg.terminal_event.kind, leg.t1) == (alone.steps, alone.terminal_event.kind, alone.t1)
+        assert np.array_equal(leg.ts, alone.ts) and np.array_equal(leg.states, alone.states)
+        assert np.array_equal(leg.terminal_event.state, alone.terminal_event.state)
+        assert exit_x == alone.terminal_event.state[0]
 
 
 def test_return_map_reports_focus_landing_at_connection(connection, cfg):

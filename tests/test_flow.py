@@ -300,33 +300,34 @@ def test_fold_lanes_run_as_many_rounds_as_their_slowest_lane(table1, cfg, monkey
 
 
 def test_fold_launches_and_smooth_x_arcs_return_alike(table1, cfg):
-    # a launch is a lane of the code that runs an X-arc leaving the fold, so
-    # the two differ only where the batch's Bernstein product rounds apart
+    # a launch is a lane of the code that runs an X-arc leaving the fold, and
+    # each lane of a batch has its lone arc, so the two agree bit for bit
     x0s = np.linspace(0.05, 0.95, 19) * table1.tau
     for x0, launch in zip(x0s, integrate_fold_launches(x0s, cfg, table1)):
         arc = integrate_smooth(Piece.X, (x0, x0, table1.phi), Direction.FORWARD, cfg, table1)
         assert arc.terminal_event.kind is EventKind.SIGMA_CROSSING
-        u, _, v = arc.terminal_event.state
-        assert max(abs(u - launch[0]), abs(v - launch[1])) <= 1e-15
+        u, _, v = arc.terminal_event.state.tolist()
+        assert (u, v) == launch
 
 
 def test_lone_lanes_and_array_rounds_agree(table1, monkeypatch):
-    # a call of _ARRAY_LANES lanes or more runs them in lockstep array
-    # rounds, and a lone lane runs on Python floats; X-arcs (four from the
-    # fold), Y-arcs and sliding arcs both ways (four from the fold line, of
-    # which two exit at once forward; backward, six are captured by the
-    # focus) take the same steps to the same events and ends either way
+    # while _ARRAY_LANES lanes or more run, a round steps them together on
+    # arrays, and below that each lane takes its step on floats; X-arcs (four
+    # from the fold), Y-arcs and sliding arcs both ways (four from the fold
+    # line, of which two exit at once forward; backward, six are captured by
+    # the focus) each have, bit for bit, the arc they have alone
     cfg = IntegratorConfig(t_max=30.0)
     k = flow_mod._ARRAY_LANES + 2
     rng = np.random.default_rng(11)
     tau, phi = table1.tau, table1.phi
-    lone, lone_calls = flow_mod._lone_lane, []
+    rounds = []
+    for name in ("_array_round", "_float_step"):
 
-    def counted(*args):
-        lone_calls.append(args)
-        return lone(*args)
+        def counted(*args, _step=getattr(flow_mod, name), _name=name):
+            rounds.append(_name)
+            return _step(*args)
 
-    monkeypatch.setattr(flow_mod, "_lone_lane", counted)
+        monkeypatch.setattr(flow_mod, name, counted)
     high = rng.uniform(0.2, 1.5, k) * tau
     low = rng.uniform(0.1, 0.9, k) * high
     z = rng.uniform(0.2, 2.0, k) * table1.r1
@@ -338,22 +339,58 @@ def test_lone_lanes_and_array_rounds_agree(table1, monkeypatch):
     cases = [(Piece.X, x_starts, 1.0), (Piece.Y, y_starts, 1.0)]
     cases += [("Sliding", sliding_starts, sgn) for sgn in (1.0, -1.0)]
     for field, starts, sgn in cases:
-        lone_calls.clear()
+        rounds.clear()
         if field == "Sliding":
             direction = Direction.FORWARD if sgn > 0 else Direction.BACKWARD
             together = flow_mod._sliding_lanes(starts, sgn, 0.0, cfg, table1, 1e-2)
-            assert not lone_calls
+            taken = list(rounds)
             alone = [integrate_sliding(p, direction, cfg, table1, 1e-2) for p in starts]
         else:
             together = flow_mod._smooth_lanes(field, starts, sgn, 0.0, cfg, table1)
-            assert not lone_calls
+            taken = list(rounds)
             alone = [integrate_smooth(field, p, Direction.FORWARD, cfg, table1) for p in starts]
-        # each start alone ran a lone lane, except an immediate fold exit
-        assert len(lone_calls) == sum(arc.steps > 0 for arc in alone) >= flow_mod._ARRAY_LANES, field
+        # array rounds first, then float steps for the last lanes
+        array_rounds = taken.count("_array_round")
+        assert array_rounds > 0 and "_array_round" not in taken[array_rounds:], (field, sgn)
+        assert len(taken) > array_rounds, (field, sgn)
+        # alone, every lane takes float steps only
+        assert set(rounds[len(taken) :]) == {"_float_step"}
         for start, a, b in zip(starts, together, alone):
-            assert (a.steps, a.terminal_event.kind) == (b.steps, b.terminal_event.kind), (field, sgn, start)
-            gap = np.max(np.abs(a.terminal_event.state - b.terminal_event.state))
-            assert gap <= 1e-14, (field, sgn, start)
+            assert (a.steps, a.terminal_event.kind, a.t1) == (b.steps, b.terminal_event.kind, b.t1), (
+                field,
+                sgn,
+                start,
+            )
+            assert np.array_equal(a.ts, b.ts) and np.array_equal(a.states, b.states), (field, sgn, start)
+            assert np.array_equal(a.terminal_event.state, b.terminal_event.state), (field, sgn, start)
+
+
+def test_array_round_searches_every_row_a_lone_lane_searches(monkeypatch):
+    # s(u) = 1 + 1e-14 - u on one step of length 1: its last Bernstein
+    # coefficient is 1e-14, positive but within the rounding of a matrix
+    # product, so a lone lane's float test cannot clear it and its row is
+    # searched; the batch product must not clear it either
+    searched = []
+    first_root = flow_mod._first_root
+
+    def counted(a, b):
+        searched.append(a[0])
+        return first_root(a, b)
+
+    def series(p, order):
+        return [[p[0], p[0] * 0.0 - 1.0] + [p[0] * 0.0] * (order - 1)]
+
+    monkeypatch.setattr(flow_mod, "_first_root", counted)
+    cfg = IntegratorConfig(t_max=1.0)
+    k = flow_mod._ARRAY_LANES
+    p0 = np.full((k, 1), 1.0 + 1e-14)
+    together = flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p0, [], [0], 1.0, 0.0, cfg)
+    assert len(searched) == k
+    alone = [flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p[None], [], [0], 1.0, 0.0, cfg)[0] for p in p0]
+    assert len(searched) == 2 * k
+    for a, b in zip(together, alone):
+        assert a.terminal_event.kind is b.terminal_event.kind is EventKind.HORIZON_REACHED
+        assert np.array_equal(a.states, b.states) and a.states[-1, 0] > 0.0
 
 
 def test_sliding_steps_obey_an_explicit_max_step(table1):
