@@ -88,7 +88,6 @@ from .connection import (
     mu_point,
     return_map_sample,
     verify_connection,
-    working_window,
 )
 
 __version__ = "0.1.0"

@@ -54,7 +54,7 @@ from .flow import (
     lv_period,
 )
 from .model import Parameters, SigmaState, validate_parameters
-from .sliding import FocusKind, classify_focus, pseudo_equilibria
+from .sliding import FocusKind, _m_bound, classify_focus, pseudo_equilibria
 
 
 @dataclass(frozen=True)
@@ -198,27 +198,6 @@ def mu_curve(grid, params: Parameters, cfg: IntegratorConfig) -> MuCurve:
     return MuCurve(x0s=x0s, us=us, vs=vs, params=params)
 
 
-def working_window(curve: MuCurve, params: Parameters) -> tuple[int, int] | None:
-    """Indices of the longest contiguous run with 0 < u < tau and v > r1.
-
-    This is the sampled realization of the window on which the fold-return
-    curve stays inside the sliding region with v above r1; returns None when
-    no sample qualifies.
-    """
-    tau = params.tau
-    ok = (curve.us > 0.0) & (curve.us < tau) & (curve.vs > params.r1)
-    best: tuple[int, int] | None = None
-    start = None
-    for i, flag in enumerate(list(ok) + [False]):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if best is None or (i - 1 - start) > (best[1] - best[0]):
-                best = (start, i - 1)
-            start = None
-    return best
-
-
 _COARSE_N = 48
 _COARSE_SPAN = (0.02, 0.99)
 
@@ -261,8 +240,19 @@ def _beta1_with_focus_at(u: float, params: Parameters) -> float:
     )
 
 
+def _node_pairs(curve: MuCurve, lo: float, hi: float) -> list[int]:
+    """The nodes j whose pair (j, j+1) has a u-segment [min, max) meeting [lo, hi].
+
+    The segment is half-open, so a node whose u equals lo = hi falls on one
+    pair, whichever way u runs through it.
+    """
+    lower = np.minimum(curve.us[:-1], curve.us[1:])
+    upper = np.maximum(curve.us[:-1], curve.us[1:])
+    return np.flatnonzero((lower <= hi) & (upper > lo)).tolist()
+
+
 def _node_bracket(params: Parameters, curve: MuCurve) -> tuple[SigmaState, int]:
-    """The repulsive focus, and the node j of ``curve`` with x_c between u_j and u_{j+1}.
+    """The repulsive focus, and the one node pair (j, j+1) of ``curve`` matching x_c.
 
     The checks :func:`distance_to_connection` makes before any launch; see
     there for the errors they raise.
@@ -273,38 +263,21 @@ def _node_bracket(params: Parameters, curve: MuCurve) -> tuple[SigmaState, int]:
             f"{_x_flow_rates(curve.params)}, not {_x_flow_rates(params)}"
         )
     focus = _repulsive_focus(params)
-    win = working_window(curve, params)
-    if win is None:
-        raise NoBracket("the fold-return curve has no working window")
-    i0, i1 = win
-    if i1 - i0 < 1:
-        raise NoBracket("the working window contains fewer than two samples")
-
-    d = curve.us - focus.x
-
-    def hits(first: int, last: int) -> list[int]:
-        return [
-            j for j in range(first, last) if d[j] == 0.0 or ((d[j] < 0.0) != (d[j + 1] < 0.0))
-        ]
-
-    found = hits(i0, i1)
+    # D is defined where the fold return lands above r1
+    found = [
+        j
+        for j in _node_pairs(curve, focus.x, focus.x)
+        if min(curve.vs[j], curve.vs[j + 1]) > params.r1
+    ]
     if not found:
-        # x_c lies in (0, tau), so a node next to the window that fails only
-        # 0 < u < tau still bounds a match on its pair with the window's end
-        span = curve.us[i0 : i1 + 1]
-        i0, i1 = max(i0 - 1, 0), min(i1 + 1, len(d) - 1)
-        found = [j for j in hits(i0, i1) if min(curve.vs[j], curve.vs[j + 1]) > params.r1]
-        if not found:
-            raise NoBracket(
-                f"x_c = {focus.x} lies outside the attained fold-return range "
-                f"[{span.min()}, {span.max()}]"
-            )
-    if len(found) > 1:
-        raise MultipleRoots(
-            f"u - x_c changes sign {len(found)} times on the working window"
+        raise NoBracket(
+            f"x_c = {focus.x} lies on no node pair of the fold-return curve whose "
+            f"returns both land above r1 = {params.r1}"
         )
-    j = found[0]
-    steps = np.diff(curve.us[max(i0, j - 1) : min(i1, j + 2) + 1])
+    if len(found) > 1:
+        raise MultipleRoots(f"x_c = {focus.x} lies on {len(found)} node pairs of the fold-return curve")
+    (j,) = found
+    steps = np.diff(curve.us[max(j - 1, 0) : j + 3])
     if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise MultipleRoots("u is not monotone across the matching bracket")
     return focus, j
@@ -443,19 +416,17 @@ def distance_to_connection(
 ) -> tuple[float, float]:
     """Signed distance D from the pseudo-focus to the fold-return curve.
 
-    Solves u(x0) = x_c on the working window of ``curve`` (from
-    :func:`coarse_mu_curve`, for any beta1) and returns (D, x0_matched) with
-    D = v(x0_matched) - z_c: positive when the focus lies below the curve,
-    negative above.  The one-row case of :func:`distances_to_connection`:
-    the match starts from the two nodes across which u - x_c changes sign
-    and stops at Brent's tolerance, 1e-12 in x0.  When no window pair
-    brackets x_c, the pair across an end of the window is used if its
-    outer node fails only 0 < u < tau (x_c, inside (0, tau), is then still
-    reached before u leaves the window).  Raises
-    :class:`DomainError` when the curve's X-flow rates (r1, r2, m, e*q1)
-    are not those of ``params``, :class:`NoBracket` when x_c is outside the
-    attained range of u, :class:`MultipleRoots` when the sampled u is not
-    monotone around the bracket, and :class:`Lemma2Violation` when the
+    Solves u(x0) = x_c on ``curve`` (from :func:`coarse_mu_curve`, for any
+    beta1) and returns (D, x0_matched) with D = v(x0_matched) - z_c:
+    positive when the focus lies below the curve, negative above.  The
+    one-row case of :func:`distances_to_connection`: the match starts from
+    the one node pair whose u-segment [min, max) holds x_c and whose two
+    returns land above r1, the rule :func:`find_shilnikov` brackets by, and
+    stops at Brent's tolerance, 1e-12 in x0.  Raises :class:`DomainError`
+    when the curve's X-flow rates (r1, r2, m, e*q1) are not those of
+    ``params``, :class:`NoBracket` when no such pair holds x_c,
+    :class:`MultipleRoots` when more than one does or the sampled u is not
+    monotone around the pair, and :class:`Lemma2Violation` when the
     pseudo-equilibrium is not a repulsive focus.
     """
     (result,) = distances_to_connection([params], cfg, curve)
@@ -477,15 +448,15 @@ def find_shilnikov(
     Each x0 fixes the one beta1(u(x0)) whose focus abscissa is u(x0), so the
     connection is the root of G(x0) = v(x0) - z_c(beta1(u(x0))).  G is read
     off the coarse curve (:func:`coarse_mu_curve`) at its nodes, and the root
-    is bracketed on them: among the node pairs whose u-segment meets the
-    focus abscissae of ``beta1_range`` (the nodes whose beta1(u) lies in the
-    range, plus the neighbour node across each end of the range), G must
-    change sign across exactly one pair.  A neighbour where G is undefined
-    (beta1(u) <= 0, or no repulsive focus) is replaced by the fold point
-    matched, on that node pair, to the end of the range whose focus abscissa
-    lies between the pair's two u (by the lockstep root solver of
-    :func:`distances_to_connection`, without its working window, all such
-    ends together).  The same solver then solves G = 0 on that pair.
+    is bracketed on them: among the node pairs whose u-segment [min, max)
+    meets the focus abscissae [u_min, u_max] of ``beta1_range`` (the rule
+    :func:`distance_to_connection` matches x_c by), G must change sign
+    across exactly one pair.  A node where G is undefined (beta1(u) <= 0,
+    or no repulsive focus) lies outside [u_min, u_max]; it is replaced by
+    the fold point matched, on its pair, to the end of the range whose
+    focus abscissa lies between the pair's two u (by the lockstep root
+    solver of :func:`distances_to_connection`, all such ends together).
+    The same solver then solves G = 0 on that pair.
 
     Raises :class:`DomainError` when an end of the range is not finite;
     :class:`SameSign` when the range is empty, when G changes sign across no
@@ -508,13 +479,8 @@ def find_shilnikov(
     abscissae = [_repulsive_focus(base.replace(beta1=b)).x for b in (lo, hi)]
     u_min, u_max = sorted(abscissae)
     curve = coarse_mu_curve(base, cfg)
-    us = curve.us
     G = partial(_gap, base=base)
-    pairs = [
-        [curve.node(k), curve.node(k + 1)]
-        for k in range(len(us) - 1)
-        if max(us[k], us[k + 1]) >= u_min and min(us[k], us[k + 1]) <= u_max
-    ]
+    pairs = [[curve.node(k), curve.node(k + 1)] for k in _node_pairs(curve, u_min, u_max)]
     if not pairs:
         raise NoBracket(
             f"the coarse fold-return curve does not reach the focus abscissae "
@@ -738,19 +704,9 @@ def build_N_point(
             f"identities produce inadmissible parameters: {err}"
         ) from err
 
-    phi_n = out.phi
-    denom = phi_n**2 * out.b_q**2 * (v - out.r1) ** 2
-    if denom == 0.0:
-        M_bound = math.inf
-    else:
-        M_bound = (
-            4.0
-            * r2_new
-            * v
-            * (v - phi_n)
-            * (out.a_q * out.q1 * out.r1 + out.q2 * (v - out.r1)) ** 2
-            / denom
-        )
+    # at the constructed parameters, beta2 = r2*beta1/(v - r1) turns the
+    # complex-pair bound into the paper's M(x0, r2)
+    M_bound = _m_bound(out)
     if out.m >= M_bound:
         raise InequalityViolated(f"m = {out.m} >= M(x0, r2) = {M_bound}")
 

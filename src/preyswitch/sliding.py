@@ -157,19 +157,26 @@ def classify_focus(params: Parameters) -> PseudoEquilibrium:
     return PseudoEquilibrium(location=interior, alpha=alpha, beta_imag=beta_imag, kind=kind)
 
 
+def _m_bound(params: Parameters) -> float:
+    """The admissible bound on m of the complex-pair condition.
+
+    Infinite at b_q = 0, where the pseudo-equilibrium is a center.
+    """
+    p = params
+    W = p.q2 * p.r2 * p.beta1 + p.a_q * p.q1 * p.r1 * p.beta2
+    denom = p.b_q**2 * p.phi**2 * p.beta1**2 * p.beta2**2
+    if denom == 0.0:
+        return math.inf
+    return 4.0 * (p.beta1 + p.beta2) * (p.r2 * p.beta1 + p.r1 * p.beta2) * W * W / denom
+
+
 def focus_condition_holds(params: Parameters) -> bool:
     """Inequality form of the complex-pair condition: m < admissible bound.
 
     At b_q = 0 the bound is infinite (the pseudo-equilibrium is a center),
     so the condition holds.
     """
-    p = params
-    W = p.q2 * p.r2 * p.beta1 + p.a_q * p.q1 * p.r1 * p.beta2
-    denom = p.b_q**2 * p.phi**2 * p.beta1**2 * p.beta2**2
-    if denom == 0.0:
-        return True
-    bound = 4.0 * (p.beta1 + p.beta2) * (p.r2 * p.beta1 + p.r1 * p.beta2) * W * W / denom
-    return p.m < bound
+    return params.m < _m_bound(params)
 
 
 def monotonicity_witnesses(p, params: Parameters) -> tuple[float, float, float]:

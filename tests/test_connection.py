@@ -40,8 +40,8 @@ from preyswitch import (
     mu_point,
     pseudo_equilibria,
     return_map_sample,
+    validate_parameters,
     verify_connection,
-    working_window,
 )
 from preyswitch import connection as connection_mod
 from conftest import rounds, taylor_runs
@@ -146,11 +146,11 @@ def test_mu_curve_window_and_classification(table1, cfg):
     grid = np.linspace(0.1 * tau, 0.999 * tau, 200)
     curve = mu_curve(grid, table1, cfg)
     assert len(curve) == 200
-    win = working_window(curve, table1)
-    assert win is not None
-    i0, i1 = win
-    assert i1 - i0 > 50
-    for i in range(i0, i1 + 1):
+    # the nodes before u first reaches tau, more than 50, land in the
+    # sliding region above r1
+    n = int(np.argmax(curve.us >= tau))
+    assert n > 50 and curve.us[n] >= tau
+    for i in range(n):
         assert curve.vs[i] > table1.r1
         assert 0.0 < curve.us[i] < tau
         assert classify_sigma_point((curve.us[i], curve.vs[i]), table1) is RegionLabel.SLIDING
@@ -200,8 +200,8 @@ def test_distance_matched_point_hits_focus_abscissa(table1, cfg, coarse_curve):
 
 def test_distance_no_bracket(table1, cfg):
     # synthetic coarse curves on which x_c(0.994) = 0.93 is never reached: u
-    # stays below it, or it is crossed only on the pair past the window's end
-    # whose outer node also has v <= r1
+    # stays below it, or it is crossed only on a pair whose second node has
+    # v <= r1
     _, focus = pseudo_equilibria(table1)
     x0s = np.linspace(0.2, 0.5, 6)
     for us, vs in (
@@ -212,6 +212,38 @@ def test_distance_no_bracket(table1, cfg):
         curve = MuCurve(x0s=x0s, us=np.array(us), vs=np.array(vs), params=table1)
         with pytest.raises(NoBracket):
             distance_to_connection(table1, cfg, curve)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_distance_at_an_exact_node_hit(table1, cfg, monkeypatch, order):
+    # a node exactly at x_c lies on one half-open node pair whichever way u
+    # runs through it, and is the match itself, without a launch
+    runs = taylor_runs(monkeypatch)
+    _, focus = pseudo_equilibria(table1)
+    x0s = np.linspace(0.2, 0.5, 5)
+    us = np.array([0.80, 0.85, focus.x, 0.98, 1.0])[::order]
+    curve = MuCurve(x0s=x0s, us=us, vs=np.full(5, 2.0), params=table1)
+    assert distance_to_connection(table1, cfg, curve) == (2.0 - focus.z, 0.35)
+    assert runs == []
+
+
+# a draw whose first coarse node is the only one with u < tau: x_c lies
+# between it and node 1, whose u exceeds tau and whose v exceeds r1
+ONE_NODE = dict(r1=0.7138, r2=0.1563, a_q=1.3517, q1=0.2468, q2=0.5493, beta2=2.41, m=0.06, e=1.9311)
+
+
+def test_distances_match_next_to_a_lone_node_below_tau(cfg):
+    params = [validate_parameters(beta1=b, **ONE_NODE) for b in (0.4665, 0.07775)]
+    curve = coarse_mu_curve(params[0], cfg)
+    tau, r1 = params[0].tau, params[0].r1
+    assert curve.us[0] < tau < curve.us[1] and min(curve.vs[:2]) > r1
+    for p, (D, x0) in zip(params, distances_to_connection(params, cfg, curve)):
+        _, focus = pseudo_equilibria(p)
+        assert curve.us[0] < focus.x < curve.us[1]
+        assert curve.x0s[0] < x0 < curve.x0s[1]
+        u, v = mu_point(x0, p, cfg)
+        assert abs(u - focus.x) <= 1e-10 and v > r1
+        assert D == pytest.approx(v - focus.z, abs=1e-10)
 
 
 def test_distance_lemma2_violation(table1, cfg, coarse_curve):
@@ -235,10 +267,12 @@ def test_distance_multiple_roots_reported(table1, cfg):
 def test_distances_agree_with_brentq_on_lone_launches(table1, cfg, coarse_curve):
     # the rows are matched together on stacked lanes; each must agree with an
     # independent Brent search whose every evaluation is a lone launch.  x_c
-    # of 0.01 and 0.1 lies between node 22, the working window's last, and
-    # node 23, whose u exceeds tau: they are matched on that pair
+    # of 0.01 and 0.1 lies between node 22, the last with u < tau, and node
+    # 23, whose u exceeds tau: they are matched on that pair
     betas = (0.01, 0.1, 2.0, 5.0, 7.5, 9.8)
-    assert working_window(coarse_curve, table1) == (0, 22) and coarse_curve.us[23] > table1.tau
+    us, vs = coarse_curve.us, coarse_curve.vs
+    assert np.all((us[:23] > 0.0) & (us[:23] < table1.tau) & (vs[:23] > table1.r1))
+    assert us[22] < table1.tau < us[23]
     rows = distances_to_connection([table1.replace(beta1=b) for b in betas], cfg, coarse_curve)
     assert all(coarse_curve.x0s[22] < x0 < coarse_curve.x0s[23] for _, x0 in rows[:2])
     for beta1, (D, x0) in zip(betas, rows):
@@ -371,8 +405,8 @@ def test_find_shilnikov_lemma2_violation_reports_iterate(table1, cfg):
 def test_find_shilnikov_is_independent_of_the_range(connection, table1, cfg):
     cert, _ = connection
     assert abs(cert.beta1_star - 7.7768748097) <= 1e-9
-    # the focus abscissae of beta1 = 0.1 and 0.01 lie past the working window
-    # (u > tau at the next node), where only their own node pair matches them
+    # the focus abscissae of beta1 = 0.1 and 0.01 lie between node 22 and
+    # node 23, whose u exceeds tau; that pair alone matches them
     for beta1_range in ((1.2, 9.4), (1.5, 9.0), (0.1, 10.0), (0.01, 10.0)):
         other = find_shilnikov(table1, beta1_range, cfg)
         assert abs(other.beta1_star - 7.7768748097) <= 1e-9
@@ -494,6 +528,12 @@ def test_build_n_point_round_trip(table1, cfg):
     x0 = 0.35 * table1.tau
     rep = build_N_point(x0, 0.05, table1, cfg)
     assert rep.M_bound > rep.params_out.m
+    # the paper's M(x0, r2), in the landing height v
+    p, v = rep.params_out, rep.mu[1]
+    M = 4.0 * p.r2 * v * (v - p.phi) * (p.a_q * p.q1 * p.r1 + p.q2 * (v - p.r1)) ** 2 / (
+        p.phi**2 * p.b_q**2 * (v - p.r1) ** 2
+    )
+    assert rep.M_bound == pytest.approx(M, rel=1e-14)
     assert max(rep.identity_residuals.values()) <= 1e-10
     _, interior = pseudo_equilibria(rep.params_out)
     assert interior.x == pytest.approx(rep.mu[0], abs=1e-8)
