@@ -1,8 +1,9 @@
 """Event-detecting integration and Filippov concatenation.
 
 Every integration runs by Taylor series.  Each field of the model is
-quadratic, so each step expands the solution to order 24 by one
-Cauchy-product recurrence (:func:`~preyswitch.model.quadratic_series`), takes
+quadratic, so each step expands the solution to order 24 by the
+Cauchy-product recurrence of its quadratic form, compiled once to
+straight-line code (:func:`~preyswitch.model.quadratic_series`), takes
 the step of Jorba and Zou (2005) at the local tolerance 1e-4*abs_tol, and on
 the step's polynomials either excludes each event or locates the first, by
 an in-house port of Brent's method (:func:`_brent`), so no scipy is loaded.
@@ -47,8 +48,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
 from itertools import chain
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -214,10 +216,13 @@ _TO_BERNSTEIN, _LEFT_HALF, _RIGHT_HALF = _bernstein_matrices(_TAYLOR_ORDER)
 _POWERS = np.arange(_TAYLOR_ORDER + 1)
 _ONE = np.eye(1, _TAYLOR_ORDER + 1)[0]  # the series of the constant 1
 _ROOT_TOL = 4.0 * math.ulp(1.0)
-# below this many running lanes, each takes its step on Python floats: one
-# order-24 expansion takes about 30 us a lane, against 400-550 us for a
-# numpy batch of up to 48 lanes, and a float step forms no event polynomial
-# that a float test clears
+# below this many running lanes, each takes its step on Python floats: a
+# float step takes about 31 us a lane (its order-24 expansion about 9.5 us)
+# and forms no event polynomial that a float test clears, while an array
+# round takes about 0.5 ms for 16 to 32 lanes and 0.7 ms for 48 (its
+# expansion 0.36 ms), so the two cost the same at about 16 lanes; on the
+# coarse curve, the sweep's rows and find_shilnikov, 12, 20 and 24 ran no
+# faster (2-vCPU host, Python 3.11)
 _ARRAY_LANES = 16
 
 
@@ -485,8 +490,9 @@ def _float_step(lane: _Lane, series, events: list, cfg: IntegratorConfig):
     test and the end state are lists; an event's row is formed, as an
     array, only when its test fails, and then goes to :func:`_first_root`.
     Each operation is the array round's on the same floats: h**k is numpy's
-    power, and the end state sums the orders in turn from -0.0, as
-    ``np.add.accumulate`` does.
+    power, and the end state adds the orders in turn from -0.0, as
+    ``np.add.accumulate`` does, by a left fold: from Python 3.12 on, ``sum``
+    of floats compensates its rounding, which ``np.add.accumulate`` does not.
     """
     n = _TAYLOR_ORDER
     p, s, first = lane.p, lane.s, lane.steps == 0
@@ -511,7 +517,7 @@ def _float_step(lane: _Lane, series, events: list, cfg: IntegratorConfig):
         if u is not None and (hit is None or u < hit[1]):
             hit = ev, u
     if hit is None:
-        return end, [sum(col, -0.0) for col in a], None
+        return end, [reduce(add, col, -0.0) for col in a], None
     ev, u = hit
     return s + u * h, [_horner(col, u) for col in a], ev
 

@@ -6,14 +6,16 @@ so that the switching plane becomes Sigma = {x = y}.  The field X governs
 x >= y (predator on preferred prey), Y governs x <= y, and the planar
 Lotka-Volterra field is X on its invariant plane y = 0.  Each field is
 defined once, by its quadratic form (:func:`quadratic_series`), which gives
-its Taylor series and, as their order 1, its rates.
+its Taylor series and, as their order 1, its rates.  The Taylor recurrence
+of a form runs as straight-line code, compiled on first use once for each
+structure of the form and order and given the form's weights as arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -251,37 +253,60 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
 
     at O(order**2) cost, so order 1 (k = 0) is the field's rate at p.  Only
     the nonzero entries of L and c enter, the product's first; every row
-    must have one.  ``p`` is a list of floats, or holds K lanes as an array
-    of shape (dim, K): each coefficient is then the array of the K lanes'
+    must have one, or :class:`DomainError` is raised.  The recurrence runs
+    as straight-line code compiled for the form's structure and the order
+    (:func:`_recurrence`), with the nonzero weights times ``sgn`` as its
+    arguments.  ``p`` is a list of floats, or holds K lanes as an array of
+    shape (dim, K): each coefficient is then the array of the K lanes'
     coefficients, bit-identical to theirs one lane at a time, since each
     lane sees the same operations in the same order.
     """
     n = len(c)
-    # each row as (weight, index) pairs into (s_0, .., s_(n-1), s_i s_j)
+    # each row's nonzero weights and their indices into (s_0, .., s_(n-1), s_i s_j)
     rows = [[(sgn * v, q) for q, v in ((n, w), *enumerate(row)) if v != 0.0] for w, row in zip(c, linear)]
-    mul = operator.mul
+    if not all(rows):
+        raise DomainError(f"every row of a quadratic form needs a nonzero weight, got L = {linear}, c = {c}")
+    structure = tuple(tuple(q for _, q in row) for row in rows)
+    weights = tuple(v for row in rows for v, _ in row)
 
     def series(p, order: int) -> list[list[float]]:
-        cols = [[v] for v in p]
-        products = []  # (s_i s_j)_k at index k
-        seqs = cols + [products]
-        # each row's first term starts its sum
-        terms = [
-            (col, v0, seqs[q0], [(v, seqs[q]) for v, q in rest])
-            for col, ((v0, q0), *rest) in zip(cols, rows)
-        ]
-        left, right = cols[i], cols[j][::-1]  # s_j reversed, for the Cauchy product
-        for k in range(order):
-            products.append(sum(map(mul, left, right)))
-            for col, v0, seq0, rest in terms:
-                acc = v0 * seq0[k]
-                for v, seq in rest:
-                    acc += v * seq[k]
-                col.append(acc / (k + 1))
-            right.insert(0, cols[j][k + 1])
-        return cols
+        return _recurrence(structure, i, j, order)(p, weights)
 
     return series
+
+
+@functools.cache
+def _recurrence(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: int):
+    """The recurrence of :func:`quadratic_series` to ``order``, compiled as
+    one straight-line function ``(p, weights)`` of the form's structure:
+    row r holds one term per index in ``structure[r]``, n for the product
+    s_i s_j and q < n for s_q, and takes its weights in turn from
+    ``weights``.  No weight enters the code, so the cache holds code alone,
+    one function per structure and order.
+
+    Each order is written out in one fixed order of operations: the
+    product's order k as 0 + s_(i,0) s_(j,k) + .. + s_(i,k) s_(j,0), added
+    in turn, and each row as (w s_k + w' s'_k + ..) / (k+1), its terms in
+    turn (order 1 is not divided by 1).  So floats and arrays of lanes take
+    the same operations; ``sum`` would not, since from Python 3.12 on it
+    compensates the rounding of floats but not of arrays.
+    """
+    n = len(structure)
+    names = [[f"s{q}_{k}" for k in range(order + 1)] for q in range(n)]
+    wnames = [f"w{m}" for m in range(sum(map(len, structure)))]
+    body = [f"{''.join(col[0] + ', ' for col in names)}= p", f"{''.join(w + ', ' for w in wnames)}= weights"]
+    for k in range(order):
+        terms = " + ".join(f"{names[i][l]}*{names[j][k - l]}" for l in range(k + 1))
+        body.append(f"pr{k} = 0 + {terms}")
+        free = iter(wnames)
+        for q, row in enumerate(structure):
+            terms = " + ".join(f"{next(free)}*{f'pr{k}' if r == n else names[r][k]}" for r in row)
+            body.append(f"{names[q][k + 1]} = ({terms}) / {k + 1}" if k else f"{names[q][1]} = {terms}")
+    body.append(f"return [{', '.join('[' + ', '.join(col) + ']' for col in names)}]")
+    source = "def series(p, weights):\n" + "".join(f"    {line}\n" for line in body)
+    namespace: dict = {}
+    exec(compile(source, f"<quadratic form {structure}, {i}, {j} to order {order}>", "exec"), namespace)
+    return namespace["series"]
 
 
 def smooth_series(piece: Piece, params: Parameters, sgn: float = 1.0):

@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import add, mul
+
 import mpmath
 import numpy as np
 import pytest
@@ -128,6 +131,45 @@ def reference_field(field, params, sgn=1.0):
             return [sgn * x * (R - B * z), sgn * (-K * x - m * z + C * x * z)]
 
     return f
+
+
+def reference_series(linear, c, i, j, sgn=1.0):
+    """The Taylor recurrence of the quadratic form s' = sgn*(L s + c s_i s_j),
+    interpreted order by order: the tests' reference for the library's
+    compiled ``model.quadratic_series``, with the same ``series(p, order)``.
+
+    Each order forms the Cauchy product (s_i s_j)_k from 0 by adding its
+    terms in turn, and each row as the sum of its nonzero terms in turn,
+    the product's first, over k + 1, so that the compiled code must match
+    it bit for bit, on floats and on arrays of lanes alike.  The product is
+    a left fold, not ``sum``, which from Python 3.12 on compensates the
+    rounding of floats but not of arrays.
+    """
+    n = len(c)
+    # each row as (weight, index) pairs into (s_0, .., s_(n-1), s_i s_j)
+    rows = [[(sgn * v, q) for q, v in ((n, w), *enumerate(row)) if v != 0.0] for w, row in zip(c, linear)]
+
+    def series(p, order):
+        cols = [[v] for v in p]
+        products = []  # (s_i s_j)_k at index k
+        seqs = cols + [products]
+        # each row's first term starts its sum
+        terms = [
+            (col, v0, seqs[q0], [(v, seqs[q]) for v, q in rest])
+            for col, ((v0, q0), *rest) in zip(cols, rows)
+        ]
+        left, right = cols[i], cols[j][::-1]  # s_j reversed, for the Cauchy product
+        for k in range(order):
+            products.append(reduce(add, map(mul, left, right), 0))
+            for col, v0, seq0, rest in terms:
+                acc = v0 * seq0[k]
+                for v, seq in rest:
+                    acc += v * seq[k]
+                col.append(acc / (k + 1))
+            right.insert(0, cols[j][k + 1])
+        return cols
+
+    return series
 
 
 def filippov_combination(params):

@@ -34,11 +34,12 @@ from preyswitch import (
     pseudo_equilibria,
 )
 from preyswitch import flow as flow_mod
+from preyswitch import model as model_mod
 from preyswitch import sliding as sliding_mod
 from preyswitch.flow import integrate_fold_launches, trajectory_rows
-from preyswitch.model import smooth_series
+from preyswitch.model import quadratic_series, smooth_series
 from preyswitch.sliding import sliding_jacobian, sliding_series
-from conftest import draw_params, reference_field, rounds, taylor_runs
+from conftest import draw_params, reference_field, reference_series, rounds, taylor_runs
 
 
 def arc_gap(a, b):
@@ -284,6 +285,54 @@ def test_series_of_lanes_equals_each_lane_alone(rng, table1):
         together = np.array(series(lanes, 24))
         alone = np.array([series(lane, 24) for lane in lanes.T])
         assert np.array_equal(together, alone.transpose(1, 2, 0))
+
+
+def test_compiled_series_equal_the_interpreted_recurrence(rng, table1):
+    # the straight-line recurrence of each form takes the interpreted
+    # recurrence's operations in its order, on floats and on lanes, so they
+    # agree bit for bit; q1 = 0 drops the product from X's z row and b_q = 0
+    # the x term from the sliding field's z row, which changes the code
+    zero_q1 = draw_params(rng).replace(q1=0.0)
+    drawn = draw_params(rng)
+    zero_bq = drawn.replace(q2=drawn.a_q * drawn.q1)
+    assert zero_bq.b_q == 0.0
+    for params in (table1, zero_q1, zero_bq):
+        diagonal = [[params.r1, 0.0, 0.0], [0.0, params.r2, 0.0], [0.0, 0.0, -params.m]]
+        forms = (
+            (Piece.X, (diagonal, (-1.0, 0.0, params.e * params.q1), 0, 2)),
+            (Piece.Y, (diagonal, (0.0, -params.beta2 / params.beta1, params.e * params.q2 / params.a_q), 1, 2)),
+            ("Sliding", sliding_mod._form(params)),
+        )
+        for field, form in forms:
+            dim = len(form[1])
+            for sgn in (1.0, -1.0):
+                if field == "Sliding":
+                    series = sliding_series(params, sgn)
+                else:
+                    series = smooth_series(field, params, sgn)
+                reference = reference_series(*form, sgn)
+                p = rng.uniform(0.01, 2.0, dim).tolist()
+                lanes = rng.uniform(0.01, 2.0, (dim, 5))
+                for order in (0, 1, 2, 23, 24):
+                    assert series(p, order) == reference(p, order), (field, sgn, order)
+                    assert np.array_equal(series(lanes, order), reference(lanes, order)), (field, sgn, order)
+
+
+def test_series_compile_once_per_structure_and_order(table1):
+    # a trajectory's 726 steps expand X, Y and the sliding field to order 24,
+    # and it reads their rates at order 1: at most six programs, one per
+    # field and order, whatever the field's parameters or sign
+    model_mod._recurrence.cache_clear()
+    traj = integrate_filippov((1.2, 0.4, 1.0), IntegratorConfig(t_max=400.0), table1)
+    info = model_mod._recurrence.cache_info()
+    assert info.misses == info.currsize <= 6
+    assert info.hits + info.misses >= sum(arc.steps for arc in traj.arcs) > 700
+
+
+def test_a_form_with_an_empty_row_raises(table1):
+    # z' = 0 has no term to compile; -0.0 is no weight either
+    with pytest.raises(DomainError, match="nonzero weight"):
+        quadratic_series([[table1.r1, 0.0], [0.0, -0.0]], (-1.0, 0.0), 0, 1)
 
 
 def test_fold_lanes_run_as_many_rounds_as_their_slowest_lane(table1, cfg, monkeypatch):
