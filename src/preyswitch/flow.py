@@ -107,12 +107,16 @@ class ArcKind(Enum):
 
 
 class EventKind(Enum):
-    SIGMA_CROSSING = "SigmaCrossing"
-    SIGMA_ENTRY_SLIDING = "SigmaEntrySliding"
-    FOLD_EXIT = "FoldExit"
-    FOCUS_CAPTURE = "FocusCapture"
-    DOMAIN_EXIT = "DomainExit"
-    HORIZON_REACHED = "HorizonReached"
+    """How an arc ends, and in a trajectory of :func:`integrate_filippov`
+    what follows it.  A lone smooth arc ends every hit on Sigma as
+    SIGMA_CROSSING."""
+
+    SIGMA_CROSSING = "SigmaCrossing"  # a hit on Sigma; an X-arc follows
+    SIGMA_ENTRY_SLIDING = "SigmaEntrySliding"  # a hit on Sigma; a sliding arc follows
+    FOLD_EXIT = "FoldExit"  # z reaches phi on a sliding arc; X, or more sliding where the flow stays, follows
+    FOCUS_CAPTURE = "FocusCapture"  # within the capture radius of the pseudo-focus; nothing follows
+    DOMAIN_EXIT = "DomainExit"  # a coordinate reaches zero, or a hit on the origin line; nothing follows
+    HORIZON_REACHED = "HorizonReached"  # t_max; nothing follows
 
 
 @dataclass(frozen=True)
@@ -880,80 +884,85 @@ def integrate_fold_launches(
     return out
 
 
+def _after_sigma(s, cfg: IntegratorConfig, params: Parameters) -> ArcKind | None:
+    """The arc that follows the state s, on Sigma within the event tolerance.
+
+    SLIDING at a sliding point, or at a fold point (visible fold or cusp)
+    that the sliding flow does not leave (:func:`_leaves_fold`); None on the
+    origin line, where no arc follows; SMOOTH_X at every other point: a
+    crossing point, where X and Y both point into h > 0, a fold point that
+    the sliding flow leaves, or a boundary point.
+    """
+    xm, z = 0.5 * (s[0] + s[1]), s[2]
+    label = classify_sigma_point((xm, z), params, tol=cfg.event_tol)
+    if label is RegionLabel.ORIGIN_LINE:
+        return None
+    if label is RegionLabel.SLIDING or (
+        label in _FOLD_LABELS and not _leaves_fold(eval_sliding((xm, z), params))
+    ):
+        return ArcKind.SLIDING
+    return ArcKind.SMOOTH_X
+
+
 def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Trajectory:
     """Forward Filippov trajectory from s0 as a concatenation of arcs.
 
-    In h > 0 the flow follows X, in h < 0 it follows Y.  A hit on Sigma is
-    classified: crossing points hand over to the other piece, sliding
-    points start a sliding arc that ends at a fold exit, after which X
-    resumes from the fold point.  Terminates at the horizon, on domain
-    exit, or on focus capture.  Raises :class:`ChatteringGuard` when
-    switching events accumulate faster than the event tolerance resolves.
-    A sliding arc is captured within 1e-4 of the pseudo-focus.  A start
-    that is not three finite coordinates raises :class:`DomainError`.
+    In h > 0 the flow follows X, in h < 0 it follows Y.  Each point of
+    Sigma the trajectory starts from or reaches (a start within the event
+    tolerance of Sigma, a fold exit, a hit of a smooth arc) is decided once,
+    by :func:`_after_sigma`: a sliding arc follows it, which ends at a fold
+    exit, or an X-arc, or, on the origin line, nothing.  A hit's label names
+    the arc that follows: SIGMA_ENTRY_SLIDING, SIGMA_CROSSING, or
+    DOMAIN_EXIT on the origin line, which ends the trajectory; a start or a
+    fold exit on the origin line raises :class:`DomainError`.  Terminates at
+    the horizon, which is checked first, on domain exit, or on focus
+    capture.  Raises :class:`ChatteringGuard` when 50 switching events (hits
+    and fold exits) fall within 10 event tolerances of time, and
+    :class:`PreySwitchError` past _MAX_ARCS arcs.  A sliding arc is captured
+    within 1e-4 of the pseudo-focus.  A start that is not three finite
+    coordinates raises :class:`DomainError`.
     """
     s = np.array(_finite(s0, "Filippov initial state (x, y, z)", 3))
     initial = s.copy()
     arcs: list[Arc] = []
     t = 0.0
     sigma_times: list[float] = []
-
-    def note_sigma_event(te: float):
-        sigma_times.append(te)
-        if len(sigma_times) >= 50 and te - sigma_times[-50] <= 10.0 * cfg.event_tol:
-            raise ChatteringGuard(
-                f"50 switching events within {10.0 * cfg.event_tol} time units near t = {te}"
-            )
+    h = s[0] - s[1]
+    follow = ArcKind.SMOOTH_X if h > 0 else ArcKind.SMOOTH_Y
+    if abs(h) <= cfg.event_tol:
+        follow = _after_sigma(s, cfg, params)
 
     while len(arcs) < _MAX_ARCS:
         remaining = cfg.t_max - t
         if remaining <= cfg.event_tol:
             break
+        if follow is None:
+            raise DomainError("trajectory reached the origin line of Sigma")
         sub = replace(cfg, t_max=remaining)
-        h = s[0] - s[1]
-
-        if abs(h) <= cfg.event_tol:
-            xm = 0.5 * (s[0] + s[1])
-            label = classify_sigma_point((xm, s[2]), params, tol=cfg.event_tol)
-            if label is RegionLabel.ORIGIN_LINE:
-                raise DomainError("trajectory reached the origin line of Sigma")
-            if label is RegionLabel.SLIDING or (
-                label in _FOLD_LABELS and not _leaves_fold(eval_sliding((xm, s[2]), params))
-            ):
-                arc = integrate_sliding((xm, s[2]), Direction.FORWARD, sub, params, t_start=t)
-                arcs.append(arc)
-                ev = arc.terminal_event
-                if ev.kind is EventKind.FOLD_EXIT:
-                    note_sigma_event(ev.t)
-                    s = np.array([ev.state[0], ev.state[0], params.phi])
-                    t = ev.t
-                    continue
-                break
-            piece = Piece.X
+        if follow is ArcKind.SLIDING:
+            arc = integrate_sliding((0.5 * (s[0] + s[1]), s[2]), Direction.FORWARD, sub, params, t_start=t)
         else:
-            piece = Piece.X if h > 0 else Piece.Y
-
-        arc = integrate_smooth(piece, s, Direction.FORWARD, sub, params, t_start=t)
+            piece = Piece.X if follow is ArcKind.SMOOTH_X else Piece.Y
+            arc = integrate_smooth(piece, s, Direction.FORWARD, sub, params, t_start=t)
         ev = arc.terminal_event
-        if ev.kind is not EventKind.SIGMA_CROSSING:
+        if ev.kind not in (EventKind.SIGMA_CROSSING, EventKind.FOLD_EXIT):
             arcs.append(arc)
             break
 
-        note_sigma_event(ev.t)
-        xm = ev.state[0]
-        label = classify_sigma_point((xm, ev.state[2]), params, tol=cfg.event_tol)
-        if label is RegionLabel.CROSSING or (label is RegionLabel.BOUNDARY and ev.state[2] < params.phi):
-            arcs.append(arc)
-            s = ev.state.copy()
-            t = ev.t
-            continue
-        if label is RegionLabel.ORIGIN_LINE:
-            arcs.append(replace(arc, terminal_event=EventRecord(EventKind.DOMAIN_EXIT, ev.t, ev.state)))
+        sigma_times.append(ev.t)
+        if len(sigma_times) >= 50 and ev.t - sigma_times[-50] <= 10.0 * cfg.event_tol:
+            raise ChatteringGuard(
+                f"50 switching events within {10.0 * cfg.event_tol} time units near t = {ev.t}"
+            )
+        # a hit is (xm, xm, z) and a fold exit (x, phi): both lie on Sigma
+        s, t = np.array([ev.state[0], ev.state[0], ev.state[-1]]), ev.t
+        follow = _after_sigma(s, cfg, params)
+        if ev.kind is EventKind.SIGMA_CROSSING and follow is not ArcKind.SMOOTH_X:
+            kind = EventKind.SIGMA_ENTRY_SLIDING if follow is ArcKind.SLIDING else EventKind.DOMAIN_EXIT
+            arc = replace(arc, terminal_event=replace(ev, kind=kind))
+        arcs.append(arc)
+        if arc.terminal_event.kind is EventKind.DOMAIN_EXIT:
             break
-        relabeled = EventRecord(EventKind.SIGMA_ENTRY_SLIDING, ev.t, ev.state)
-        arcs.append(replace(arc, terminal_event=relabeled))
-        s = ev.state.copy()
-        t = ev.t
     else:
         raise PreySwitchError(f"trajectory exceeded {_MAX_ARCS} arcs")
 

@@ -340,6 +340,13 @@ def test_root_solver_closes_at_an_exact_zero(table1, cfg, coarse_curve, monkeypa
     assert out == (b, b) and runs == []
 
 
+def test_distance_fails_a_bracket_open_past_max_iterations(table1, cfg, coarse_curve, monkeypatch):
+    # one regula falsi iterate does not close the bracket at beta1 = 5
+    monkeypatch.setattr(connection_mod, "_MAX_ITER", 1)
+    with pytest.raises(PreySwitchError, match="no root within 1 iterations"):
+        distance_to_connection(table1.replace(beta1=5.0), cfg, coarse_curve)
+
+
 def test_distance_rejects_curve_of_other_x_flow(table1, table1_b10, cfg, coarse_curve):
     # beta1 and beta2 leave the X-flow alone; r1, r2, m and e*q1 do not
     curve = replace(coarse_curve, params=table1_b10.replace(beta2=2.0))

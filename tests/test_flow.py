@@ -645,13 +645,31 @@ def test_filippov_crossing_start_passes_without_sliding(table1):
     assert first.t1 - first.t0 > 1.0
 
 
-def test_filippov_y_arc_crosses_then_follows_x(table1):
+@pytest.mark.parametrize(
+    "fold", [None, 0.2, 0.5], ids=["crossing", "visible-fold-0.2tau", "visible-fold-0.5tau"]
+)
+def test_filippov_y_arc_crosses_then_follows_x(table1, fold):
+    # a hit is labelled by the arc that follows it: on the visible fold, where
+    # the sliding flow leaves, X follows at once, so that hit is a crossing
     cfg = IntegratorConfig(t_max=10.0)
-    traj = integrate_filippov((0.8, 0.9, 0.3), cfg, table1)
+    start = (0.8, 0.9, 0.3)
+    if fold is not None:
+        x0 = fold * table1.tau
+        assert flow_mod._leaves_fold(eval_sliding((x0, table1.phi), table1))
+        back = integrate_smooth(
+            Piece.Y, (x0, x0, table1.phi), Direction.BACKWARD, IntegratorConfig(t_max=0.3), table1
+        )
+        assert back.terminal_event.kind is EventKind.HORIZON_REACHED
+        start = back.states[-1]
+    traj = integrate_filippov(start, cfg, table1)
     kinds = [(a.kind, a.terminal_event.kind) for a in traj.arcs]
     assert kinds[0][0] is ArcKind.SMOOTH_Y
     assert kinds[0][1] is EventKind.SIGMA_CROSSING
     assert kinds[1][0] is ArcKind.SMOOTH_X
+    if fold is not None:
+        hit = traj.arcs[0].terminal_event.state
+        label = classify_sigma_point((hit[0], hit[2]), table1, tol=cfg.event_tol)
+        assert label is RegionLabel.VISIBLE_FOLD
 
 
 def test_filippov_concatenation_continuity(table1):
@@ -667,6 +685,18 @@ def test_filippov_concatenation_continuity(table1):
         if len(dts):
             assert np.all(dts > 0.0)
     assert traj.arcs[-1].terminal_event.kind is EventKind.HORIZON_REACHED
+    # each hit's label names the arc that follows it, and only a sliding arc
+    # ends at a fold exit (this trajectory's hits all enter the sliding
+    # region; test_filippov_y_arc_crosses_then_follows_x has crossings)
+    follows = {EventKind.SIGMA_ENTRY_SLIDING: ArcKind.SLIDING, EventKind.SIGMA_CROSSING: ArcKind.SMOOTH_X}
+    labels = [a.terminal_event.kind for a in traj.arcs]
+    assert {EventKind.SIGMA_ENTRY_SLIDING, EventKind.FOLD_EXIT} <= set(labels)
+    for label, b in zip(labels, traj.arcs[1:]):
+        if label in follows:
+            assert b.kind is follows[label]
+    for a, label in zip(traj.arcs, labels):
+        if label is EventKind.FOLD_EXIT:
+            assert a.kind is ArcKind.SLIDING
 
 
 def test_filippov_sigma_events_verify_defining_equations(table1):
@@ -712,6 +742,13 @@ def test_filippov_solver_budget(table1, monkeypatch):
     assert all(len(run) == 1 for run in runs)
     assert not launches
     assert rounds(runs) <= 750
+
+
+def test_filippov_raises_past_max_arcs(table1, monkeypatch):
+    # the 12-arc trajectory of test_filippov_solver_budget, capped at 5 arcs
+    monkeypatch.setattr(flow_mod, "_MAX_ARCS", 5)
+    with pytest.raises(PreySwitchError, match="exceeded 5 arcs"):
+        integrate_filippov((1.2, 0.4, 1.0), IntegratorConfig(t_max=60.0), table1)
 
 
 def test_chattering_raises_on_the_fiftieth_switching_event(table1, cfg, monkeypatch):
