@@ -2,8 +2,8 @@
 
 Every integration runs by Taylor series.  Each field of the model is
 quadratic, so each step expands the solution to order 24 by the
-Cauchy-product recurrence of its quadratic form, compiled once to
-straight-line code (:func:`~preyswitch.model.quadratic_series`), takes
+Cauchy-product recurrence of its quadratic form, compiled once
+(:func:`~preyswitch.model.quadratic_series`), takes
 the step of Jorba and Zou (2005) at the local tolerance 1e-4*abs_tol, and on
 the step's polynomials either excludes each event or locates the first, by
 an in-house port of Brent's method (:func:`_brent`), so no scipy is loaded.
@@ -221,12 +221,14 @@ _POWERS = np.arange(_TAYLOR_ORDER + 1)
 _ONE = np.eye(1, _TAYLOR_ORDER + 1)[0]  # the series of the constant 1
 _ROOT_TOL = 4.0 * math.ulp(1.0)
 # below this many running lanes, each takes its step on Python floats: a
-# float step takes about 31 us a lane (its order-24 expansion about 9.5 us)
-# and forms no event polynomial that a float test clears, while an array
-# round takes about 0.5 ms for 16 to 32 lanes and 0.7 ms for 48 (its
-# expansion 0.36 ms), so the two cost the same at about 16 lanes; on the
-# coarse curve, the sweep's rows and find_shilnikov, 12, 20 and 24 ran no
-# faster (2-vCPU host, Python 3.11)
+# float step takes about 25-33 us a lane (its order-24 expansion about
+# 9.5 us) and forms no event polynomial that a float test clears, while an
+# array round of fold launches takes about 215 us and 5 us more a lane,
+# 250 us for 8 lanes and 340 us for 24 (its expansion about 200 us), so a
+# round costs the same both ways at about 8 lanes; yet in the benchmark's
+# sweep and connection runs (seeds 1-5, 14 alternating pairs), neither 8
+# nor 12 was measurably faster than 16: within 2.5% in the median, faster
+# in 6 and 9 of 14 pairs (2-vCPU host, Python 3.11, numpy 2.4)
 _ARRAY_LANES = 16
 
 
@@ -531,9 +533,14 @@ def _array_round(live: list[_Lane], series, events: list, cfg: IntegratorConfig)
     its own step: per lane, as :func:`_float_step`, its end, its end state
     and the event it ends at, or None.
 
-    One call of ``series`` on arrays expands every lane, every event forms
-    its rows for every lane (the ball only for the lanes near it), and one
-    matrix product gives their Bernstein coefficients.  It clears a row
+    One call of ``series`` on the (dim, K) array of the lanes' states
+    expands every lane, as an array of shape (dim, order + 1, K) (or any
+    nesting of coefficients that ``np.asarray`` takes to it), every event
+    forms its rows for every lane (the ball only for the lanes near it),
+    and one matrix product gives their Bernstein coefficients.  Its caller
+    runs it with numpy's overflow and invalid-value warnings off, so that
+    a lane whose coefficients overflow raises :class:`StepFailure` from
+    the round's finiteness check, as it does alone.  It clears a row
     only if each coefficient exceeds 1e-13*sum |g_k|, far above its
     rounding gap from the row's own product (under 26 eps*sum |g_k|), so
     every row that the lane alone would search is searched, by
@@ -541,7 +548,7 @@ def _array_round(live: list[_Lane], series, events: list, cfg: IntegratorConfig)
     """
     n = _TAYLOR_ORDER
     state = np.array([lane.p for lane in live])
-    c = np.array(series(state.T, n)).transpose(2, 0, 1).copy()
+    c = np.asarray(series(state.T, n)).transpose(2, 0, 1)
     if not np.isfinite(c).all():
         j = int((~np.isfinite(c)).any(axis=(1, 2)).argmax())
         raise _overflow(c[j].tolist(), live[j].ts[-1], live[j].p)
@@ -617,7 +624,10 @@ def _taylor_lanes(
     live = [_Lane(i, p, [t_start], [p]) for i, p in enumerate(p0.tolist())]
     while live:
         if len(live) >= _ARRAY_LANES:
-            stepped = _array_round(live, series, events, cfg)
+            # a lane whose coefficients overflow fails by the round's
+            # finiteness check, as it does alone, not by numpy's warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                stepped = _array_round(live, series, events, cfg)
         else:
             stepped = [_float_step(lane, series, events, cfg) for lane in live]
         running = []

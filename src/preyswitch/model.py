@@ -7,8 +7,11 @@ x >= y (predator on preferred prey), Y governs x <= y, and the planar
 Lotka-Volterra field is X on its invariant plane y = 0.  Each field is
 defined once, by its quadratic form (:func:`quadratic_series`), which gives
 its Taylor series and, as their order 1, its rates.  The Taylor recurrence
-of a form runs as straight-line code, compiled on first use once for each
-structure of the form and order and given the form's weights as arguments.
+of a form is generated code, compiled on first use once for each structure
+of the form and order and given the form's weights as arguments:
+straight-line code for one point of floats, and a loop over the orders for
+K lanes held in one array, which takes each lane's operations in the same
+order.
 """
 
 from __future__ import annotations
@@ -253,13 +256,17 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
 
     at O(order**2) cost, so order 1 (k = 0) is the field's rate at p.  Only
     the nonzero entries of L and c enter, the product's first; every row
-    must have one, or :class:`DomainError` is raised.  The recurrence runs
-    as straight-line code compiled for the form's structure and the order
-    (:func:`_recurrence`), with the nonzero weights times ``sgn`` as its
-    arguments.  ``p`` is a list of floats, or holds K lanes as an array of
-    shape (dim, K): each coefficient is then the array of the K lanes'
-    coefficients, bit-identical to theirs one lane at a time, since each
-    lane sees the same operations in the same order.
+    must have one, or :class:`DomainError` is raised.  The recurrence is
+    compiled for the form's structure and the order, with the nonzero
+    weights times ``sgn`` as its arguments.  For ``p`` a list of floats (or
+    a 1-D array), it runs as straight-line code (:func:`_recurrence`) and
+    returns one list per coordinate.  For ``p`` an array of shape (dim, K)
+    that holds K lanes, it runs as a loop over the orders on one array
+    (:func:`_lane_recurrence`) and returns an array of shape
+    (dim, order + 1, K), each lane's coefficients bit-identical to its own
+    as a list of floats, since each lane sees the same operations in the
+    same order.  One lane alone takes the straight-line code, since numpy
+    would add its product pairwise.
     """
     n = len(c)
     # each row's nonzero weights and their indices into (s_0, .., s_(n-1), s_i s_j)
@@ -269,27 +276,31 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
     structure = tuple(tuple(q for _, q in row) for row in rows)
     weights = tuple(v for row in rows for v, _ in row)
 
-    def series(p, order: int) -> list[list[float]]:
-        return _recurrence(structure, i, j, order)(p, weights)
+    def series(p, order: int):
+        if not (isinstance(p, np.ndarray) and p.ndim == 2):
+            return _recurrence(structure, i, j, order)(p, weights)
+        if p.shape[1] == 1:  # numpy would add the product of one lane pairwise
+            return np.array(_recurrence(structure, i, j, order)(p, weights))
+        return _lane_recurrence(structure, i, j, order)(p, weights)
 
     return series
 
 
 @functools.cache
 def _recurrence(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: int):
-    """The recurrence of :func:`quadratic_series` to ``order``, compiled as
-    one straight-line function ``(p, weights)`` of the form's structure:
-    row r holds one term per index in ``structure[r]``, n for the product
-    s_i s_j and q < n for s_q, and takes its weights in turn from
-    ``weights``.  No weight enters the code, so the cache holds code alone,
-    one function per structure and order.
+    """The recurrence of :func:`quadratic_series` to ``order`` on one
+    point, compiled as one straight-line function ``(p, weights)`` of the
+    form's structure: row r holds one term per index in ``structure[r]``,
+    n for the product s_i s_j and q < n for s_q, and takes its weights in
+    turn from ``weights``.  No weight enters the code, so the cache holds
+    code alone, one function per structure and order.
 
     Each order is written out in one fixed order of operations: the
     product's order k as 0 + s_(i,0) s_(j,k) + .. + s_(i,k) s_(j,0), added
     in turn, and each row as (w s_k + w' s'_k + ..) / (k+1), its terms in
-    turn (order 1 is not divided by 1).  So floats and arrays of lanes take
-    the same operations; ``sum`` would not, since from Python 3.12 on it
-    compensates the rounding of floats but not of arrays.
+    turn (order 1 is not divided by 1).  Lanes take the same operations in
+    :func:`_lane_recurrence`; ``sum`` would not, since from Python 3.12 on
+    it compensates the rounding of floats but not of arrays.
     """
     n = len(structure)
     names = [[f"s{q}_{k}" for k in range(order + 1)] for q in range(n)]
@@ -306,6 +317,72 @@ def _recurrence(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: i
     source = "def series(p, weights):\n" + "".join(f"    {line}\n" for line in body)
     namespace: dict = {}
     exec(compile(source, f"<quadratic form {structure}, {i}, {j} to order {order}>", "exec"), namespace)
+    return namespace["series"]
+
+
+@functools.cache
+def _lane_recurrence(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: int):
+    """The recurrence of :func:`quadratic_series` to ``order`` on K >= 2
+    lanes, compiled as one function ``(p, weights)`` of the form's
+    structure, as :func:`_recurrence` is, for p of shape (dim, K); it
+    returns the coefficients as one array of shape (dim, order + 1, K).
+
+    The function is a loop over the orders k on that array, whose rows are
+    stored by term pattern: rows whose terms are, in turn, the product,
+    their own coordinate or one same other coordinate lie next to each
+    other and form one block, such as X's x and z rows (the product, then
+    their own coordinate) or the sliding field's z row (the product, x,
+    then z).  The product's order k is one reduction over the outer axis,
+    which adds 0 + s_(i,0) s_(j,k) + .. + s_(i,k) s_(j,0) in turn on every
+    lane, as numpy does for two lanes or more.  Each block is one slice
+    expression, with its weights as columns of shape (rows, 1), so that
+    each row adds its terms in turn and divides by k + 1 (exactly, by 1,
+    at order 1).  So every lane takes the operations :func:`_recurrence`
+    takes on its floats, bit for bit, in a few numpy calls an order rather
+    than a few a term, and the short loop compiles in far less time than
+    the straight-line code.
+    """
+    n = len(structure)
+    blocks: dict = {}  # term pattern -> its rows, in order of first appearance
+    for r, row in enumerate(structure):
+        blocks.setdefault(tuple("pr" if q == n else "own" if q == r else q for q in row), []).append(r)
+    stored = [r for rows in blocks.values() for r in rows]  # the coordinate in each stored row
+    at = {r: m for m, r in enumerate(stored)}
+    moved = stored != sorted(stored)
+    first = [0]  # the index in ``weights`` of each row's first weight
+    for row in structure:
+        first.append(first[-1] + len(row))
+    body = [
+        f"{''.join(f'w{m}, ' for m in range(first[-1]))}= weights",
+        f"S = empty(({n}, {order + 1}, p.shape[1]))",
+        f"S[:, 0] = p[{stored}]" if moved else "S[:, 0] = p",
+        *(f"S{m} = S[{m}]" for m in range(n)),
+    ]
+    # explicit ufunc calls, the reduction's arguments by position, a float
+    # divisor and each quotient written in place spare numpy's dispatch some
+    # work
+    loop = ["k1 = k + 1", "d = k + 1.0"]
+    loop.append(f"pr = reduce(multiply(S{at[i]}[:k1], S{at[j]}[k::-1]), 0, None, None, False, 0.0)")
+    for b, (pattern, rows) in enumerate(blocks.items()):
+        # a lone row is one lane vector with float weights, which numpy
+        # multiplies faster than a (1, K) block by (1, 1) columns
+        lone = len(rows) == 1
+        block = f"S{at[rows[0]]}[{{}}]" if lone else f"S[{at[rows[0]]}:{at[rows[-1]] + 1}, {{}}]"
+        total = ""
+        for t, term in enumerate(pattern):
+            weight = f"w{first[rows[0]] + t}"
+            if not lone:
+                weight = f"W{b}_{t}"
+                body.append(f"{weight} = array([{', '.join(f'[w{first[r] + t}]' for r in rows)}])")
+            operand = "pr" if term == "pr" else block.format("k") if term == "own" else f"S{at[term]}[k]"
+            total = f"add({total}, multiply({weight}, {operand}))" if total else f"multiply({weight}, {operand})"
+        loop.append(f"divide({total}, d, {block.format('k1')})")
+    body += [f"for k in range({order}):", *(f"    {line}" for line in loop)]
+    body.append(f"return S[{[at[r] for r in range(n)]}]" if moved else "return S")
+    source = "def series(p, weights):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {"empty": np.empty, "array": np.array, "reduce": np.add.reduce}
+    namespace.update(multiply=np.multiply, add=np.add, divide=np.divide)
+    exec(compile(source, f"<quadratic form {structure}, {i}, {j} on lanes to order {order}>", "exec"), namespace)
     return namespace["series"]
 
 

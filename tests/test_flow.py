@@ -161,6 +161,16 @@ def test_coefficient_overflow_raises_step_failure(table1, cfg):
         integrate_smooth(Piece.X, (1e200, 0.0, 1e200), Direction.FORWARD, cfg, table1)
 
 
+def test_an_overflowing_lane_of_an_array_round_raises_step_failure(table1, cfg):
+    # the round's finiteness check names the lane, not numpy's overflow
+    # warning, which the tests turn into an error
+    p0 = np.tile((0.5, 0.1, 1.0), (max(16, flow_mod._ARRAY_LANES), 1))
+    p0[7] = (1e200, 0.0, 1e200)
+    with pytest.raises(StepFailure, match="t = 0.0") as failure:
+        flow_mod._taylor_lanes(ArcKind.SMOOTH_X, smooth_series(Piece.X, table1), p0, [], [], 1.0, 0.0, cfg)
+    assert "e+200" in str(failure.value)  # the state of the lane that overflows
+
+
 def test_blowup_raised(table1):
     cfg = IntegratorConfig(norm_bound=10.0, t_max=50.0)
     with pytest.raises(BlowUp):
@@ -273,30 +283,62 @@ def test_series_start_with_the_field(rng, field):
             assert np.allclose(second, jf / 2.0, rtol=1e-13, atol=atol), (field, sgn)
 
 
-def test_series_of_lanes_equals_each_lane_alone(rng, table1):
-    # K lanes expand in one call of the recurrence, each lane bit for bit as
-    # it would alone: the fold launches' X-lanes, and Y and the sliding field
-    for series, dim in (
-        (smooth_series(Piece.X, table1), 3),
-        (smooth_series(Piece.Y, table1), 3),
-        (sliding_series(table1, -1.0), 2),
-    ):
-        lanes = rng.uniform(0.01, 2.0, (dim, 5)) * table1.tau
-        together = np.array(series(lanes, 24))
-        alone = np.array([series(lane, 24) for lane in lanes.T])
-        assert np.array_equal(together, alone.transpose(1, 2, 0))
+# lane counts of the series tests: the reduction of the lane recurrence
+# must add each lane's product in turn whatever numpy's loops do with K
+LANE_COUNTS = (16, 17, 31, 48, 100)
 
 
-def test_compiled_series_equal_the_interpreted_recurrence(rng, table1):
-    # the straight-line recurrence of each form takes the interpreted
-    # recurrence's operations in its order, on floats and on lanes, so they
-    # agree bit for bit; q1 = 0 drops the product from X's z row and b_q = 0
-    # the x term from the sliding field's z row, which changes the code
-    zero_q1 = draw_params(rng).replace(q1=0.0)
+def bits(a):
+    """The bit patterns of an array of floats, so that == compares signs of
+    zero too."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def structures(rng, table1):
+    """Table 1, q1 = 0, which drops the product from X's z row, and
+    b_q = 0, which drops the x term from the sliding field's z row: each
+    changes the compiled code and the blocks of rows."""
     drawn = draw_params(rng)
     zero_bq = drawn.replace(q2=drawn.a_q * drawn.q1)
     assert zero_bq.b_q == 0.0
-    for params in (table1, zero_q1, zero_bq):
+    return table1, draw_params(rng).replace(q1=0.0), zero_bq
+
+
+def test_series_of_lanes_equals_each_lane_alone(rng, table1):
+    # K lanes expand in one call of the lane recurrence, each lane bit for
+    # bit, sign bits included, as it does alone on floats: X, Y and the
+    # sliding field both ways, for every structure.  The first six lanes
+    # are at 0.0 or -0.0, or have one coordinate at 0.0 or -0.0 (on an
+    # invariant plane), so that some terms are -0.0: the product's sum from
+    # 0 turns one into 0.0, and a term of weight 0 would elsewhere
+    zeros = np.array(
+        [[0.0, -0.0, 0.5, 0.5, -0.0, 0.5], [0.0, -0.0, 0.0, -0.0, 0.5, 1.5], [0.0, -0.0, 1.5, 1.5, 1.5, -0.0]]
+    )
+    for params in structures(rng, table1):
+        for sgn in (1.0, -1.0):
+            # the zero lanes' (x, y, z), or (x, z) for the sliding field
+            for series, coords in (
+                (smooth_series(Piece.X, params, sgn), [0, 1, 2]),
+                (smooth_series(Piece.Y, params, sgn), [0, 1, 2]),
+                (sliding_series(params, sgn), [0, 2]),
+            ):
+                dim = len(coords)
+                for k in LANE_COUNTS:
+                    lanes = np.hstack((zeros[coords], rng.uniform(0.01, 2.0, (dim, k - len(zeros[0])))))
+                    together = series(lanes, 24)
+                    assert isinstance(together, np.ndarray) and together.shape == (dim, 25, k)
+                    alone = np.array([series(lane, 24) for lane in lanes.T.tolist()])
+                    assert np.array_equal(bits(together), bits(alone.transpose(1, 2, 0))), (dim, sgn, k)
+                # one lane takes the straight-line code, in the same shape
+                one = series(lanes[:, 4:5], 24)
+                assert np.array_equal(bits(one), bits(alone[4][:, :, None])), (dim, sgn)
+
+
+def test_compiled_series_equal_the_interpreted_recurrence(rng, table1):
+    # the straight-line recurrence on floats and the lane recurrence on
+    # arrays both take the interpreted recurrence's operations in its
+    # order, so they agree with it bit for bit, for every structure
+    for params in structures(rng, table1):
         diagonal = [[params.r1, 0.0, 0.0], [0.0, params.r2, 0.0], [0.0, 0.0, -params.m]]
         forms = (
             (Piece.X, (diagonal, (-1.0, 0.0, params.e * params.q1), 0, 2)),
@@ -312,13 +354,19 @@ def test_compiled_series_equal_the_interpreted_recurrence(rng, table1):
                     series = smooth_series(field, params, sgn)
                 reference = reference_series(*form, sgn)
                 p = rng.uniform(0.01, 2.0, dim).tolist()
-                lanes = rng.uniform(0.01, 2.0, (dim, 5))
                 for order in (0, 1, 2, 23, 24):
                     assert series(p, order) == reference(p, order), (field, sgn, order)
-                    assert np.array_equal(series(lanes, order), reference(lanes, order)), (field, sgn, order)
+                    for k in LANE_COUNTS:
+                        lanes = rng.uniform(0.01, 2.0, (dim, k))
+                        assert np.array_equal(bits(series(lanes, order)), bits(reference(lanes, order))), (
+                            field,
+                            sgn,
+                            order,
+                            k,
+                        )
 
 
-def test_series_compile_once_per_structure_and_order(table1):
+def test_series_compile_once_per_structure_and_order(table1, monkeypatch):
     # a trajectory's 726 steps expand X, Y and the sliding field to order 24,
     # and it reads their rates at order 1: at most six programs, one per
     # field and order, whatever the field's parameters or sign
@@ -327,6 +375,26 @@ def test_series_compile_once_per_structure_and_order(table1):
     info = model_mod._recurrence.cache_info()
     assert info.misses == info.currsize <= 6
     assert info.hits + info.misses >= sum(arc.steps for arc in traj.arcs) > 700
+    # array rounds take the lane recurrence, compiled once for X's fold
+    # launches at two values of e, and once for sliding lanes both ways
+    array_rounds = []
+    array_round = flow_mod._array_round
+
+    def counted(*args):
+        array_rounds.append(args)
+        return array_round(*args)
+
+    monkeypatch.setattr(flow_mod, "_array_round", counted)
+    model_mod._lane_recurrence.cache_clear()
+    cfg = IntegratorConfig(t_max=30.0)
+    for params in (table1, table1.replace(e=2.0 * table1.e)):
+        integrate_fold_launches(np.linspace(0.05, 0.95, 24) * params.tau, cfg, params)
+    starts = np.column_stack((np.linspace(0.5, 1.5, 24) * table1.tau, np.full(24, 1.5 * table1.phi)))
+    for sgn in (1.0, -1.0):
+        flow_mod._sliding_lanes(starts, sgn, 0.0, cfg, table1, 1e-2)
+    info = model_mod._lane_recurrence.cache_info()
+    assert info.misses == info.currsize == 2
+    assert info.hits + info.misses == len(array_rounds) > 8
 
 
 def test_a_form_with_an_empty_row_raises(table1):
