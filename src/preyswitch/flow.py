@@ -17,9 +17,11 @@ those :func:`integrate_smooth` runs, by the same code
 (:func:`_smooth_lanes`).  The lanes advance in rounds: while _ARRAY_LANES
 lanes or more run, a round steps them together on numpy arrays
 (:func:`_array_round`); below that, each lane takes its step on Python
-floats (:func:`_float_step`) and forms an event's polynomial only when a
-float test cannot clear the step.  Either way each lane's arc is the one
-it has alone, bit for bit.  Only an explicit ``max_step`` caps any step.
+floats (:func:`_float_step`), by one generated function of its form for
+the whole step (``series.step``), and forms an event's polynomial only
+when a float test cannot clear the step.  Either way each lane's arc is
+the one it has alone, bit for bit.  Only an explicit ``max_step`` caps any
+step.
 Every lane ends at the first event of one table: the caller's events,
 declared as data (the switching plane h = x - y for a smooth arc; the fold
 line and the focus ball for a sliding arc), a DOMAIN_EXIT for each
@@ -48,9 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import reduce
-from itertools import chain
-from operator import add, mul
+from operator import sub
 
 import numpy as np
 
@@ -68,6 +68,7 @@ from .model import (
     Piece,
     RegionLabel,
     _finite,
+    _past_cusp,
     classify_sigma_point,
     lie_derivatives,
     smooth_series,
@@ -221,14 +222,15 @@ _POWERS = np.arange(_TAYLOR_ORDER + 1)
 _ONE = np.eye(1, _TAYLOR_ORDER + 1)[0]  # the series of the constant 1
 _ROOT_TOL = 4.0 * math.ulp(1.0)
 # below this many running lanes, each takes its step on Python floats: a
-# float step takes about 25-33 us a lane (its order-24 expansion about
-# 9.5 us) and forms no event polynomial that a float test clears, while an
-# array round of fold launches takes about 215 us and 5 us more a lane,
-# 250 us for 8 lanes and 340 us for 24 (its expansion about 200 us), so a
-# round costs the same both ways at about 8 lanes; yet in the benchmark's
-# sweep and connection runs (seeds 1-5, 14 alternating pairs), neither 8
-# nor 12 was measurably faster than 16: within 2.5% in the median, faster
-# in 6 and 9 of 14 pairs (2-vCPU host, Python 3.11, numpy 2.4)
+# float step of a fold launch takes about 24-27 us a lane, its generated
+# step function about 20 us of it, and forms no event polynomial that a
+# float test clears, while an array round takes about 270 us and 4 us more
+# a lane, 320 us for 16 lanes, so a round costs the same both ways at about
+# 12 lanes; yet in the benchmark's connection and sweep runs (seed 1, 24
+# alternating repetitions of each value), none of 8, 12 and 24 was
+# measurably faster than 16 on both: 8 and 12 within 1.3% in the median,
+# faster in 9 to 14 of 24, and 24 4% faster on connection (12 of 24) but
+# 1.5% slower on sweep (8 of 24) (2-vCPU host, Python 3.11, numpy 2.4)
 _ARRAY_LANES = 16
 
 
@@ -359,9 +361,10 @@ def _sum_of_squares(v: np.ndarray) -> np.ndarray:
 
 
 # An event is data, and both rounds of the step loop form its rows from it:
-# ``clears(p, spread, first, lane)`` is a float step's test, True only
-# if the step from the state p, each coordinate i of which moves by at most
-# spread[i], has no root; ``rows(a, first, lanes)`` is the polynomial of
+# ``clears(p, a, spread, first, lane)`` is a float step's test, True only
+# if the step from the state p, with coefficients a (a list per coordinate),
+# each coordinate i of which moves by at most spread[i], has no root;
+# ``rows(a, first, lanes)`` is the polynomial of
 # each lane of a, shape (lanes, dim, order + 1), falling through zero, or
 # None if no lane can have a root; ``lanes`` are the lanes' indices in the
 # call.  The caller's rows of the first step are clamped at 0 at u = 0, so
@@ -382,16 +385,29 @@ class _Plane:
     side: float = 1.0
     contact: tuple[int, ...] = ()
 
-    def clears(self, p: list[float], spread: list[float], first: bool, lane: int) -> bool:
-        # g_0 > sum_(k>=1) |g_k|, bounded by spread_i + spread_j with a
-        # margin for the rounding of the row and of its Bernstein coefficients
+    def clears(self, p: list[float], a: list[list[float]], spread: list[float], first: bool, lane: int) -> bool:
         if first and self.contact and self.contact[lane]:
             return False
+        # the spread test: g_0 > sum_(k>=1) |g_k|, bounded by spread_i +
+        # spread_j with a margin for the rounding of the row and of its
+        # Bernstein coefficients
         g0, bound = p[self.i], spread[self.i]
         if self.j is not None:
             g0 -= p[self.j]
             bound += spread[self.j]
-        return self.side * (g0 - self.level) > (1.0 + 1e-9) * bound
+        g0 = self.side * (g0 - self.level)
+        if g0 > (1.0 + 1e-9) * bound:
+            return True
+        # the signed test, on the row's own coefficients g_k = side*d_k:
+        # every Bernstein coefficient sum_k C(j,k)/C(n,k) g_k is at least
+        # g_0 + sum_(k>=1) min(g_k, 0), whose sum of the min is
+        # (side*sum d_k - sum |d_k|)/2; clear it by the array round's
+        # margin 1e-13*sum |g_k|, far above the rounding of either sum (under
+        # 50 eps*sum |g_k|), so that the row is one that _first_root clears
+        # at its first test
+        d = a[self.i][1:] if self.j is None else list(map(sub, a[self.i][1:], a[self.j][1:]))
+        size = sum(map(abs, d))
+        return g0 + (self.side * sum(d) - size) * 0.5 > 1e-13 * (abs(g0) + size)
 
     def rows(self, a: np.ndarray, first: bool, lanes: list[int]) -> np.ndarray:
         g = a[:, self.i]
@@ -423,7 +439,7 @@ class _Ball:
     def _far(self, dist, spread):
         return dist - spread > self.radius + 1e-6 * (dist + spread)
 
-    def clears(self, p: list[float], spread: list[float], first: bool, lane: int) -> bool:
+    def clears(self, p: list[float], a: list[list[float]], spread: list[float], first: bool, lane: int) -> bool:
         return self._far(math.dist(p, self.centre), sum(spread))
 
     def rows(self, a: np.ndarray, first: bool, lanes: list[int]) -> np.ndarray | None:
@@ -451,7 +467,7 @@ class _NormBound:
     bound: float
     kind: None = None
 
-    def clears(self, p: list[float], spread: list[float], first: bool, lane: int) -> bool:
+    def clears(self, p: list[float], a: list[list[float]], spread: list[float], first: bool, lane: int) -> bool:
         return sum(map(abs, p)) + sum(spread) < self.bound
 
     def rows(self, a: np.ndarray, first: bool, lanes: list[int]) -> np.ndarray | None:
@@ -468,9 +484,7 @@ def _finish(kind: ArcKind, t_start: float, ts: list, states: list, event: EventK
     return Arc(kind, t_start, float(ts_a[-1]), ts_a, states_a, record, steps)
 
 
-def _overflow(c, t: float, state) -> StepFailure | None:
-    if all(map(math.isfinite, chain.from_iterable(c))):
-        return None
+def _overflow(t: float, state) -> StepFailure:
     return StepFailure(f"Taylor coefficients overflow at t = {t}, state {np.asarray(state)}")
 
 
@@ -492,27 +506,22 @@ def _float_step(lane: _Lane, series, events: list, cfg: IntegratorConfig):
     """One Taylor step of a lane on Python floats: its end, its end state,
     and the event it ends at, or None.
 
-    The series, the step's coefficients a_k = c_k h**k, each event's float
-    test and the end state are lists; an event's row is formed, as an
-    array, only when its test fails, and then goes to :func:`_first_root`.
-    Each operation is the array round's on the same floats: h**k is numpy's
-    power, and the end state adds the orders in turn from -0.0, as
-    ``np.add.accumulate`` does, by a left fold: from Python 3.12 on, ``sum``
-    of floats compensates its rounding, which ``np.add.accumulate`` does not.
+    One generated function of the lane's form takes the whole step
+    (``series.step``, :func:`~preyswitch.model._taylor_step`): the series,
+    the step's end by :func:`_step_end`, the coefficients a_k = c_k h**k,
+    their spreads and the end state, by the array round's operations on
+    the same floats.  Only the event tests stay here: an event's row is
+    formed, as an array, only when its float test fails, and then goes to
+    :func:`_first_root`.
     """
-    n = _TAYLOR_ORDER
     p, s, first = lane.p, lane.s, lane.steps == 0
-    c = series(p, n)
-    if not math.isfinite(sum(map(sum, c))) and (err := _overflow(c, lane.ts[-1], p)):
-        raise err
-    end = _step_end([max(abs(col[n - 1]) for col in c), max(abs(col[n]) for col in c)], s, cfg)
-    h = end - s
-    powers = (np.array([h]) ** _POWERS).tolist()
-    a = [list(map(mul, col, powers)) for col in c]
-    spread = [sum(map(abs, col[1:])) for col in a]
+    step = series.step(p, _TAYLOR_ORDER, _step_end, s, cfg)
+    if step is None:
+        raise _overflow(lane.ts[-1], p)
+    end, h, a, spread, state = step
     hit, lane_a = None, None
     for ev in events:
-        if ev.clears(p, spread, first, lane.index):
+        if ev.clears(p, a, spread, first, lane.index):
             continue
         if lane_a is None:
             lane_a = np.array([a])
@@ -523,7 +532,7 @@ def _float_step(lane: _Lane, series, events: list, cfg: IntegratorConfig):
         if u is not None and (hit is None or u < hit[1]):
             hit = ev, u
     if hit is None:
-        return end, [reduce(add, col, -0.0) for col in a], None
+        return end, state, None
     ev, u = hit
     return s + u * h, [_horner(col, u) for col in a], ev
 
@@ -551,7 +560,7 @@ def _array_round(live: list[_Lane], series, events: list, cfg: IntegratorConfig)
     c = np.asarray(series(state.T, n)).transpose(2, 0, 1)
     if not np.isfinite(c).all():
         j = int((~np.isfinite(c)).any(axis=(1, 2)).argmax())
-        raise _overflow(c[j].tolist(), live[j].ts[-1], live[j].p)
+        raise _overflow(live[j].ts[-1], live[j].p)
     norms = np.abs(c[:, :, n - 1 :]).max(axis=1).tolist()
     ends = [_step_end(pair, lane.s, cfg) for pair, lane in zip(norms, live)]
     h = [end - lane.s for end, lane in zip(ends, live)]
@@ -603,7 +612,9 @@ def _taylor_lanes(
     arrays (:func:`_array_round`); below that, each running lane takes its
     step on Python floats (:func:`_float_step`), forming an event's row
     only when a float test cannot clear it: for a plane,
-    g_0 > sum_(k>=1) |g_k|; for the focus ball, the step's enclosure
+    g_0 > sum_(k>=1) |g_k| by the spreads, or else, but for a tangent
+    lane's first step, g_0 + sum_(k>=1) min(g_k, 0) > 1e-13*sum_k |g_k|,
+    the array round's margin; for the focus ball, the step's enclosure
     staying out of the radius; for the norm bound, the enclosure staying
     inside it.  So a call of many lanes hands its last ones to float steps.
     Both kinds of round run a lane's operations on the same floats, and a
@@ -676,7 +687,9 @@ def _smooth_lanes(
     on its wrong side beyond the event tolerance is a :class:`DomainError`,
     and a SIGMA_CROSSING state is snapped onto Sigma as (xm, xm, z).  An
     X-lane starting on the fold line short of tau (h and z - phi within the
-    event tolerance, (xm, z) not labelled BOUNDARY) is tangent to Sigma,
+    event tolerance, and xm within it of 0 or not past the cusp by
+    :func:`~preyswitch.model._past_cusp`, so that (xm, z) is not labelled
+    BOUNDARY, without classifying the point once more) is tangent to Sigma,
     and watches h/u**2 on its first step instead, valued
     X2h*step**2/2 at u = 0; a start with X2h <= 0, or a return whose
     lift-off X2h*t1**2/2 is not above the event tolerance, is a
@@ -696,7 +709,7 @@ def _smooth_lanes(
             piece is Piece.X
             and abs(h0) <= tol
             and abs(p[2] - params.phi) <= tol
-            and classify_sigma_point((xm, p[2]), params, tol=tol) is not RegionLabel.BOUNDARY
+            and (xm <= tol or not _past_cusp(xm, params, tol))
         ):
             folds[i] = xm, 0.5 * lie_derivatives((xm, p[2]), params)[2]
             if folds[i][1] <= 0.0:  # no lift-off: the return is immediate

@@ -9,9 +9,10 @@ defined once, by its quadratic form (:func:`quadratic_series`), which gives
 its Taylor series and, as their order 1, its rates.  The Taylor recurrence
 of a form is generated code, compiled on first use once for each structure
 of the form and order and given the form's weights as arguments:
-straight-line code for one point of floats, and a loop over the orders for
-K lanes held in one array, which takes each lane's operations in the same
-order.
+straight-line code for the rates at one point of floats, straight-line code
+for a whole Taylor step of one point of floats, and a loop over the orders
+for K lanes held in one array, which takes each lane's operations in the
+same order.
 """
 
 from __future__ import annotations
@@ -267,6 +268,13 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
     as a list of floats, since each lane sees the same operations in the
     same order.  One lane alone takes the straight-line code, since numpy
     would add its product pairwise.
+
+    ``series.step(p, order, step_end, s, cfg)`` takes a whole Taylor step
+    from the list of floats p, at the time s into an integration, by one
+    more generated function (:func:`_taylor_step`): the series to
+    ``order``, the step's end by ``step_end``, the step's coefficients,
+    their spreads and its end state; it returns None if a coefficient is not
+    finite.
     """
     n = len(c)
     # each row's nonzero weights and their indices into (s_0, .., s_(n-1), s_i s_j)
@@ -283,24 +291,25 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
             return np.array(_recurrence(structure, i, j, order)(p, weights))
         return _lane_recurrence(structure, i, j, order)(p, weights)
 
+    def step(p, order: int, step_end, s, cfg):
+        return _taylor_step(structure, i, j, order)(p, weights, step_end, s, cfg)
+
+    series.step = step
     return series
 
 
-@functools.cache
-def _recurrence(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: int):
-    """The recurrence of :func:`quadratic_series` to ``order`` on one
-    point, compiled as one straight-line function ``(p, weights)`` of the
-    form's structure: row r holds one term per index in ``structure[r]``,
-    n for the product s_i s_j and q < n for s_q, and takes its weights in
-    turn from ``weights``.  No weight enters the code, so the cache holds
-    code alone, one function per structure and order.
+def _series_lines(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: int):
+    """The names s{q}_{k} of the coefficients, one list per coordinate, and
+    the lines that compute them from ``p`` and ``weights`` to ``order``:
+    the body of :func:`_recurrence`, shared by :func:`_taylor_step`.
 
-    Each order is written out in one fixed order of operations: the
-    product's order k as 0 + s_(i,0) s_(j,k) + .. + s_(i,k) s_(j,0), added
-    in turn, and each row as (w s_k + w' s'_k + ..) / (k+1), its terms in
-    turn (order 1 is not divided by 1).  Lanes take the same operations in
-    :func:`_lane_recurrence`; ``sum`` would not, since from Python 3.12 on
-    it compensates the rounding of floats but not of arrays.
+    Row r holds one term per index in ``structure[r]``, n for the product
+    s_i s_j and q < n for s_q, and takes its weights in turn from
+    ``weights``.  Each order is written out in one fixed order of
+    operations: the product's order k as 0 + s_(i,0) s_(j,k) + .. +
+    s_(i,k) s_(j,0), added in turn, and each row as
+    (w s_k + w' s'_k + ..) / (k+1), its terms in turn (order 1 is not
+    divided by 1).
     """
     n = len(structure)
     names = [[f"s{q}_{k}" for k in range(order + 1)] for q in range(n)]
@@ -313,11 +322,77 @@ def _recurrence(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: i
         for q, row in enumerate(structure):
             terms = " + ".join(f"{next(free)}*{f'pr{k}' if r == n else names[r][k]}" for r in row)
             body.append(f"{names[q][k + 1]} = ({terms}) / {k + 1}" if k else f"{names[q][1]} = {terms}")
+    return names, body
+
+
+def _compiled(name: str, args: str, body: list[str], filename: str, namespace: dict):
+    source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+@functools.cache
+def _recurrence(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: int):
+    """The recurrence of :func:`quadratic_series` to ``order`` on one
+    point, compiled as one straight-line function ``(p, weights)`` of the
+    form's structure (:func:`_series_lines`), which returns the
+    coefficients as one list per coordinate.  No weight enters the code,
+    so the cache holds code alone, one function per structure and order.
+    Lanes take the same operations in :func:`_lane_recurrence`; ``sum``
+    would not, since from Python 3.12 on it compensates the rounding of
+    floats but not of arrays.
+    """
+    names, body = _series_lines(structure, i, j, order)
     body.append(f"return [{', '.join('[' + ', '.join(col) + ']' for col in names)}]")
-    source = "def series(p, weights):\n" + "".join(f"    {line}\n" for line in body)
-    namespace: dict = {}
-    exec(compile(source, f"<quadratic form {structure}, {i}, {j} to order {order}>", "exec"), namespace)
-    return namespace["series"]
+    return _compiled("series", "p, weights", body, f"<quadratic form {structure}, {i}, {j} to order {order}>", {})
+
+
+@functools.cache
+def _taylor_step(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: int):
+    """A whole Taylor step of one point of floats to ``order``, compiled as
+    one straight-line function ``(p, weights, step_end, s, cfg)`` of the
+    form's structure, as Jorba and Zou's ``taylor`` generates the whole
+    step, not just the jet: the recurrence of :func:`_series_lines`, then
+    the step from its coefficients c_k.  It returns None if a coefficient is
+    not finite; else the step's end ``step_end([n_(order-1), n_order], s,
+    cfg)``, with n_k the largest |c_k| of the coordinates, h = end - s, and
+    one list per coordinate of each of the step's coefficients
+    a_k = c_k h**k, their spreads sum_(k>=1) |a_k| and the end state.
+
+    The tail takes the array round's operations on the same floats, so
+    that a lane's float step equals its array round: h**k is numpy's power
+    of h (Python's ``h ** k`` differs in the last bit), a_0 is p itself
+    (c_0 h**0 = c_0), and the end state adds the a_k in turn from -0.0, as
+    ``np.add.accumulate`` adds the orders of an array round; the spreads,
+    which only float tests read, are ``sum(map(abs, ..))``.  It is written
+    as a few long expressions with no name per a_k, since each name, call
+    and statement adds to the compile time: the end state multiplies each
+    c_k h**k again.  Finiteness is read from a few coefficients: a row with its own term
+    (w s_q, w != 0) carries a coefficient that is not finite to its every
+    later order, since inf and NaN stay infinite or NaN under + and under *
+    by a nonzero weight, and a product carries one into every row it
+    enters; so such a row's last coefficient stands for the row, and a row
+    without its own term is read whole.  Each is multiplied by 0.0, so that
+    their sum is 0.0, or NaN if one is not finite.
+    """
+    n = len(structure)
+    names, body = _series_lines(structure, i, j, order)
+    read = [col[order:] if q in row else col for q, (col, row) in enumerate(zip(names, structure))]
+    body.append(f"if {' + '.join(f'0.0*{v}' for col in read for v in col)}:")
+    body.append("    return None")
+    norms = [[f"abs({col[k]})" for col in names] for k in (order - 1, order)]
+    norms = [f"max({', '.join(v)})" if n > 1 else v[0] for v in norms]
+    body.append(f"end = step_end([{', '.join(norms)}], s, cfg)")
+    body.append("h = end - s")
+    body.append(f"_, {', '.join(f'h{k}' for k in range(1, order + 1))}, = power(h, powers).tolist()")
+    a = [[col[0], *(f"{c}*h{k}" for k, c in enumerate(col) if k)] for col in names]
+    body.append(f"a = [{', '.join('[' + ', '.join(row) + ']' for row in a)}]")
+    spreads = (f"sum(map(abs, a[{q}][1:]))" for q in range(n))
+    ends = ("-0.0 + " + " + ".join(row) for row in a)
+    body.append(f"return end, h, a, [{', '.join(spreads)}], [{', '.join(ends)}]")
+    namespace = {"power": np.power, "powers": np.arange(order + 1)}
+    filename = f"<quadratic form {structure}, {i}, {j}: a float step to order {order}>"
+    return _compiled("step", "p, weights, step_end, s, cfg", body, filename, namespace)
 
 
 @functools.cache
@@ -379,11 +454,10 @@ def _lane_recurrence(structure: tuple[tuple[int, ...], ...], i: int, j: int, ord
         loop.append(f"divide({total}, d, {block.format('k1')})")
     body += [f"for k in range({order}):", *(f"    {line}" for line in loop)]
     body.append(f"return S[{[at[r] for r in range(n)]}]" if moved else "return S")
-    source = "def series(p, weights):\n" + "".join(f"    {line}\n" for line in body)
     namespace = {"empty": np.empty, "array": np.array, "reduce": np.add.reduce}
     namespace.update(multiply=np.multiply, add=np.add, divide=np.divide)
-    exec(compile(source, f"<quadratic form {structure}, {i}, {j} on lanes to order {order}>", "exec"), namespace)
-    return namespace["series"]
+    filename = f"<quadratic form {structure}, {i}, {j} on lanes to order {order}>"
+    return _compiled("series", "p, weights", body, filename, namespace)
 
 
 def smooth_series(piece: Piece, params: Parameters, sgn: float = 1.0):
@@ -444,15 +518,23 @@ def classify_sigma_point(
     if x <= tol:
         return RegionLabel.ORIGIN_LINE
     if abs(z - phi) <= tol:
-        tau = params.tau
-        if abs(x - tau) <= tol:
-            return RegionLabel.CUSP
-        return RegionLabel.VISIBLE_FOLD if x < tau else RegionLabel.BOUNDARY
+        if _past_cusp(x, params, tol):
+            return RegionLabel.BOUNDARY
+        return RegionLabel.CUSP if abs(x - params.tau) <= tol else RegionLabel.VISIBLE_FOLD
     if z > phi:
         return RegionLabel.SLIDING
     if z > tol:
         return RegionLabel.CROSSING
     return RegionLabel.BOUNDARY
+
+
+def _past_cusp(x: float, params: Parameters, tol: float) -> bool:
+    """Whether the point (x, phi) of the fold line lies past the cusp tau by
+    more than ``tol``: for x > tol, the part of the fold line that
+    :func:`classify_sigma_point` labels BOUNDARY, short of which it labels
+    the cusp (within ``tol`` of tau) and the visible fold.  Raises
+    :class:`DegenerateTau` for q1 = 0."""
+    return x - params.tau > tol
 
 
 def first_integral_F(p, params: Parameters) -> float:

@@ -1,4 +1,6 @@
+import math
 from functools import reduce
+from itertools import chain
 from operator import add, mul
 
 import mpmath
@@ -170,6 +172,30 @@ def reference_series(linear, c, i, j, sgn=1.0):
         return cols
 
     return series
+
+
+def reference_float_step(series, p, s, cfg):
+    """A float Taylor step of ``series`` from the point p at the time s into
+    an integration, by list operations on its coefficients, as flow's float
+    step took it before the whole step was generated: the tests' reference
+    for ``series.step(p, order, flow._step_end, s, cfg)``, with its result.
+
+    None if a coefficient is not finite; else the step's end, h, the
+    coefficients a_k = c_k h**k (h**k by numpy's power of an array, as the
+    array round takes it), their spreads sum_(k>=1) |a_k| by ``sum`` and the
+    end state, a left fold of the a_k from -0.0, as ``np.add.accumulate``
+    adds them.
+    """
+    n = flow_mod._TAYLOR_ORDER
+    c = series(p, n)
+    if not all(map(math.isfinite, chain.from_iterable(c))):
+        return None
+    end = flow_mod._step_end([max(abs(col[n - 1]) for col in c), max(abs(col[n]) for col in c)], s, cfg)
+    h = end - s
+    powers = (np.array([h]) ** flow_mod._POWERS).tolist()
+    a = [list(map(mul, col, powers)) for col in c]
+    spread = [sum(map(abs, col[1:])) for col in a]
+    return end, h, a, spread, [reduce(add, col, -0.0) for col in a]
 
 
 def filippov_combination(params):

@@ -39,7 +39,7 @@ from preyswitch import sliding as sliding_mod
 from preyswitch.flow import integrate_fold_launches, trajectory_rows
 from preyswitch.model import quadratic_series, smooth_series
 from preyswitch.sliding import sliding_jacobian, sliding_series
-from conftest import draw_params, reference_field, reference_series, rounds, taylor_runs
+from conftest import draw_params, reference_field, reference_float_step, reference_series, rounds, taylor_runs
 
 
 def arc_gap(a, b):
@@ -366,15 +366,64 @@ def test_compiled_series_equal_the_interpreted_recurrence(rng, table1):
                         )
 
 
+def test_fused_float_step_equals_the_reference_step(rng, table1):
+    # the generated float step takes the list code's operations on the same
+    # floats: its end, h, coefficients, spreads and end state equal the
+    # reference's, sign bits included, for X, Y and the sliding field both
+    # ways, for every structure, with and without max_step, for a step
+    # clamped to t_max, and from a point whose coefficients overflow
+    cfgs = (IntegratorConfig(), IntegratorConfig(max_step=1e-3), IntegratorConfig(abs_tol=1e-8, t_max=2.0))
+    for params in structures(rng, table1):
+        for sgn in (1.0, -1.0):
+            for series, dim in (
+                (smooth_series(Piece.X, params, sgn), 3),
+                (smooth_series(Piece.Y, params, sgn), 3),
+                (sliding_series(params, sgn), 2),
+            ):
+                points = [rng.uniform(0.01, 2.0, dim).tolist() for _ in range(6)]
+                points += [[0.0, -0.0, 1.5][:dim], [0.5, 0.0, 1.5][:dim], [-0.0, 0.5, -0.0][:dim]]
+                for p in points:
+                    for cfg in cfgs:
+                        for s in (0.0, 1.25, cfg.t_max - 1e-9):
+                            fused = series.step(p, flow_mod._TAYLOR_ORDER, flow_mod._step_end, s, cfg)
+                            reference = reference_float_step(series, p, s, cfg)
+                            assert fused[:2] == reference[:2], (dim, sgn, p, cfg, s)
+                            for x, y in zip(fused, reference):
+                                assert np.array_equal(bits(x), bits(y)), (dim, sgn, p, cfg, s)
+                    assert fused[0] == cfg.t_max  # the last step is clamped
+    # a coefficient that is not finite, also one that a row without its own
+    # term (x' = -w) does not carry to later orders, fails the step
+    cases = (
+        (smooth_series(Piece.X, table1), [1e200, 0.0, 1e200]),
+        (quadratic_series([[0.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], (0.0, 1.0, 0.0), 1, 2), [math.inf, 1.0, 0.0]),
+    )
+    for series, p in cases:
+        assert series.step(p, 24, flow_mod._step_end, 0.0, IntegratorConfig()) is None
+        assert reference_float_step(series, p, 0.0, IntegratorConfig()) is None
+
+
 def test_series_compile_once_per_structure_and_order(table1, monkeypatch):
-    # a trajectory's 726 steps expand X, Y and the sliding field to order 24,
-    # and it reads their rates at order 1: at most six programs, one per
-    # field and order, whatever the field's parameters or sign
-    model_mod._recurrence.cache_clear()
+    # a trajectory's 726 float steps each take one generated step function,
+    # compiled once per field and order whatever the field's parameters or
+    # sign: at most three programs, X, Y and the sliding field to order 24,
+    # and every float step after a field's first a hit of the step cache;
+    # the series alone is compiled only for the rates at order 1, so no
+    # order-24 recurrence is compiled twice over
+    orders = []
+    recurrence = model_mod._recurrence
+
+    def recorded(structure, i, j, order):
+        orders.append(order)
+        return recurrence(structure, i, j, order)
+
+    monkeypatch.setattr(model_mod, "_recurrence", recorded)
+    model_mod._taylor_step.cache_clear()
     traj = integrate_filippov((1.2, 0.4, 1.0), IntegratorConfig(t_max=400.0), table1)
-    info = model_mod._recurrence.cache_info()
-    assert info.misses == info.currsize <= 6
-    assert info.hits + info.misses >= sum(arc.steps for arc in traj.arcs) > 700
+    info = model_mod._taylor_step.cache_info()
+    steps = sum(arc.steps for arc in traj.arcs)
+    assert info.misses == info.currsize == len({arc.kind for arc in traj.arcs}) <= 3
+    assert info.hits + info.misses == steps > 700
+    assert set(orders) == {1}
     # array rounds take the lane recurrence, compiled once for X's fold
     # launches at two values of e, and once for sliding lanes both ways
     array_rounds = []
@@ -485,8 +534,11 @@ def test_lone_lanes_and_array_rounds_agree(table1, monkeypatch):
 def test_array_round_searches_every_row_a_lone_lane_searches(monkeypatch):
     # s(u) = 1 + 1e-14 - u on one step of length 1: its last Bernstein
     # coefficient is 1e-14, positive but within the rounding of a matrix
-    # product, so a lone lane's float test cannot clear it and its row is
-    # searched; the batch product must not clear it either
+    # product, so neither of a lone lane's float tests can clear it (the
+    # signed one, g_0 + sum min(g_k, 0) = 1e-14, lies inside its margin) and
+    # its row is searched; the batch product must not clear it either.  The
+    # form is x' = -w, w' = w v, v' = v from (x, 1, 0), so w stays 1 and v 0,
+    # and x = x0 - t exactly
     searched = []
     first_root = flow_mod._first_root
 
@@ -494,20 +546,80 @@ def test_array_round_searches_every_row_a_lone_lane_searches(monkeypatch):
         searched.append(a[0])
         return first_root(a, b)
 
-    def series(p, order):
-        return [[p[0], p[0] * 0.0 - 1.0] + [p[0] * 0.0] * (order - 1)]
-
+    series = quadratic_series([[0.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], (0.0, 1.0, 0.0), 1, 2)
     monkeypatch.setattr(flow_mod, "_first_root", counted)
     cfg = IntegratorConfig(t_max=1.0)
     k = flow_mod._ARRAY_LANES
-    p0 = np.full((k, 1), 1.0 + 1e-14)
+    p0 = np.tile((1.0 + 1e-14, 1.0, 0.0), (k, 1))
     together = flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p0, [], [0], 1.0, 0.0, cfg)
     assert len(searched) == k
     alone = [flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p[None], [], [0], 1.0, 0.0, cfg)[0] for p in p0]
     assert len(searched) == 2 * k
     for a, b in zip(together, alone):
         assert a.terminal_event.kind is b.terminal_event.kind is EventKind.HORIZON_REACHED
+        assert a.steps == b.steps == 1
         assert np.array_equal(a.states, b.states) and a.states[-1, 0] > 0.0
+
+
+def spread_test_only(self, p, a, spread, first, lane):
+    """_Plane's float test without its signed test: g_0 > (1 + 1e-9) times
+    the spreads of its coordinates."""
+    if first and self.contact and self.contact[lane]:
+        return False
+    g0, bound = p[self.i], spread[self.i]
+    if self.j is not None:
+        g0 -= p[self.j]
+        bound += spread[self.j]
+    return self.side * (g0 - self.level) > (1.0 + 1e-9) * bound
+
+
+def test_signed_plane_test_clears_what_first_root_clears():
+    # x = 0.5 + u - 0.2 u**2 + 0.1 u**3 on a step: its spread 1.3 exceeds
+    # g_0 = 0.5, but g_0 + sum min(g_k, 0) = 0.3 > 0 bounds every Bernstein
+    # coefficient from below, so the row has no root
+    a = [[0.5, 1.0, -0.2, 0.1] + [0.0] * (flow_mod._TAYLOR_ORDER - 3)]
+    spread = [sum(map(abs, a[0][1:]))]
+    plane = flow_mod._Plane(EventKind.DOMAIN_EXIT, 0)
+    assert not spread_test_only(plane, [0.5], a, spread, False, 0)
+    assert plane.clears([0.5], a, spread, False, 0)
+    g = np.array(a[0])
+    assert flow_mod._first_root(g, flow_mod._TO_BERNSTEIN @ g) is None
+    # 1 - x, which x = 1.4 at u = 1 makes fall through zero, is not cleared,
+    # nor is x on a tangent lane's first step, whose row has the contact
+    # divided out
+    assert not flow_mod._Plane(EventKind.DOMAIN_EXIT, 0, level=1.0, side=-1.0).clears([0.5], a, spread, False, 0)
+    tangent = flow_mod._Plane(EventKind.DOMAIN_EXIT, 0, contact=(1,))
+    assert not tangent.clears([0.5], a, spread, True, 0)
+    assert tangent.clears([0.5], a, spread, False, 0)
+    # a bound inside the array round's margin 1e-13*sum |g_k| is not enough
+    a = [[1.0 + 1e-14, -1.0] + [0.0] * (flow_mod._TAYLOR_ORDER - 1)]
+    assert not plane.clears([a[0][0]], a, [1.0], False, 0)
+
+
+def test_signed_plane_test_leaves_filippov_arcs_bit_identical(table1, monkeypatch):
+    # the simulate trajectories from the benchmark's seed 1 at Table 1: the
+    # signed test clears rows whose spread test fails, which _first_root
+    # would clear at its first test, so each arc is the one it is without it
+    searches = []
+    first_root = flow_mod._first_root
+
+    def counted(a, b):
+        searches.append(1)
+        return first_root(a, b)
+
+    monkeypatch.setattr(flow_mod, "_first_root", counted)
+    starts = ((0.5715574303940261, 0.6730991227191068, 1.3990856495961026), (0.4733646538081723, 0.13442713013292387, 1.475657393209628))
+    cfg = IntegratorConfig(t_max=400.0)
+    signed = [integrate_filippov(s0, cfg, table1) for s0 in starts]
+    with_signed = len(searches)
+    monkeypatch.setattr(flow_mod._Plane, "clears", spread_test_only)
+    plain = [integrate_filippov(s0, cfg, table1) for s0 in starts]
+    assert with_signed < len(searches) - with_signed
+    for a, b in zip(signed, plain):
+        assert len(a.arcs) == len(b.arcs) > 50
+        for x, y in zip(a.arcs, b.arcs):
+            assert (x.kind, x.steps, x.terminal_event.kind, x.t1) == (y.kind, y.steps, y.terminal_event.kind, y.t1)
+            assert np.array_equal(bits(x.ts), bits(y.ts)) and np.array_equal(bits(x.states), bits(y.states))
 
 
 def test_sliding_steps_obey_an_explicit_max_step(table1):
@@ -765,6 +877,41 @@ def test_filippov_concatenation_continuity(table1):
     for a, label in zip(traj.arcs, labels):
         if label is EventKind.FOLD_EXIT:
             assert a.kind is ArcKind.SLIDING
+
+
+def test_filippov_classifies_each_point_of_sigma_once(table1, monkeypatch):
+    # the simulate trajectories from the benchmark's seed 1, at Table 1 and
+    # at beta1*: each hit and each fold exit is classified once, by
+    # _after_sigma, also when an X-arc follows a fold exit, whose fold-start
+    # check reads only the fold line's rule (model._past_cusp); fold
+    # launches classify nothing
+    points = []
+    classify = flow_mod.classify_sigma_point
+
+    def counted(p, params, tol):
+        points.append(tuple(p))
+        return classify(p, params, tol=tol)
+
+    monkeypatch.setattr(flow_mod, "classify_sigma_point", counted)
+    starts = ((0.5715574303940261, 0.6730991227191068, 1.3990856495961026), (0.4733646538081723, 0.13442713013292387, 1.475657393209628))
+    cfg = IntegratorConfig(t_max=400.0)
+    on_sigma = (EventKind.SIGMA_CROSSING, EventKind.SIGMA_ENTRY_SLIDING, EventKind.FOLD_EXIT)
+    calls = fold_exits_to_x = 0
+    for params in (table1, table1.replace(beta1=7.7768748097)):
+        for s0 in starts:
+            points.clear()
+            arcs = integrate_filippov(s0, cfg, params).arcs
+            # one call a point, each the terminal state of an arc ending on Sigma
+            ends = [tuple(arc.terminal_event.state[[0, -1]]) for arc in arcs if arc.terminal_event.kind in on_sigma]
+            assert points == ends
+            calls += len(points)
+            fold_exits_to_x += sum(
+                a.terminal_event.kind is EventKind.FOLD_EXIT and b.kind is ArcKind.SMOOTH_X for a, b in zip(arcs, arcs[1:])
+            )
+    assert (calls, fold_exits_to_x) == (251, 124)
+    points.clear()
+    integrate_fold_launches(np.linspace(0.05, 0.95, 20) * table1.tau, cfg, table1)
+    assert not points
 
 
 def test_filippov_sigma_events_verify_defining_equations(table1):
