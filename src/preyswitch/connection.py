@@ -538,12 +538,12 @@ _CAPTURE_RADIUS = 1e-4
 def verify_connection(params: Parameters, x0: float, cfg: IntegratorConfig) -> ConnectionCertificate:
     """Certify the sliding homoclinic loop through the fold point x0.
 
-    Three checks, failure of any raising :class:`VerificationFailure`:
-    the forward X-arc from (x0, x0, phi) must land within 1e-6 of the
-    pseudo-focus; the backward sliding orbit from (x0, phi) must be captured
-    within 1e-4 of the focus without leaving the sliding region; and the
-    forward sliding orbit through (tau, phi) must either never return to
-    the fold line or return at x* < x0.
+    Three checks, in turn, failure of any raising
+    :class:`VerificationFailure`: the forward X-arc from (x0, x0, phi) must
+    land within 1e-6 of the pseudo-focus; the forward sliding orbit through
+    (tau, phi) must either never return to the fold line or return at
+    x* < x0; and the backward sliding orbit from (x0, phi) must be captured
+    within 1e-4 of the focus without leaving the sliding region.
     """
     x0 = float(x0)
     tau = params.tau
@@ -566,6 +566,21 @@ def _certify(
             f"(tolerance {_FORWARD_TOL:.1e})"
         )
 
+    # the sliding return first: on the points of the (x0, r2) manifold with
+    # x* >= x0, the backward orbit from (x0, phi) ends on the fold line too,
+    # and the failure names the hypothesis that fails, x* < x0
+    ret = integrate_sliding(
+        (params.tau, params.phi), Direction.FORWARD, cfg, params, cfg.event_tol
+    )
+    if ret.terminal_event.kind is EventKind.FOLD_EXIT:
+        x_star: float | None = float(ret.terminal_event.state[0])
+        if x_star >= x0:
+            raise VerificationFailure(
+                f"sliding return x* = {x_star} is not below the fold point x0 = {x0}"
+            )
+    else:
+        x_star = None
+
     back = integrate_sliding(
         (x0, params.phi), Direction.BACKWARD, cfg, params, _CAPTURE_RADIUS
     )
@@ -579,18 +594,6 @@ def _certify(
         raise VerificationFailure(
             f"backward sliding orbit left the sliding region (min z = {z_min})"
         )
-
-    ret = integrate_sliding(
-        (params.tau, params.phi), Direction.FORWARD, cfg, params, cfg.event_tol
-    )
-    if ret.terminal_event.kind is EventKind.FOLD_EXIT:
-        x_star: float | None = float(ret.terminal_event.state[0])
-        if x_star >= x0:
-            raise VerificationFailure(
-                f"sliding return x* = {x_star} is not below the fold point x0 = {x0}"
-            )
-    else:
-        x_star = None
 
     return ConnectionCertificate(
         beta1_star=params.beta1,

@@ -230,7 +230,10 @@ _ROOT_TOL = 4.0 * math.ulp(1.0)
 # alternating repetitions of each value), none of 8, 12 and 24 was
 # measurably faster than 16 on both: 8 and 12 within 1.3% in the median,
 # faster in 9 to 14 of 24, and 24 4% faster on connection (12 of 24) but
-# 1.5% slower on sweep (8 of 24) (2-vCPU host, Python 3.11, numpy 2.4)
+# 1.5% slower on sweep (8 of 24) (2-vCPU host, Python 3.11, numpy 2.4).
+# It must stay at 2 or more: numpy adds the Cauchy product of one lane
+# alone pairwise, so an array round of one lane would not equal its float
+# step bit for bit
 _ARRAY_LANES = 16
 
 
@@ -543,8 +546,7 @@ def _array_round(live: list[_Lane], series, events: list, cfg: IntegratorConfig)
     and the event it ends at, or None.
 
     One call of ``series`` on the (dim, K) array of the lanes' states
-    expands every lane, as an array of shape (dim, order + 1, K) (or any
-    nesting of coefficients that ``np.asarray`` takes to it), every event
+    expands every lane, as an array of shape (dim, order + 1, K), every event
     forms its rows for every lane (the ball only for the lanes near it),
     and one matrix product gives their Bernstein coefficients.  Its caller
     runs it with numpy's overflow and invalid-value warnings off, so that
@@ -557,7 +559,7 @@ def _array_round(live: list[_Lane], series, events: list, cfg: IntegratorConfig)
     """
     n = _TAYLOR_ORDER
     state = np.array([lane.p for lane in live])
-    c = np.asarray(series(state.T, n)).transpose(2, 0, 1)
+    c = series(state.T, n).transpose(2, 0, 1)
     if not np.isfinite(c).all():
         j = int((~np.isfinite(c)).any(axis=(1, 2)).argmax())
         raise _overflow(live[j].ts[-1], live[j].p)
@@ -734,6 +736,18 @@ def _smooth_lanes(
     return out
 
 
+def _time_sign(direction: Direction, t_start: float) -> float:
+    """The sign of time along an arc run in ``direction`` from ``t_start``;
+    :class:`DomainError` if direction is not a :class:`Direction` or
+    t_start is not finite, so that no arc runs the wrong way or has times
+    of NaN."""
+    if not isinstance(direction, Direction):
+        raise DomainError(f"direction must be a Direction, got {direction!r}")
+    if not math.isfinite(t_start):
+        raise DomainError(f"t_start must be finite, got {t_start}")
+    return float(direction.value)
+
+
 def integrate_smooth(
     piece: Piece,
     s0,
@@ -746,17 +760,21 @@ def integrate_smooth(
 
     The one-lane case of :func:`_smooth_lanes`, which sets its events and
     the rule of an X-arc leaving the fold; the error it meets is raised.  A
-    start that is not three finite coordinates, or has a negative one,
-    raises :class:`DomainError`.  The arc is integrated by Taylor series of order
+    start that is not three finite coordinates, or has a negative one, a
+    piece that is not a :class:`Piece`, a direction that is not a
+    :class:`Direction` and a ``t_start`` that is not finite raise
+    :class:`DomainError`.  The arc is integrated by Taylor series of order
     24 (:func:`~preyswitch.model.smooth_series`) with the step rule of Jorba
     and Zou (2005) at the local tolerance 1e-4*abs_tol; each step proves
     every event absent or stops at the first, so only an explicit
     ``cfg.max_step`` caps the steps.
     """
+    if not isinstance(piece, Piece):
+        raise DomainError(f"piece must be a Piece, got {piece!r}")
     values = _finite(s0, "initial state (x, y, z)", 3)
     if min(values) < 0.0:
         raise DomainError(f"initial state must be nonnegative, got {tuple(values)}")
-    sgn = 1.0 if direction is Direction.FORWARD else -1.0
+    sgn = _time_sign(direction, t_start)
     (arc,) = _smooth_lanes(piece, np.array([values]), sgn, t_start, cfg, params)
     if isinstance(arc, PreySwitchError):
         raise arc
@@ -795,7 +813,7 @@ def _sliding_lanes(
         if math.hypot(p[0] - focus.x, p[1] - focus.z) <= radius:
             out[i] = _finish(ArcKind.SLIDING, t_start, [t_start], [p], EventKind.FOCUS_CAPTURE, 0)
         elif p[1] - phi <= cfg.event_tol:
-            if _leaves_fold([col[1] for col in series(p, 1)]):
+            if _leaves_fold(series.rate(p)):
                 out[i] = _finish(ArcKind.SLIDING, t_start, [t_start], [[p[0], phi]], EventKind.FOLD_EXIT, 0)
             else:
                 on_fold.add(i)
@@ -836,7 +854,9 @@ def integrate_sliding(
     fold line is allowed: if the flow points out of the region the arc is
     an immediate fold exit, otherwise the first step watches (z - z0)/u,
     whose value at u = 0 is the initial z-rate times the step.  A start
-    that is not two finite coordinates raises :class:`DomainError`.
+    that is not two finite coordinates, a direction that is not a
+    :class:`Direction` and a ``t_start`` that is not finite raise
+    :class:`DomainError`.
 
     The arc is integrated like a smooth one (see :func:`integrate_smooth`),
     by the Taylor series of the closed-form sliding field
@@ -850,7 +870,7 @@ def integrate_sliding(
         raise DomainError(f"sliding requires x > 0, got x = {x}")
     if z < params.phi - cfg.event_tol:
         raise DomainError(f"sliding requires z >= phi = {params.phi}, got z = {z}")
-    sgn = 1.0 if direction is Direction.FORWARD else -1.0
+    sgn = _time_sign(direction, t_start)
     (arc,) = _sliding_lanes(np.array([[x, z]]), sgn, t_start, cfg, params, focus_capture_radius)
     return arc
 

@@ -6,13 +6,12 @@ so that the switching plane becomes Sigma = {x = y}.  The field X governs
 x >= y (predator on preferred prey), Y governs x <= y, and the planar
 Lotka-Volterra field is X on its invariant plane y = 0.  Each field is
 defined once, by its quadratic form (:func:`quadratic_series`), which gives
-its Taylor series and, as their order 1, its rates.  The Taylor recurrence
-of a form is generated code, compiled on first use once for each structure
-of the form and order and given the form's weights as arguments:
-straight-line code for the rates at one point of floats, straight-line code
-for a whole Taylor step of one point of floats, and a loop over the orders
-for K lanes held in one array, which takes each lane's operations in the
-same order.
+its rates, read from the form's rows, and its Taylor series.  The Taylor
+recurrence of a form is generated code, compiled on first use once for each
+structure of the form and order and given the form's weights as arguments,
+as two programs: straight-line code for a whole Taylor step of one point of
+floats, and a loop over the orders for K lanes held in one array, which
+takes each lane's operations in the same order.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -244,34 +244,39 @@ def switching_function(state) -> float:
 
 
 def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
-    """Taylor coefficients of the flow of s' = sgn*(L s + c s_i s_j).
+    """Rates and Taylor coefficients of the flow of s' = sgn*(L s + c s_i s_j).
 
     Every field of the model has this form, with one product s_i s_j, and
     is defined by it alone: ``linear`` holds the rows of L and ``c`` the
-    weights of the product.  ``series(p, order)`` returns one list per
-    coordinate, s_0..s_order, with s(t) = sum s_k t**k the solution through
-    p at t = 0.  Every order after s_0 = p follows from the Cauchy product
-    (s_i s_j)_k = sum_l s_(i,l) s_(j,k-l):
+    weights of the product.  Only the nonzero entries of L and c enter, the
+    product's first; every row must have one, or :class:`DomainError` is
+    raised.
+
+    ``series.rate(p)`` returns the field's rate at the point p, a sequence
+    of floats, as a list: each row's terms times ``sgn``, added in turn from
+    its first, with the product formed as 0 + p_i p_j, by the operations
+    that give order 1 of the series below (a left fold, not ``sum``, which
+    from Python 3.12 on compensates the rounding of floats).
+
+    ``series(p, order)`` returns the Taylor coefficients s_0..s_order of the
+    solutions through the K lanes of ``p``, an array of shape (dim, K), as
+    one array of shape (dim, order + 1, K), with s(t) = sum s_k t**k the
+    solution through a lane at t = 0.  Every order after s_0 = p follows
+    from the Cauchy product (s_i s_j)_k = sum_l s_(i,l) s_(j,k-l):
 
         (k+1) s_(k+1) = sgn*(L s_k + c (s_i s_j)_k)
 
-    at O(order**2) cost, so order 1 (k = 0) is the field's rate at p.  Only
-    the nonzero entries of L and c enter, the product's first; every row
-    must have one, or :class:`DomainError` is raised.  The recurrence is
-    compiled for the form's structure and the order, with the nonzero
-    weights times ``sgn`` as its arguments.  For ``p`` a list of floats (or
-    a 1-D array), it runs as straight-line code (:func:`_recurrence`) and
-    returns one list per coordinate.  For ``p`` an array of shape (dim, K)
-    that holds K lanes, it runs as a loop over the orders on one array
-    (:func:`_lane_recurrence`) and returns an array of shape
-    (dim, order + 1, K), each lane's coefficients bit-identical to its own
-    as a list of floats, since each lane sees the same operations in the
-    same order.  One lane alone takes the straight-line code, since numpy
-    would add its product pairwise.
+    at O(order**2) cost, so order 1 (k = 0) is the field's rate.  The
+    recurrence is compiled for the form's structure and the order, with the
+    nonzero weights times ``sgn`` as its arguments, as a loop over the
+    orders on one array (:func:`_lane_recurrence`).  For K >= 2 each lane's
+    coefficients are bit-identical to those of its float step below, since
+    each lane sees the same operations in the same order; numpy adds the
+    product of one lane alone pairwise.
 
     ``series.step(p, order, step_end, s, cfg)`` takes a whole Taylor step
-    from the list of floats p, at the time s into an integration, by one
-    more generated function (:func:`_taylor_step`): the series to
+    from the list of floats p, at the time s into an integration, by the
+    form's other generated function (:func:`_taylor_step`): the series to
     ``order``, the step's end by ``step_end``, the step's coefficients,
     their spreads and its end state; it returns None if a coefficient is not
     finite.
@@ -285,15 +290,16 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
     weights = tuple(v for row in rows for v, _ in row)
 
     def series(p, order: int):
-        if not (isinstance(p, np.ndarray) and p.ndim == 2):
-            return _recurrence(structure, i, j, order)(p, weights)
-        if p.shape[1] == 1:  # numpy would add the product of one lane pairwise
-            return np.array(_recurrence(structure, i, j, order)(p, weights))
         return _lane_recurrence(structure, i, j, order)(p, weights)
+
+    def rate(p):
+        s = [*p, 0 + p[i] * p[j]]
+        return [functools.reduce(operator.add, [v * s[q] for v, q in row]) for row in rows]
 
     def step(p, order: int, step_end, s, cfg):
         return _taylor_step(structure, i, j, order)(p, weights, step_end, s, cfg)
 
+    series.rate = rate
     series.step = step
     return series
 
@@ -301,7 +307,7 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
 def _series_lines(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: int):
     """The names s{q}_{k} of the coefficients, one list per coordinate, and
     the lines that compute them from ``p`` and ``weights`` to ``order``:
-    the body of :func:`_recurrence`, shared by :func:`_taylor_step`.
+    the series of :func:`_taylor_step`.
 
     Row r holds one term per index in ``structure[r]``, n for the product
     s_i s_j and q < n for s_q, and takes its weights in turn from
@@ -329,22 +335,6 @@ def _compiled(name: str, args: str, body: list[str], filename: str, namespace: d
     source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
-
-
-@functools.cache
-def _recurrence(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: int):
-    """The recurrence of :func:`quadratic_series` to ``order`` on one
-    point, compiled as one straight-line function ``(p, weights)`` of the
-    form's structure (:func:`_series_lines`), which returns the
-    coefficients as one list per coordinate.  No weight enters the code,
-    so the cache holds code alone, one function per structure and order.
-    Lanes take the same operations in :func:`_lane_recurrence`; ``sum``
-    would not, since from Python 3.12 on it compensates the rounding of
-    floats but not of arrays.
-    """
-    names, body = _series_lines(structure, i, j, order)
-    body.append(f"return [{', '.join('[' + ', '.join(col) + ']' for col in names)}]")
-    return _compiled("series", "p, weights", body, f"<quadratic form {structure}, {i}, {j} to order {order}>", {})
 
 
 @functools.cache
@@ -399,7 +389,7 @@ def _taylor_step(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: 
 def _lane_recurrence(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: int):
     """The recurrence of :func:`quadratic_series` to ``order`` on K >= 2
     lanes, compiled as one function ``(p, weights)`` of the form's
-    structure, as :func:`_recurrence` is, for p of shape (dim, K); it
+    structure, as :func:`_taylor_step` is, for p of shape (dim, K); it
     returns the coefficients as one array of shape (dim, order + 1, K).
 
     The function is a loop over the orders k on that array, whose rows are
@@ -412,10 +402,10 @@ def _lane_recurrence(structure: tuple[tuple[int, ...], ...], i: int, j: int, ord
     lane, as numpy does for two lanes or more.  Each block is one slice
     expression, with its weights as columns of shape (rows, 1), so that
     each row adds its terms in turn and divides by k + 1 (exactly, by 1,
-    at order 1).  So every lane takes the operations :func:`_recurrence`
-    takes on its floats, bit for bit, in a few numpy calls an order rather
-    than a few a term, and the short loop compiles in far less time than
-    the straight-line code.
+    at order 1).  So every lane takes the operations that the series of
+    :func:`_taylor_step` (:func:`_series_lines`) takes on its floats, bit
+    for bit, in a few numpy calls an order rather than a few a term, and
+    the short loop compiles in far less time than straight-line code.
     """
     n = len(structure)
     blocks: dict = {}  # term pattern -> its rows, in order of first appearance
@@ -466,7 +456,8 @@ def smooth_series(piece: Piece, params: Parameters, sgn: float = 1.0):
     See :func:`quadratic_series`: X is x' = r1 x - xz, y' = r2 y,
     z' = -m z + e q1 xz; Y swaps the product for yz, with weights
     -beta2/beta1 and e q2/a_q.  On the invariant plane y = 0, X is the
-    planar Lotka-Volterra field in (x, z).
+    planar Lotka-Volterra field in (x, z).  A piece that is not a
+    :class:`Piece` raises :class:`DomainError`.
     """
     diagonal = [[params.r1, 0.0, 0.0], [0.0, params.r2, 0.0], [0.0, 0.0, -params.m]]
     if piece is Piece.X:
@@ -474,16 +465,16 @@ def smooth_series(piece: Piece, params: Parameters, sgn: float = 1.0):
     if piece is Piece.Y:
         ratio = params.beta2 / params.beta1
         return quadratic_series(diagonal, (0.0, -ratio, params.e * params.q2 / params.a_q), 1, 2, sgn)
-    raise ValueError(f"unknown piece: {piece!r}")
+    raise DomainError(f"piece must be a Piece, got {piece!r}")
 
 
 def eval_field(piece: Piece, state, params: Parameters) -> np.ndarray:
-    """The rate of one smooth piece at a state (x, y, z): order 1 of its
-    :func:`smooth_series`.  A state that is not three finite coordinates
-    raises :class:`DomainError`.
+    """The rate of one smooth piece at a state (x, y, z), read from its
+    :func:`smooth_series`.  A state that is not three finite coordinates, or
+    a piece that is not a :class:`Piece`, raises :class:`DomainError`.
     """
     p = _finite(state, "state (x, y, z)", 3)
-    return np.array([col[1] for col in smooth_series(piece, params)(p, 1)])
+    return np.array(smooth_series(piece, params).rate(p))
 
 
 def lie_derivatives(p, params: Parameters) -> tuple[float, float, float]:

@@ -77,12 +77,12 @@ def sliding_series(params: Parameters, sgn: float = 1.0):
 def eval_sliding(p, params: Parameters) -> np.ndarray:
     """Sliding velocity (x-rate, z-rate) at a point (x, z) of Sigma.
 
-    The rates of the closed-form field, order 1 of :func:`sliding_series`,
+    The rates of the closed-form field, read from :func:`sliding_series`,
     defined for all (x, z).  A point that is not two finite coordinates
     raises :class:`DomainError`.
     """
     s = _finite(p, "Sigma point (x, z)", 2)
-    return np.array([col[1] for col in sliding_series(params)(s, 1)])
+    return np.array(sliding_series(params).rate(s))
 
 
 def pseudo_equilibria(params: Parameters) -> tuple[SigmaState, SigmaState]:

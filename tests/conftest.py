@@ -174,11 +174,14 @@ def reference_series(linear, c, i, j, sgn=1.0):
     return series
 
 
-def reference_float_step(series, p, s, cfg):
-    """A float Taylor step of ``series`` from the point p at the time s into
-    an integration, by list operations on its coefficients, as flow's float
-    step took it before the whole step was generated: the tests' reference
-    for ``series.step(p, order, flow._step_end, s, cfg)``, with its result.
+def reference_float_step(form, sgn, p, s, cfg):
+    """A float Taylor step of the quadratic form (L, c, i, j) times ``sgn``
+    from the point p at the time s into an integration: the series by the
+    interpreted recurrence (:func:`reference_series`), then list operations
+    on its coefficients, as flow's float step took them before the whole
+    step was generated.  The tests' reference for ``series.step(p, order,
+    flow._step_end, s, cfg)`` of the library's series of that form, with
+    its result.
 
     None if a coefficient is not finite; else the step's end, h, the
     coefficients a_k = c_k h**k (h**k by numpy's power of an array, as the
@@ -187,7 +190,7 @@ def reference_float_step(series, p, s, cfg):
     adds them.
     """
     n = flow_mod._TAYLOR_ORDER
-    c = series(p, n)
+    c = reference_series(*form, sgn)(p, n)
     if not all(map(math.isfinite, chain.from_iterable(c))):
         return None
     end = flow_mod._step_end([max(abs(col[n - 1]) for col in c), max(abs(col[n]) for col in c)], s, cfg)

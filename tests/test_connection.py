@@ -158,6 +158,7 @@ def test_mu_curve_window_and_classification(table1, cfg):
         assert Xh < 0.0 < Yh
 
 
+@pytest.mark.lanes
 def test_coarse_curve_nodes_equal_lone_launches(coarse_curve, table1, cfg):
     # each lane takes its own steps, so a node is its lone launch bit for bit
     lone = np.array([mu_point(x0, table1, cfg) for x0 in coarse_curve.x0s])
@@ -232,6 +233,7 @@ def test_distance_at_an_exact_node_hit(table1, cfg, monkeypatch, order):
 ONE_NODE = dict(r1=0.7138, r2=0.1563, a_q=1.3517, q1=0.2468, q2=0.5493, beta2=2.41, m=0.06, e=1.9311)
 
 
+@pytest.mark.lanes
 def test_distances_match_next_to_a_lone_node_below_tau(cfg):
     params = [validate_parameters(beta1=b, **ONE_NODE) for b in (0.4665, 0.07775)]
     curve = coarse_mu_curve(params[0], cfg)
@@ -264,6 +266,7 @@ def test_distance_multiple_roots_reported(table1, cfg):
             distance_to_connection(table1, cfg, curve)
 
 
+@pytest.mark.lanes
 def test_distances_agree_with_brentq_on_lone_launches(table1, cfg, coarse_curve):
     # the rows are matched together on stacked lanes; each must agree with an
     # independent Brent search whose every evaluation is a lone launch.  x_c
@@ -302,6 +305,7 @@ def test_distances_solver_call_budget(table1, cfg, coarse_curve, monkeypatch):
     assert len(runs) <= 4
 
 
+@pytest.mark.lanes
 def test_root_solver_fails_a_raising_bracket_alone(table1, cfg, coarse_curve, monkeypatch):
     # three brackets of u = x_c solved together, the middle one's residual
     # raising at every iterate: it fails alone, and the other two match as
@@ -502,6 +506,18 @@ def test_verify_connection_fails_off_connection(table1, cfg, coarse_curve):
     assert "forward landing" in str(err.value)
 
 
+def test_verify_connection_names_a_sliding_return_past_the_fold_point(table1, cfg):
+    # the manifold point at x0 = tau/4, r2 = 0.168 has x* = 0.308 > x0 =
+    # 0.270; its backward sliding orbit from (x0, phi) ends on the fold line
+    # too, but the failure names the hypothesis x* < x0
+    rep = build_N_point(0.25 * table1.tau, 0.168, table1, cfg)
+    params = rep.params_out
+    with pytest.raises(VerificationFailure, match=r"x\* = 0\.3079\d* is not below the fold point x0 = 0\.2698"):
+        verify_connection(params, rep.x0, cfg)
+    back = integrate_sliding((rep.x0, params.phi), Direction.BACKWARD, cfg, params, 1e-4)
+    assert back.terminal_event.kind is EventKind.FOLD_EXIT
+
+
 def test_verify_connection_rejects_bad_x0(table1, cfg):
     with pytest.raises(DomainError):
         verify_connection(table1, -0.5, cfg)
@@ -598,6 +614,7 @@ def test_return_map_orbit_escaped(table1, cfg):
     assert isinstance(err.value.__cause__, NoReturn)
 
 
+@pytest.mark.lanes
 def test_return_map_fold_leg_matches_lone_launches(connection, cfg, monkeypatch):
     # the 41 X-arcs are the lanes of one launch call, and the 41 sliding legs
     # from their landings the lanes of one sliding call; each landing is a

@@ -23,8 +23,10 @@ from preyswitch import (
     characteristic_time,
     classify_focus,
     classify_sigma_point,
+    eval_field,
     eval_sliding,
     events_payload,
+    find_shilnikov,
     first_integral_F,
     integrate_filippov,
     integrate_sliding,
@@ -161,6 +163,7 @@ def test_coefficient_overflow_raises_step_failure(table1, cfg):
         integrate_smooth(Piece.X, (1e200, 0.0, 1e200), Direction.FORWARD, cfg, table1)
 
 
+@pytest.mark.lanes
 def test_an_overflowing_lane_of_an_array_round_raises_step_failure(table1, cfg):
     # the round's finiteness check names the lane, not numpy's overflow
     # warning, which the tests turn into an error
@@ -252,35 +255,35 @@ def central_jf(f, p):
     return (np.array(f(0.0, p + d * v)) - np.array(f(0.0, p - d * v))) / (2.0 * d)
 
 
+@pytest.mark.lanes
 @pytest.mark.parametrize("field", (Piece.X, Piece.Y, "Sliding"), ids=("X", "Y", "Sliding"))
 def test_series_start_with_the_field(rng, field):
-    # order 1 is the field itself, and order 2 is J*f/2 in either direction
+    # on every lane of an array, order 1 is the field itself, as is the rate
+    # read from the form, and order 2 is J*f/2 in either direction
     for _ in range(10):
         params = draw_params(rng)
         if field == "Sliding":
-            p = np.array([rng.uniform(0.01, 2.0 * params.tau), rng.uniform(params.phi, 3.0 * params.phi)])
+            lanes = np.array([rng.uniform(0.01, 2.0 * params.tau, 2), rng.uniform(params.phi, 3.0 * params.phi, 2)])
         else:
-            p = rng.uniform(0.01, 2.0, 3) * params.tau
+            lanes = rng.uniform(0.01, 2.0, (3, 2)) * params.tau
         for sgn in (1.0, -1.0):
             f = reference_field(field, params, sgn)
-            if field == "Sliding":
-                series = sliding_series(params, sgn)
-                jf = sgn * sliding_jacobian(p, params) @ f(0.0, p)
-                atol = 1e-15
-            else:
-                series = smooth_series(field, params, sgn)
-                jf = central_jf(f, p)
-                # the difference's roundoff scales with its largest component
-                atol = 1e-13 * np.max(np.abs(jf)) / 2.0
-            coefficients = series(p, 24)
-            assert len(coefficients) == len(p)
-            assert all(len(col) == 25 for col in coefficients)
-            assert [col[0] for col in coefficients] == p.tolist()
-            rate = np.array(f(0.0, p))
-            first = np.array([col[1] for col in coefficients])
-            assert np.max(np.abs(first - rate)) <= 1e-14 * np.max(np.abs(rate)), (field, sgn)
-            second = [col[2] for col in coefficients]
-            assert np.allclose(second, jf / 2.0, rtol=1e-13, atol=atol), (field, sgn)
+            series = sliding_series(params, sgn) if field == "Sliding" else smooth_series(field, params, sgn)
+            coefficients = series(lanes, 24)
+            assert coefficients.shape == (len(lanes), 25, 2)
+            assert np.array_equal(coefficients[:, 0], lanes)
+            for p, c in zip(lanes.T, coefficients.transpose(2, 0, 1)):
+                if field == "Sliding":
+                    jf = sgn * sliding_jacobian(p, params) @ f(0.0, p)
+                    atol = 1e-15
+                else:
+                    jf = central_jf(f, p)
+                    # the difference's roundoff scales with its largest component
+                    atol = 1e-13 * np.max(np.abs(jf)) / 2.0
+                rate = np.array(f(0.0, p))
+                for first in (c[:, 1], np.array(series.rate(p.tolist()))):
+                    assert np.max(np.abs(first - rate)) <= 1e-14 * np.max(np.abs(rate)), (field, sgn)
+                assert np.allclose(c[:, 2], jf / 2.0, rtol=1e-13, atol=atol), (field, sgn)
 
 
 # lane counts of the series tests: the reduction of the lane recurrence
@@ -304,126 +307,137 @@ def structures(rng, table1):
     return table1, draw_params(rng).replace(q1=0.0), zero_bq
 
 
+def fields(params, sgn):
+    """X, Y and the sliding field of ``params`` times ``sgn``: the library's
+    series of each and its quadratic form (L, c, i, j), for
+    :func:`conftest.reference_series`."""
+    diagonal = [[params.r1, 0.0, 0.0], [0.0, params.r2, 0.0], [0.0, 0.0, -params.m]]
+    ratio = params.beta2 / params.beta1
+    return (
+        (smooth_series(Piece.X, params, sgn), (diagonal, (-1.0, 0.0, params.e * params.q1), 0, 2)),
+        (smooth_series(Piece.Y, params, sgn), (diagonal, (0.0, -ratio, params.e * params.q2 / params.a_q), 1, 2)),
+        (sliding_series(params, sgn), sliding_mod._form(params)),
+    )
+
+
+# points of floats at 0.0 or -0.0, or with one coordinate at 0.0 or -0.0 (on
+# an invariant plane), so that some terms are -0.0: the product's sum from 0
+# turns one into 0.0, and a term of weight 0 would elsewhere; the sliding
+# field takes each one's (x, z)
+ZEROS = ([0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.5, 0.0, 1.5], [0.5, -0.0, 1.5], [-0.0, 0.5, 1.5], [0.5, 1.5, -0.0])
+
+
+def planar(point, dim):
+    return point if dim == 3 else [point[0], point[2]]
+
+
+@pytest.mark.lanes
 def test_series_of_lanes_equals_each_lane_alone(rng, table1):
     # K lanes expand in one call of the lane recurrence, each lane bit for
-    # bit, sign bits included, as it does alone on floats: X, Y and the
-    # sliding field both ways, for every structure.  The first six lanes
-    # are at 0.0 or -0.0, or have one coordinate at 0.0 or -0.0 (on an
-    # invariant plane), so that some terms are -0.0: the product's sum from
-    # 0 turns one into 0.0, and a term of weight 0 would elsewhere
-    zeros = np.array(
-        [[0.0, -0.0, 0.5, 0.5, -0.0, 0.5], [0.0, -0.0, 0.0, -0.0, 0.5, 1.5], [0.0, -0.0, 1.5, 1.5, 1.5, -0.0]]
-    )
+    # bit, sign bits included, as the interpreted recurrence expands it
+    # alone on floats: X, Y and the sliding field both ways, for every
+    # structure.  The first six lanes are the points of ZEROS
     for params in structures(rng, table1):
         for sgn in (1.0, -1.0):
-            # the zero lanes' (x, y, z), or (x, z) for the sliding field
-            for series, coords in (
-                (smooth_series(Piece.X, params, sgn), [0, 1, 2]),
-                (smooth_series(Piece.Y, params, sgn), [0, 1, 2]),
-                (sliding_series(params, sgn), [0, 2]),
-            ):
-                dim = len(coords)
+            for series, form in fields(params, sgn):
+                dim = len(form[1])
+                reference = reference_series(*form, sgn)
+                zeros = np.array([planar(point, dim) for point in ZEROS]).T
                 for k in LANE_COUNTS:
-                    lanes = np.hstack((zeros[coords], rng.uniform(0.01, 2.0, (dim, k - len(zeros[0])))))
+                    lanes = np.hstack((zeros, rng.uniform(0.01, 2.0, (dim, k - len(ZEROS)))))
                     together = series(lanes, 24)
                     assert isinstance(together, np.ndarray) and together.shape == (dim, 25, k)
-                    alone = np.array([series(lane, 24) for lane in lanes.T.tolist()])
+                    alone = np.array([reference(lane, 24) for lane in lanes.T.tolist()])
                     assert np.array_equal(bits(together), bits(alone.transpose(1, 2, 0))), (dim, sgn, k)
-                # one lane takes the straight-line code, in the same shape
-                one = series(lanes[:, 4:5], 24)
-                assert np.array_equal(bits(one), bits(alone[4][:, :, None])), (dim, sgn)
 
 
+@pytest.mark.lanes
 def test_compiled_series_equal_the_interpreted_recurrence(rng, table1):
-    # the straight-line recurrence on floats and the lane recurrence on
-    # arrays both take the interpreted recurrence's operations in its
-    # order, so they agree with it bit for bit, for every structure
+    # the lane recurrence on arrays takes the interpreted recurrence's
+    # operations in its order, so it agrees with it bit for bit, for every
+    # structure; the rate read from the form equals the interpreted order 1
+    # on floats, sign bits included
     for params in structures(rng, table1):
-        diagonal = [[params.r1, 0.0, 0.0], [0.0, params.r2, 0.0], [0.0, 0.0, -params.m]]
-        forms = (
-            (Piece.X, (diagonal, (-1.0, 0.0, params.e * params.q1), 0, 2)),
-            (Piece.Y, (diagonal, (0.0, -params.beta2 / params.beta1, params.e * params.q2 / params.a_q), 1, 2)),
-            ("Sliding", sliding_mod._form(params)),
-        )
-        for field, form in forms:
-            dim = len(form[1])
-            for sgn in (1.0, -1.0):
-                if field == "Sliding":
-                    series = sliding_series(params, sgn)
-                else:
-                    series = smooth_series(field, params, sgn)
+        for sgn in (1.0, -1.0):
+            for series, form in fields(params, sgn):
+                dim = len(form[1])
                 reference = reference_series(*form, sgn)
-                p = rng.uniform(0.01, 2.0, dim).tolist()
+                for p in [planar(point, dim) for point in ZEROS] + rng.uniform(0.01, 2.0, (4, dim)).tolist():
+                    rate = series.rate(p)
+                    assert np.array_equal(bits(rate), bits([col[1] for col in reference(p, 1)])), (dim, sgn, p)
                 for order in (0, 1, 2, 23, 24):
-                    assert series(p, order) == reference(p, order), (field, sgn, order)
                     for k in LANE_COUNTS:
                         lanes = rng.uniform(0.01, 2.0, (dim, k))
                         assert np.array_equal(bits(series(lanes, order)), bits(reference(lanes, order))), (
-                            field,
+                            dim,
                             sgn,
                             order,
                             k,
                         )
 
 
+@pytest.mark.lanes
 def test_fused_float_step_equals_the_reference_step(rng, table1):
-    # the generated float step takes the list code's operations on the same
-    # floats: its end, h, coefficients, spreads and end state equal the
-    # reference's, sign bits included, for X, Y and the sliding field both
-    # ways, for every structure, with and without max_step, for a step
-    # clamped to t_max, and from a point whose coefficients overflow
+    # the generated float step takes the interpreted series and the list
+    # code's operations on the same floats: its end, h, coefficients,
+    # spreads and end state equal the reference's, sign bits included, for
+    # X, Y and the sliding field both ways, for every structure, with and
+    # without max_step, for a step clamped to t_max, and from a point whose
+    # coefficients overflow
     cfgs = (IntegratorConfig(), IntegratorConfig(max_step=1e-3), IntegratorConfig(abs_tol=1e-8, t_max=2.0))
     for params in structures(rng, table1):
         for sgn in (1.0, -1.0):
-            for series, dim in (
-                (smooth_series(Piece.X, params, sgn), 3),
-                (smooth_series(Piece.Y, params, sgn), 3),
-                (sliding_series(params, sgn), 2),
-            ):
+            for series, form in fields(params, sgn):
+                dim = len(form[1])
                 points = [rng.uniform(0.01, 2.0, dim).tolist() for _ in range(6)]
                 points += [[0.0, -0.0, 1.5][:dim], [0.5, 0.0, 1.5][:dim], [-0.0, 0.5, -0.0][:dim]]
                 for p in points:
                     for cfg in cfgs:
                         for s in (0.0, 1.25, cfg.t_max - 1e-9):
                             fused = series.step(p, flow_mod._TAYLOR_ORDER, flow_mod._step_end, s, cfg)
-                            reference = reference_float_step(series, p, s, cfg)
+                            reference = reference_float_step(form, sgn, p, s, cfg)
                             assert fused[:2] == reference[:2], (dim, sgn, p, cfg, s)
                             for x, y in zip(fused, reference):
                                 assert np.array_equal(bits(x), bits(y)), (dim, sgn, p, cfg, s)
                     assert fused[0] == cfg.t_max  # the last step is clamped
     # a coefficient that is not finite, also one that a row without its own
     # term (x' = -w) does not carry to later orders, fails the step
-    cases = (
-        (smooth_series(Piece.X, table1), [1e200, 0.0, 1e200]),
-        (quadratic_series([[0.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], (0.0, 1.0, 0.0), 1, 2), [math.inf, 1.0, 0.0]),
-    )
-    for series, p in cases:
+    ((x_series, x_form), *_) = fields(table1, 1.0)
+    w_form = ([[0.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], (0.0, 1.0, 0.0), 1, 2)
+    cases = ((x_series, x_form, [1e200, 0.0, 1e200]), (quadratic_series(*w_form), w_form, [math.inf, 1.0, 0.0]))
+    for series, form, p in cases:
         assert series.step(p, 24, flow_mod._step_end, 0.0, IntegratorConfig()) is None
-        assert reference_float_step(series, p, 0.0, IntegratorConfig()) is None
+        assert reference_float_step(form, 1.0, p, 0.0, IntegratorConfig()) is None
 
 
+@pytest.mark.lanes
 def test_series_compile_once_per_structure_and_order(table1, monkeypatch):
-    # a trajectory's 726 float steps each take one generated step function,
-    # compiled once per field and order whatever the field's parameters or
-    # sign: at most three programs, X, Y and the sliding field to order 24,
-    # and every float step after a field's first a hit of the step cache;
-    # the series alone is compiled only for the rates at order 1, so no
-    # order-24 recurrence is compiled twice over
-    orders = []
-    recurrence = model_mod._recurrence
+    # the two generators, the float step and the lane loop, each compile one
+    # program per structure and order, whatever the field's parameters or
+    # sign.  A trajectory's 726 float steps take at most three step
+    # programs, X, Y and the sliding field, every float step after a
+    # field's first a hit of the cache; a find_shilnikov and the trajectory
+    # ask both generators for order 24 alone, and nothing at order 1, whose
+    # rates are read from the forms
+    generators = {name: getattr(model_mod, name) for name in ("_taylor_step", "_lane_recurrence")}
+    asked = []
+    for name, generator in generators.items():
+        generator.cache_clear()
 
-    def recorded(structure, i, j, order):
-        orders.append(order)
-        return recurrence(structure, i, j, order)
+        def recorded(*key, _name=name, _generator=generator):
+            asked.append((_name, *key))
+            return _generator(*key)
 
-    monkeypatch.setattr(model_mod, "_recurrence", recorded)
-    model_mod._taylor_step.cache_clear()
+        monkeypatch.setattr(model_mod, name, recorded)
     traj = integrate_filippov((1.2, 0.4, 1.0), IntegratorConfig(t_max=400.0), table1)
-    info = model_mod._taylor_step.cache_info()
+    info = generators["_taylor_step"].cache_info()
     steps = sum(arc.steps for arc in traj.arcs)
     assert info.misses == info.currsize == len({arc.kind for arc in traj.arcs}) <= 3
     assert info.hits + info.misses == steps > 700
-    assert set(orders) == {1}
+    find_shilnikov(table1, (0.994, 10.0), IntegratorConfig())
+    assert {order for *_, order in asked} == {24}
+    for name, generator in generators.items():
+        assert generator.cache_info().misses == len({key for key in asked if key[0] == name}) > 0, name
     # array rounds take the lane recurrence, compiled once for X's fold
     # launches at two values of e, and once for sliding lanes both ways
     array_rounds = []
@@ -434,14 +448,14 @@ def test_series_compile_once_per_structure_and_order(table1, monkeypatch):
         return array_round(*args)
 
     monkeypatch.setattr(flow_mod, "_array_round", counted)
-    model_mod._lane_recurrence.cache_clear()
+    generators["_lane_recurrence"].cache_clear()
     cfg = IntegratorConfig(t_max=30.0)
     for params in (table1, table1.replace(e=2.0 * table1.e)):
         integrate_fold_launches(np.linspace(0.05, 0.95, 24) * params.tau, cfg, params)
     starts = np.column_stack((np.linspace(0.5, 1.5, 24) * table1.tau, np.full(24, 1.5 * table1.phi)))
     for sgn in (1.0, -1.0):
         flow_mod._sliding_lanes(starts, sgn, 0.0, cfg, table1, 1e-2)
-    info = model_mod._lane_recurrence.cache_info()
+    info = generators["_lane_recurrence"].cache_info()
     assert info.misses == info.currsize == 2
     assert info.hits + info.misses == len(array_rounds) > 8
 
@@ -452,6 +466,7 @@ def test_a_form_with_an_empty_row_raises(table1):
         quadratic_series([[table1.r1, 0.0], [0.0, -0.0]], (-1.0, 0.0), 0, 1)
 
 
+@pytest.mark.lanes
 def test_fold_lanes_run_as_many_rounds_as_their_slowest_lane(table1, cfg, monkeypatch):
     # each lane takes its own steps, so a batch of fold launches takes each
     # lane's steps alone and runs as many rounds as its slowest lane
@@ -465,6 +480,7 @@ def test_fold_lanes_run_as_many_rounds_as_their_slowest_lane(table1, cfg, monkey
     assert rounds(runs[:1]) == max(arc.steps for arc in alone) > min(arc.steps for arc in alone)
 
 
+@pytest.mark.lanes
 def test_fold_launches_and_smooth_x_arcs_return_alike(table1, cfg):
     # a launch is a lane of the code that runs an X-arc leaving the fold, and
     # each lane of a batch has its lone arc, so the two agree bit for bit
@@ -476,6 +492,7 @@ def test_fold_launches_and_smooth_x_arcs_return_alike(table1, cfg):
         assert (u, v) == launch
 
 
+@pytest.mark.lanes
 def test_lone_lanes_and_array_rounds_agree(table1, monkeypatch):
     # while _ARRAY_LANES lanes or more run, a round steps them together on
     # arrays, and below that each lane takes its step on floats; X-arcs (four
@@ -531,6 +548,7 @@ def test_lone_lanes_and_array_rounds_agree(table1, monkeypatch):
             assert np.array_equal(a.terminal_event.state, b.terminal_event.state), (field, sgn, start)
 
 
+@pytest.mark.lanes
 def test_array_round_searches_every_row_a_lone_lane_searches(monkeypatch):
     # s(u) = 1 + 1e-14 - u on one step of length 1: its last Bernstein
     # coefficient is 1e-14, positive but within the rounding of a matrix
@@ -573,6 +591,7 @@ def spread_test_only(self, p, a, spread, first, lane):
     return self.side * (g0 - self.level) > (1.0 + 1e-9) * bound
 
 
+@pytest.mark.lanes
 def test_signed_plane_test_clears_what_first_root_clears():
     # x = 0.5 + u - 0.2 u**2 + 0.1 u**3 on a step: its spread 1.3 exceeds
     # g_0 = 0.5, but g_0 + sum min(g_k, 0) = 0.3 > 0 bounds every Bernstein
@@ -596,6 +615,7 @@ def test_signed_plane_test_clears_what_first_root_clears():
     assert not plane.clears([a[0][0]], a, [1.0], False, 0)
 
 
+@pytest.mark.lanes
 def test_signed_plane_test_leaves_filippov_arcs_bit_identical(table1, monkeypatch):
     # the simulate trajectories from the benchmark's seed 1 at Table 1: the
     # signed test clears rows whose spread test fails, which _first_root
@@ -776,6 +796,32 @@ def test_sliding_rejects_bad_starts(table1, cfg):
     for radius in (float("nan"), float("inf")):
         with pytest.raises(DomainError, match="focus_capture_radius"):
             integrate_sliding((0.3, table1.phi + 0.2), Direction.FORWARD, cfg, table1, radius)
+
+
+def test_integrations_reject_a_start_time_that_is_not_finite(table1, cfg):
+    # an arc from t_start = nan or inf would have every time NaN or infinite
+    for t_start in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="t_start"):
+            integrate_smooth(Piece.X, (1.2, 0.4, 1.0), Direction.FORWARD, cfg, table1, t_start=t_start)
+        with pytest.raises(DomainError, match="t_start"):
+            integrate_sliding((0.3, table1.phi + 0.2), Direction.FORWARD, cfg, table1, t_start=t_start)
+
+
+def test_integrations_reject_a_wrong_direction_or_piece(table1, cfg):
+    # 1 is not Direction.FORWARD: taken for backward, it would run the arc
+    # the wrong way; "X" is not Piece.X
+    for direction in (1, -1, "forward", None):
+        with pytest.raises(DomainError, match="direction"):
+            integrate_smooth(Piece.X, (1.2, 0.4, 1.0), direction, cfg, table1)
+        with pytest.raises(DomainError, match="direction"):
+            integrate_sliding((0.3, table1.phi + 0.2), direction, cfg, table1)
+    for piece in ("X", None, ArcKind.SMOOTH_X):
+        with pytest.raises(DomainError, match="piece"):
+            integrate_smooth(piece, (1.2, 0.4, 1.0), Direction.FORWARD, cfg, table1)
+        with pytest.raises(DomainError, match="piece"):
+            eval_field(piece, (1.2, 0.4, 1.0), table1)
+        with pytest.raises(DomainError, match="piece"):
+            smooth_series(piece, table1)
 
 
 def test_filippov_invariant_plane_y0(table1):
