@@ -54,7 +54,7 @@ from .flow import (
     lv_period,
 )
 from .model import Parameters, SigmaState, validate_parameters
-from .sliding import FocusKind, _m_bound, classify_focus, pseudo_equilibria
+from .sliding import FocusKind, _m_bound, classify_focus, pseudo_equilibria, sliding_series
 
 
 @dataclass(frozen=True)
@@ -777,7 +777,10 @@ def return_map_sample(
             break
         landings.append(landing)
     # each landing has u > 0 and z >= phi - event_tol, as integrate_sliding requires
-    legs = _sliding_lanes(np.array(landings), 1.0, 0.0, cfg, params, cfg.event_tol) if landings else []
+    legs = []
+    if landings:
+        _, focus = pseudo_equilibria(params)
+        legs = _sliding_lanes(np.array(landings), 1.0, 0.0, cfg, params, cfg.event_tol, sliding_series(params), focus)
     out: list[tuple[float, float]] = []
     for s, (u, v), arc in zip(grid, landings, legs):
         ev = arc.terminal_event

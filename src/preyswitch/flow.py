@@ -19,9 +19,12 @@ lanes or more run, a round steps them together on numpy arrays
 (:func:`_array_round`); below that, each lane takes its step on Python
 floats (:func:`_float_step`), by one generated function of its form for
 the whole step (``series.step``), and forms an event's polynomial only
-when a float test cannot clear the step.  Either way each lane's arc is
-the one it has alone, bit for bit.  Only an explicit ``max_step`` caps any
-step.
+when a float test on the step's own coefficients cannot clear the step: a
+plane's signed lower bound on its Bernstein coefficients, on a tangent
+lane's first step with the contact divided out; the focus ball's
+enclosure, or else a signed lower bound on the squared distance.  Either
+way each lane's arc is the one it has alone, bit for bit.  Only an explicit
+``max_step`` caps any step.
 Every lane ends at the first event of one table: the caller's events,
 declared as data (the switching plane h = x - y for a smooth arc; the fold
 line and the focus ball for a sliding arc), a DOMAIN_EXIT for each
@@ -32,7 +35,11 @@ same data.  A start that is not finite coordinates of
 the right number, or has a negative one, raises :class:`DomainError`.
 The Filippov concatenator stitches smooth and sliding arcs per the
 convex-combination convention: trajectories entering the sliding region
-follow the sliding field until the visible fold hands them back to X.
+follow the sliding field until the visible fold hands them back to X.  It
+checks its start and builds the fields' series and the focus once a
+trajectory, and runs each arc as one lane of :func:`_smooth_lanes` or
+:func:`_sliding_lanes`; an arc that ends on Sigma or at the fold line
+records its end state put onto it when the record is made.
 
 Every integration that starts on a tangency watches a desingularised event,
 valued at the start by its limit, so the initial contact is never mistaken
@@ -50,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import sub
+from operator import mul, sub
 
 import numpy as np
 
@@ -67,13 +74,14 @@ from .model import (
     Parameters,
     Piece,
     RegionLabel,
+    SigmaState,
     _finite,
     _past_cusp,
     classify_sigma_point,
     lie_derivatives,
     smooth_series,
 )
-from .sliding import eval_sliding, pseudo_equilibria, sliding_series
+from .sliding import pseudo_equilibria, sliding_series
 
 
 # never called, and scipy is not imported until it is looked up; the
@@ -370,8 +378,10 @@ def _sum_of_squares(v: np.ndarray) -> np.ndarray:
 # ``rows(a, first, lanes)`` is the polynomial of
 # each lane of a, shape (lanes, dim, order + 1), falling through zero, or
 # None if no lane can have a root; ``lanes`` are the lanes' indices in the
-# call.  The caller's rows of the first step are clamped at 0 at u = 0, so
-# that a start within roundoff of an event surface is not an event.
+# call; ``landing(p)`` is the state that an arc ending at the event at p
+# records (the norm bound raises instead).  The caller's rows of the first
+# step are clamped at 0 at u = 0, so that a start within roundoff of an
+# event surface is not an event.
 
 
 @dataclass(frozen=True)
@@ -379,7 +389,8 @@ class _Plane:
     """The event side*(s_i - s_j - level), or side*(s_i - level) if j is
     None, with side = 1 or -1.  Lane l starts tangent to it if
     contact[l] > 0, and on its first step watches the row divided by
-    u**contact[l] instead."""
+    u**contact[l] instead.  If ``snap``, an arc that ends at it records its
+    end state put onto the plane (:meth:`landing`)."""
 
     kind: EventKind
     i: int
@@ -387,20 +398,45 @@ class _Plane:
     level: float = 0.0
     side: float = 1.0
     contact: tuple[int, ...] = ()
+    snap: bool = False
+
+    def landing(self, p: list[float]) -> list[float]:
+        """The state an arc that ends at p on this event records: p, or if
+        ``snap`` p with s_i = level, or with s_i and s_j both their mean."""
+        if not self.snap:
+            return p
+        q = list(p)
+        if self.j is None:
+            q[self.i] = self.level
+        else:
+            q[self.i] = q[self.j] = 0.5 * (p[self.i] + p[self.j])
+        return q
 
     def clears(self, p: list[float], a: list[list[float]], spread: list[float], first: bool, lane: int) -> bool:
-        if first and self.contact and self.contact[lane]:
-            return False
-        # the spread test: g_0 > sum_(k>=1) |g_k|, bounded by spread_i +
-        # spread_j with a margin for the rounding of the row and of its
-        # Bernstein coefficients
-        g0, bound = p[self.i], spread[self.i]
-        if self.j is not None:
-            g0 -= p[self.j]
-            bound += spread[self.j]
-        g0 = self.side * (g0 - self.level)
-        if g0 > (1.0 + 1e-9) * bound:
-            return True
+        """Whether the step's row g has no root, by two tests on the step's
+        own coefficients: the spread test g_0 > sum_(k>=1) |g_k|, and the
+        signed test g_0 + sum_(k>=1) min(g_k, 0) > 1e-13*sum_k |g_k|.  On a
+        tangent lane's first step only the signed test runs, on the row as
+        :meth:`rows` forms it: the contact divided out, g_k -> g_(k+c), and
+        its first coefficient clamped at 0.  A row either clears is one that
+        :func:`_first_root` clears at its first test."""
+        c = self.contact[lane] if first and self.contact else 0
+        if not c:
+            # the spread test: g_0 > sum_(k>=1) |g_k|, bounded by spread_i +
+            # spread_j with a margin for the rounding of the row and of its
+            # Bernstein coefficients
+            g0, bound = p[self.i], spread[self.i]
+            if self.j is not None:
+                g0 -= p[self.j]
+                bound += spread[self.j]
+            g0 = self.side * (g0 - self.level)
+            if g0 > (1.0 + 1e-9) * bound:
+                return True
+        d = a[self.i][1:] if self.j is None else list(map(sub, a[self.i][1:], a[self.j][1:]))
+        if c:
+            # a tangent lane's first step: the row as rows forms it, g_k =
+            # side*d_(k+c), its first coefficient clamped at 0
+            g0, d = max(self.side * d[c - 1], 0.0), d[c:]
         # the signed test, on the row's own coefficients g_k = side*d_k:
         # every Bernstein coefficient sum_k C(j,k)/C(n,k) g_k is at least
         # g_0 + sum_(k>=1) min(g_k, 0), whose sum of the min is
@@ -408,7 +444,6 @@ class _Plane:
         # margin 1e-13*sum |g_k|, far above the rounding of either sum (under
         # 50 eps*sum |g_k|), so that the row is one that _first_root clears
         # at its first test
-        d = a[self.i][1:] if self.j is None else list(map(sub, a[self.i][1:], a[self.j][1:]))
         size = sum(map(abs, d))
         return g0 + (self.side * sum(d) - size) * 0.5 > 1e-13 * (abs(g0) + size)
 
@@ -433,7 +468,10 @@ class _Ball:
     """The event |s - centre|**2 - radius**2.  Its row is formed only for a
     lane whose step can come within the radius, judged by the enclosure
     |s_0 - centre| - sum over coordinates and k >= 1 of |a_k|, with a
-    margin of 1e-6 of the enclosure's size for the rounding of the row."""
+    margin of 1e-6 of the enclosure's size for the rounding of the row.  A
+    float step whose enclosure comes that near may still be cleared by a
+    signed bound on the squared distance (:meth:`clears`), which the array
+    round does not take."""
 
     kind: EventKind
     centre: tuple[float, ...]
@@ -442,8 +480,28 @@ class _Ball:
     def _far(self, dist, spread):
         return dist - spread > self.radius + 1e-6 * (dist + spread)
 
+    def landing(self, p: list[float]) -> list[float]:
+        return p
+
     def clears(self, p: list[float], a: list[list[float]], spread: list[float], first: bool, lane: int) -> bool:
-        return self._far(math.dist(p, self.centre), sum(spread))
+        """Whether the step stays out of the ball: its enclosure does, or
+        else, with d = s_0 - centre, the signed bound
+        |s(u) - centre|**2 >= |d|**2 + 2 sum_(k>=1) min(d.a_k, 0) on [0, 1]
+        exceeds radius**2 by 1e-9 of the size of its terms and of
+        (sum spread)**2.  That margin lies far above the rounding of the row
+        that :meth:`rows` forms (under 100 eps of the same size) and the
+        orders of |s(u) - s_0|**2 past the series' own, which the row drops
+        and the step's tolerance keeps near 1e-16, so that
+        :func:`_first_root` finds no root in a row it clears."""
+        if self._far(math.dist(p, self.centre), sum(spread)):
+            return True
+        # |s(u) - centre|**2 = |d|**2 + 2 sum_(k>=1) u**k d.a_k +
+        # |s(u) - s_0|**2, and the last term is not negative
+        d = list(map(sub, p, self.centre))
+        dots = [sum(map(mul, d, ak)) for ak in zip(*(col[1:] for col in a))]
+        dist2, r2 = sum(map(mul, d, d)), self.radius * self.radius
+        low = dist2 - r2 + 2.0 * sum(v for v in dots if v < 0.0)
+        return low > 1e-9 * (dist2 + r2 + 2.0 * sum(map(abs, dots)) + sum(spread) ** 2)
 
     def rows(self, a: np.ndarray, first: bool, lanes: list[int]) -> np.ndarray | None:
         offset = a - np.array(self.centre)[:, None] * _ONE
@@ -481,9 +539,11 @@ class _NormBound:
         return q
 
 
-def _finish(kind: ArcKind, t_start: float, ts: list, states: list, event: EventKind, steps: int) -> Arc:
+def _finish(kind: ArcKind, t_start: float, ts: list, states: list, event: EventKind, steps: int, end=None) -> Arc:
+    """The arc of these times and states, ending at ``event``, whose record
+    holds the state ``end``, or the arc's last state if None."""
     ts_a, states_a = np.array(ts, dtype=float), np.array(states)
-    record = EventRecord(event, float(ts_a[-1]), states_a[-1].copy())
+    record = EventRecord(event, float(ts_a[-1]), states_a[-1].copy() if end is None else np.array(end))
     return Arc(kind, t_start, float(ts_a[-1]), ts_a, states_a, record, steps)
 
 
@@ -614,11 +674,13 @@ def _taylor_lanes(
     arrays (:func:`_array_round`); below that, each running lane takes its
     step on Python floats (:func:`_float_step`), forming an event's row
     only when a float test cannot clear it: for a plane,
-    g_0 > sum_(k>=1) |g_k| by the spreads, or else, but for a tangent
-    lane's first step, g_0 + sum_(k>=1) min(g_k, 0) > 1e-13*sum_k |g_k|,
-    the array round's margin; for the focus ball, the step's enclosure
-    staying out of the radius; for the norm bound, the enclosure staying
-    inside it.  So a call of many lanes hands its last ones to float steps.
+    g_0 > sum_(k>=1) |g_k| by the spreads, or else
+    g_0 + sum_(k>=1) min(g_k, 0) > 1e-13*sum_k |g_k|, the array round's
+    margin, on a tangent lane's first step on the row with the contact
+    divided out; for the focus ball, the step's enclosure staying out of
+    the radius, or else the signed bound of :meth:`_Ball.clears`; for the
+    norm bound, the enclosure staying inside it.  So a call of many lanes
+    hands its last ones to float steps.
     Both kinds of round run a lane's operations on the same floats, and a
     row that the float test or the batch product clears has no root, so
     each lane's arc is the one it has alone, bit for bit.  Every round
@@ -656,9 +718,10 @@ def _taylor_lanes(
             lane.p, lane.s, lane.steps = p, end, lane.steps + 1
             if hit is None and end < cfg.t_max:
                 running.append(lane)
+            elif hit is None:
+                arcs[lane.index] = _finish(kind, t_start, lane.ts, lane.states, EventKind.HORIZON_REACHED, lane.steps)
             else:
-                event = EventKind.HORIZON_REACHED if hit is None else hit.kind
-                arcs[lane.index] = _finish(kind, t_start, lane.ts, lane.states, event, lane.steps)
+                arcs[lane.index] = _finish(kind, t_start, lane.ts, lane.states, hit.kind, lane.steps, hit.landing(p))
         live = running
     return arcs
 
@@ -678,21 +741,23 @@ def _lift_off_ambiguity(x0: float, half_X2h: float, t1: float, cfg: IntegratorCo
 
 
 def _smooth_lanes(
-    piece: Piece, p0: np.ndarray, sgn: float, t_start: float, cfg: IntegratorConfig, params: Parameters
+    piece: Piece, p0: np.ndarray, sgn: float, t_start: float, cfg: IntegratorConfig, params: Parameters, series
 ) -> list[Arc | PreySwitchError]:
     """The arcs of one smooth piece from the rows of p0, the lanes of one call
-    of :func:`_taylor_lanes`, each up to its first event or the horizon; a
-    lane that meets an error has it, unraised, in place of its arc.
+    of :func:`_taylor_lanes` of ``series``, the piece's
+    :func:`~preyswitch.model.smooth_series` times ``sgn``, each up to its
+    first event or the horizon; a lane that meets an error has it, unraised,
+    in place of its arc.
 
     The event table adds the switching plane h = x - y (falling through
     zero for X, rising for Y) to the domain and norm-bound events; a start
     on its wrong side beyond the event tolerance is a :class:`DomainError`,
-    and a SIGMA_CROSSING state is snapped onto Sigma as (xm, xm, z).  An
-    X-lane starting on the fold line short of tau (h and z - phi within the
-    event tolerance, and xm within it of 0 or not past the cusp by
-    :func:`~preyswitch.model._past_cusp`, so that (xm, z) is not labelled
-    BOUNDARY, without classifying the point once more) is tangent to Sigma,
-    and watches h/u**2 on its first step instead, valued
+    and a SIGMA_CROSSING records its state snapped onto Sigma as
+    (xm, xm, z).  An X-lane starting on the fold line short of tau (h and
+    z - phi within the event tolerance, and xm within it of 0 or not past
+    the cusp by :func:`~preyswitch.model._past_cusp`, so that (xm, z) is not
+    labelled BOUNDARY, without classifying the point once more) is tangent
+    to Sigma, and watches h/u**2 on its first step instead, valued
     X2h*step**2/2 at u = 0; a start with X2h <= 0, or a return whose
     lift-off X2h*t1**2/2 is not above the event tolerance, is a
     :class:`TangencyAmbiguity`.  A coordinate at numerical zero lies on an
@@ -720,18 +785,14 @@ def _smooth_lanes(
     if not lanes:
         return out
     # h for X, -h for Y: both fall through zero; a fold start watches h/u**2
-    sigma = _Plane(EventKind.SIGMA_CROSSING, 0, 1, side=side, contact=tuple(2 * (i in folds) for i in lanes))
+    contact = tuple(2 * (i in folds) for i in lanes)
+    sigma = _Plane(EventKind.SIGMA_CROSSING, 0, 1, side=side, contact=contact, snap=True)
     start = p0[lanes]
     watch = [k for k, v in enumerate(start.min(axis=0).tolist()) if v > tol]
     kind = ArcKind.SMOOTH_Y if piece is Piece.Y else ArcKind.SMOOTH_X
-    arcs = _taylor_lanes(kind, smooth_series(piece, params, sgn), start, [sigma], watch, sgn, t_start, cfg)
-    for i, arc in zip(lanes, arcs):
-        ev = arc.terminal_event
-        if ev.kind is EventKind.SIGMA_CROSSING:
-            xm = 0.5 * (ev.state[0] + ev.state[1])
-            arc = replace(arc, terminal_event=replace(ev, state=np.array([xm, xm, ev.state[2]])))
-            if i in folds:
-                arc = _lift_off_ambiguity(*folds[i], abs(arc.t1 - arc.t0), cfg) or arc
+    for i, arc in zip(lanes, _taylor_lanes(kind, series, start, [sigma], watch, sgn, t_start, cfg)):
+        if i in folds and arc.terminal_event.kind is EventKind.SIGMA_CROSSING:
+            arc = _lift_off_ambiguity(*folds[i], abs(arc.t1 - arc.t0), cfg) or arc
         out[i] = arc
     return out
 
@@ -775,7 +836,7 @@ def integrate_smooth(
     if min(values) < 0.0:
         raise DomainError(f"initial state must be nonnegative, got {tuple(values)}")
     sgn = _time_sign(direction, t_start)
-    (arc,) = _smooth_lanes(piece, np.array([values]), sgn, t_start, cfg, params)
+    (arc,) = _smooth_lanes(piece, np.array([values]), sgn, t_start, cfg, params, smooth_series(piece, params, sgn))
     if isinstance(arc, PreySwitchError):
         raise arc
     return arc
@@ -790,23 +851,30 @@ def _leaves_fold(rate) -> bool:
 
 
 def _sliding_lanes(
-    p0: np.ndarray, sgn: float, t_start: float, cfg: IntegratorConfig, params: Parameters, radius: float
+    p0: np.ndarray,
+    sgn: float,
+    t_start: float,
+    cfg: IntegratorConfig,
+    params: Parameters,
+    radius: float,
+    series,
+    focus: SigmaState,
 ) -> list[Arc]:
     """The sliding arcs from the rows of p0, points (x, z) with x > 0 and
-    z >= phi - event_tol, the lanes of one call of :func:`_taylor_lanes`,
-    each up to its first event or the horizon.
+    z >= phi - event_tol, the lanes of one call of :func:`_taylor_lanes` of
+    ``series``, the :func:`~preyswitch.sliding.sliding_series` times
+    ``sgn``, each up to its first event or the horizon.
 
-    The events are the fold line z = phi (FOLD_EXIT), the focus ball of
-    ``radius`` (FOCUS_CAPTURE; none at radius 0) and, if every lane starts
-    with x above the event tolerance, x (DOMAIN_EXIT).  A start within the
-    radius of the focus is captured at once, and one on the fold line whose
-    flow leaves the region (:func:`_leaves_fold`) exits at once; another
-    fold start watches (z - z0)/u on its first step.  A FOLD_EXIT state is
-    snapped to z = phi.
+    The events are the fold line z = phi (FOLD_EXIT), the ball of
+    ``radius`` about ``focus``, the interior pseudo-equilibrium
+    (FOCUS_CAPTURE; none at radius 0) and, if every lane starts with x
+    above the event tolerance, x (DOMAIN_EXIT).  A start within the radius
+    of the focus is captured at once, and one on the fold line whose flow
+    leaves the region (:func:`_leaves_fold`) exits at once; another fold
+    start watches (z - z0)/u on its first step.  A FOLD_EXIT records its
+    state snapped to z = phi.
     """
     phi = params.phi
-    _, focus = pseudo_equilibria(params)
-    series = sliding_series(params, sgn)
     out: list = [None] * len(p0)
     on_fold = set()
     for i, p in enumerate(p0.tolist()):
@@ -820,15 +888,12 @@ def _sliding_lanes(
     lanes = [i for i, arc in enumerate(out) if arc is None]
     if not lanes:
         return out
-    events = [_Plane(EventKind.FOLD_EXIT, 1, level=phi, contact=tuple(int(i in on_fold) for i in lanes))]
+    events = [_Plane(EventKind.FOLD_EXIT, 1, level=phi, contact=tuple(int(i in on_fold) for i in lanes), snap=True)]
     if radius > 0.0:
         events.append(_Ball(EventKind.FOCUS_CAPTURE, (focus.x, focus.z), radius))
     start = p0[lanes]
     watch = [0] if start[:, 0].min() > cfg.event_tol else []
     for i, arc in zip(lanes, _taylor_lanes(ArcKind.SLIDING, series, start, events, watch, sgn, t_start, cfg)):
-        ev = arc.terminal_event
-        if ev.kind is EventKind.FOLD_EXIT:
-            arc = replace(arc, terminal_event=replace(ev, state=np.array([ev.state[0], phi])))
         out[i] = arc
     return out
 
@@ -871,7 +936,9 @@ def integrate_sliding(
     if z < params.phi - cfg.event_tol:
         raise DomainError(f"sliding requires z >= phi = {params.phi}, got z = {z}")
     sgn = _time_sign(direction, t_start)
-    (arc,) = _sliding_lanes(np.array([[x, z]]), sgn, t_start, cfg, params, focus_capture_radius)
+    _, focus = pseudo_equilibria(params)
+    series = sliding_series(params, sgn)
+    (arc,) = _sliding_lanes(np.array([[x, z]]), sgn, t_start, cfg, params, focus_capture_radius, series, focus)
     return arc
 
 
@@ -909,7 +976,7 @@ def integrate_fold_launches(
             )
     lanes = [i for i, err in enumerate(out) if err is None]
     p0 = np.reshape([[x0s[i], x0s[i], params.phi] for i in lanes], (-1, 3))
-    for i, arc in zip(lanes, _smooth_lanes(Piece.X, p0, 1.0, 0.0, cfg, params)):
+    for i, arc in zip(lanes, _smooth_lanes(Piece.X, p0, 1.0, 0.0, cfg, params, smooth_series(Piece.X, params))):
         x0 = x0s[i]
         if isinstance(arc, PreySwitchError):
             out[i] = arc
@@ -927,21 +994,22 @@ def integrate_fold_launches(
     return out
 
 
-def _after_sigma(s, cfg: IntegratorConfig, params: Parameters) -> ArcKind | None:
+def _after_sigma(s, cfg: IntegratorConfig, params: Parameters, sliding) -> ArcKind | None:
     """The arc that follows the state s, on Sigma within the event tolerance.
 
     SLIDING at a sliding point, or at a fold point (visible fold or cusp)
-    that the sliding flow does not leave (:func:`_leaves_fold`); None on the
-    origin line, where no arc follows; SMOOTH_X at every other point: a
-    crossing point, where X and Y both point into h > 0, a fold point that
-    the sliding flow leaves, or a boundary point.
+    that the sliding flow does not leave (:func:`_leaves_fold`, on the rate
+    of ``sliding``, the forward :func:`~preyswitch.sliding.sliding_series`);
+    None on the origin line, where no arc follows; SMOOTH_X at every other
+    point: a crossing point, where X and Y both point into h > 0, a fold
+    point that the sliding flow leaves, or a boundary point.
     """
     xm, z = 0.5 * (s[0] + s[1]), s[2]
     label = classify_sigma_point((xm, z), params, tol=cfg.event_tol)
     if label is RegionLabel.ORIGIN_LINE:
         return None
     if label is RegionLabel.SLIDING or (
-        label in _FOLD_LABELS and not _leaves_fold(eval_sliding((xm, z), params))
+        label in _FOLD_LABELS and not _leaves_fold(sliding.rate((xm, z)))
     ):
         return ArcKind.SLIDING
     return ArcKind.SMOOTH_X
@@ -963,17 +1031,28 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
     and fold exits) fall within 10 event tolerances of time, and
     :class:`PreySwitchError` past _MAX_ARCS arcs.  A sliding arc is captured
     within 1e-4 of the pseudo-focus.  A start that is not three finite
-    coordinates raises :class:`DomainError`.
+    coordinates, or has a negative one, raises :class:`DomainError`.
+
+    The start is checked once, and the fields' series (X, Y and sliding)
+    and the focus are built once, for the whole trajectory: each arc is one
+    lane of :func:`_smooth_lanes` or :func:`_sliding_lanes`, as
+    :func:`integrate_smooth` and :func:`integrate_sliding` run it.
     """
-    s = np.array(_finite(s0, "Filippov initial state (x, y, z)", 3))
+    values = _finite(s0, "Filippov initial state (x, y, z)", 3)
+    if min(values) < 0.0:
+        raise DomainError(f"initial state must be nonnegative, got {tuple(values)}")
+    s = np.array(values)
     initial = s.copy()
+    smooth = {piece: smooth_series(piece, params) for piece in Piece}
+    sliding = sliding_series(params)
+    _, focus = pseudo_equilibria(params)
     arcs: list[Arc] = []
     t = 0.0
     sigma_times: list[float] = []
     h = s[0] - s[1]
     follow = ArcKind.SMOOTH_X if h > 0 else ArcKind.SMOOTH_Y
     if abs(h) <= cfg.event_tol:
-        follow = _after_sigma(s, cfg, params)
+        follow = _after_sigma(s, cfg, params, sliding)
 
     while len(arcs) < _MAX_ARCS:
         remaining = cfg.t_max - t
@@ -983,10 +1062,13 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
             raise DomainError("trajectory reached the origin line of Sigma")
         sub = replace(cfg, t_max=remaining)
         if follow is ArcKind.SLIDING:
-            arc = integrate_sliding((0.5 * (s[0] + s[1]), s[2]), Direction.FORWARD, sub, params, t_start=t)
+            p = np.array([[0.5 * (s[0] + s[1]), s[2]]])
+            (arc,) = _sliding_lanes(p, 1.0, t, sub, params, 1e-4, sliding, focus)
         else:
             piece = Piece.X if follow is ArcKind.SMOOTH_X else Piece.Y
-            arc = integrate_smooth(piece, s, Direction.FORWARD, sub, params, t_start=t)
+            (arc,) = _smooth_lanes(piece, s[None], 1.0, t, sub, params, smooth[piece])
+            if isinstance(arc, PreySwitchError):
+                raise arc
         ev = arc.terminal_event
         if ev.kind not in (EventKind.SIGMA_CROSSING, EventKind.FOLD_EXIT):
             arcs.append(arc)
@@ -999,7 +1081,7 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
             )
         # a hit is (xm, xm, z) and a fold exit (x, phi): both lie on Sigma
         s, t = np.array([ev.state[0], ev.state[0], ev.state[-1]]), ev.t
-        follow = _after_sigma(s, cfg, params)
+        follow = _after_sigma(s, cfg, params, sliding)
         if ev.kind is EventKind.SIGMA_CROSSING and follow is not ArcKind.SMOOTH_X:
             kind = EventKind.SIGMA_ENTRY_SLIDING if follow is ArcKind.SLIDING else EventKind.DOMAIN_EXIT
             arc = replace(arc, terminal_event=replace(ev, kind=kind))

@@ -1,8 +1,15 @@
 import json
 import math
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import preyswitch
 from preyswitch import (
     IntegratorConfig,
     coarse_mu_curve,
@@ -303,3 +310,21 @@ def test_sweep_curve_failure_exits_1(params_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("NoReturn: ")
+
+
+def test_readme_cli_examples_run(tmp_path):
+    # the shell block of the README's CLI section, run by bash in a fresh
+    # directory with its JSON block as table1.json, where preyswitch is this
+    # package's CLI module and python this interpreter: every command exits 0
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    params, commands = (re.search(rf"```{kind}\n(.*?)```", section, re.S).group(1) for kind in ("json", "sh"))
+    (tmp_path / "table1.json").write_text(params)
+    python = shlex.quote(sys.executable)
+    script = f'set -e\npython() {{ {python} "$@"; }}\npreyswitch() {{ python -m preyswitch.cli "$@"; }}\n{commands}'
+    src = str(Path(preyswitch.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(["bash", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert {"cert.json", "star.json", "verify.json", "map.csv", "sweep.csv"} <= {p.name for p in tmp_path.iterdir()}
+    assert json.loads((tmp_path / "verify.json").read_text())

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from functools import partial
+from operator import sub
 
 import numpy as np
 import pytest
@@ -454,7 +455,8 @@ def test_series_compile_once_per_structure_and_order(table1, monkeypatch):
         integrate_fold_launches(np.linspace(0.05, 0.95, 24) * params.tau, cfg, params)
     starts = np.column_stack((np.linspace(0.5, 1.5, 24) * table1.tau, np.full(24, 1.5 * table1.phi)))
     for sgn in (1.0, -1.0):
-        flow_mod._sliding_lanes(starts, sgn, 0.0, cfg, table1, 1e-2)
+        focus = pseudo_equilibria(table1)[1]
+        flow_mod._sliding_lanes(starts, sgn, 0.0, cfg, table1, 1e-2, sliding_series(table1, sgn), focus)
     info = generators["_lane_recurrence"].cache_info()
     assert info.misses == info.currsize == 2
     assert info.hits + info.misses == len(array_rounds) > 8
@@ -525,11 +527,13 @@ def test_lone_lanes_and_array_rounds_agree(table1, monkeypatch):
         rounds.clear()
         if field == "Sliding":
             direction = Direction.FORWARD if sgn > 0 else Direction.BACKWARD
-            together = flow_mod._sliding_lanes(starts, sgn, 0.0, cfg, table1, 1e-2)
+            series, focus = sliding_series(table1, sgn), pseudo_equilibria(table1)[1]
+            together = flow_mod._sliding_lanes(starts, sgn, 0.0, cfg, table1, 1e-2, series, focus)
             taken = list(rounds)
             alone = [integrate_sliding(p, direction, cfg, table1, 1e-2) for p in starts]
         else:
-            together = flow_mod._smooth_lanes(field, starts, sgn, 0.0, cfg, table1)
+            series = smooth_series(field, table1, sgn)
+            together = flow_mod._smooth_lanes(field, starts, sgn, 0.0, cfg, table1, series)
             taken = list(rounds)
             alone = [integrate_smooth(field, p, Direction.FORWARD, cfg, table1) for p in starts]
         # array rounds first, then float steps for the last lanes
@@ -581,7 +585,8 @@ def test_array_round_searches_every_row_a_lone_lane_searches(monkeypatch):
 
 def spread_test_only(self, p, a, spread, first, lane):
     """_Plane's float test without its signed test: g_0 > (1 + 1e-9) times
-    the spreads of its coordinates."""
+    the spreads of its coordinates, and never on a tangent lane's first
+    step."""
     if first and self.contact and self.contact[lane]:
         return False
     g0, bound = p[self.i], spread[self.i]
@@ -591,8 +596,41 @@ def spread_test_only(self, p, a, spread, first, lane):
     return self.side * (g0 - self.level) > (1.0 + 1e-9) * bound
 
 
+def plane_test_untangent(self, p, a, spread, first, lane, _clears=flow_mod._Plane.clears):
+    """_Plane's float test as it was before it tested a tangent lane's first
+    step: never there, and elsewhere the spread test, then the signed one."""
+    if first and self.contact and self.contact[lane]:
+        return False
+    return _clears(self, p, a, spread, first, lane)
+
+
+def ball_enclosure_only(self, p, a, spread, first, lane):
+    """_Ball's float test without its signed bound: the step's enclosure
+    stays out of the radius."""
+    return self._far(math.dist(p, self.centre), sum(spread))
+
+
+def cleared_at_first_test(g):
+    """Whether _first_root clears the row g at its first test; it then finds
+    no root."""
+    b = flow_mod._TO_BERNSTEIN @ g
+    return b[0] >= 0.0 and b[1:].min() > 0.0 and flow_mod._first_root(g, b) is None
+
+
+def random_step(rng, dim, lead=1.0):
+    """Coefficients a_k of a step in each of ``dim`` coordinates, falling
+    off geometrically to about 1e-16 at the series' order, as Jorba and
+    Zou's step leaves them, with a_0 scaled by ``lead``; and their spreads."""
+    n = flow_mod._TAYLOR_ORDER
+    rate = 10.0 ** (-16.0 / n)
+    a = [(rng.standard_normal(n + 1) * rng.uniform(0.3, 1.0) * rate ** np.arange(n + 1)).tolist() for _ in range(dim)]
+    for col in a:
+        col[0] *= lead
+    return a, [sum(map(abs, col[1:])) for col in a]
+
+
 @pytest.mark.lanes
-def test_signed_plane_test_clears_what_first_root_clears():
+def test_signed_plane_test_clears_what_first_root_clears(rng):
     # x = 0.5 + u - 0.2 u**2 + 0.1 u**3 on a step: its spread 1.3 exceeds
     # g_0 = 0.5, but g_0 + sum min(g_k, 0) = 0.3 > 0 bounds every Bernstein
     # coefficient from below, so the row has no root
@@ -601,18 +639,90 @@ def test_signed_plane_test_clears_what_first_root_clears():
     plane = flow_mod._Plane(EventKind.DOMAIN_EXIT, 0)
     assert not spread_test_only(plane, [0.5], a, spread, False, 0)
     assert plane.clears([0.5], a, spread, False, 0)
-    g = np.array(a[0])
-    assert flow_mod._first_root(g, flow_mod._TO_BERNSTEIN @ g) is None
-    # 1 - x, which x = 1.4 at u = 1 makes fall through zero, is not cleared,
-    # nor is x on a tangent lane's first step, whose row has the contact
-    # divided out
+    assert cleared_at_first_test(np.array(a[0]))
+    # 1 - x, which x = 1.4 at u = 1 makes fall through zero, is not cleared
     assert not flow_mod._Plane(EventKind.DOMAIN_EXIT, 0, level=1.0, side=-1.0).clears([0.5], a, spread, False, 0)
-    tangent = flow_mod._Plane(EventKind.DOMAIN_EXIT, 0, contact=(1,))
-    assert not tangent.clears([0.5], a, spread, True, 0)
-    assert tangent.clears([0.5], a, spread, False, 0)
+    # on a tangent lane's first step the test reads the row with the contact
+    # divided out, as rows forms it: x/u = 1 - 0.2 u + 0.1 u**2 and
+    # x/u**3 = 0.1 are cleared; x/u**2 = -0.2 + 0.1 u, clamped to 0.1 u,
+    # is not, since its bound 0 lies inside the margin, though _first_root
+    # clears it at its first test, where b_0 = 0 is allowed
+    for contact, cleared in ((1, True), (2, False), (3, True)):
+        tangent = flow_mod._Plane(EventKind.DOMAIN_EXIT, 0, contact=(contact,))
+        (g,) = tangent.rows(np.array([a]), True, [0])
+        assert tangent.clears([0.5], a, spread, True, 0) is cleared, contact
+        assert cleared_at_first_test(g), contact
+        assert tangent.clears([0.5], a, spread, False, 0), contact
     # a bound inside the array round's margin 1e-13*sum |g_k| is not enough
     a = [[1.0 + 1e-14, -1.0] + [0.0] * (flow_mod._TAYLOR_ORDER - 1)]
     assert not plane.clears([a[0][0]], a, [1.0], False, 0)
+    # tangent first steps of Sigma from the fold, h/u**2 for X and -h/u**2
+    # for Y, and of the fold line, (z - z0)/u, on random steps whose divided
+    # row starts at 0 to 4 times the size of its other coefficients: every
+    # row the test clears, _first_root clears at its first test, and the
+    # test clears more than a fifth of them
+    planes = [
+        flow_mod._Plane(EventKind.SIGMA_CROSSING, 0, 1, side=side, contact=(2,), snap=True) for side in (1.0, -1.0)
+    ]
+    planes.append(flow_mod._Plane(EventKind.FOLD_EXIT, 1, level=0.7, contact=(1,), snap=True))
+    cleared = tested = 0
+    for k in range(3000):
+        plane = planes[k % 3]
+        a, _ = random_step(rng, 3)
+        c = plane.contact[0]
+        # the contact: the row's c lowest orders vanish
+        a[plane.i][:c] = [plane.level, 0.0][:c]
+        if plane.j is not None:
+            a[plane.j][:c] = a[plane.i][:c]
+        d = a[plane.i] if plane.j is None else list(map(sub, a[plane.i], a[plane.j]))
+        a[plane.i][c] += plane.side * rng.uniform(0.0, 4.0) * sum(map(abs, d[c + 1 :])) - d[c]
+        spread = [sum(map(abs, col[1:])) for col in a]
+        (g,) = plane.rows(np.array([a]), True, [0])
+        tested += 1
+        if plane.clears([col[0] for col in a], a, spread, True, 0):
+            cleared += 1
+            assert cleared_at_first_test(g), (k, a)
+    assert tested // 5 < cleared < tested
+
+
+@pytest.mark.lanes
+def test_signed_ball_bound_clears_only_rows_without_a_root(rng):
+    # s = (1 - 0.2 u**2, u) about the origin: its enclosure 1 - 1.2 comes
+    # within any radius, but |s|**2 >= 1 + 2 min(-0.2, 0) = 0.6 bounds it
+    # from below, so at radius 0.7 the row has no root
+    n = flow_mod._TAYLOR_ORDER
+    a = [[1.0, 0.0, -0.2] + [0.0] * (n - 2), [0.0, 1.0] + [0.0] * (n - 1)]
+    spread = [0.2, 1.0]
+    ball = flow_mod._Ball(EventKind.FOCUS_CAPTURE, (0.0, 0.0), 0.7)
+    assert not ball_enclosure_only(ball, [1.0, 0.0], a, spread, False, 0)
+    assert ball.clears([1.0, 0.0], a, spread, False, 0)
+    (g,) = ball.rows(np.array([a]), False, [0])
+    assert flow_mod._first_root(g, flow_mod._TO_BERNSTEIN @ g) is None
+    # at s = (1 - 0.25 u**2, u) the bound 1 - 0.5 lies 1e-14 above r**2, inside
+    # its margin: a rounding-scale margin is not enough to clear the row, as
+    # with the plane's 1 + 1e-14
+    a[0][2] = -0.25
+    ball = flow_mod._Ball(EventKind.FOCUS_CAPTURE, (0.0, 0.0), math.sqrt(0.5 - 1e-14))
+    assert not ball.clears([1.0, 0.0], a, [0.25, 1.0], False, 0)
+    # steps of the sliding field's size about a focus at random: every row
+    # the bound clears and the enclosure does not has no root for
+    # _first_root, and the bound clears some of them
+    cleared = 0
+    for k in range(2000):
+        a, spread = random_step(rng, 2, lead=rng.uniform(0.2, 2.0))
+        centre = tuple(rng.uniform(-0.5, 0.5, 2).tolist())
+        p = [col[0] for col in a]
+        dist = math.dist(p, centre)
+        ball = flow_mod._Ball(EventKind.FOCUS_CAPTURE, centre, dist * rng.uniform(0.05, 0.95))
+        if ball_enclosure_only(ball, p, a, spread, False, 0) or not ball.clears(p, a, spread, False, 0):
+            continue
+        cleared += 1
+        (g,) = ball.rows(np.array([a]), False, [0])
+        assert flow_mod._first_root(g, flow_mod._TO_BERNSTEIN @ g) is None, (k, a, centre, ball.radius)
+    assert cleared > 100
+
+
+SEED1_STARTS = ((0.5715574303940261, 0.6730991227191068, 1.3990856495961026), (0.4733646538081723, 0.13442713013292387, 1.475657393209628))
 
 
 @pytest.mark.lanes
@@ -628,18 +738,77 @@ def test_signed_plane_test_leaves_filippov_arcs_bit_identical(table1, monkeypatc
         return first_root(a, b)
 
     monkeypatch.setattr(flow_mod, "_first_root", counted)
-    starts = ((0.5715574303940261, 0.6730991227191068, 1.3990856495961026), (0.4733646538081723, 0.13442713013292387, 1.475657393209628))
     cfg = IntegratorConfig(t_max=400.0)
-    signed = [integrate_filippov(s0, cfg, table1) for s0 in starts]
+    signed = [integrate_filippov(s0, cfg, table1) for s0 in SEED1_STARTS]
     with_signed = len(searches)
     monkeypatch.setattr(flow_mod._Plane, "clears", spread_test_only)
-    plain = [integrate_filippov(s0, cfg, table1) for s0 in starts]
+    plain = [integrate_filippov(s0, cfg, table1) for s0 in SEED1_STARTS]
     assert with_signed < len(searches) - with_signed
     for a, b in zip(signed, plain):
         assert len(a.arcs) == len(b.arcs) > 50
         for x, y in zip(a.arcs, b.arcs):
             assert (x.kind, x.steps, x.terminal_event.kind, x.t1) == (y.kind, y.steps, y.terminal_event.kind, y.t1)
             assert np.array_equal(bits(x.ts), bits(y.ts)) and np.array_equal(bits(x.states), bits(y.states))
+
+
+@pytest.mark.lanes
+def test_ball_bound_and_tangent_test_leave_simulate_arcs_bit_identical(table1, monkeypatch):
+    # the simulate trajectories from the benchmark's seed 1, at Table 1 and
+    # at beta1*: the ball's signed bound and the plane's test of a tangent
+    # first step clear rows that _first_root finds no root in, so every arc
+    # and its record are the ones they are without them, and the float
+    # path's root searches fall from 605 to at most 400
+    searches = []
+    first_root = flow_mod._first_root
+
+    def counted(a, b):
+        searches.append(1)
+        return first_root(a, b)
+
+    monkeypatch.setattr(flow_mod, "_first_root", counted)
+    cfg = IntegratorConfig(t_max=400.0)
+    runs = [(params, s0) for params in (table1, table1.replace(beta1=7.7768748097)) for s0 in SEED1_STARTS]
+    new = [integrate_filippov(s0, cfg, params) for params, s0 in runs]
+    with_new = len(searches)
+    monkeypatch.setattr(flow_mod._Plane, "clears", plane_test_untangent)
+    monkeypatch.setattr(flow_mod._Ball, "clears", ball_enclosure_only)
+    old = [integrate_filippov(s0, cfg, params) for params, s0 in runs]
+    assert (with_new, len(searches) - with_new) <= (400, 605) and len(searches) - with_new == 605
+    for a, b in zip(new, old):
+        assert len(a.arcs) == len(b.arcs) > 30
+        for x, y in zip(a.arcs, b.arcs):
+            assert (x.kind, x.steps, x.t0, x.t1) == (y.kind, y.steps, y.t0, y.t1)
+            assert np.array_equal(bits(x.ts), bits(y.ts)) and np.array_equal(bits(x.states), bits(y.states))
+            ex, ey = x.terminal_event, y.terminal_event
+            assert (ex.kind, ex.t) == (ey.kind, ey.t) and np.array_equal(bits(ex.state), bits(ey.state))
+
+
+def test_filippov_builds_its_fields_and_focus_once(table1, monkeypatch):
+    # X, Y and the sliding field are three quadratic forms, and the focus one
+    # call, for a trajectory of 12 arcs and for one of more than 50
+    forms, foci = [], []
+    for module in (model_mod, sliding_mod):
+        build = module.quadratic_series
+
+        def counted(*args, _build=build):
+            forms.append(args)
+            return _build(*args)
+
+        monkeypatch.setattr(module, "quadratic_series", counted)
+    pseudo = flow_mod.pseudo_equilibria
+
+    def located(params):
+        foci.append(params)
+        return pseudo(params)
+
+    monkeypatch.setattr(flow_mod, "pseudo_equilibria", located)
+    for s0, t_max, arcs in (((1.2, 0.4, 1.0), 60.0, 12), (SEED1_STARTS[0], 400.0, 51)):
+        forms.clear()
+        foci.clear()
+        traj = integrate_filippov(s0, IntegratorConfig(t_max=t_max), table1)
+        assert len(traj.arcs) >= arcs
+        assert {arc.kind for arc in traj.arcs} >= {ArcKind.SMOOTH_X, ArcKind.SLIDING}
+        assert (len(forms), len(foci)) == (3, 1)
 
 
 def test_sliding_steps_obey_an_explicit_max_step(table1):
@@ -1017,13 +1186,13 @@ def test_chattering_raises_on_the_fiftieth_switching_event(table1, cfg, monkeypa
     # switching events pile up at one time
     calls = []
 
-    def instant_return(piece, s0, direction, cfg, params, t_start=0.0):
+    def instant_return(piece, p0, sgn, t_start, cfg, params, series):
         calls.append(t_start)
-        state = np.asarray(s0, dtype=float)
+        (state,) = p0
         record = flow_mod.EventRecord(EventKind.SIGMA_CROSSING, t_start, state)
-        return flow_mod.Arc(ArcKind.SMOOTH_X, t_start, t_start, np.array([t_start]), state[None], record, 0)
+        return [flow_mod.Arc(ArcKind.SMOOTH_X, t_start, t_start, np.array([t_start]), state[None], record, 0)]
 
-    monkeypatch.setattr(flow_mod, "integrate_smooth", instant_return)
+    monkeypatch.setattr(flow_mod, "_smooth_lanes", instant_return)
     start = (0.5, 0.5, 0.3)
     assert classify_sigma_point((0.5, 0.3), table1) is RegionLabel.CROSSING
     with pytest.raises(ChatteringGuard):
