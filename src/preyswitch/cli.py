@@ -92,8 +92,6 @@ def _cfg_from_args(args) -> IntegratorConfig:
         overrides["abs_tol"] = args.abs_tol
     if args.tol is not None:
         overrides["event_tol"] = args.tol
-    if args.max_step is not None:
-        overrides["max_step"] = args.max_step
     if args.t_max is not None:
         overrides["t_max"] = args.t_max
     return replace(cfg, **overrides) if overrides else cfg
@@ -104,7 +102,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
     sub.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
     sub.add_argument("--tol", type=float, default=None, help="event tolerance")
-    sub.add_argument("--max-step", dest="max_step", type=float, default=None)
     sub.add_argument("--t-max", dest="t_max", type=float, default=None)
 
 
@@ -134,8 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("lemmas", help="fold-return asymptotics report with pass/fail lines")
     _add_common(sp)
-    sp.add_argument("--eps", type=float, default=1e-3)
-    sp.add_argument("--r2-small", dest="r2_small", type=float, default=1e-4)
 
     sp = subs.add_parser("find-connection", help="root search over the fold point for the connection")
     _add_common(sp)
@@ -200,7 +195,7 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "lemmas":
-        report = lemma1_asymptotics_report(params, cfg, eps=args.eps, r2_small=args.r2_small)
+        report = lemma1_asymptotics_report(params, cfg)
         for name, ok in (
             ("fold-slope", report.slope_pass),
             ("quadratic-vanishing", report.v_ratio_pass),

@@ -48,6 +48,7 @@ from .flow import (
     Direction,
     EventKind,
     IntegratorConfig,
+    _CAPTURE_RADIUS,
     _sliding_lanes,
     integrate_fold_launches,
     integrate_sliding,
@@ -530,9 +531,9 @@ def find_shilnikov(
     return dataclasses_replace(cert, bracket_width=width)
 
 
-# the certificate's forward landing tolerance and backward capture radius
+# the certificate's forward landing tolerance (its backward capture radius
+# is flow's _CAPTURE_RADIUS)
 _FORWARD_TOL = 1e-6
-_CAPTURE_RADIUS = 1e-4
 
 
 def verify_connection(params: Parameters, x0: float, cfg: IntegratorConfig) -> ConnectionCertificate:
@@ -609,20 +610,17 @@ def _certify(
     )
 
 
-def lemma1_asymptotics_report(
-    params: Parameters,
-    cfg: IntegratorConfig,
-    eps: float = 1e-3,
-    r2_small: float = 1e-4,
-) -> Lemma1Report:
+def lemma1_asymptotics_report(params: Parameters, cfg: IntegratorConfig) -> Lemma1Report:
     """Measure the fold-return expansions against their predicted laws.
 
     Near the cusp, u(tau - eps) = tau + 2*eps + O(eps^2) and
-    v(tau - eps) - phi = O(eps^2); for small r2 the landing height obeys
-    (v - r1)/sqrt(r2) ~ sqrt(2*r1*T(x0)*(m - e*q1*x0)) with T from the
-    planar period, measured at x0 = tau/2.  Pass thresholds: 5% on the
-    slope, 0.01 on the quadratic ratio, 2% on the small-r2 coefficient.
+    v(tau - eps) - phi = O(eps^2), measured at eps = 1e-3; for small r2 the
+    landing height obeys (v - r1)/sqrt(r2) ~ sqrt(2*r1*T(x0)*(m - e*q1*x0))
+    with T from the planar period, measured at r2 = 1e-4 and x0 = tau/2.
+    Pass thresholds: 5% on the slope, 0.01 on the quadratic ratio, 2% on
+    the small-r2 coefficient.
     """
+    eps, r2_small = 1e-3, 1e-4  # the pass thresholds were set at these
     tau = params.tau
     u, v = mu_point(tau - eps, params, cfg)
     slope = (u - tau) / eps

@@ -23,15 +23,15 @@ when a float test on the step's own coefficients cannot clear the step: a
 plane's signed lower bound on its Bernstein coefficients, on a tangent
 lane's first step with the contact divided out; the focus ball's
 enclosure, or else a signed lower bound on the squared distance.  Either
-way each lane's arc is the one it has alone, bit for bit.  Only an explicit
-``max_step`` caps any step.
+way each lane's arc is the one it has alone, bit for bit.  No step is
+capped: each proves every event absent or stops at the first.
 Every lane ends at the first event of one table: the caller's events,
 declared as data (the switching plane h = x - y for a smooth arc; the fold
 line and the focus ball for a sliding arc), a DOMAIN_EXIT for each
 coordinate that starts above the event tolerance (only x for a sliding
-arc, whose z meets the fold line first), and the norm bound, which raises
-:class:`BlowUp`; both kinds of round form each event's polynomial from the
-same data.  A start that is not finite coordinates of
+arc, whose z meets the fold line first), and the norm bound _NORM_BOUND,
+which raises :class:`BlowUp`; both kinds of round form each event's
+polynomial from the same data.  A start that is not finite coordinates of
 the right number, or has a negative one, raises :class:`DomainError`.
 The Filippov concatenator stitches smooth and sliding arcs per the
 convex-combination convention: trajectories entering the sliding region
@@ -101,6 +101,11 @@ def __getattr__(name: str):
 _TAYLOR_ORDER = 24
 _TAYLOR_TOL = 1e-4
 _MAX_ARCS = 10_000
+# the state norm whose crossing raises BlowUp, and the radius within which
+# a Filippov trajectory's sliding arc, and the certificate's backward
+# sliding orbit, are captured by the pseudo-focus
+_NORM_BOUND = 1e6
+_CAPTURE_RADIUS = 1e-4
 _FOLD_LABELS = (RegionLabel.VISIBLE_FOLD, RegionLabel.CUSP)
 
 
@@ -134,23 +139,18 @@ class IntegratorConfig:
 
     ``abs_tol`` sets the local tolerance 1e-4*abs_tol of every Taylor step
     of the one step loop, arcs and fold launches alike (see
-    :func:`_taylor_lanes`), and :meth:`halved` halves it.  ``max_step`` of
-    None leaves the steps uncapped; a number caps every step of every
-    integration alike.  All fields must be finite and positive, and
-    ``event_tol`` may not exceed 100 * ``abs_tol``.
+    :func:`_taylor_lanes`), and :meth:`halved` halves it.  All fields must
+    be finite and positive, and ``event_tol`` may not exceed
+    100 * ``abs_tol``.
     """
 
     abs_tol: float = 1e-12
     event_tol: float = 1e-12
-    max_step: float | None = None
     t_max: float = 400.0
-    norm_bound: float = 1e6
 
     def __post_init__(self):
-        for name in ("abs_tol", "event_tol", "max_step", "t_max", "norm_bound"):
+        for name in ("abs_tol", "event_tol", "t_max"):
             value = getattr(self, name)
-            if name == "max_step" and value is None:
-                continue
             if not 0.0 < value < math.inf:  # false for NaN too
                 raise DomainError(f"IntegratorConfig.{name} must be finite and positive, got {value}")
         if self.event_tol > 100.0 * self.abs_tol:
@@ -340,20 +340,16 @@ def _step_end(norms: list[float], s: float, cfg: IntegratorConfig) -> float:
 
     The step is h = min over k = n-1, n of (tol/|c_k|)**(1/k), with
     tol = _TAYLOR_TOL*abs_tol and ``norms`` the largest |c_{n-1}| and |c_n|
-    of the coordinates (a zero one sets no bound), capped by
-    ``cfg.max_step`` if set and clamped to ``cfg.t_max``.  The step taken
-    is the difference of two representable times, no longer than the cap.
+    of the coordinates (a zero one sets no bound), clamped to
+    ``cfg.t_max``.
     """
-    cap = math.inf if cfg.max_step is None else cfg.max_step
-    h = cap
+    h = math.inf
     for k, norm in zip((_TAYLOR_ORDER - 1, _TAYLOR_ORDER), norms):
         if norm > 0.0:
             h = min(h, (_TAYLOR_TOL * cfg.abs_tol / norm) ** (1.0 / k))
     if h >= cfg.t_max - s:
         return cfg.t_max
     s_end = s + h
-    if s_end - s > cap:
-        s_end = math.nextafter(s_end, s)
     if not s_end > s:
         raise StepFailure(f"Taylor step underflow at {s} after the start of an integration")
     return s_end
@@ -693,7 +689,7 @@ def _taylor_lanes(
     events = [
         *events,
         *(_Plane(EventKind.DOMAIN_EXIT, i) for i in watch),
-        _NormBound(cfg.norm_bound),
+        _NormBound(_NORM_BOUND),
     ]
     arcs: list = [None] * len(p0)
     live = [_Lane(i, p, [t_start], [p]) for i, p in enumerate(p0.tolist())]
@@ -709,7 +705,7 @@ def _taylor_lanes(
         for lane, (end, p, hit) in zip(live, stepped):
             t = t_start + sgn * end
             if hit is not None and hit.kind is None:
-                raise BlowUp(f"state norm exceeded {cfg.norm_bound} at t = {t}")
+                raise BlowUp(f"state norm exceeded {_NORM_BOUND} at t = {t}")
             if t == lane.ts[-1]:  # a root at the very start of the step
                 lane.states[-1] = p
             else:
@@ -779,8 +775,10 @@ def _smooth_lanes(
             and (xm <= tol or not _past_cusp(xm, params, tol))
         ):
             folds[i] = xm, 0.5 * lie_derivatives((xm, p[2]), params)[2]
-            if folds[i][1] <= 0.0:  # no lift-off: the return is immediate
-                out[i] = _lift_off_ambiguity(*folds[i], 0.0, cfg)
+            if folds[i][1] <= 0.0:
+                out[i] = TangencyAmbiguity(
+                    f"X does not lift off Sigma at the fold point xm = {xm}: X2h = {2.0 * folds[i][1]:.2e} <= 0"
+                )
     lanes = [i for i, err in enumerate(out) if err is None]
     if not lanes:
         return out
@@ -827,8 +825,7 @@ def integrate_smooth(
     :class:`DomainError`.  The arc is integrated by Taylor series of order
     24 (:func:`~preyswitch.model.smooth_series`) with the step rule of Jorba
     and Zou (2005) at the local tolerance 1e-4*abs_tol; each step proves
-    every event absent or stops at the first, so only an explicit
-    ``cfg.max_step`` caps the steps.
+    every event absent or stops at the first, so no step is capped.
     """
     if not isinstance(piece, Piece):
         raise DomainError(f"piece must be a Piece, got {piece!r}")
@@ -903,7 +900,7 @@ def integrate_sliding(
     direction: Direction,
     cfg: IntegratorConfig,
     params: Parameters,
-    focus_capture_radius: float = 1e-4,
+    focus_capture_radius: float = _CAPTURE_RADIUS,
     t_start: float = 0.0,
 ) -> Arc:
     """Integrate the sliding field from a point of the closed sliding region.
@@ -1030,8 +1027,9 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
     capture.  Raises :class:`ChatteringGuard` when 50 switching events (hits
     and fold exits) fall within 10 event tolerances of time, and
     :class:`PreySwitchError` past _MAX_ARCS arcs.  A sliding arc is captured
-    within 1e-4 of the pseudo-focus.  A start that is not three finite
-    coordinates, or has a negative one, raises :class:`DomainError`.
+    within _CAPTURE_RADIUS (1e-4) of the pseudo-focus.  A start that is not
+    three finite coordinates, or has a negative one, raises
+    :class:`DomainError`.
 
     The start is checked once, and the fields' series (X, Y and sliding)
     and the focus are built once, for the whole trajectory: each arc is one
@@ -1063,7 +1061,7 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
         sub = replace(cfg, t_max=remaining)
         if follow is ArcKind.SLIDING:
             p = np.array([[0.5 * (s[0] + s[1]), s[2]]])
-            (arc,) = _sliding_lanes(p, 1.0, t, sub, params, 1e-4, sliding, focus)
+            (arc,) = _sliding_lanes(p, 1.0, t, sub, params, _CAPTURE_RADIUS, sliding, focus)
         else:
             piece = Piece.X if follow is ArcKind.SMOOTH_X else Piece.Y
             (arc,) = _smooth_lanes(piece, s[None], 1.0, t, sub, params, smooth[piece])

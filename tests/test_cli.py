@@ -74,6 +74,10 @@ def test_usage_error_exit_code(params_file, capsys):
         ["return-map", "--segment", "0.3:0.4", "--n", "-1"],
         ["sweep", "--beta1-range", "1:10", "--n", "-2"],
         ["validate", "--format", "csv"],
+        # options that no longer exist
+        ["simulate", "--initial", "0.3,0.3,0.71", "--max-step", "1"],
+        ["lemmas", "--eps", "1e-3"],
+        ["lemmas", "--r2-small", "1e-4"],
     ):
         with pytest.raises(SystemExit) as exc:
             run([args[0], "--params", params_file] + args[1:])

@@ -178,6 +178,8 @@ def test_mu_curve_empty_and_bad_grids(table1, cfg):
     assert len(mu_curve([], table1, cfg)) == 0
     with pytest.raises(DomainError):
         mu_curve([0.5, 0.4], table1, cfg)
+    with pytest.raises(DomainError, match="one-dimensional"):
+        mu_curve([[0.1, 0.2], [0.3, 0.4]], table1, cfg)
     with pytest.raises(TangencyAmbiguity) as err:
         mu_curve([0.3, 2.0 * table1.tau], table1, cfg)
     assert "node x0" in str(err.value)
@@ -518,6 +520,14 @@ def test_verify_connection_names_a_sliding_return_past_the_fold_point(table1, cf
     assert back.terminal_event.kind is EventKind.FOLD_EXIT
 
 
+def test_verify_connection_names_a_backward_orbit_that_reaches_the_horizon(connection, cfg):
+    # at t_max = 30 the certificate's backward sliding orbit is not yet
+    # captured by the focus
+    cert, _ = connection
+    with pytest.raises(VerificationFailure, match="backward sliding orbit ended with HorizonReached"):
+        verify_connection(cert.params, cert.x0, replace(cfg, t_max=30.0))
+
+
 def test_verify_connection_rejects_bad_x0(table1, cfg):
     with pytest.raises(DomainError):
         verify_connection(table1, -0.5, cfg)
@@ -600,6 +610,8 @@ def test_build_n_point_identity_infeasible(table1, cfg):
 
 def test_return_map_empty_and_bad_segment(table1, cfg):
     assert return_map_sample(table1, (0.2, 0.3), 0, cfg) == []
+    with pytest.raises(DomainError, match="nonnegative"):
+        return_map_sample(table1, (0.2, 0.3), -1, cfg)
     with pytest.raises(DomainError):
         return_map_sample(table1, (0.2, 2.0 * table1.tau), 3, cfg)
     # both ends lie inside (0, tau): the message names the order condition

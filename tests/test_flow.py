@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from operator import sub
 
@@ -21,6 +21,7 @@ from preyswitch import (
     RegionLabel,
     PreySwitchError,
     StepFailure,
+    TangencyAmbiguity,
     characteristic_time,
     classify_focus,
     classify_sigma_point,
@@ -61,11 +62,12 @@ def test_config_validation():
     with pytest.raises(DomainError):
         IntegratorConfig(event_tol=1e-6, abs_tol=1e-12)
     # NaN fails every comparison, so a "<= 0" test alone would admit it
-    for name in ("abs_tol", "event_tol", "max_step", "t_max", "norm_bound"):
+    for name in ("abs_tol", "event_tol", "t_max"):
         for value in (float("nan"), float("inf"), 0.0):
             with pytest.raises(DomainError, match=name):
                 IntegratorConfig(**{name: value})
-    assert IntegratorConfig(max_step=None).max_step is None
+    # the certificates' cfg holds these keys alone
+    assert list(asdict(IntegratorConfig())) == ["abs_tol", "event_tol", "t_max"]
     cfg = IntegratorConfig()
     assert cfg.event_tol <= 100.0 * cfg.abs_tol
 
@@ -175,9 +177,11 @@ def test_an_overflowing_lane_of_an_array_round_raises_step_failure(table1, cfg):
     assert "e+200" in str(failure.value)  # the state of the lane that overflows
 
 
-def test_blowup_raised(table1):
-    cfg = IntegratorConfig(norm_bound=10.0, t_max=50.0)
-    with pytest.raises(BlowUp):
+def test_blowup_raised(table1, monkeypatch):
+    assert flow_mod._NORM_BOUND == 1e6
+    monkeypatch.setattr(flow_mod, "_NORM_BOUND", 10.0)
+    cfg = IntegratorConfig(t_max=50.0)
+    with pytest.raises(BlowUp, match="exceeded 10.0 at"):
         integrate_smooth(Piece.X, (2.0, 1.0, 0.001), Direction.FORWARD, cfg, table1)
     # the sliding spiral out of the focus passes norm 1.392 before its fold exit
     _, focus = pseudo_equilibria(table1)
@@ -185,17 +189,17 @@ def test_blowup_raised(table1):
     free = integrate_sliding(start, Direction.FORWARD, IntegratorConfig(), table1)
     assert free.terminal_event.kind is EventKind.FOLD_EXIT
     assert np.max(np.hypot(*free.states.T)) > 1.392
+    monkeypatch.setattr(flow_mod, "_NORM_BOUND", 1.392)
     with pytest.raises(BlowUp) as err:
-        integrate_sliding(start, Direction.FORWARD, IntegratorConfig(norm_bound=1.392), table1)
+        integrate_sliding(start, Direction.FORWARD, IntegratorConfig(), table1)
     t = float(str(err.value).rsplit("t = ", 1)[1])
     assert 0.0 < t < free.t1
     # a sliding or smooth start beyond the bound fails at once
+    monkeypatch.setattr(flow_mod, "_NORM_BOUND", 1.0)
     with pytest.raises(BlowUp, match="at t = 0.0"):
-        integrate_sliding((2.0, 1.0), Direction.FORWARD, IntegratorConfig(norm_bound=1.0), table1)
+        integrate_sliding((2.0, 1.0), Direction.FORWARD, IntegratorConfig(), table1)
     with pytest.raises(BlowUp, match="at t = 0.0"):
-        integrate_smooth(
-            Piece.X, (2.0, 1.0, 0.5), Direction.FORWARD, IntegratorConfig(norm_bound=1.0, t_max=5.0), table1
-        )
+        integrate_smooth(Piece.X, (2.0, 1.0, 0.5), Direction.FORWARD, IntegratorConfig(t_max=5.0), table1)
 
 
 def test_sliding_backward_capture_envelope(table1, cfg):
@@ -382,10 +386,9 @@ def test_fused_float_step_equals_the_reference_step(rng, table1):
     # the generated float step takes the interpreted series and the list
     # code's operations on the same floats: its end, h, coefficients,
     # spreads and end state equal the reference's, sign bits included, for
-    # X, Y and the sliding field both ways, for every structure, with and
-    # without max_step, for a step clamped to t_max, and from a point whose
-    # coefficients overflow
-    cfgs = (IntegratorConfig(), IntegratorConfig(max_step=1e-3), IntegratorConfig(abs_tol=1e-8, t_max=2.0))
+    # X, Y and the sliding field both ways, for every structure, for a step
+    # clamped to t_max, and from a point whose coefficients overflow
+    cfgs = (IntegratorConfig(), IntegratorConfig(abs_tol=1e-8, t_max=2.0))
     for params in structures(rng, table1):
         for sgn in (1.0, -1.0):
             for series, form in fields(params, sgn):
@@ -811,17 +814,6 @@ def test_filippov_builds_its_fields_and_focus_once(table1, monkeypatch):
         assert (len(forms), len(foci)) == (3, 1)
 
 
-def test_sliding_steps_obey_an_explicit_max_step(table1):
-    cfg = IntegratorConfig(max_step=0.05)
-    for start, direction in (
-        ((0.5 * table1.tau, table1.phi), Direction.BACKWARD),
-        ((table1.tau, table1.phi), Direction.FORWARD),
-    ):
-        arc = integrate_sliding(start, direction, cfg, table1)
-        assert arc.steps == len(arc.ts) - 1 > 20
-        assert np.max(np.abs(np.diff(arc.ts))) <= 0.05
-
-
 def test_sliding_arcs_do_not_need_the_focus_classified(table1, cfg, monkeypatch):
     def unclassifiable(params):
         raise PreySwitchError("no classification")
@@ -1013,6 +1005,22 @@ def test_filippov_fold_start_lands_in_sliding(table1, cfg):
     assert ev.state[2] == pytest.approx(v, rel=1e-10)
     assert classify_sigma_point((ev.state[0], ev.state[2]), table1) is RegionLabel.SLIDING
     assert traj.arcs[1].kind is ArcKind.SLIDING
+
+
+def test_filippov_start_on_the_origin_line_raises(table1, cfg):
+    with pytest.raises(DomainError, match="trajectory reached the origin line"):
+        integrate_filippov((0.0, 0.0, 0.5), cfg, table1)
+
+
+def test_x_start_on_the_fold_just_past_the_cusp_raises_before_any_step(table1, cfg, monkeypatch):
+    # x = tau + 5e-13 is on the fold line within the event tolerance and not
+    # past the cusp by it, but X2h < 0 there: X does not lift off Sigma
+    runs = taylor_runs(monkeypatch)
+    x = table1.tau + 5e-13
+    with pytest.raises(TangencyAmbiguity, match=r"does not lift off Sigma .*: X2h = -\d\.\d\de-1\d <= 0") as err:
+        integrate_smooth(Piece.X, (x, x, table1.phi), Direction.FORWARD, cfg, table1)
+    assert "returns" not in str(err.value)
+    assert runs == []
 
 
 @pytest.mark.parametrize("offset", ("cusp", "ulp", "1e-12"))

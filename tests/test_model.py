@@ -94,6 +94,16 @@ def test_parameters_json_round_trip(tmp_path, table1):
     bad.write_text("{not json")
     with pytest.raises(ParameterLoadError):
         load_parameters(bad)
+    bad.write_text("[0.836, 0.126]")
+    with pytest.raises(ParameterLoadError, match="must be a JSON object"):
+        load_parameters(bad)
+
+
+def test_negative_points_raise_domain_error():
+    with pytest.raises(DomainError, match="nonnegative"):
+        State(0.5, -0.1, 0.5)
+    with pytest.raises(DomainError, match="nonnegative"):
+        SigmaState(0.5, -0.1)
 
 
 def test_to_model_coords(table1):

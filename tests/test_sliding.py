@@ -219,6 +219,8 @@ def test_hyperbola_pole_and_negative_branch(table1):
         hyperbola_and_Fc(pole, table1, pseudo_equilibria(table1)[1])
     with pytest.raises(DomainError):
         hyperbola_and_Fc(0.5 * pole, table1, pseudo_equilibria(table1)[1])
+    with pytest.raises(DomainError, match="x > 0"):
+        hyperbola_and_Fc(0.0, table1, pseudo_equilibria(table1)[1])
 
 
 def test_generic_mode_tangency_consistency(table1, rng):
