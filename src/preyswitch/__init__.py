@@ -64,7 +64,6 @@ from .flow import (
     EventRecord,
     IntegratorConfig,
     Trajectory,
-    characteristic_time,
     events_payload,
     integrate_filippov,
     integrate_sliding,

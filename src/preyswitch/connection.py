@@ -798,10 +798,13 @@ def return_map_sample(
 
 
 def fixed_point_brackets(samples: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Adjacent sample pairs across which pi(s) - s changes sign."""
-    out = []
-    for (s0, p0), (s1, p1) in zip(samples, samples[1:]):
+    """Adjacent sample pairs that bracket a fixed point of pi, each once:
+    those across which pi(s) - s changes sign strictly, and for each sample
+    where it is exactly zero the pair that starts there, or the last pair
+    for the last sample."""
+    out, last = [], len(samples) - 2
+    for k, ((s0, p0), (s1, p1)) in enumerate(zip(samples, samples[1:])):
         g0, g1 = p0 - s0, p1 - s1
-        if g0 == 0.0 or (g0 < 0.0) != (g1 < 0.0):
+        if g0 == 0.0 or (g1 == 0.0 and k == last) or (g1 != 0.0 and (g0 < 0.0) != (g1 < 0.0)):
             out.append((s0, s1))
     return out

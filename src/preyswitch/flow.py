@@ -25,14 +25,15 @@ lane's first step with the contact divided out; the focus ball's
 enclosure, or else a signed lower bound on the squared distance.  Either
 way each lane's arc is the one it has alone, bit for bit.  No step is
 capped: each proves every event absent or stops at the first.
-Every lane ends at the first event of one table: the caller's events,
-declared as data (the switching plane h = x - y for a smooth arc; the fold
-line and the focus ball for a sliding arc), a DOMAIN_EXIT for each
-coordinate that starts above the event tolerance (only x for a sliding
-arc, whose z meets the fold line first), and the norm bound _NORM_BOUND,
-which raises :class:`BlowUp`; both kinds of round form each event's
-polynomial from the same data.  A start that is not finite coordinates of
-the right number, or has a negative one, raises :class:`DomainError`.
+Every lane ends at the first event of one table, each an event that ends
+an arc: the caller's events, declared as data (the switching plane
+h = x - y for a smooth arc; the fold line and the focus ball for a sliding
+arc), and a DOMAIN_EXIT for each coordinate that starts above the event
+tolerance in every lane of the call; both kinds of round form each event's
+polynomial from the same data.  The loop's close rule raises
+:class:`BlowUp` when a lane's start, or the end of one of its steps, lies
+beyond the norm bound _NORM_BOUND.  A start that is not finite coordinates
+of the right number, or has a negative one, raises :class:`DomainError`.
 The Filippov concatenator stitches smooth and sliding arcs per the
 convex-combination convention: trajectories entering the sliding region
 follow the sliding field until the visible fold hands them back to X.  It
@@ -101,9 +102,9 @@ def __getattr__(name: str):
 _TAYLOR_ORDER = 24
 _TAYLOR_TOL = 1e-4
 _MAX_ARCS = 10_000
-# the state norm whose crossing raises BlowUp, and the radius within which
-# a Filippov trajectory's sliding arc, and the certificate's backward
-# sliding orbit, are captured by the pseudo-focus
+# the state norm above which a lane's start or step end raises BlowUp, and
+# the radius within which a Filippov trajectory's sliding arc, and the
+# certificate's backward sliding orbit, are captured by the pseudo-focus
 _NORM_BOUND = 1e6
 _CAPTURE_RADIUS = 1e-4
 _FOLD_LABELS = (RegionLabel.VISIBLE_FOLD, RegionLabel.CUSP)
@@ -203,11 +204,6 @@ class Trajectory:
 
     def events(self) -> list[EventRecord]:
         return [a.terminal_event for a in self.arcs]
-
-
-def characteristic_time(params: Parameters) -> float:
-    """Linearized period of the planar center, 2*pi/sqrt(m*r1)."""
-    return 2.0 * math.pi / math.sqrt(params.m * params.r1)
 
 
 def _bernstein_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -375,9 +371,8 @@ def _sum_of_squares(v: np.ndarray) -> np.ndarray:
 # each lane of a, shape (lanes, dim, order + 1), falling through zero, or
 # None if no lane can have a root; ``lanes`` are the lanes' indices in the
 # call; ``landing(p)`` is the state that an arc ending at the event at p
-# records (the norm bound raises instead).  The caller's rows of the first
-# step are clamped at 0 at u = 0, so that a start within roundoff of an
-# event surface is not an event.
+# records.  The rows of the first step are clamped at 0 at u = 0, so that a
+# start within roundoff of an event surface is not an event.
 
 
 @dataclass(frozen=True)
@@ -513,28 +508,6 @@ class _Ball:
         return g
 
 
-@dataclass(frozen=True)
-class _NormBound:
-    """1 - |s|**2/bound**2, whose root raises :class:`BlowUp` (kind None).
-    Its row is formed only when the step's enclosure, the sum of |a_k| over
-    every coordinate, reaches the bound (in the array round, that of every
-    lane together), and is never clamped, so a start beyond the bound fails
-    at once."""
-
-    bound: float
-    kind: None = None
-
-    def clears(self, p: list[float], a: list[list[float]], spread: list[float], first: bool, lane: int) -> bool:
-        return sum(map(abs, p)) + sum(spread) < self.bound
-
-    def rows(self, a: np.ndarray, first: bool, lanes: list[int]) -> np.ndarray | None:
-        if np.abs(a).sum() < self.bound:
-            return None
-        q = -_sum_of_squares(a / self.bound)
-        q[:, 0] += 1.0
-        return q
-
-
 def _finish(kind: ArcKind, t_start: float, ts: list, states: list, event: EventKind, steps: int, end=None) -> Arc:
     """The arc of these times and states, ending at ``event``, whose record
     holds the state ``end``, or the arc's last state if None."""
@@ -648,7 +621,6 @@ def _taylor_lanes(
     series,
     p0: np.ndarray,
     events: list,
-    watch,
     sgn: float,
     t_start: float,
     cfg: IntegratorConfig,
@@ -659,11 +631,13 @@ def _taylor_lanes(
     Each step expands a lane to order _TAYLOR_ORDER and takes Jorba and
     Zou's step (:func:`_step_end`).  In u = s/h on [0, 1] the event
     functions are polynomials in the step's coefficients a_k = c_k h**k, all
-    falling through zero: the caller's ``events``, declared as data (a
-    :class:`_Plane` or a :class:`_Ball`); coordinate i for each i in
-    ``watch`` (DOMAIN_EXIT); and the norm bound (:class:`_NormBound`), which
-    raises :class:`BlowUp`.  Each step proves that none has a root in
-    (0, 1] or ends its lane at the first root, by :func:`_first_root`.
+    falling through zero, and each ends an arc: the caller's ``events``,
+    declared as data (a :class:`_Plane` or a :class:`_Ball`), and
+    coordinate i (DOMAIN_EXIT) for each i that starts above
+    ``cfg.event_tol`` in every lane, since a coordinate at numerical zero
+    lies on an invariant plane and stays there.  Each step proves that none
+    has a root in (0, 1] or ends its lane at the first root, by
+    :func:`_first_root`.
 
     The lanes advance in rounds, each lane by its own step.  While
     _ARRAY_LANES lanes or more run, a round steps them together on numpy
@@ -674,23 +648,23 @@ def _taylor_lanes(
     g_0 + sum_(k>=1) min(g_k, 0) > 1e-13*sum_k |g_k|, the array round's
     margin, on a tangent lane's first step on the row with the contact
     divided out; for the focus ball, the step's enclosure staying out of
-    the radius, or else the signed bound of :meth:`_Ball.clears`; for the
-    norm bound, the enclosure staying inside it.  So a call of many lanes
-    hands its last ones to float steps.
+    the radius, or else the signed bound of :meth:`_Ball.clears`.  So a
+    call of many lanes hands its last ones to float steps.
     Both kinds of round run a lane's operations on the same floats, and a
     row that the float test or the batch product clears has no root, so
     each lane's arc is the one it has alone, bit for bit.  Every round
-    closes its lanes by one rule: the step's end is appended to the arc, or
-    replaces its last state if the event is at the step's very start, and
-    a lane leaves at its event or at ``cfg.t_max``.  A lane's ``steps``
-    count its steps, so a call takes as many rounds as its slowest lane
-    takes steps.
+    closes its lanes by one rule: a lane whose start or step's end has a
+    norm |s| above _NORM_BOUND raises :class:`BlowUp` at that time (so at
+    the end of its first step past the bound, not at the crossing, and at
+    t_start for a start beyond it; a start whose coefficients overflow
+    raises :class:`StepFailure` first); else the step's end is appended to
+    the arc, or replaces its last state if the event is at the step's very
+    start, and a lane leaves at its event or at ``cfg.t_max``.  A lane's
+    ``steps`` count its steps, so a call takes as many rounds as its
+    slowest lane takes steps.
     """
-    events = [
-        *events,
-        *(_Plane(EventKind.DOMAIN_EXIT, i) for i in watch),
-        _NormBound(_NORM_BOUND),
-    ]
+    domain = [k for k, v in enumerate(p0.min(axis=0).tolist()) if v > cfg.event_tol]
+    events = [*events, *(_Plane(EventKind.DOMAIN_EXIT, i) for i in domain)]
     arcs: list = [None] * len(p0)
     live = [_Lane(i, p, [t_start], [p]) for i, p in enumerate(p0.tolist())]
     while live:
@@ -704,8 +678,9 @@ def _taylor_lanes(
         running = []
         for lane, (end, p, hit) in zip(live, stepped):
             t = t_start + sgn * end
-            if hit is not None and hit.kind is None:
-                raise BlowUp(f"state norm exceeded {_NORM_BOUND} at t = {t}")
+            for when, q in ((lane.ts[-1], lane.p), (t, p)):
+                if math.hypot(*q) > _NORM_BOUND:
+                    raise BlowUp(f"state norm exceeded {_NORM_BOUND} at t = {when}")
             if t == lane.ts[-1]:  # a root at the very start of the step
                 lane.states[-1] = p
             else:
@@ -745,8 +720,8 @@ def _smooth_lanes(
     first event or the horizon; a lane that meets an error has it, unraised,
     in place of its arc.
 
-    The event table adds the switching plane h = x - y (falling through
-    zero for X, rising for Y) to the domain and norm-bound events; a start
+    The caller's event is the switching plane h = x - y (falling through
+    zero for X, rising for Y); a start
     on its wrong side beyond the event tolerance is a :class:`DomainError`,
     and a SIGMA_CROSSING records its state snapped onto Sigma as
     (xm, xm, z).  An X-lane starting on the fold line short of tau (h and
@@ -756,9 +731,7 @@ def _smooth_lanes(
     to Sigma, and watches h/u**2 on its first step instead, valued
     X2h*step**2/2 at u = 0; a start with X2h <= 0, or a return whose
     lift-off X2h*t1**2/2 is not above the event tolerance, is a
-    :class:`TangencyAmbiguity`.  A coordinate at numerical zero lies on an
-    invariant plane and stays there, so DOMAIN_EXIT watches only the
-    coordinates that start above the event tolerance in every lane.
+    :class:`TangencyAmbiguity`.
     """
     tol = cfg.event_tol
     side = 1.0 if piece is Piece.X else -1.0
@@ -785,25 +758,20 @@ def _smooth_lanes(
     # h for X, -h for Y: both fall through zero; a fold start watches h/u**2
     contact = tuple(2 * (i in folds) for i in lanes)
     sigma = _Plane(EventKind.SIGMA_CROSSING, 0, 1, side=side, contact=contact, snap=True)
-    start = p0[lanes]
-    watch = [k for k, v in enumerate(start.min(axis=0).tolist()) if v > tol]
     kind = ArcKind.SMOOTH_Y if piece is Piece.Y else ArcKind.SMOOTH_X
-    for i, arc in zip(lanes, _taylor_lanes(kind, series, start, [sigma], watch, sgn, t_start, cfg)):
+    for i, arc in zip(lanes, _taylor_lanes(kind, series, p0[lanes], [sigma], sgn, t_start, cfg)):
         if i in folds and arc.terminal_event.kind is EventKind.SIGMA_CROSSING:
             arc = _lift_off_ambiguity(*folds[i], abs(arc.t1 - arc.t0), cfg) or arc
         out[i] = arc
     return out
 
 
-def _time_sign(direction: Direction, t_start: float) -> float:
-    """The sign of time along an arc run in ``direction`` from ``t_start``;
-    :class:`DomainError` if direction is not a :class:`Direction` or
-    t_start is not finite, so that no arc runs the wrong way or has times
-    of NaN."""
+def _time_sign(direction: Direction) -> float:
+    """The sign of time along an arc run in ``direction``;
+    :class:`DomainError` if direction is not a :class:`Direction`, so that
+    no arc runs the wrong way."""
     if not isinstance(direction, Direction):
         raise DomainError(f"direction must be a Direction, got {direction!r}")
-    if not math.isfinite(t_start):
-        raise DomainError(f"t_start must be finite, got {t_start}")
     return float(direction.value)
 
 
@@ -813,27 +781,28 @@ def integrate_smooth(
     direction: Direction,
     cfg: IntegratorConfig,
     params: Parameters,
-    t_start: float = 0.0,
 ) -> Arc:
-    """Integrate one smooth piece until the first event or the horizon.
+    """Integrate one smooth piece from t = 0 until the first event or the
+    horizon.
 
     The one-lane case of :func:`_smooth_lanes`, which sets its events and
     the rule of an X-arc leaving the fold; the error it meets is raised.  A
     start that is not three finite coordinates, or has a negative one, a
-    piece that is not a :class:`Piece`, a direction that is not a
-    :class:`Direction` and a ``t_start`` that is not finite raise
-    :class:`DomainError`.  The arc is integrated by Taylor series of order
-    24 (:func:`~preyswitch.model.smooth_series`) with the step rule of Jorba
-    and Zou (2005) at the local tolerance 1e-4*abs_tol; each step proves
-    every event absent or stops at the first, so no step is capped.
+    piece that is not a :class:`Piece` and a direction that is not a
+    :class:`Direction` raise :class:`DomainError`.  The arc is integrated by
+    Taylor series of order 24 (:func:`~preyswitch.model.smooth_series`)
+    with the step rule of Jorba and Zou (2005) at the local tolerance
+    1e-4*abs_tol; each step proves every event absent or stops at the
+    first, so no step is capped.  A start, or the end of a step, beyond the
+    norm bound raises :class:`BlowUp` at that time.
     """
     if not isinstance(piece, Piece):
         raise DomainError(f"piece must be a Piece, got {piece!r}")
     values = _finite(s0, "initial state (x, y, z)", 3)
     if min(values) < 0.0:
         raise DomainError(f"initial state must be nonnegative, got {tuple(values)}")
-    sgn = _time_sign(direction, t_start)
-    (arc,) = _smooth_lanes(piece, np.array([values]), sgn, t_start, cfg, params, smooth_series(piece, params, sgn))
+    sgn = _time_sign(direction)
+    (arc,) = _smooth_lanes(piece, np.array([values]), sgn, 0.0, cfg, params, smooth_series(piece, params, sgn))
     if isinstance(arc, PreySwitchError):
         raise arc
     return arc
@@ -862,10 +831,11 @@ def _sliding_lanes(
     ``series``, the :func:`~preyswitch.sliding.sliding_series` times
     ``sgn``, each up to its first event or the horizon.
 
-    The events are the fold line z = phi (FOLD_EXIT), the ball of
-    ``radius`` about ``focus``, the interior pseudo-equilibrium
-    (FOCUS_CAPTURE; none at radius 0) and, if every lane starts with x
-    above the event tolerance, x (DOMAIN_EXIT).  A start within the radius
+    The caller's events are the fold line z = phi (FOLD_EXIT) and the ball
+    of ``radius`` about ``focus``, the interior pseudo-equilibrium
+    (FOCUS_CAPTURE; none at radius 0); the loop watches x and z as well
+    (DOMAIN_EXIT), of which z cannot fire first, since it meets the fold
+    line z = phi > 0 before it reaches 0.  A start within the radius
     of the focus is captured at once, and one on the fold line whose flow
     leaves the region (:func:`_leaves_fold`) exits at once; another fold
     start watches (z - z0)/u on its first step.  A FOLD_EXIT records its
@@ -888,9 +858,7 @@ def _sliding_lanes(
     events = [_Plane(EventKind.FOLD_EXIT, 1, level=phi, contact=tuple(int(i in on_fold) for i in lanes), snap=True)]
     if radius > 0.0:
         events.append(_Ball(EventKind.FOCUS_CAPTURE, (focus.x, focus.z), radius))
-    start = p0[lanes]
-    watch = [0] if start[:, 0].min() > cfg.event_tol else []
-    for i, arc in zip(lanes, _taylor_lanes(ArcKind.SLIDING, series, start, events, watch, sgn, t_start, cfg)):
+    for i, arc in zip(lanes, _taylor_lanes(ArcKind.SLIDING, series, p0[lanes], events, sgn, t_start, cfg)):
         out[i] = arc
     return out
 
@@ -901,24 +869,24 @@ def integrate_sliding(
     cfg: IntegratorConfig,
     params: Parameters,
     focus_capture_radius: float = _CAPTURE_RADIUS,
-    t_start: float = 0.0,
 ) -> Arc:
-    """Integrate the sliding field from a point of the closed sliding region.
+    """Integrate the sliding field from a point of the closed sliding region,
+    from t = 0.
 
     The one-lane case of :func:`_sliding_lanes`.  Terminal events:
     FOLD_EXIT when z falls through phi (the visible fold, where the flow
     hands off to X), FOCUS_CAPTURE when the distance to the interior
     pseudo-equilibrium drops below ``focus_capture_radius`` (a radius of
     zero disables capture), a DOMAIN_EXIT when x falls through zero if it
-    starts above the event tolerance (z cannot leave before it passes the
-    fold line phi > 0), the norm bound, which raises :class:`BlowUp`, and
-    the horizon; a FOLD_EXIT state is snapped to z = phi.  Starting on the
-    fold line is allowed: if the flow points out of the region the arc is
-    an immediate fold exit, otherwise the first step watches (z - z0)/u,
-    whose value at u = 0 is the initial z-rate times the step.  A start
-    that is not two finite coordinates, a direction that is not a
-    :class:`Direction` and a ``t_start`` that is not finite raise
-    :class:`DomainError`.
+    starts above the event tolerance (z is watched too, but cannot leave
+    before it passes the fold line phi > 0), and the horizon; a FOLD_EXIT
+    state is snapped to z = phi.  A start, or the end of a step, beyond the
+    norm bound raises :class:`BlowUp` at that time.  Starting on the fold
+    line is allowed: if the flow points out of the region the arc is an
+    immediate fold exit, otherwise the first step watches (z - z0)/u, whose
+    value at u = 0 is the initial z-rate times the step.  A start that is
+    not two finite coordinates and a direction that is not a
+    :class:`Direction` raise :class:`DomainError`.
 
     The arc is integrated like a smooth one (see :func:`integrate_smooth`),
     by the Taylor series of the closed-form sliding field
@@ -932,10 +900,10 @@ def integrate_sliding(
         raise DomainError(f"sliding requires x > 0, got x = {x}")
     if z < params.phi - cfg.event_tol:
         raise DomainError(f"sliding requires z >= phi = {params.phi}, got z = {z}")
-    sgn = _time_sign(direction, t_start)
+    sgn = _time_sign(direction)
     _, focus = pseudo_equilibria(params)
     series = sliding_series(params, sgn)
-    (arc,) = _sliding_lanes(np.array([[x, z]]), sgn, t_start, cfg, params, focus_capture_radius, series, focus)
+    (arc,) = _sliding_lanes(np.array([[x, z]]), sgn, 0.0, cfg, params, focus_capture_radius, series, focus)
     return arc
 
 
@@ -1100,8 +1068,10 @@ def lv_period(x0: float, cfg: IntegratorConfig, params: Parameters) -> float:
     recrosses it upward on the far side of the center, and the next downward
     crossing closes the loop.  Two arcs of the Taylor core (see
     :func:`integrate_smooth`) watch r1 - z, then z - r1, each divided by u on
-    its first step, which starts on the section.  Raises :class:`NoReturn`
-    if either crossing is missing within the horizon.
+    its first step, which starts on the section; the loop watches x and z
+    as well (DOMAIN_EXIT), which the orbit, in the open quadrant, never
+    reaches.  Raises :class:`NoReturn` if either crossing is missing within
+    the horizon.
     """
     x0 = float(x0)
     tau = params.tau
@@ -1113,7 +1083,7 @@ def lv_period(x0: float, cfg: IntegratorConfig, params: Parameters) -> float:
         # the section is the arc's only event, so it reuses SIGMA_CROSSING
         section = _Plane(EventKind.SIGMA_CROSSING, 2, level=params.r1, side=side, contact=(1,))
         (arc,) = _taylor_lanes(
-            ArcKind.SMOOTH_X, series, state[None], [section], (), 1.0, t, replace(cfg, t_max=cfg.t_max - t)
+            ArcKind.SMOOTH_X, series, state[None], [section], 1.0, t, replace(cfg, t_max=cfg.t_max - t)
         )
         if arc.terminal_event.kind is EventKind.HORIZON_REACHED:
             raise NoReturn(f"no {crossing} of z = r1 within t_max = {cfg.t_max}")

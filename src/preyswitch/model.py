@@ -502,9 +502,12 @@ def classify_sigma_point(
     measure-zero sets (origin line, fold segment, cusp, remaining boundary)
     are resolved with absolute tolerance ``tol``.  The escaping region of
     this model is empty, so no escaping label exists.  A point that is not
-    two finite coordinates raises :class:`DomainError`.
+    two finite coordinates, or a ``tol`` that is not finite and
+    nonnegative, raises :class:`DomainError`.
     """
     x, z = _finite(p, "Sigma point (x, z)", 2)
+    if not 0.0 <= tol < math.inf:  # false for NaN too
+        raise DomainError(f"classify_sigma_point tol must be finite and nonnegative, got {tol}")
     phi = params.phi
     if x <= tol:
         return RegionLabel.ORIGIN_LINE

@@ -619,6 +619,17 @@ def test_return_map_empty_and_bad_segment(table1, cfg):
         return_map_sample(table1, (0.3, 0.25), 3, cfg)
 
 
+def test_fixed_point_brackets_report_each_fixed_point_once():
+    # a zero at the last sample is bracketed by the last pair
+    assert fixed_point_brackets([(0.1, 0.2), (0.3, 0.3)]) == [(0.1, 0.3)]
+    # a zero at an inner sample by the pair that starts there, not twice
+    assert fixed_point_brackets([(0.1, 0.0), (0.2, 0.2), (0.3, 0.4)]) == [(0.2, 0.3)]
+    assert fixed_point_brackets([(0.1, 0.1), (0.2, 0.3)]) == [(0.1, 0.2)]
+    # a strict sign change, and none
+    assert fixed_point_brackets([(0.1, 0.2), (0.2, 0.1), (0.3, 0.1)]) == [(0.1, 0.2)]
+    assert fixed_point_brackets([(0.1, 0.2), (0.2, 0.3)]) == []
+
+
 def test_return_map_orbit_escaped(table1, cfg):
     # no fold launch of the segment returns to Sigma within t_max = 0.5
     with pytest.raises(OrbitEscaped) as err:

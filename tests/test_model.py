@@ -179,6 +179,17 @@ def test_classify_examples(table1):
     assert classify_sigma_point((0.7, 0.0), table1) is RegionLabel.BOUNDARY
 
 
+def test_classify_rejects_a_tol_that_is_not_finite_and_nonnegative(table1):
+    # NaN labelled (0.5, 0.3) and the fold point (0.2, phi) Boundary, -1 that
+    # fold point Crossing, and infinity every point OriginLine
+    for tol in (float("nan"), -1.0, float("inf")):
+        for point in ((0.5, 0.3), (0.2, table1.phi)):
+            with pytest.raises(DomainError, match="tol"):
+                classify_sigma_point(point, table1, tol=tol)
+    assert classify_sigma_point((0.5, 0.3), table1, tol=0.0) is RegionLabel.CROSSING
+    assert classify_sigma_point((0.2, table1.phi), table1, tol=0.0) is RegionLabel.VISIBLE_FOLD
+
+
 def test_classify_agrees_with_sign_rule(table1, rng):
     # brute-force rule from the Lie-derivative signs, on the open regions
     hits = 0
