@@ -43,6 +43,7 @@ from .errors import (
     SameSign,
     TangencyAmbiguity,
     VerificationFailure,
+    _lone,
 )
 from .flow import (
     Direction,
@@ -54,7 +55,7 @@ from .flow import (
     integrate_sliding,
     lv_period,
 )
-from .model import Parameters, SigmaState, validate_parameters
+from .model import Parameters, SigmaState
 from .sliding import FocusKind, _m_bound, classify_focus, pseudo_equilibria, sliding_series
 
 
@@ -170,10 +171,7 @@ def mu_point(x0: float, params: Parameters, cfg: IntegratorConfig) -> tuple[floa
     so close to the cusp that its return is not resolved, and
     :class:`NoReturn` when there is no return within ``cfg.t_max``.
     """
-    (result,) = integrate_fold_launches([x0], cfg, params)
-    if isinstance(result, PreySwitchError):
-        raise result
-    return result
+    return _lone(integrate_fold_launches([x0], cfg, params))
 
 
 def mu_curve(grid, params: Parameters, cfg: IntegratorConfig) -> MuCurve:
@@ -430,10 +428,7 @@ def distance_to_connection(
     monotone around the pair, and :class:`Lemma2Violation` when the
     pseudo-equilibrium is not a repulsive focus.
     """
-    (result,) = distances_to_connection([params], cfg, curve)
-    if isinstance(result, PreySwitchError):
-        raise result
-    return result
+    return _lone(distances_to_connection([params], cfg, curve))
 
 
 def _gap(u: float, v: float, base: Parameters) -> float:
@@ -517,10 +512,7 @@ def find_shilnikov(
             f"beta1 range ({lo}, {hi})"
         )
     [(a, b)] = changes
-    (root,) = _solve_on_curve([(G, a, b)], cfg, base)
-    if isinstance(root, PreySwitchError):
-        raise root
-    (x0, u, v), (_, u_far, _) = root
+    (x0, u, v), (_, u_far, _) = _lone(_solve_on_curve([(G, a, b)], cfg, base))
     beta1_star = _beta1_with_focus_at(u, base)
     if not lo <= beta1_star <= hi:
         raise SameSign(
@@ -689,17 +681,7 @@ def build_N_point(
         raise IdentityInfeasible(f"the e identity yields e = {e_new} <= 0")
     q1_new = K / e_new
     try:
-        out = validate_parameters(
-            r1=base.r1,
-            r2=r2_new,
-            a_q=base.a_q,
-            q1=q1_new,
-            q2=base.q2,
-            beta1=base.beta1,
-            beta2=beta2_new,
-            m=base.m,
-            e=e_new,
-        )
+        out = base.replace(r2=r2_new, q1=q1_new, beta2=beta2_new, e=e_new)
     except PreySwitchError as err:
         raise IdentityInfeasible(
             f"identities produce inadmissible parameters: {err}"
@@ -761,8 +743,6 @@ def return_map_sample(
     """
     if n < 0:
         raise DomainError("sample count must be nonnegative")
-    if n == 0:
-        return []
     lo, hi = (float(segment[0]), float(segment[1]))
     tau = params.tau
     if not 0.0 < lo <= hi < tau:
@@ -775,10 +755,7 @@ def return_map_sample(
             break
         landings.append(landing)
     # each landing has u > 0 and z >= phi - event_tol, as integrate_sliding requires
-    legs = []
-    if landings:
-        _, focus = pseudo_equilibria(params)
-        legs = _sliding_lanes(np.array(landings), 1.0, 0.0, cfg, params, cfg.event_tol, sliding_series(params), focus)
+    legs = _sliding_lanes(np.array(landings), 0.0, cfg, params, cfg.event_tol, sliding_series(params))
     out: list[tuple[float, float]] = []
     for s, (u, v), arc in zip(grid, landings, legs):
         ev = arc.terminal_event

@@ -93,3 +93,11 @@ class OrbitEscaped(PreySwitchError):
 
 class FocusLanding(PreySwitchError):
     """A return-map orbit landed on the pseudo-focus, where the sliding flow rests."""
+
+
+def _lone(results: list):
+    """The one result of a one-row batch call, or the error it holds, raised."""
+    (result,) = results
+    if isinstance(result, PreySwitchError):
+        raise result
+    return result

@@ -34,13 +34,19 @@ polynomial from the same data.  The loop's close rule raises
 :class:`BlowUp` when a lane's start, or the end of one of its steps, lies
 beyond the norm bound _NORM_BOUND.  A start that is not finite coordinates
 of the right number, or has a negative one, raises :class:`DomainError`.
+Each fact of a call is stated once: a field's series carries the sign of
+time (``series.sgn``), and the sliding series the focus of its parameters
+(``series.focus``), so no lane function takes either; ``cfg.t_max`` ends
+the time window of every integration, and only the step loop turns it into
+the time left for a call that starts at t_start != 0.
 The Filippov concatenator stitches smooth and sliding arcs per the
 convex-combination convention: trajectories entering the sliding region
 follow the sliding field until the visible fold hands them back to X.  It
-checks its start and builds the fields' series and the focus once a
-trajectory, and runs each arc as one lane of :func:`_smooth_lanes` or
-:func:`_sliding_lanes`; an arc that ends on Sigma or at the fold line
-records its end state put onto it when the record is made.
+checks its start and builds the fields' series once a trajectory, and runs
+each arc as one lane of :func:`_smooth_lanes` or :func:`_sliding_lanes`
+from the time the arc before it ends, under the trajectory's own ``cfg``;
+an arc that ends on Sigma or at the fold line records its end state put
+onto it when the record is made.
 
 Every integration that starts on a tangency watches a desingularised event,
 valued at the start by its limit, so the initial contact is never mistaken
@@ -70,19 +76,19 @@ from .errors import (
     PreySwitchError,
     StepFailure,
     TangencyAmbiguity,
+    _lone,
 )
 from .model import (
     Parameters,
     Piece,
     RegionLabel,
-    SigmaState,
     _finite,
     _past_cusp,
     classify_sigma_point,
     lie_derivatives,
     smooth_series,
 )
-from .sliding import pseudo_equilibria, sliding_series
+from .sliding import sliding_series
 
 
 # never called, and scipy is not imported until it is looked up; the
@@ -140,9 +146,13 @@ class IntegratorConfig:
 
     ``abs_tol`` sets the local tolerance 1e-4*abs_tol of every Taylor step
     of the one step loop, arcs and fold launches alike (see
-    :func:`_taylor_lanes`), and :meth:`halved` halves it.  All fields must
-    be finite and positive, and ``event_tol`` may not exceed
-    100 * ``abs_tol``.
+    :func:`_taylor_lanes`), and :meth:`halved` halves it.  ``t_max`` ends
+    the time window of every integration: t runs over [0, t_max] forward
+    and [-t_max, 0] backward, and an arc that starts at t_start inside it
+    (a later arc of :func:`integrate_filippov`, the second arc of
+    :func:`lv_period`) runs for the time left, t_max - sgn*t_start, which
+    only :func:`_taylor_lanes` derives.  All fields must be finite and
+    positive, and ``event_tol`` may not exceed 100 * ``abs_tol``.
     """
 
     abs_tol: float = 1e-12
@@ -337,7 +347,8 @@ def _step_end(norms: list[float], s: float, cfg: IntegratorConfig) -> float:
     The step is h = min over k = n-1, n of (tol/|c_k|)**(1/k), with
     tol = _TAYLOR_TOL*abs_tol and ``norms`` the largest |c_{n-1}| and |c_n|
     of the coordinates (a zero one sets no bound), clamped to
-    ``cfg.t_max``.
+    ``cfg.t_max``, which :func:`_taylor_lanes` has made the time left in
+    the window.
     """
     h = math.inf
     for k, norm in zip((_TAYLOR_ORDER - 1, _TAYLOR_ORDER), norms):
@@ -617,17 +628,15 @@ def _array_round(live: list[_Lane], series, events: list, cfg: IntegratorConfig)
 
 
 def _taylor_lanes(
-    kind: ArcKind,
-    series,
-    p0: np.ndarray,
-    events: list,
-    sgn: float,
-    t_start: float,
-    cfg: IntegratorConfig,
+    kind: ArcKind, series, p0: np.ndarray, events: list, t_start: float, cfg: IntegratorConfig
 ) -> list[Arc]:
-    """The arcs of ``series`` from the rows of p0 by Taylor steps, each up to
-    its first event or the horizon.
+    """The arcs of ``series`` from the rows of p0 at t_start by Taylor steps,
+    each up to its first event or the end of the time window.
 
+    Time runs along ``series.sgn``, the sign the series carries, so that
+    t = t_start + sgn*s at the time s into the integration, and the window
+    ends at ``cfg.t_max`` (see :class:`IntegratorConfig`): the call runs
+    for s up to t_max - sgn*t_start, which this function alone derives.
     Each step expands a lane to order _TAYLOR_ORDER and takes Jorba and
     Zou's step (:func:`_step_end`).  In u = s/h on [0, 1] the event
     functions are polynomials in the step's coefficients a_k = c_k h**k, all
@@ -659,10 +668,13 @@ def _taylor_lanes(
     t_start for a start beyond it; a start whose coefficients overflow
     raises :class:`StepFailure` first); else the step's end is appended to
     the arc, or replaces its last state if the event is at the step's very
-    start, and a lane leaves at its event or at ``cfg.t_max``.  A lane's
-    ``steps`` count its steps, so a call takes as many rounds as its
+    start, and a lane leaves at its event or at the end of the window.  A
+    lane's ``steps`` count its steps, so a call takes as many rounds as its
     slowest lane takes steps.
     """
+    sgn = series.sgn
+    # from here on cfg.t_max is the time left in the window
+    cfg = replace(cfg, t_max=cfg.t_max - sgn * t_start)
     domain = [k for k, v in enumerate(p0.min(axis=0).tolist()) if v > cfg.event_tol]
     events = [*events, *(_Plane(EventKind.DOMAIN_EXIT, i) for i in domain)]
     arcs: list = [None] * len(p0)
@@ -712,13 +724,13 @@ def _lift_off_ambiguity(x0: float, half_X2h: float, t1: float, cfg: IntegratorCo
 
 
 def _smooth_lanes(
-    piece: Piece, p0: np.ndarray, sgn: float, t_start: float, cfg: IntegratorConfig, params: Parameters, series
+    piece: Piece, p0: np.ndarray, t_start: float, cfg: IntegratorConfig, params: Parameters, series
 ) -> list[Arc | PreySwitchError]:
-    """The arcs of one smooth piece from the rows of p0, the lanes of one call
-    of :func:`_taylor_lanes` of ``series``, the piece's
-    :func:`~preyswitch.model.smooth_series` times ``sgn``, each up to its
-    first event or the horizon; a lane that meets an error has it, unraised,
-    in place of its arc.
+    """The arcs of one smooth piece from the rows of p0 at t_start, the lanes
+    of one call of :func:`_taylor_lanes` of ``series``, the piece's
+    :func:`~preyswitch.model.smooth_series` in the direction it carries,
+    each up to its first event or the end of the window ``cfg.t_max``; a
+    lane that meets an error has it, unraised, in place of its arc.
 
     The caller's event is the switching plane h = x - y (falling through
     zero for X, rising for Y); a start
@@ -759,7 +771,7 @@ def _smooth_lanes(
     contact = tuple(2 * (i in folds) for i in lanes)
     sigma = _Plane(EventKind.SIGMA_CROSSING, 0, 1, side=side, contact=contact, snap=True)
     kind = ArcKind.SMOOTH_Y if piece is Piece.Y else ArcKind.SMOOTH_X
-    for i, arc in zip(lanes, _taylor_lanes(kind, series, p0[lanes], [sigma], sgn, t_start, cfg)):
+    for i, arc in zip(lanes, _taylor_lanes(kind, series, p0[lanes], [sigma], t_start, cfg)):
         if i in folds and arc.terminal_event.kind is EventKind.SIGMA_CROSSING:
             arc = _lift_off_ambiguity(*folds[i], abs(arc.t1 - arc.t0), cfg) or arc
         out[i] = arc
@@ -785,11 +797,12 @@ def integrate_smooth(
     """Integrate one smooth piece from t = 0 until the first event or the
     horizon.
 
-    The one-lane case of :func:`_smooth_lanes`, which sets its events and
-    the rule of an X-arc leaving the fold; the error it meets is raised.  A
-    start that is not three finite coordinates, or has a negative one, a
-    piece that is not a :class:`Piece` and a direction that is not a
-    :class:`Direction` raise :class:`DomainError`.  The arc is integrated by
+    The one-lane case of :func:`_smooth_lanes`, of the piece's series in
+    ``direction``, which sets its events and the rule of an X-arc leaving
+    the fold; the error it meets is raised.  A start that is not three
+    finite coordinates, or has a negative one, a piece that is not a
+    :class:`Piece` and a direction that is not a :class:`Direction` raise
+    :class:`DomainError`.  The arc is integrated by
     Taylor series of order 24 (:func:`~preyswitch.model.smooth_series`)
     with the step rule of Jorba and Zou (2005) at the local tolerance
     1e-4*abs_tol; each step proves every event absent or stops at the
@@ -801,11 +814,8 @@ def integrate_smooth(
     values = _finite(s0, "initial state (x, y, z)", 3)
     if min(values) < 0.0:
         raise DomainError(f"initial state must be nonnegative, got {tuple(values)}")
-    sgn = _time_sign(direction)
-    (arc,) = _smooth_lanes(piece, np.array([values]), sgn, 0.0, cfg, params, smooth_series(piece, params, sgn))
-    if isinstance(arc, PreySwitchError):
-        raise arc
-    return arc
+    series = smooth_series(piece, params, _time_sign(direction))
+    return _lone(_smooth_lanes(piece, np.array([values]), 0.0, cfg, params, series))
 
 
 def _leaves_fold(rate) -> bool:
@@ -817,31 +827,25 @@ def _leaves_fold(rate) -> bool:
 
 
 def _sliding_lanes(
-    p0: np.ndarray,
-    sgn: float,
-    t_start: float,
-    cfg: IntegratorConfig,
-    params: Parameters,
-    radius: float,
-    series,
-    focus: SigmaState,
+    p0: np.ndarray, t_start: float, cfg: IntegratorConfig, params: Parameters, radius: float, series
 ) -> list[Arc]:
-    """The sliding arcs from the rows of p0, points (x, z) with x > 0 and
-    z >= phi - event_tol, the lanes of one call of :func:`_taylor_lanes` of
-    ``series``, the :func:`~preyswitch.sliding.sliding_series` times
-    ``sgn``, each up to its first event or the horizon.
+    """The sliding arcs from the rows of p0 at t_start, points (x, z) with
+    x > 0 and z >= phi - event_tol, the lanes of one call of
+    :func:`_taylor_lanes` of ``series``, the
+    :func:`~preyswitch.sliding.sliding_series` in the direction it carries,
+    each up to its first event or the end of the window ``cfg.t_max``.
 
     The caller's events are the fold line z = phi (FOLD_EXIT) and the ball
-    of ``radius`` about ``focus``, the interior pseudo-equilibrium
-    (FOCUS_CAPTURE; none at radius 0); the loop watches x and z as well
-    (DOMAIN_EXIT), of which z cannot fire first, since it meets the fold
-    line z = phi > 0 before it reaches 0.  A start within the radius
+    of ``radius`` about ``series.focus``, the interior pseudo-equilibrium
+    that the series carries (FOCUS_CAPTURE; none at radius 0); the loop
+    watches x and z as well (DOMAIN_EXIT), of which z cannot fire first,
+    since it meets the fold line z = phi > 0 before it reaches 0.  A start within the radius
     of the focus is captured at once, and one on the fold line whose flow
     leaves the region (:func:`_leaves_fold`) exits at once; another fold
     start watches (z - z0)/u on its first step.  A FOLD_EXIT records its
     state snapped to z = phi.
     """
-    phi = params.phi
+    phi, focus = params.phi, series.focus
     out: list = [None] * len(p0)
     on_fold = set()
     for i, p in enumerate(p0.tolist()):
@@ -858,7 +862,7 @@ def _sliding_lanes(
     events = [_Plane(EventKind.FOLD_EXIT, 1, level=phi, contact=tuple(int(i in on_fold) for i in lanes), snap=True)]
     if radius > 0.0:
         events.append(_Ball(EventKind.FOCUS_CAPTURE, (focus.x, focus.z), radius))
-    for i, arc in zip(lanes, _taylor_lanes(ArcKind.SLIDING, series, p0[lanes], events, sgn, t_start, cfg)):
+    for i, arc in zip(lanes, _taylor_lanes(ArcKind.SLIDING, series, p0[lanes], events, t_start, cfg)):
         out[i] = arc
     return out
 
@@ -873,7 +877,8 @@ def integrate_sliding(
     """Integrate the sliding field from a point of the closed sliding region,
     from t = 0.
 
-    The one-lane case of :func:`_sliding_lanes`.  Terminal events:
+    The one-lane case of :func:`_sliding_lanes`, of the sliding series in
+    ``direction``, which carries the focus.  Terminal events:
     FOLD_EXIT when z falls through phi (the visible fold, where the flow
     hands off to X), FOCUS_CAPTURE when the distance to the interior
     pseudo-equilibrium drops below ``focus_capture_radius`` (a radius of
@@ -900,11 +905,8 @@ def integrate_sliding(
         raise DomainError(f"sliding requires x > 0, got x = {x}")
     if z < params.phi - cfg.event_tol:
         raise DomainError(f"sliding requires z >= phi = {params.phi}, got z = {z}")
-    sgn = _time_sign(direction)
-    _, focus = pseudo_equilibria(params)
-    series = sliding_series(params, sgn)
-    (arc,) = _sliding_lanes(np.array([[x, z]]), sgn, 0.0, cfg, params, focus_capture_radius, series, focus)
-    return arc
+    series = sliding_series(params, _time_sign(direction))
+    return _lone(_sliding_lanes(np.array([[x, z]]), 0.0, cfg, params, focus_capture_radius, series))
 
 
 def integrate_fold_launches(
@@ -941,7 +943,7 @@ def integrate_fold_launches(
             )
     lanes = [i for i, err in enumerate(out) if err is None]
     p0 = np.reshape([[x0s[i], x0s[i], params.phi] for i in lanes], (-1, 3))
-    for i, arc in zip(lanes, _smooth_lanes(Piece.X, p0, 1.0, 0.0, cfg, params, smooth_series(Piece.X, params))):
+    for i, arc in zip(lanes, _smooth_lanes(Piece.X, p0, 0.0, cfg, params, smooth_series(Piece.X, params))):
         x0 = x0s[i]
         if isinstance(arc, PreySwitchError):
             out[i] = arc
@@ -999,10 +1001,11 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
     three finite coordinates, or has a negative one, raises
     :class:`DomainError`.
 
-    The start is checked once, and the fields' series (X, Y and sliding)
-    and the focus are built once, for the whole trajectory: each arc is one
-    lane of :func:`_smooth_lanes` or :func:`_sliding_lanes`, as
-    :func:`integrate_smooth` and :func:`integrate_sliding` run it.
+    The start is checked once, and the fields' series (X, Y and sliding,
+    which carries the focus) are built once, for the whole trajectory: each
+    arc is one lane of :func:`_smooth_lanes` or :func:`_sliding_lanes`, as
+    :func:`integrate_smooth` and :func:`integrate_sliding` run it, from the
+    end of the arc before it to the end of the window ``cfg.t_max``.
     """
     values = _finite(s0, "Filippov initial state (x, y, z)", 3)
     if min(values) < 0.0:
@@ -1011,7 +1014,6 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
     initial = s.copy()
     smooth = {piece: smooth_series(piece, params) for piece in Piece}
     sliding = sliding_series(params)
-    _, focus = pseudo_equilibria(params)
     arcs: list[Arc] = []
     t = 0.0
     sigma_times: list[float] = []
@@ -1021,20 +1023,16 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
         follow = _after_sigma(s, cfg, params, sliding)
 
     while len(arcs) < _MAX_ARCS:
-        remaining = cfg.t_max - t
-        if remaining <= cfg.event_tol:
+        if cfg.t_max - t <= cfg.event_tol:
             break
         if follow is None:
             raise DomainError("trajectory reached the origin line of Sigma")
-        sub = replace(cfg, t_max=remaining)
         if follow is ArcKind.SLIDING:
             p = np.array([[0.5 * (s[0] + s[1]), s[2]]])
-            (arc,) = _sliding_lanes(p, 1.0, t, sub, params, _CAPTURE_RADIUS, sliding, focus)
+            arc = _lone(_sliding_lanes(p, t, cfg, params, _CAPTURE_RADIUS, sliding))
         else:
             piece = Piece.X if follow is ArcKind.SMOOTH_X else Piece.Y
-            (arc,) = _smooth_lanes(piece, s[None], 1.0, t, sub, params, smooth[piece])
-            if isinstance(arc, PreySwitchError):
-                raise arc
+            arc = _lone(_smooth_lanes(piece, s[None], t, cfg, params, smooth[piece]))
         ev = arc.terminal_event
         if ev.kind not in (EventKind.SIGMA_CROSSING, EventKind.FOLD_EXIT):
             arcs.append(arc)
@@ -1082,9 +1080,7 @@ def lv_period(x0: float, cfg: IntegratorConfig, params: Parameters) -> float:
     for side, crossing in ((-1.0, "upward recrossing"), (1.0, "closing crossing")):
         # the section is the arc's only event, so it reuses SIGMA_CROSSING
         section = _Plane(EventKind.SIGMA_CROSSING, 2, level=params.r1, side=side, contact=(1,))
-        (arc,) = _taylor_lanes(
-            ArcKind.SMOOTH_X, series, state[None], [section], 1.0, t, replace(cfg, t_max=cfg.t_max - t)
-        )
+        (arc,) = _taylor_lanes(ArcKind.SMOOTH_X, series, state[None], [section], t, cfg)
         if arc.terminal_event.kind is EventKind.HORIZON_REACHED:
             raise NoReturn(f"no {crossing} of z = r1 within t_max = {cfg.t_max}")
         state, t = arc.terminal_event.state, arc.t1

@@ -280,6 +280,10 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
     ``order``, the step's end by ``step_end``, the step's coefficients,
     their spreads and its end state; it returns None if a coefficient is not
     finite.
+
+    ``series.sgn`` is ``sgn``, the sign of time along the arcs that the
+    series steps, so that a series states its own direction once: the step
+    loop reads it, and no caller restates it.
     """
     n = len(c)
     # each row's nonzero weights and their indices into (s_0, .., s_(n-1), s_i s_j)
@@ -301,6 +305,7 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
 
     series.rate = rate
     series.step = step
+    series.sgn = sgn
     return series
 
 

@@ -6,8 +6,9 @@ combination collapses to a planar field in (x, z) with an explicit closed
 form: a Lotka-Volterra core plus a linear drift in the z-rate,
 x' = x(R - Bz), z' = -Kx - mz + Cxz.  The field is defined once: its rates
 (R, B, K, C) by :func:`_coefficients`, its quadratic form by
-:func:`sliding_series`, which gives the field's Taylor series, its rates and
-its Jacobian.  This module evaluates that field, locates and classifies its
+:func:`_form`, which gives the field's rates, its Jacobian and its Taylor
+series (:func:`sliding_series`, which carries the field's focus along).
+This module evaluates that field, locates and classifies its
 pseudo-equilibria, and computes the analytic witnesses (Dulac divergence, a
 scaled first integral of the core, the hyperbola of z-nullcline balance)
 used to certify the global backward convergence onto the repulsive focus;
@@ -69,20 +70,27 @@ def sliding_series(params: Parameters, sgn: float = 1.0):
     """Taylor coefficients of the flow of the sliding field times ``sgn``.
 
     See :func:`~preyswitch.model.quadratic_series`: the field is
-    x' = R x - B xz, z' = -K x - m z + C xz.
+    x' = R x - B xz, z' = -K x - m z + C xz, and ``series.sgn`` is ``sgn``.
+    ``series.focus`` is the interior pseudo-equilibrium of the same
+    parameters (:func:`pseudo_equilibria`), which a sliding arc's capture
+    ball is centred on, so that no arc pairs a series with the focus of
+    another parameter set.
     """
-    return quadratic_series(*_form(params), sgn)
+    series = quadratic_series(*_form(params), sgn)
+    _, series.focus = pseudo_equilibria(params)
+    return series
 
 
 def eval_sliding(p, params: Parameters) -> np.ndarray:
     """Sliding velocity (x-rate, z-rate) at a point (x, z) of Sigma.
 
-    The rates of the closed-form field, read from :func:`sliding_series`,
+    The rates of the closed-form field, read from its quadratic form
+    (``series.rate`` of :func:`~preyswitch.model.quadratic_series`),
     defined for all (x, z).  A point that is not two finite coordinates
     raises :class:`DomainError`.
     """
     s = _finite(p, "Sigma point (x, z)", 2)
-    return np.array(sliding_series(params).rate(s))
+    return np.array(quadratic_series(*_form(params)).rate(s))
 
 
 def pseudo_equilibria(params: Parameters) -> tuple[SigmaState, SigmaState]:

@@ -7,12 +7,14 @@ from scipy.optimize import brentq
 
 from preyswitch import (
     ArcKind,
+    ConstraintViolation,
     Direction,
     DomainError,
     EventKind,
     FocusLanding,
     IdentityInfeasible,
     InequalityViolated,
+    IntegratorConfig,
     Lemma2Violation,
     MuCurve,
     MultipleRoots,
@@ -310,8 +312,8 @@ def test_distances_solver_call_budget(table1, cfg, coarse_curve, monkeypatch):
 @pytest.mark.lanes
 def test_root_solver_fails_a_raising_bracket_alone(table1, cfg, coarse_curve, monkeypatch):
     # three brackets of u = x_c solved together, the middle one's residual
-    # raising at every iterate: it fails alone, and the other two match as
-    # they do without it
+    # raising at every iterate, and a fourth raising at its ends: each fails
+    # alone, and the other two match as they do without them
     runs = taylor_runs(monkeypatch)
     brackets, xcs = [], []
     for beta1 in (2.0, 5.0, 7.5):
@@ -327,10 +329,22 @@ def test_root_solver_fails_a_raising_bracket_alone(table1, cfg, coarse_curve, mo
         return u - xcs[1]
 
     brackets[1] = (raising, *brackets[1][1:])
+    # a fourth bracket, whose residual raises at its two ends, fails before
+    # any launch: the other three run the same lanes without it
+    at_ends = Lemma2Violation("no repulsive focus at either end")
+
+    def raising_at_ends(u, v):
+        raise at_ends
+
+    brackets.append((raising_at_ends, coarse_curve.node(30), coarse_curve.node(31)))
     out = connection_mod._solve_on_curve(brackets, cfg, table1)
-    assert isinstance(out[1], Lemma2Violation) and len(runs) >= 2
-    alone = connection_mod._solve_on_curve(brackets[::2], cfg, table1)
-    for x_c, (root, far), ends_alone in zip(xcs[::2], out[::2], alone):
+    assert isinstance(out[1], Lemma2Violation) and out[3] is at_ends and len(runs) >= 2
+    lanes = [len(run) for run in runs]
+    runs.clear()
+    assert connection_mod._solve_on_curve(brackets[:3], cfg, table1)[::2] == out[:3:2]
+    assert [len(run) for run in runs] == lanes
+    alone = connection_mod._solve_on_curve(brackets[:3:2], cfg, table1)
+    for x_c, (root, far), ends_alone in zip(xcs[::2], out[:3:2], alone):
         assert abs(root[1] - x_c) <= abs(far[1] - x_c) and abs(root[1] - x_c) <= 1e-10
         assert (root[1] - x_c) * (far[1] - x_c) <= 0.0
         assert abs(root[0] - far[0]) <= 1e-12 + 4.0 * np.finfo(float).eps * root[0]
@@ -606,6 +620,13 @@ def test_build_n_point_identity_infeasible(table1, cfg):
     # where the beta2 identity has no positive solution
     with pytest.raises(IdentityInfeasible, match="<= r1"):
         build_N_point(0.5 * table1.tau, 0.5, table1, cfg)
+    # at r2 = 0.4 the e identity is negative
+    with pytest.raises(IdentityInfeasible, match=r"the e identity yields e = -1\.237\d* <= 0"):
+        build_N_point(0.5 * table1.tau, 0.4, table1, cfg)
+    # at r2 = 0.2 it is positive, but the rebuilt q1 makes b_q negative
+    with pytest.raises(IdentityInfeasible, match="inadmissible parameters: .*b_q >= 0") as err:
+        build_N_point(0.5 * table1.tau, 0.2, table1, cfg)
+    assert isinstance(err.value.__cause__, ConstraintViolation)
 
 
 def test_return_map_empty_and_bad_segment(table1, cfg):
@@ -614,9 +635,13 @@ def test_return_map_empty_and_bad_segment(table1, cfg):
         return_map_sample(table1, (0.2, 0.3), -1, cfg)
     with pytest.raises(DomainError):
         return_map_sample(table1, (0.2, 2.0 * table1.tau), 3, cfg)
-    # both ends lie inside (0, tau): the message names the order condition
-    with pytest.raises(DomainError, match="must satisfy 0 < lo <= hi < tau"):
-        return_map_sample(table1, (0.3, 0.25), 3, cfg)
+    # both ends lie inside (0, tau): the message names the order condition;
+    # a bad segment is bad with no samples asked for too
+    for n in (3, 0):
+        with pytest.raises(DomainError, match="must satisfy 0 < lo <= hi < tau"):
+            return_map_sample(table1, (0.3, 0.25), n, cfg)
+        with pytest.raises(DomainError, match="must satisfy 0 < lo <= hi < tau"):
+            return_map_sample(table1, (0.2, 5.0), n, cfg)
 
 
 def test_fixed_point_brackets_report_each_fixed_point_once():
@@ -635,6 +660,30 @@ def test_return_map_orbit_escaped(table1, cfg):
     with pytest.raises(OrbitEscaped) as err:
         return_map_sample(table1, (0.2 * table1.tau, 0.3 * table1.tau), 3, replace(cfg, t_max=0.5))
     assert isinstance(err.value.__cause__, NoReturn)
+    # the X-arc from 0.9*tau returns at t = 2.2, but its sliding leg needs
+    # about 6.2 to reach the fold line
+    s = 0.9 * table1.tau
+    with pytest.raises(OrbitEscaped, match="sliding arc ended with HorizonReached"):
+        return_map_sample(table1, (s, s), 1, replace(cfg, t_max=4.0))
+
+
+def test_filippov_trajectory_is_an_orbit_of_the_return_map(table1):
+    # each stretch of a trajectory from a fold exit at s, an X-arc onto the
+    # sliding region and a sliding arc back to the fold line, is one step of
+    # pi: it ends, bit for bit, where the lone sample of return_map_sample
+    # from s does, although its arcs start later in the window
+    cfg = IntegratorConfig()
+    stretch = [EventKind.FOLD_EXIT, ArcKind.SMOOTH_X, EventKind.SIGMA_ENTRY_SLIDING, ArcKind.SLIDING, EventKind.FOLD_EXIT]
+    for params, count in ((table1, 39), (table1.replace(beta1=7.776874809699024), 22)):
+        arcs = integrate_filippov((1.2, 0.4, 1.0), cfg, params).arcs
+        found = 0
+        for exit_, x_arc, leg in zip(arcs, arcs[1:], arcs[2:]):
+            kinds = [exit_.terminal_event.kind, x_arc.kind, x_arc.terminal_event.kind, leg.kind]
+            if kinds + [leg.terminal_event.kind] == stretch:
+                s = float(exit_.terminal_event.state[0])
+                assert return_map_sample(params, (s, s), 1, cfg) == [(s, float(leg.terminal_event.state[0]))]
+                found += 1
+        assert found == count
 
 
 @pytest.mark.lanes

@@ -171,7 +171,7 @@ def test_an_overflowing_lane_of_an_array_round_raises_step_failure(table1, cfg):
     p0 = np.tile((0.5, 0.1, 1.0), (max(16, flow_mod._ARRAY_LANES), 1))
     p0[7] = (1e200, 0.0, 1e200)
     with pytest.raises(StepFailure, match="t = 0.0") as failure:
-        flow_mod._taylor_lanes(ArcKind.SMOOTH_X, smooth_series(Piece.X, table1), p0, [], 1.0, 0.0, cfg)
+        flow_mod._taylor_lanes(ArcKind.SMOOTH_X, smooth_series(Piece.X, table1), p0, [], 0.0, cfg)
     assert "e+200" in str(failure.value)  # the state of the lane that overflows
 
 
@@ -215,11 +215,11 @@ def test_blowup_in_an_array_round_is_the_lone_lanes(table1, monkeypatch):
     p0 = np.array([(f * table1.tau, 0.0, table1.r1) for f in fractions])
     p0[5] = (2.0, 1.0, 0.001)
     with pytest.raises(BlowUp, match="exceeded 10.0 at t = ") as alone:
-        flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p0[5:6], [], 1.0, 0.0, cfg)
+        flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p0[5:6], [], 0.0, cfg)
     assert float_steps and float(str(alone.value).rsplit("t = ", 1)[1]) > 0.0
     float_steps.clear()
     with pytest.raises(BlowUp) as together:
-        flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p0, [], 1.0, 0.0, cfg)
+        flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p0, [], 0.0, cfg)
     assert not float_steps
     assert str(together.value) == str(alone.value)
 
@@ -480,8 +480,7 @@ def test_series_compile_once_per_structure_and_order(table1, monkeypatch):
         integrate_fold_launches(np.linspace(0.05, 0.95, 24) * params.tau, cfg, params)
     starts = np.column_stack((np.linspace(0.5, 1.5, 24) * table1.tau, np.full(24, 1.5 * table1.phi)))
     for sgn in (1.0, -1.0):
-        focus = pseudo_equilibria(table1)[1]
-        flow_mod._sliding_lanes(starts, sgn, 0.0, cfg, table1, 1e-2, sliding_series(table1, sgn), focus)
+        flow_mod._sliding_lanes(starts, 0.0, cfg, table1, 1e-2, sliding_series(table1, sgn))
     info = generators["_lane_recurrence"].cache_info()
     assert info.misses == info.currsize == 2
     assert info.hits + info.misses == len(array_rounds) > 8
@@ -552,13 +551,12 @@ def test_lone_lanes_and_array_rounds_agree(table1, monkeypatch):
         rounds.clear()
         if field == "Sliding":
             direction = Direction.FORWARD if sgn > 0 else Direction.BACKWARD
-            series, focus = sliding_series(table1, sgn), pseudo_equilibria(table1)[1]
-            together = flow_mod._sliding_lanes(starts, sgn, 0.0, cfg, table1, 1e-2, series, focus)
+            together = flow_mod._sliding_lanes(starts, 0.0, cfg, table1, 1e-2, sliding_series(table1, sgn))
             taken = list(rounds)
             alone = [integrate_sliding(p, direction, cfg, table1, 1e-2) for p in starts]
         else:
             series = smooth_series(field, table1, sgn)
-            together = flow_mod._smooth_lanes(field, starts, sgn, 0.0, cfg, table1, series)
+            together = flow_mod._smooth_lanes(field, starts, 0.0, cfg, table1, series)
             taken = list(rounds)
             alone = [integrate_smooth(field, p, Direction.FORWARD, cfg, table1) for p in starts]
         # array rounds first, then float steps for the last lanes
@@ -598,9 +596,9 @@ def test_array_round_searches_every_row_a_lone_lane_searches(monkeypatch):
     cfg = IntegratorConfig(t_max=1.0)
     k = flow_mod._ARRAY_LANES
     p0 = np.tile((1.0 + 1e-14, 1.0, 0.0), (k, 1))
-    together = flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p0, [], 1.0, 0.0, cfg)
+    together = flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p0, [], 0.0, cfg)
     assert len(searched) == k
-    alone = [flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p[None], [], 1.0, 0.0, cfg)[0] for p in p0]
+    alone = [flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p[None], [], 0.0, cfg)[0] for p in p0]
     assert len(searched) == 2 * k
     for a, b in zip(together, alone):
         assert a.terminal_event.kind is b.terminal_event.kind is EventKind.HORIZON_REACHED
@@ -820,13 +818,13 @@ def test_filippov_builds_its_fields_and_focus_once(table1, monkeypatch):
             return _build(*args)
 
         monkeypatch.setattr(module, "quadratic_series", counted)
-    pseudo = flow_mod.pseudo_equilibria
+    pseudo = sliding_mod.pseudo_equilibria
 
     def located(params):
         foci.append(params)
         return pseudo(params)
 
-    monkeypatch.setattr(flow_mod, "pseudo_equilibria", located)
+    monkeypatch.setattr(sliding_mod, "pseudo_equilibria", located)
     for s0, t_max, arcs in (((1.2, 0.4, 1.0), 60.0, 12), (SEED1_STARTS[0], 400.0, 51)):
         forms.clear()
         foci.clear()
@@ -1207,7 +1205,7 @@ def test_chattering_raises_on_the_fiftieth_switching_event(table1, cfg, monkeypa
     # switching events pile up at one time
     calls = []
 
-    def instant_return(piece, p0, sgn, t_start, cfg, params, series):
+    def instant_return(piece, p0, t_start, cfg, params, series):
         calls.append(t_start)
         (state,) = p0
         record = flow_mod.EventRecord(EventKind.SIGMA_CROSSING, t_start, state)
