@@ -55,7 +55,7 @@ from .flow import (
     integrate_sliding,
     lv_period,
 )
-from .model import Parameters, SigmaState
+from .model import Parameters, SigmaState, _finite
 from .sliding import FocusKind, _m_bound, classify_focus, pseudo_equilibria, sliding_series
 
 
@@ -167,10 +167,12 @@ def mu_point(x0: float, params: Parameters, cfg: IntegratorConfig) -> tuple[floa
     arming.  The return must satisfy u = x0*exp(r2*t1) to 1e-10 relative
     (the y-component grows exactly exponentially, so this cross-checks both
     the integration and the event location).  Raises :class:`DomainError`
-    for x0 <= 0, :class:`TangencyAmbiguity` for x0 >= tau and for a launch
-    so close to the cusp that its return is not resolved, and
-    :class:`NoReturn` when there is no return within ``cfg.t_max``.
+    for an x0 that is not a finite number or not positive,
+    :class:`TangencyAmbiguity` for x0 >= tau and for a launch so close to
+    the cusp that its return is not resolved, and :class:`NoReturn` when
+    there is no return within ``cfg.t_max``.
     """
+    (x0,) = _finite((x0,), "fold point x0", 1)
     return _lone(integrate_fold_launches([x0], cfg, params))
 
 
@@ -181,9 +183,12 @@ def mu_curve(grid, params: Parameters, cfg: IntegratorConfig) -> MuCurve:
     (:func:`~preyswitch.flow.integrate_fold_launches`), and each node's
     (u, v) is the one :func:`mu_point` gives there.  A failing launch raises
     the error :func:`mu_point` would raise there, naming the first failing
-    node.
+    node; a grid that is not numbers raises :class:`DomainError`.
     """
-    x0s = np.asarray(grid, dtype=float)
+    try:
+        x0s = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise DomainError(f"grid must be a sequence of numbers, got {grid!r}") from err
     if x0s.ndim != 1:
         raise DomainError("grid must be one-dimensional")
     if len(x0s) and np.any(np.diff(x0s) <= 0.0):
@@ -454,7 +459,7 @@ def find_shilnikov(
     solver of :func:`distances_to_connection`, all such ends together).
     The same solver then solves G = 0 on that pair.
 
-    Raises :class:`DomainError` when an end of the range is not finite;
+    Raises :class:`DomainError` when the range is not two finite numbers;
     :class:`SameSign` when the range is empty, when G changes sign across no
     pair, or when the root's beta1 lies outside the range;
     :class:`MultipleRoots` when it changes sign across more than one;
@@ -467,9 +472,7 @@ def find_shilnikov(
     from it to the bracket's other end, across which G changes sign (0 if G
     vanishes exactly at the root).
     """
-    lo, hi = (float(beta1_range[0]), float(beta1_range[1]))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"beta1 range ({lo}, {hi}) must have finite ends")
+    lo, hi = _finite(beta1_range, "beta1 range", 2)
     if not lo < hi:
         raise SameSign(f"beta1 range ({lo}, {hi}) is empty")
     abscissae = [_repulsive_focus(base.replace(beta1=b)).x for b in (lo, hi)]
@@ -538,7 +541,7 @@ def verify_connection(params: Parameters, x0: float, cfg: IntegratorConfig) -> C
     x* < x0; and the backward sliding orbit from (x0, phi) must be captured
     within 1e-4 of the focus without leaving the sliding region.
     """
-    x0 = float(x0)
+    (x0,) = _finite((x0,), "fold point x0", 1)
     tau = params.tau
     if not 0.0 < x0 < tau:
         raise DomainError(f"fold point x0 = {x0} must lie in (0, tau = {tau})")
@@ -658,8 +661,7 @@ def build_N_point(
     against the admissibility bound m < M(x0, r2), and the rebuilt
     pseudo-equilibrium must coincide with the fold-return point (u, v).
     """
-    x0 = float(x0)
-    r2_new = float(r2)
+    x0, r2_new = _finite((x0, r2), "(x0, r2)", 2)
     if not 0.0 < x0 < base.tau:
         raise DomainError(f"x0 = {x0} must lie in (0, tau = {base.tau})")
     if not 0.0 < r2_new < base.r1:
@@ -739,11 +741,13 @@ def return_map_sample(
     sliding periodic orbits.  Raises :class:`FocusLanding` if an X-arc lands
     within ``cfg.event_tol`` of the pseudo-focus (as the one from the
     connection's fold point does), and :class:`OrbitEscaped` if any other
-    orbit fails to come back to the fold line.
+    orbit fails to come back to the fold line.  A sample count that is not
+    a nonnegative integer, or a segment that is not two finite numbers with
+    0 < lo <= hi < tau, raises :class:`DomainError`.
     """
-    if n < 0:
-        raise DomainError("sample count must be nonnegative")
-    lo, hi = (float(segment[0]), float(segment[1]))
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"sample count must be a nonnegative integer, got {n!r}")
+    lo, hi = _finite(segment, "segment (lo, hi)", 2)
     tau = params.tau
     if not 0.0 < lo <= hi < tau:
         raise DomainError(f"segment ({lo}, {hi}) must satisfy 0 < lo <= hi < tau = {tau}")

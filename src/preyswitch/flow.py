@@ -29,15 +29,18 @@ lower bounds on the squared distance.  Only the rows that no test clears
 are formed as polynomials (:func:`_float_step`).
 Either way each lane's arc is the one it has alone, bit for bit.  No step
 is capped: each proves every event absent or stops at the first.
-Every lane ends at the first event of one table, each an event that ends
-an arc: the caller's events, declared as data (the switching plane
-h = x - y for a smooth arc; the fold line and the focus ball for a sliding
-arc), and a DOMAIN_EXIT for each coordinate that starts above the event
-tolerance in every lane of the call; both kinds of round form each event's
-polynomial from the same data.  The loop's close rule raises
-:class:`BlowUp` when a lane's start, or the end of one of its steps, lies
-beyond the norm bound _NORM_BOUND.  A start that is not finite coordinates
-of the right number, or has a negative one, raises :class:`DomainError`.
+Every lane ends at the first event of its caller's table, each an event
+that ends an arc, declared as data: the switching plane h = x - y for a
+smooth arc, the fold line and the focus ball for a sliding arc, the
+section z = r1 for the planar period; both kinds of round form each
+event's polynomial from the same data.  No coordinate plane is watched,
+since no arc can cross one: X's and Y's coordinate planes and the sliding
+field's x = 0 are invariant, and a sliding arc's z meets the fold line
+before it could reach 0 (see :func:`_taylor_lanes`).  The loop's close
+rule raises :class:`BlowUp` when a lane's start, or the end of one of its
+steps, lies beyond the norm bound _NORM_BOUND.  A start that is not finite
+coordinates of the right number, or has a negative one, raises
+:class:`DomainError`.
 Each fact of a call is stated once: a field's series carries the sign of
 time (``series.sgn``), and the sliding series the focus of its parameters
 (``series.focus``), so no lane function takes either; ``cfg.t_max`` ends
@@ -143,7 +146,7 @@ class EventKind(Enum):
     SIGMA_ENTRY_SLIDING = "SigmaEntrySliding"  # a hit on Sigma; a sliding arc follows
     FOLD_EXIT = "FoldExit"  # z reaches phi on a sliding arc; X, or more sliding where the flow stays, follows
     FOCUS_CAPTURE = "FocusCapture"  # within the capture radius of the pseudo-focus; nothing follows
-    DOMAIN_EXIT = "DomainExit"  # a coordinate reaches zero, or a hit on the origin line; nothing follows
+    DOMAIN_EXIT = "DomainExit"  # a hit on the origin line; nothing follows
     HORIZON_REACHED = "HorizonReached"  # t_max; nothing follows
 
 
@@ -158,8 +161,8 @@ class IntegratorConfig:
     and [-t_max, 0] backward, and an arc that starts at t_start inside it
     (a later arc of :func:`integrate_filippov`, the second arc of
     :func:`lv_period`) runs for the time left, t_max - sgn*t_start, which
-    only :func:`_taylor_lanes` derives.  All fields must be finite and
-    positive, and ``event_tol`` may not exceed 100 * ``abs_tol``.
+    only :func:`_taylor_lanes` derives.  All fields must be finite positive
+    numbers, and ``event_tol`` may not exceed 100 * ``abs_tol``.
     """
 
     abs_tol: float = 1e-12
@@ -168,8 +171,8 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("abs_tol", "event_tol", "t_max"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # false for NaN too
+            (value,) = _finite((getattr(self, name),), f"IntegratorConfig.{name}", 1)
+            if not value > 0.0:
                 raise DomainError(f"IntegratorConfig.{name} must be finite and positive, got {value}")
         if self.event_tol > 100.0 * self.abs_tol:
             raise DomainError("event_tol must not exceed 100 * abs_tol")
@@ -501,7 +504,7 @@ class _Plane:
     contact: tuple[int, ...] = ()
     snap: bool = False
 
-    @functools.cached_property
+    @property
     def shape(self) -> tuple:
         # whether the plane has a contact, not the call's contacts, so that
         # one program serves every call of a caller
@@ -558,12 +561,6 @@ class _Plane:
                 g = np.where(tangent[:, None], _divide_out(g, k), g)
             g = np.concatenate((np.maximum(g[:, :1], 0.0), g[:, 1:]), axis=1)
         return g
-
-
-@functools.cache
-def _domain_exit(i: int) -> _Plane:
-    """The DOMAIN_EXIT event of coordinate i, s_i falling through 0."""
-    return _Plane(EventKind.DOMAIN_EXIT, i)
 
 
 @dataclass(frozen=True)
@@ -843,11 +840,19 @@ def _taylor_lanes(
     (:func:`_step_end`).  In u = s/h on [0, 1] the event functions are
     polynomials in the step's coefficients a_k = c_k h**k, all falling
     through zero, and each ends an arc: the caller's ``events``, declared
-    as data (a :class:`_Plane` or a :class:`_Ball`), and coordinate i
-    (DOMAIN_EXIT) for each i that starts above ``cfg.event_tol`` in every
-    lane, since a coordinate at numerical zero lies on an invariant plane
-    and stays there.  Each step proves that none has a root in (0, 1] or
-    ends its lane at the first root, by :func:`_first_root`.
+    as data (a :class:`_Plane` or a :class:`_Ball`), and no other.  Each
+    step proves that none has a root in (0, 1] or ends its lane at the
+    first root, by :func:`_first_root`.
+
+    No coordinate plane is an event, since no lane can cross one.  Every
+    field of the model is of Kolmogorov type along its coordinates (Piltz,
+    Porter and Maini 2014): each row q of X's and Y's forms holds only s_q
+    and, possibly, the product s_i s_j with q in {i, j}, so that
+    s_q' = s_q*(a rate), and the plane s_q = 0 is invariant; a coordinate
+    that starts positive stays positive, both ways in time.  The sliding
+    field's x row is of the same kind, x' = x*(R - B z), and its z, whose
+    row holds x, meets the fold line z = phi > 0, which ends a sliding arc,
+    before it could reach 0.
 
     The lanes advance in rounds, each lane by its own step.  While
     _ARRAY_LANES lanes or more run, a round steps them together on numpy
@@ -885,14 +890,11 @@ def _taylor_lanes(
     """
     sgn = series.sgn
     left, tol = cfg.t_max - sgn * t_start, _TAYLOR_TOL * cfg.abs_tol
-    starts = p0.tolist()
-    domain = [k for k, v in enumerate(map(min, zip(*starts))) if v > cfg.event_tol]
-    events = [*events, *map(_domain_exit, domain)]
     program, args = _program(series, events, tol, left)
     # the first-step contact of each lane with the table's tangent plane
     (contact,) = [ev.contact for ev in events if getattr(ev, "contact", ())] or [(0,) * len(p0)]
     arcs: list = [None] * len(p0)
-    live = [_Lane(i, p, [t_start], [p]) for i, p in enumerate(starts)]
+    live = [_Lane(i, p, [t_start], [p]) for i, p in enumerate(p0.tolist())]
     first = True
     while live:
         if len(live) >= _ARRAY_LANES:
@@ -1053,10 +1055,10 @@ def _sliding_lanes(
 
     The caller's events are the fold line z = phi (FOLD_EXIT) and the ball
     of ``radius`` about ``series.focus``, the interior pseudo-equilibrium
-    that the series carries (FOCUS_CAPTURE; none at radius 0); the loop
-    watches x and z as well (DOMAIN_EXIT), of which z cannot fire first,
-    since it meets the fold line z = phi > 0 before it reaches 0.  A start within the radius
-    of the focus is captured at once, and one on the fold line whose flow
+    that the series carries (FOCUS_CAPTURE; none at radius 0), and no
+    other: x stays positive and z meets the fold line before it could
+    reach 0 (see :func:`_taylor_lanes`).  A start within the radius of the
+    focus is captured at once, and one on the fold line whose flow
     leaves the region (:func:`_leaves_fold`) exits at once; another fold
     start watches (z - z0)/u on its first step.  A FOLD_EXIT records its
     state snapped to z = phi.
@@ -1098,9 +1100,8 @@ def integrate_sliding(
     FOLD_EXIT when z falls through phi (the visible fold, where the flow
     hands off to X), FOCUS_CAPTURE when the distance to the interior
     pseudo-equilibrium drops below ``focus_capture_radius`` (a radius of
-    zero disables capture), a DOMAIN_EXIT when x falls through zero if it
-    starts above the event tolerance (z is watched too, but cannot leave
-    before it passes the fold line phi > 0), and the horizon; a FOLD_EXIT
+    zero disables capture), and the horizon (x stays positive, and z
+    passes the fold line phi > 0 before it could reach 0); a FOLD_EXIT
     state is snapped to z = phi.  A start, or the end of a step, beyond the
     norm bound raises :class:`BlowUp` at that time.  Starting on the fold
     line is allowed: if the flow points out of the region the arc is an
@@ -1115,14 +1116,15 @@ def integrate_sliding(
     the focus is a polynomial on each step too.
     """
     x, z = _finite(p0, "sliding state (x, z)", 2)
-    if not 0.0 <= focus_capture_radius < math.inf:  # false for NaN too
+    (radius,) = _finite((focus_capture_radius,), "focus_capture_radius", 1)
+    if radius < 0.0:
         raise DomainError(f"focus_capture_radius must be finite and nonnegative, got {focus_capture_radius}")
     if x <= 0.0:
         raise DomainError(f"sliding requires x > 0, got x = {x}")
     if z < params.phi - cfg.event_tol:
         raise DomainError(f"sliding requires z >= phi = {params.phi}, got z = {z}")
     series = sliding_series(params, _time_sign(direction))
-    return _lone(_sliding_lanes(np.array([[x, z]]), 0.0, cfg, params, focus_capture_radius, series))
+    return _lone(_sliding_lanes(np.array([[x, z]]), 0.0, cfg, params, radius, series))
 
 
 def integrate_fold_launches(
@@ -1282,12 +1284,11 @@ def lv_period(x0: float, cfg: IntegratorConfig, params: Parameters) -> float:
     recrosses it upward on the far side of the center, and the next downward
     crossing closes the loop.  Two arcs of the Taylor core (see
     :func:`integrate_smooth`) watch r1 - z, then z - r1, each divided by u on
-    its first step, which starts on the section; the loop watches x and z
-    as well (DOMAIN_EXIT), which the orbit, in the open quadrant, never
-    reaches.  Raises :class:`NoReturn` if either crossing is missing within
-    the horizon.
+    its first step, which starts on the section, and nothing else: the
+    orbit stays in the open quadrant.  Raises :class:`NoReturn` if either
+    crossing is missing within the horizon.
     """
-    x0 = float(x0)
+    (x0,) = _finite((x0,), "lv_period x0", 1)
     tau = params.tau
     if not 0.0 < x0 < tau:
         raise DomainError(f"lv_period requires 0 < x0 < tau = {tau}, got {x0}")

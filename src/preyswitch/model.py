@@ -167,7 +167,8 @@ def validate_parameters(
 ) -> Parameters:
     """Check the admissibility inequalities and build a :class:`Parameters`.
 
-    Raises :class:`ConstraintViolation` naming the first violated inequality.
+    Raises :class:`ConstraintViolation` naming the first violated inequality,
+    or ``"<key> finite"`` for the first rate that is not a finite number.
     q1 = 0 is admissible; operations needing tau will raise
     :class:`DegenerateTau` later.
     """
@@ -175,8 +176,10 @@ def validate_parameters(
         r1=r1, r2=r2, a_q=a_q, q1=q1, q2=q2, beta1=beta1, beta2=beta2, m=m, e=e
     )
     for name, v in vals.items():
-        if not math.isfinite(v):
-            raise ConstraintViolation(f"{name} finite", f"{name} = {v} is not finite")
+        try:
+            (vals[name],) = _finite((v,), name, 1)
+        except DomainError as err:
+            raise ConstraintViolation(f"{name} finite", f"{name} = {v!r} is not a finite number") from err
     checks = [
         ("r2 > 0", r2 > 0),
         ("r1 > r2", r1 > r2),
@@ -192,7 +195,7 @@ def validate_parameters(
     for name, ok in checks:
         if not ok:
             raise ConstraintViolation(name)
-    return Parameters(**{k: float(v) for k, v in vals.items()})
+    return Parameters(**vals)
 
 
 def parameters_from_dict(doc: dict) -> Parameters:
@@ -469,11 +472,12 @@ def classify_sigma_point(
     measure-zero sets (origin line, fold segment, cusp, remaining boundary)
     are resolved with absolute tolerance ``tol``.  The escaping region of
     this model is empty, so no escaping label exists.  A point that is not
-    two finite coordinates, or a ``tol`` that is not finite and
-    nonnegative, raises :class:`DomainError`.
+    two finite coordinates, or a ``tol`` that is not a finite nonnegative
+    number, raises :class:`DomainError`.
     """
     x, z = _finite(p, "Sigma point (x, z)", 2)
-    if not 0.0 <= tol < math.inf:  # false for NaN too
+    (tol,) = _finite((tol,), "classify_sigma_point tol", 1)
+    if tol < 0.0:
         raise DomainError(f"classify_sigma_point tol must be finite and nonnegative, got {tol}")
     phi = params.phi
     if x <= tol:

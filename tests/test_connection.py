@@ -38,6 +38,7 @@ from preyswitch import (
     integrate_sliding,
     lemma1_asymptotics_report,
     lie_derivatives,
+    lv_period,
     mu_curve,
     mu_point,
     pseudo_equilibria,
@@ -408,6 +409,61 @@ def test_find_shilnikov_rejects_a_non_finite_range(table1, cfg):
     for beta1_range in ((math.nan, 10.0), (math.inf, 10.0), (-math.inf, 10.0), (0.994, math.nan)):
         with pytest.raises(DomainError, match="finite"):
             find_shilnikov(table1, beta1_range, cfg)
+
+
+STAR = 7.776874809699024  # beta1*, whose return map has a fixed point on (0.25, 0.3)
+
+
+def rates(params, **changes):
+    return list({**params.as_dict(), **changes}.values())
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda p, cfg: mu_point("a", p, cfg), DomainError, id="mu_point-str"),
+        pytest.param(lambda p, cfg: mu_point(None, p, cfg), DomainError, id="mu_point-None"),
+        pytest.param(lambda p, cfg: lv_period("a", cfg, p), DomainError, id="lv_period-str"),
+        pytest.param(lambda p, cfg: verify_connection(p, "a", cfg), DomainError, id="verify_connection-str"),
+        pytest.param(lambda p, cfg: build_N_point("a", 0.05, p, cfg), DomainError, id="build_N_point-x0-str"),
+        pytest.param(lambda p, cfg: build_N_point(0.3, None, p, cfg), DomainError, id="build_N_point-r2-None"),
+        pytest.param(lambda p, cfg: return_map_sample(p, (0.25, 0.3), 2.5, cfg), DomainError, id="return_map-n-float"),
+        pytest.param(lambda p, cfg: return_map_sample(p, ("a", 0.3), 3, cfg), DomainError, id="return_map-segment-str"),
+        pytest.param(lambda p, cfg: find_shilnikov(p, ("a", 10), cfg), DomainError, id="find_shilnikov-str"),
+        pytest.param(lambda p, cfg: find_shilnikov(p, None, cfg), DomainError, id="find_shilnikov-None"),
+        pytest.param(lambda p, cfg: mu_curve(["a"], p, cfg), DomainError, id="mu_curve-str"),
+        pytest.param(lambda p, cfg: IntegratorConfig(abs_tol="a"), DomainError, id="config-abs_tol-str"),
+        pytest.param(lambda p, cfg: IntegratorConfig(t_max=None), DomainError, id="config-t_max-None"),
+        pytest.param(lambda p, cfg: classify_sigma_point((0.5, 0.3), p, tol="a"), DomainError, id="classify-tol-str"),
+        pytest.param(
+            lambda p, cfg: integrate_sliding((0.5, 1.0), Direction.FORWARD, cfg, p, "a"), DomainError, id="sliding-radius-str"
+        ),
+        pytest.param(lambda p, cfg: validate_parameters("a", *rates(p)[1:]), ConstraintViolation, id="validate-str"),
+        pytest.param(lambda p, cfg: p.replace(beta1=None), ConstraintViolation, id="replace-None"),
+    ],
+)
+def test_a_scalar_that_is_not_a_number_raises_a_named_error(table1, cfg, call, error):
+    # each scalar argument is read as a number by one rule (model._finite),
+    # so a string or None raises the package's error, not a bare TypeError
+    # or ValueError; a rate names its constraint "<key> finite"
+    with pytest.raises(error) as err:
+        call(table1, cfg)
+    if error is ConstraintViolation:
+        assert err.value.constraint in ("r1 finite", "beta1 finite")
+
+
+def test_numpy_scalars_are_read_as_their_floats(table1, cfg):
+    # valid scalars read as before, numpy's included
+    x0, star = 0.5 * table1.tau, table1.replace(beta1=STAR)
+    assert mu_point(np.float64(x0), table1, cfg) == mu_point(x0, table1, cfg)
+    assert lv_period(np.float64(x0), cfg, table1) == lv_period(x0, cfg, table1)
+    assert IntegratorConfig(t_max=np.float64(40.0), abs_tol=np.float32(0.5)) == IntegratorConfig(t_max=40.0, abs_tol=0.5)
+    assert classify_sigma_point((0.5, 0.3), table1, tol=np.float64(1e-12)) is RegionLabel.CROSSING
+    assert validate_parameters(*map(np.float64, rates(table1))) == table1
+    assert table1.replace(beta1=np.int64(7)) == table1.replace(beta1=7.0) == validate_parameters(*rates(table1, beta1=7))
+    segment = (0.25, 0.3)
+    assert return_map_sample(star, np.array(segment), np.int64(3), cfg) == return_map_sample(star, segment, 3, cfg)
+    assert build_N_point(np.float64(0.37), np.float64(0.05), table1, cfg) == build_N_point(0.37, 0.05, table1, cfg)
 
 
 def test_find_shilnikov_multiple_sign_changes(table1, cfg, monkeypatch):

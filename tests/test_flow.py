@@ -606,7 +606,8 @@ def test_array_round_searches_every_row_a_lone_lane_searches(monkeypatch):
     # signed one, g_0 + sum min(g_k, 0) = 1e-14, lies inside its margin) and
     # its row is searched; the batch product must not clear it either.  The
     # form is x' = -w, w' = w v, v' = v from (x, 1, 0), so w stays 1 and v 0,
-    # and x = x0 - t exactly
+    # and x = x0 - t exactly.  This form, unlike the model's, does not keep
+    # x = 0 invariant, so the call watches the plane x = 0 as its event
     searched = []
     first_root = flow_mod._first_root
 
@@ -619,14 +620,51 @@ def test_array_round_searches_every_row_a_lone_lane_searches(monkeypatch):
     cfg = IntegratorConfig(t_max=1.0)
     k = flow_mod._ARRAY_LANES
     p0 = np.tile((1.0 + 1e-14, 1.0, 0.0), (k, 1))
-    together = flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p0, [], 0.0, cfg)
+    events = [flow_mod._Plane(EventKind.DOMAIN_EXIT, 0)]
+    together = flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p0, events, 0.0, cfg)
     assert len(searched) == k
-    alone = [flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p[None], [], 0.0, cfg)[0] for p in p0]
+    alone = [flow_mod._taylor_lanes(ArcKind.SMOOTH_X, series, p[None], events, 0.0, cfg)[0] for p in p0]
     assert len(searched) == 2 * k
     for a, b in zip(together, alone):
         assert a.terminal_event.kind is b.terminal_event.kind is EventKind.HORIZON_REACHED
         assert a.steps == b.steps == 1
         assert np.array_equal(a.states, b.states) and a.states[-1, 0] > 0.0
+
+
+def test_no_arc_crosses_a_coordinate_plane(rng, table1):
+    # the step loop watches only its caller's events, no coordinate plane,
+    # since the fields keep them invariant: every row q of X's and Y's
+    # forms, and the sliding field's x row, holds only s_q (term q) and,
+    # possibly, the product s_i s_j (term n) with q in {i, j}, so that
+    # s_q' = s_q*(a rate), at Table 1 and at random draws, both ways
+    for params in (table1, *(draw_params(rng) for _ in range(50))):
+        for sgn in (1.0, -1.0):
+            for series in (*(smooth_series(piece, params, sgn) for piece in Piece), sliding_series(params, sgn)):
+                structure, i, j = series.form
+                n = len(structure)
+                for q, row in enumerate(structure if n == 3 else structure[:1]):
+                    assert set(row) <= {q, n} and (n not in row or q in (i, j)), (params, sgn, q, row)
+    # so X- and Y-arcs from starts with one coordinate at 1e-10, above the
+    # event tolerance, watching no event, keep it above 0 at every step to
+    # the horizon, both ways, in array rounds (18 lanes) and float steps;
+    # and sliding arcs, from x = 1e-10 too, keep x above 0
+    cfg = IntegratorConfig(t_max=10.0)
+    k = flow_mod._ARRAY_LANES + 2
+    starts = rng.uniform(0.1, 1.5, (k, 3))
+    starts[np.arange(k), np.arange(k) % 3] = 1e-10
+    assert 1e-10 > cfg.event_tol
+    for piece, kind in ((Piece.X, ArcKind.SMOOTH_X), (Piece.Y, ArcKind.SMOOTH_Y)):
+        for sgn in (1.0, -1.0):
+            arcs = flow_mod._taylor_lanes(kind, smooth_series(piece, table1, sgn), starts, [], 0.0, cfg)
+            for lane, arc in enumerate(arcs):
+                assert (arc.terminal_event.kind, arc.t1) == (EventKind.HORIZON_REACHED, sgn * cfg.t_max)
+                assert arc.states[:, lane % 3].min() > 0.0, (piece, sgn, lane)
+    x = np.where(np.arange(k) % 2, 1e-10, rng.uniform(0.05, 1.5, k) * table1.tau)
+    sliding_starts = np.column_stack((x, rng.uniform(1.0, 2.5, k) * table1.phi))
+    for sgn in (1.0, -1.0):
+        legs = flow_mod._sliding_lanes(sliding_starts, 0.0, cfg, table1, 1e-4, sliding_series(table1, sgn))
+        for lane, arc in enumerate(legs):
+            assert arc.steps > 0 and arc.states[:, 0].min() > 0.0, (sgn, lane)
 
 
 def never(*args):
@@ -871,19 +909,27 @@ def test_ball_bound_and_tangent_test_leave_simulate_arcs_bit_identical(table1, m
             assert (ex.kind, ex.t) == (ey.kind, ey.t) and np.array_equal(bits(ex.state), bits(ey.state))
 
 
+def coordinate_planes(dim):
+    """Test planes s_i = 0, one per coordinate: planes at level 0 with no
+    second coordinate, which no caller of the step loop declares, since the
+    model's fields keep them invariant."""
+    return [flow_mod._Plane(EventKind.DOMAIN_EXIT, i) for i in range(dim)]
+
+
 def caller_events(field, params, sgn, radius):
     """The event table of an arc of ``field`` (X, Y or "Sliding") as its
-    caller and the step loop declare it: Sigma from the fold for X and Y,
-    the fold line and the focus ball of ``radius`` for a sliding arc, and a
-    DOMAIN_EXIT for each coordinate; and the tangent plane's contact."""
+    caller declares it, Sigma from the fold for X and Y, the fold line and
+    the focus ball of ``radius`` for a sliding arc, followed by the test
+    planes of :func:`coordinate_planes`, so that planes at level 0 are
+    tested too; and the tangent plane's contact."""
     if field == "Sliding":
         focus = sliding_series(params, sgn).focus
         fold = flow_mod._Plane(EventKind.FOLD_EXIT, 1, level=params.phi, contact=(1,), snap=True)
         table = [fold, flow_mod._Ball(EventKind.FOCUS_CAPTURE, (focus.x, focus.z), radius)]
-        return table + [flow_mod._domain_exit(i) for i in range(2)], 1
+        return table + coordinate_planes(2), 1
     side = 1.0 if field is Piece.X else -1.0
     sigma = flow_mod._Plane(EventKind.SIGMA_CROSSING, 0, 1, side=side, contact=(2,), snap=True)
-    return [sigma] + [flow_mod._domain_exit(i) for i in range(3)], 2
+    return [sigma] + coordinate_planes(3), 2
 
 
 def near_events(rng, field, params, sgn):
@@ -965,7 +1011,7 @@ def test_float_programs_compile_once_per_form_and_event_structure(table1):
             float_step(smooth_series(Piece.X, params, sgn), events, p, 0.0, cfg)
     assert generator.cache_info().misses == 1
     float_step(smooth_series(Piece.Y, table1), caller_events(Piece.Y, table1, 1.0, 1e-4)[0], p, 0.0, cfg)
-    float_step(smooth_series(Piece.X, table1), [flow_mod._domain_exit(i) for i in range(3)], p, 0.0, cfg)
+    float_step(smooth_series(Piece.X, table1), coordinate_planes(3), p, 0.0, cfg)
     assert generator.cache_info().misses == 3
     generator.cache_clear()
     traj = integrate_filippov(SEED1_STARTS[0], IntegratorConfig(t_max=400.0), table1)
