@@ -50,12 +50,13 @@ from .flow import (
     EventKind,
     IntegratorConfig,
     _CAPTURE_RADIUS,
+    _arguments,
     _sliding_lanes,
     integrate_fold_launches,
     integrate_sliding,
     lv_period,
 )
-from .model import Parameters, SigmaState, _finite
+from .model import Parameters, SigmaState, _finite, _instance
 from .sliding import FocusKind, _m_bound, classify_focus, pseudo_equilibria, sliding_series
 
 
@@ -172,6 +173,7 @@ def mu_point(x0: float, params: Parameters, cfg: IntegratorConfig) -> tuple[floa
     the cusp that its return is not resolved, and :class:`NoReturn` when
     there is no return within ``cfg.t_max``.
     """
+    _arguments(cfg, params)
     (x0,) = _finite((x0,), "fold point x0", 1)
     return _lone(integrate_fold_launches([x0], cfg, params))
 
@@ -185,6 +187,7 @@ def mu_curve(grid, params: Parameters, cfg: IntegratorConfig) -> MuCurve:
     the error :func:`mu_point` would raise there, naming the first failing
     node; a grid that is not numbers raises :class:`DomainError`.
     """
+    _arguments(cfg, params)
     try:
         x0s = np.asarray(grid, dtype=float)
     except (TypeError, ValueError) as err:
@@ -213,6 +216,7 @@ def coarse_mu_curve(params: Parameters, cfg: IntegratorConfig) -> MuCurve:
     batch.  X depends on (r1, r2, m, e*q1) only, so one curve serves every
     beta1 and beta2.
     """
+    _arguments(cfg, params)
     tau = params.tau
     grid = np.linspace(_COARSE_SPAN[0] * tau, _COARSE_SPAN[1] * tau, _COARSE_N)
     return mu_curve(grid, params, cfg)
@@ -400,6 +404,10 @@ def distances_to_connection(
     is the end of its final bracket with the smaller |u - x_c|.  So a row's
     D is the one it has alone, and a launch error fails its own row only.
     """
+    _instance(cfg, IntegratorConfig, "cfg")
+    _instance(curve, MuCurve, "curve")
+    for params in params_list:
+        _instance(params, Parameters, "params")
     out: list = [None] * len(params_list)
     rows, brackets = [], []
     for i, params in enumerate(params_list):
@@ -433,6 +441,7 @@ def distance_to_connection(
     monotone around the pair, and :class:`Lemma2Violation` when the
     pseudo-equilibrium is not a repulsive focus.
     """
+    _arguments(cfg, params)
     return _lone(distances_to_connection([params], cfg, curve))
 
 
@@ -472,6 +481,7 @@ def find_shilnikov(
     from it to the bracket's other end, across which G changes sign (0 if G
     vanishes exactly at the root).
     """
+    _arguments(cfg, base)
     lo, hi = _finite(beta1_range, "beta1 range", 2)
     if not lo < hi:
         raise SameSign(f"beta1 range ({lo}, {hi}) is empty")
@@ -541,6 +551,7 @@ def verify_connection(params: Parameters, x0: float, cfg: IntegratorConfig) -> C
     x* < x0; and the backward sliding orbit from (x0, phi) must be captured
     within 1e-4 of the focus without leaving the sliding region.
     """
+    _arguments(cfg, params)
     (x0,) = _finite((x0,), "fold point x0", 1)
     tau = params.tau
     if not 0.0 < x0 < tau:
@@ -615,6 +626,7 @@ def lemma1_asymptotics_report(params: Parameters, cfg: IntegratorConfig) -> Lemm
     Pass thresholds: 5% on the slope, 0.01 on the quadratic ratio, 2% on
     the small-r2 coefficient.
     """
+    _arguments(cfg, params)
     eps, r2_small = 1e-3, 1e-4  # the pass thresholds were set at these
     tau = params.tau
     u, v = mu_point(tau - eps, params, cfg)
@@ -661,6 +673,7 @@ def build_N_point(
     against the admissibility bound m < M(x0, r2), and the rebuilt
     pseudo-equilibrium must coincide with the fold-return point (u, v).
     """
+    _arguments(cfg, base)
     x0, r2_new = _finite((x0, r2), "(x0, r2)", 2)
     if not 0.0 < x0 < base.tau:
         raise DomainError(f"x0 = {x0} must lie in (0, tau = {base.tau})")
@@ -745,6 +758,7 @@ def return_map_sample(
     a nonnegative integer, or a segment that is not two finite numbers with
     0 < lo <= hi < tau, raises :class:`DomainError`.
     """
+    _arguments(cfg, params)
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"sample count must be a nonnegative integer, got {n!r}")
     lo, hi = _finite(segment, "segment (lo, hi)", 2)

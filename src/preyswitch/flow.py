@@ -6,7 +6,8 @@ Cauchy-product recurrence of its quadratic form, compiled once
 (:func:`~preyswitch.model.quadratic_series`), takes
 the step of Jorba and Zou (2005) at the local tolerance 1e-4*abs_tol, and on
 the step's polynomials either excludes each event or locates the first, by
-an in-house port of Brent's method (:func:`_brent`), so no scipy is loaded.
+an in-house port of Brent's method (:func:`_brent`) on a generated Horner
+evaluation (:func:`_horner_program`), so no scipy is loaded.
 Every integration runs through one Taylor step loop (:func:`_taylor_lanes`),
 which advances K lanes, each by its own step: one lane for every arc,
 smooth or sliding (:func:`_smooth_lanes`, :func:`_sliding_lanes`), and for
@@ -19,7 +20,10 @@ lanes or more run, a round steps them together on numpy arrays
 (:func:`_array_round`); below that, each lane takes its step on Python
 floats (:func:`_float_round`), by one program generated here for its
 form and for the shapes of the call's events (:func:`_taylor_step`,
-compiled once for both, on the form's series lines): the series, Jorba
+compiled once for both, on the form's series lines; Y's series runs on
+(y, x, z), where its form is X's, so that Y-arcs take X's programs, and a
+lane steps in its series' coordinates and records its states in the
+field's): the series, Jorba
 and Zou's step (whose lines the array round's step runs too), the end
 state, and the float test of every event on the step's own coefficients,
 whose lines each event's class writes: a plane's spread test and signed
@@ -30,8 +34,9 @@ are formed as polynomials (:func:`_float_step`).
 Either way each lane's arc is the one it has alone, bit for bit.  No step
 is capped: each proves every event absent or stops at the first.
 Every lane ends at the first event of its caller's table, each an event
-that ends an arc, declared as data: the switching plane h = x - y for a
-smooth arc, the fold line and the focus ball for a sliding arc, the
+that ends an arc, declared as data in the series' coordinates: the
+switching plane s_0 - s_1 for a smooth arc (h = x - y for X, y - x = -h
+for Y on (y, x, z)), the fold line and the focus ball for a sliding arc, the
 section z = r1 for the planar period; both kinds of round form each
 event's polynomial from the same data.  No coordinate plane is watched,
 since no arc can cross one: X's and Y's coordinate planes and the sliding
@@ -92,6 +97,7 @@ from .model import (
     RegionLabel,
     _compiled,
     _finite,
+    _instance,
     _past_cusp,
     _series_lines,
     classify_sigma_point,
@@ -114,7 +120,13 @@ def __getattr__(name: str):
 
 # Taylor order, and local tolerance relative to abs_tol (1e-16 at the
 # defaults; order 16 at 1e-12 drifted 5.5e-12 from DOP853 on the
-# certificate's capture arc, close to the oracle bound 1e-11)
+# certificate's capture arc, close to the oracle bound 1e-11).  Order 24
+# is the fastest of those scanned: with the step generated whole, 8
+# interleaved cold runs a value (minimum, 2-vCPU host, Python 3.11) at
+# orders 24/26/28/30/32 took 18.9/18.5/17.9/18.8/19.4 ms on the
+# benchmark's connection, 35.2/35.7/35.4/35.4/35.6 ms on sweep and
+# 70.3/72.1/73.4/76.0/82.2 ms on simulate, and orders 16-22 were slower on
+# sweep and simulate
 _TAYLOR_ORDER = 24
 _TAYLOR_TOL = 1e-4
 _MAX_ARCS = 10_000
@@ -246,11 +258,13 @@ _POWERS = np.arange(_TAYLOR_ORDER + 1)
 _ONE = np.eye(1, _TAYLOR_ORDER + 1)[0]  # the series of the constant 1
 _ROOT_TOL = 4.0 * math.ulp(1.0)
 # below this many running lanes, each takes its step on Python floats: a
-# float step of a fold launch takes about 20-22 us a lane, its event tests
-# included, and forms no event polynomial that a float test clears, while
-# an array round takes about 270 us and 4 us more a lane, 320 us for 16
-# lanes, so a round costs the same both ways at about 16 lanes.  With a
-# float step of 24-27 us, in the benchmark's connection and sweep runs
+# float step of a fold launch takes about 17 us a lane, its event tests
+# and root searches included, and forms no event polynomial that a float
+# test clears, while an array round of them takes about 250 us and 2 us
+# more a lane, 270 us for 16 lanes and 350 us for 48, so a round costs
+# the same both ways at about 16 lanes (2-vCPU host, Python 3.11, numpy
+# 2.4).  With a float step of 24-27 us, in the benchmark's connection and
+# sweep runs
 # (seed 1, 24 alternating repetitions of each value), none of 8, 12 and 24
 # was measurably faster than 16 on both: 8 and 12 within 1.3% in the median,
 # faster in 9 to 14 of 24, and 24 4% faster on connection (12 of 24) but
@@ -261,25 +275,34 @@ _ROOT_TOL = 4.0 * math.ulp(1.0)
 _ARRAY_LANES = 16
 
 
-def _horner(coefficients: list[float], u: float) -> float:
-    value = 0.0
-    for c in reversed(coefficients):
-        value = value * u + c
-    return value
+@functools.cache
+def _horner_program():
+    """p(u) = sum_k c_k u**k, for the _TAYLOR_ORDER + 1 coefficients c_k of
+    a step's row, by Horner's rule, compiled on first use as one
+    expression: from 0.0*u + c_n, each order times u plus the next
+    coefficient down, in turn."""
+    n = _TAYLOR_ORDER
+    value = f"0.0*u + c{n}"
+    for k in range(n - 1, -1, -1):
+        value = f"({value})*u + c{k}"
+    body = [f"{''.join(f'c{k}, ' for k in range(n + 1))}= c", f"return {value}"]
+    return _compiled("horner", "c, u", body, f"<Horner's rule to degree {n}>", {})
 
 
 def _brent(coefficients: list[float], lo: float, hi: float) -> float:
-    """The root in [lo, hi] of the polynomial with these coefficients, by
-    Brent's method to 4 eps.
+    """The root in [lo, hi] of the polynomial with these _TAYLOR_ORDER + 1
+    coefficients, by Brent's method to 4 eps.
 
     A port of scipy's ``brentq.c`` at ``xtol = rtol = 4 eps``: the same
-    iteration on the same floats, so it returns the same root.  p(lo) and
-    p(hi) must differ in sign unless one is zero.  Raises
-    :class:`StepFailure` if 100 iterations do not converge.
+    iteration on the same floats, so it returns the same root, with p by
+    :func:`_horner_program`.  p(lo) and p(hi) must differ in sign unless
+    one is zero.  Raises :class:`StepFailure` if 100 iterations do not
+    converge.
     """
+    horner = _horner_program()
     xpre, xcur = lo, hi
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = _horner(coefficients, xpre), _horner(coefficients, xcur)
+    fpre, fcur = horner(coefficients, xpre), horner(coefficients, xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -312,7 +335,7 @@ def _brent(coefficients: list[float], lo: float, hi: float) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _horner(coefficients, xcur)
+        fcur = horner(coefficients, xcur)
     raise StepFailure(f"Brent's method did not converge on [{lo}, {hi}] in 100 iterations")
 
 
@@ -326,21 +349,24 @@ def _first_root(a: np.ndarray, b: np.ndarray) -> float | None:
     change of its b brackets a single root, which :func:`_brent` locates
     to 4 eps.
     """
-    coefficients = a.tolist()
+    coefficients, horner = a.tolist(), _horner_program()
     stack = [(0.0, 1.0, b)]
     while stack:
         lo, hi, b = stack.pop()
-        if b[0] >= 0.0 and b[1:].min() > 0.0:
+        # the tests read the coefficients as floats; a NaN is not positive
+        v = b.tolist()
+        positive = [x > 0.0 for x in v]
+        if v[0] >= 0.0 and all(positive[1:]):
             continue
         # every interval left of lo is root-free, so p(lo) < 0 is roundoff
         # of a root at lo
-        if b[0] < 0.0:
+        if v[0] < 0.0:
             return lo
         if hi - lo <= _ROOT_TOL:
             return hi
-        positive = b > 0.0
-        if b[0] > 0.0 and b[-1] <= 0.0 and np.count_nonzero(positive[1:] != positive[:-1]) == 1:
-            p_lo, p_hi = _horner(coefficients, lo), _horner(coefficients, hi)
+        # one sign change: positive up to the first b_k <= 0, and none after
+        if positive[0] and v[-1] <= 0.0 and True not in positive[positive.index(False) :]:
+            p_lo, p_hi = horner(coefficients, lo), horner(coefficients, hi)
             if p_lo <= 0.0:
                 return lo
             if p_hi <= 0.0:
@@ -515,17 +541,18 @@ class _Plane:
         return (self.level, self.side)
 
     @staticmethod
-    def tests(e: int, n: int, i: int, j: int | None, tangent: bool) -> tuple[list[str], list[str]]:
+    def tests(e: int, a: list[str], i: int, j: int | None, tangent: bool) -> tuple[list[str], list[str], set[int]]:
         """The names of the constants of the plane event e of shape
-        ("plane", i, j, tangent), and the lines of its float tests on the
-        step's coefficients a{q} = (a_1, .., a_order) and spreads sp{q} of
-        each coordinate, which add e to ``pend`` unless one clears the
-        step's row g.  The spread test clears g_0 > (1 + 1e-9)*(sp_i + sp_j)
-        (a margin for the rounding of the row and of its Bernstein
-        coefficients); else :func:`_signed` runs on d_k = a_(i,k) - a_(j,k),
-        and alone on a tangent lane's first step, of contact ``c`` != 0, if
-        the plane is ``tangent``."""
-        d = f"a{i}" if j is None else f"list(map(sub, a{i}, a{j}))"
+        ("plane", i, j, tangent), the lines of its float tests on the
+        step's coefficients, whose tuple (a_1, .., a_order) is a[q] for
+        coordinate q, and on the spreads sp{q}, which add e to ``pend``
+        unless one clears the step's row g, and the coordinates whose
+        spreads they read, i and j.  The spread test clears
+        g_0 > (1 + 1e-9)*(sp_i + sp_j) (a margin for the rounding of the
+        row and of its Bernstein coefficients); else :func:`_signed` runs on
+        d_k = a_(i,k) - a_(j,k), and alone on a tangent lane's first step,
+        of contact ``c`` != 0, if the plane is ``tangent``."""
+        d = a[i] if j is None else f"list(map(sub, {a[i]}, {a[j]}))"
         g0 = f"s{i}_0" if j is None else f"(s{i}_0 - s{j}_0)"
         spread = f"sp{i}" if j is None else f"(sp{i} + sp{j})"
         return [f"level{e}", f"side{e}"], [
@@ -533,7 +560,7 @@ class _Plane:
             f"if {'c or ' if tangent else ''}not g > (1.0 + 1e-9)*{spread}:",
             f"    if not signed(g, side{e}, {d}, {'c' if tangent else 0}):",
             f"        pend += ({e},)",
-        ]
+        ], {i} if j is None else {i, j}
 
     def landing(self, p: list[float]) -> list[float]:
         """The state an arc that ends at p on this event records: p, or if
@@ -583,19 +610,21 @@ class _Ball:
         return (self.centre, self.radius)
 
     @staticmethod
-    def tests(e: int, n: int) -> tuple[list[str], list[str]]:
-        """The names of the constants of the ball event e on n coordinates,
-        and the lines of its float tests on the step's coefficients a{q} and
-        spreads sp{q}, which add e to ``pend`` unless one clears the step's
-        row: the enclosure (:func:`_far`), with the distance from p to the
-        centre and the sum S of the spreads, or else
+    def tests(e: int, a: list[str]) -> tuple[list[str], list[str], set[int]]:
+        """The names of the constants of the ball event e, the lines of its
+        float tests on the step's coefficients, whose tuple is a[q] for
+        coordinate q, and on the spreads sp{q}, which add e to ``pend``
+        unless one clears the step's row, and the coordinates whose spreads
+        they read, all: the enclosure (:func:`_far`), with the distance from
+        p to the centre and the sum S of the spreads, or else
         :func:`_ball_bounds`."""
+        n = len(a)
         return [f"centre{e}", f"radius{e}"], [
             f"S = {' + '.join(f'sp{q}' for q in range(n))}",
             f"if not far(dist(p, centre{e}), S, radius{e}):",
-            f"    if not bounds(p, centre{e}, radius{e}, [{', '.join(f'a{q}' for q in range(n))}], S):",
+            f"    if not bounds(p, centre{e}, radius{e}, [{', '.join(a)}], S):",
             f"        pend += ({e},)",
-        ]
+        ], set(range(n))
 
     def landing(self, p: list[float]) -> list[float]:
         return p
@@ -614,20 +643,23 @@ class _Ball:
         return g
 
 
-def _event_lines(shapes: tuple[tuple, ...], n: int) -> tuple[list[str], list[str]]:
-    """The names of the constants of the events of these shapes on n
-    coordinates, in turn, and the lines of their float tests, each written
-    by its class (:meth:`_Plane.tests`, :meth:`_Ball.tests`), which read p,
-    its coordinates s{q}_0, the step's coefficients a{q} = (a_1, ..,
-    a_order) of each coordinate, their spreads sp{q} and the step's
-    contact c, and leave in ``pend`` the indices of the events whose rows
-    they do not clear; they run in the names of :func:`_event_namespace`."""
-    constants, lines = [], ["pend = ()"]
+def _event_lines(shapes: tuple[tuple, ...], a: list[str]) -> tuple[list[str], list[str], set[int]]:
+    """The names of the constants of the events of these shapes, in turn,
+    the lines of their float tests, each written by its class
+    (:meth:`_Plane.tests`, :meth:`_Ball.tests`), and the coordinates whose
+    spreads they read.  The lines read p, its coordinates s{q}_0, the
+    step's coefficients, whose tuple (a_1, .., a_order) is the expression
+    a[q] for coordinate q, the spreads sp{q} of the coordinates they name
+    and the step's contact c, and leave in ``pend`` the indices of the
+    events whose rows they do not clear; they run in the names of
+    :func:`_event_namespace`."""
+    constants, lines, read = [], ["pend = ()"], set()
     for e, (kind, *fields) in enumerate(shapes):
-        names, tests = (_Plane if kind == "plane" else _Ball).tests(e, n, *fields)
+        names, tests, spreads = (_Plane if kind == "plane" else _Ball).tests(e, a, *fields)
         constants += names
         lines += tests
-    return constants, lines
+        read |= spreads
+    return constants, lines, read
 
 
 def _event_namespace() -> dict:
@@ -656,36 +688,41 @@ def _taylor_step(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: 
     - the recurrence of :func:`~preyswitch.model._series_lines`, and
       returns None if a coefficient is not finite;
     - Jorba and Zou's step (:func:`_step_rule`);
-    - the step's coefficients a_k = c_k h**k, with h**k numpy's power of h
-      (Python's ``h ** k`` differs in the last bit) and a_0 = p, their
-      spreads sum_(k>=1) |a_k| and the end state, each a left fold, the
-      end state from -0.0, as ``np.add.accumulate`` adds the orders of an
-      array round, so that a lane's float step equals its array round;
-    - each event's float tests (:func:`_event_lines`).
+    - the step's coefficients a_k = c_k h**k, each its own name, with h**k
+      numpy's power of h (Python's ``h ** k`` differs in the last bit) and
+      a_0 = p, and the end state, a left fold from -0.0, as
+      ``np.add.accumulate`` adds the orders of an array round, so that a
+      lane's float step equals its array round;
+    - the spread sum_(k>=1) |a_k| of each coordinate that an event's test
+      reads, a left fold;
+    - each event's float tests (:func:`_event_lines`), which build the
+      tuple of a coordinate's coefficients only where they read it.
 
     It returns the step's end, its end state, and None if the tests clear
     every event; else, in place of None, the indices of the events whose
     rows the tests do not clear, h, the coefficients a_k (a list per
-    coordinate) and their spreads.
+    coordinate, built there alone) and their spreads (None for a
+    coordinate whose spread no test reads).
     """
     n = len(structure)
-    constants, tests = _event_lines(shapes, n)
+    a = [[f"a{q}_{k}" for k in range(1, order + 1)] for q in range(n)]
+    constants, tests, read = _event_lines(shapes, [f"({''.join(v + ', ' for v in col)})" for col in a])
     names, body = _series_lines(structure, i, j, order, ["tol", "left", *constants])
     norms = [", ".join(f"abs({col[k]})" for col in names) for k in (order - 1, order)]
     body += _step_rule([f"max({norm})" if n > 1 else norm for norm in norms], order)
     body += ["h = end - s", f"_, {', '.join(f'h{k}' for k in range(1, order + 1))}, = power(h, powers).tolist()"]
     for q, col in enumerate(names):
-        a = [f"a{q}_{k}" for k in range(1, order + 1)]
-        body.append(f"a{q} = {', '.join(f'{col[k]}*h{k}' for k in range(1, order + 1))}")
-        body.append(f"{', '.join(a)} = a{q}")
-        body.append(f"sp{q} = {' + '.join(f'abs({v})' for v in a)}")
-        body.append(f"end{q} = {' + '.join(['-0.0', col[0], *a])}")
+        body += [f"{v} = {col[k]}*h{k}" for k, v in enumerate(a[q], 1)]
+        body.append(f"end{q} = {' + '.join(['-0.0', col[0], *a[q]])}")
+        if q in read:
+            body.append(f"sp{q} = {' + '.join(f'abs({v})' for v in a[q])}")
     body += tests
     state = f"[{', '.join(f'end{q}' for q in range(n))}]"
-    coefficients = ", ".join(f"[{col[0]}, *a{q}]" for q, col in enumerate(names))
+    coefficients = ", ".join(f"[{', '.join([col[0], *a[q]])}]" for q, col in enumerate(names))
+    spreads = ", ".join(f"sp{q}" if q in read else "None" for q in range(n))
     body += [
         "if pend:",
-        f"    return end, {state}, (pend, h, [{coefficients}], [{', '.join(f'sp{q}' for q in range(n))}])",
+        f"    return end, {state}, (pend, h, [{coefficients}], [{spreads}])",
         f"return end, {state}, None",
     ]
     # float exponents spare numpy a cast of the integer ones each call
@@ -698,9 +735,9 @@ def _taylor_step(structure: tuple[tuple[int, ...], ...], i: int, j: int, order: 
 def _finish(kind: ArcKind, t_start: float, ts: list, states: list, event: EventKind, steps: int, end=None) -> Arc:
     """The arc of these times and states, ending at ``event``, whose record
     holds the state ``end``, or the arc's last state if None."""
-    ts_a, states_a = np.array(ts, dtype=float), np.array(states)
-    record = EventRecord(event, float(ts_a[-1]), states_a[-1].copy() if end is None else np.array(end))
-    return Arc(kind, t_start, float(ts_a[-1]), ts_a, states_a, record, steps)
+    t1, states_a = float(ts[-1]), np.array(states)
+    record = EventRecord(event, t1, states_a[-1].copy() if end is None else np.array(end))
+    return Arc(kind, t_start, t1, np.array(ts, dtype=float), states_a, record, steps)
 
 
 def _overflow(t: float, state) -> StepFailure:
@@ -758,7 +795,8 @@ def _float_step(events: list, first: bool, lane: int, s: float, step: tuple):
     if hit is None:
         return end, state, None
     ev, u = hit
-    return s + u * h, [_horner(col, u) for col in a], ev
+    horner = _horner_program()
+    return s + u * h, [horner(col, u) for col in a], ev
 
 
 def _float_round(live: list[_Lane], program, args: tuple, contact: tuple[int, ...], events: list):
@@ -820,8 +858,9 @@ def _array_round(live: list[_Lane], series, events: list, tol: float, left: floa
     # accumulate adds the orders in turn for any number of lanes, where sum
     # may add them pairwise
     out = [(end, p, None) for end, p in zip(ends, np.add.accumulate(a, axis=2)[:, :, -1].tolist())]
+    horner = _horner_program()
     for j, (ev, u) in hits.items():
-        out[j] = live[j].s + u * h[j], [_horner(v, u) for v in a[j].tolist()], ev
+        out[j] = live[j].s + u * h[j], [horner(v, u) for v in a[j].tolist()], ev
     return out
 
 
@@ -843,6 +882,13 @@ def _taylor_lanes(
     as data (a :class:`_Plane` or a :class:`_Ball`), and no other.  Each
     step proves that none has a root in (0, 1] or ends its lane at the
     first root, by :func:`_first_root`.
+
+    A lane steps in the series' coordinates, in which ``events`` are
+    declared, and records its states in the field's: Y's series runs on
+    (y, x, z) (``series.axes``, a swap, see
+    :func:`~preyswitch.model.smooth_series`), so that its starts are
+    swapped into that order and each state, and an event's landing, back
+    out of it before the norm check and the arc's record.
 
     No coordinate plane is an event, since no lane can cross one.  Every
     field of the model is of Kolmogorov type along its coordinates (Piltz,
@@ -888,13 +934,17 @@ def _taylor_lanes(
     its steps, so a call takes as many rounds as its slowest lane takes
     steps.
     """
-    sgn = series.sgn
+    sgn, axes = series.sgn, series.axes
     left, tol = cfg.t_max - sgn * t_start, _TAYLOR_TOL * cfg.abs_tol
     program, args = _program(series, events, tol, left)
     # the first-step contact of each lane with the table's tangent plane
     (contact,) = [ev.contact for ev in events if getattr(ev, "contact", ())] or [(0,) * len(p0)]
     arcs: list = [None] * len(p0)
-    live = [_Lane(i, p, [t_start], [p]) for i, p in enumerate(p0.tolist())]
+    # a lane steps in the series' coordinates and records its states in the
+    # field's, which a swap of coordinates (Y's) gives both ways
+    starts = p0.tolist()
+    series_starts = p0[:, axes].tolist() if axes else starts
+    live = [_Lane(i, p, [t_start], [q]) for i, (p, q) in enumerate(zip(series_starts, starts))]
     first = True
     while live:
         if len(live) >= _ARRAY_LANES:
@@ -907,22 +957,25 @@ def _taylor_lanes(
         running = []
         for lane, (end, p, hit) in zip(live, stepped):
             t = t_start + sgn * end
-            if first and math.hypot(*lane.p) > _NORM_BOUND:
+            state = [p[q] for q in axes] if axes else p
+            if first and math.hypot(*lane.states[0]) > _NORM_BOUND:
                 raise _blow_up(lane.ts[-1])
-            if math.hypot(*p) > _NORM_BOUND:
+            if math.hypot(*state) > _NORM_BOUND:
                 raise _blow_up(t)
             if t == lane.ts[-1]:  # a root at the very start of the step
-                lane.states[-1] = p
+                lane.states[-1] = state
             else:
                 lane.ts.append(t)
-                lane.states.append(p)
+                lane.states.append(state)
             lane.p, lane.s, lane.steps = p, end, lane.steps + 1
             if hit is None and end < left:
                 running.append(lane)
             elif hit is None:
                 arcs[lane.index] = _finish(kind, t_start, lane.ts, lane.states, EventKind.HORIZON_REACHED, lane.steps)
             else:
-                arcs[lane.index] = _finish(kind, t_start, lane.ts, lane.states, hit.kind, lane.steps, hit.landing(p))
+                landing = hit.landing(p)
+                landing = [landing[q] for q in axes] if axes else landing
+                arcs[lane.index] = _finish(kind, t_start, lane.ts, lane.states, hit.kind, lane.steps, landing)
         live, first = running, False
     return arcs
 
@@ -951,7 +1004,9 @@ def _smooth_lanes(
     lane that meets an error has it, unraised, in place of its arc.
 
     The caller's event is the switching plane h = x - y (falling through
-    zero for X, rising for Y); a start
+    zero for X, rising for Y), declared in the series' coordinates as
+    s_0 - s_1, which is h for X and -h for Y, whose series runs on
+    (y, x, z) (see :func:`~preyswitch.model.smooth_series`); a start
     on its wrong side beyond the event tolerance is a :class:`DomainError`,
     and a SIGMA_CROSSING records its state snapped onto Sigma as
     (xm, xm, z).  An X-lane starting on the fold line short of tau (h and
@@ -985,15 +1040,26 @@ def _smooth_lanes(
     lanes = [i for i, err in enumerate(out) if err is None]
     if not lanes:
         return out
-    # h for X, -h for Y: both fall through zero; a fold start watches h/u**2
+    # s_0 - s_1 in the series' coordinates, h = x - y for X and y - x = -h
+    # for Y on (y, x, z): both fall through zero; a fold start watches h/u**2
     contact = tuple(2 * (i in folds) for i in lanes)
-    sigma = _Plane(EventKind.SIGMA_CROSSING, 0, 1, side=side, contact=contact, snap=True)
+    sigma = _Plane(EventKind.SIGMA_CROSSING, 0, 1, contact=contact, snap=True)
     kind = ArcKind.SMOOTH_Y if piece is Piece.Y else ArcKind.SMOOTH_X
-    for i, arc in zip(lanes, _taylor_lanes(kind, series, p0[lanes], [sigma], t_start, cfg)):
+    # the starts of the lanes that run: all of them, but for a failed start
+    starts = p0 if len(lanes) == len(p0) else p0[lanes]
+    for i, arc in zip(lanes, _taylor_lanes(kind, series, starts, [sigma], t_start, cfg)):
         if i in folds and arc.terminal_event.kind is EventKind.SIGMA_CROSSING:
             arc = _lift_off_ambiguity(*folds[i], abs(arc.t1 - arc.t0), cfg) or arc
         out[i] = arc
     return out
+
+
+def _arguments(cfg: IntegratorConfig, params: Parameters) -> None:
+    """:class:`DomainError` unless ``cfg`` is an :class:`IntegratorConfig`
+    and ``params`` a :class:`~preyswitch.model.Parameters`: the check of
+    each public entry point (see :func:`~preyswitch.model._instance`)."""
+    _instance(cfg, IntegratorConfig, "cfg")
+    _instance(params, Parameters, "params")
 
 
 def _time_sign(direction: Direction) -> float:
@@ -1027,6 +1093,7 @@ def integrate_smooth(
     first, so no step is capped.  A start, or the end of a step, beyond the
     norm bound raises :class:`BlowUp` at that time.
     """
+    _arguments(cfg, params)
     if not isinstance(piece, Piece):
         raise DomainError(f"piece must be a Piece, got {piece!r}")
     values = _finite(s0, "initial state (x, y, z)", 3)
@@ -1080,7 +1147,8 @@ def _sliding_lanes(
     events = [_Plane(EventKind.FOLD_EXIT, 1, level=phi, contact=tuple(int(i in on_fold) for i in lanes), snap=True)]
     if radius > 0.0:
         events.append(_Ball(EventKind.FOCUS_CAPTURE, (focus.x, focus.z), radius))
-    for i, arc in zip(lanes, _taylor_lanes(ArcKind.SLIDING, series, p0[lanes], events, t_start, cfg)):
+    starts = p0 if len(lanes) == len(p0) else p0[lanes]
+    for i, arc in zip(lanes, _taylor_lanes(ArcKind.SLIDING, series, starts, events, t_start, cfg)):
         out[i] = arc
     return out
 
@@ -1115,6 +1183,7 @@ def integrate_sliding(
     (:func:`~preyswitch.sliding.sliding_series`); the squared distance to
     the focus is a polynomial on each step too.
     """
+    _arguments(cfg, params)
     x, z = _finite(p0, "sliding state (x, z)", 2)
     (radius,) = _finite((focus_capture_radius,), "focus_capture_radius", 1)
     if radius < 0.0:
@@ -1140,7 +1209,8 @@ def integrate_fold_launches(
     one it has alone, bit for bit.
 
     Returns one entry per launch, in order: (u, v), or the error that launch
-    met, unraised.  DomainError when x0 is not positive (NaN included);
+    met, unraised.  DomainError when x0 is not a finite positive number
+    (read by :func:`~preyswitch.model._finite`, a string or None included);
     TangencyAmbiguity when x0 >= tau, or when the lift-off excursion
     X2h*t1**2/2 before the return at t1 is not above ``cfg.event_tol``, so
     that the return is below the resolution of the integration (at the
@@ -1149,10 +1219,17 @@ def integrate_fold_launches(
     u the integrated y sets with x, must satisfy u = x0*exp(r2*t1) to 1e-10
     relative.
     """
-    x0s = [float(x0) for x0 in x0s]
+    _arguments(cfg, params)
     tau = params.tau
+    x0s = list(x0s)
     out: list = [None] * len(x0s)
     for i, x0 in enumerate(x0s):
+        try:
+            (x0,) = _finite((x0,), "fold point x0", 1)
+        except DomainError as err:
+            out[i] = err
+            continue
+        x0s[i] = x0
         if not x0 > 0.0:
             out[i] = DomainError(f"fold launch requires x0 > 0, got {x0}")
         elif x0 >= tau:
@@ -1225,11 +1302,11 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
     :func:`integrate_smooth` and :func:`integrate_sliding` run it, from the
     end of the arc before it to the end of the window ``cfg.t_max``.
     """
-    values = _finite(s0, "Filippov initial state (x, y, z)", 3)
-    if min(values) < 0.0:
-        raise DomainError(f"initial state must be nonnegative, got {tuple(values)}")
-    s = np.array(values)
-    initial = s.copy()
+    _arguments(cfg, params)
+    s = _finite(s0, "Filippov initial state (x, y, z)", 3)
+    if min(s) < 0.0:
+        raise DomainError(f"initial state must be nonnegative, got {tuple(s)}")
+    initial = np.array(s)
     smooth = {piece: smooth_series(piece, params) for piece in Piece}
     sliding = sliding_series(params)
     arcs: list[Arc] = []
@@ -1250,7 +1327,7 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
             arc = _lone(_sliding_lanes(p, t, cfg, params, _CAPTURE_RADIUS, sliding))
         else:
             piece = Piece.X if follow is ArcKind.SMOOTH_X else Piece.Y
-            arc = _lone(_smooth_lanes(piece, s[None], t, cfg, params, smooth[piece]))
+            arc = _lone(_smooth_lanes(piece, np.array([s]), t, cfg, params, smooth[piece]))
         ev = arc.terminal_event
         if ev.kind not in (EventKind.SIGMA_CROSSING, EventKind.FOLD_EXIT):
             arcs.append(arc)
@@ -1262,11 +1339,12 @@ def integrate_filippov(s0, cfg: IntegratorConfig, params: Parameters) -> Traject
                 f"50 switching events within {10.0 * cfg.event_tol} time units near t = {ev.t}"
             )
         # a hit is (xm, xm, z) and a fold exit (x, phi): both lie on Sigma
-        s, t = np.array([ev.state[0], ev.state[0], ev.state[-1]]), ev.t
+        x, *_, z = ev.state.tolist()
+        s, t = [x, x, z], ev.t
         follow = _after_sigma(s, cfg, params, sliding)
         if ev.kind is EventKind.SIGMA_CROSSING and follow is not ArcKind.SMOOTH_X:
             kind = EventKind.SIGMA_ENTRY_SLIDING if follow is ArcKind.SLIDING else EventKind.DOMAIN_EXIT
-            arc = replace(arc, terminal_event=replace(ev, kind=kind))
+            arc = Arc(arc.kind, arc.t0, arc.t1, arc.ts, arc.states, EventRecord(kind, ev.t, ev.state), arc.steps)
         arcs.append(arc)
         if arc.terminal_event.kind is EventKind.DOMAIN_EXIT:
             break
@@ -1288,6 +1366,7 @@ def lv_period(x0: float, cfg: IntegratorConfig, params: Parameters) -> float:
     orbit stays in the open quadrant.  Raises :class:`NoReturn` if either
     crossing is missing within the horizon.
     """
+    _arguments(cfg, params)
     (x0,) = _finite((x0,), "lv_period x0", 1)
     tau = params.tau
     if not 0.0 < x0 < tau:

@@ -59,6 +59,15 @@ def _finite(p, what: str, dim: int) -> list[float]:
     return values
 
 
+def _instance(value, kind: type, what: str) -> None:
+    """:class:`DomainError` naming ``what`` unless ``value`` is a ``kind``.
+    Each public entry point checks its ``params`` and ``cfg`` by it, once,
+    so that a wrong argument there is the package's error, not an
+    AttributeError from deep inside."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{what} must be a {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Parameters:
     """The nine model rates, validated to lie in the admissible region.
@@ -232,6 +241,7 @@ def to_model_coords(bio: tuple[float, float, float], params: Parameters) -> Stat
     The switching function in the new coordinates is h = x - y; the rescaling
     removes the parameter dependence of the switching plane.
     """
+    _instance(params, Parameters, "params")
     p1, p2, P = _finite(bio, "densities (p1, p2, P)", 3)
     if min(p1, p2, P) < 0.0:
         raise DomainError("densities must be nonnegative")
@@ -285,7 +295,9 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
 
     ``series.sgn`` is ``sgn``, the sign of time along the arcs that the
     series steps, so that a series states its own direction once: the step
-    loop reads it, and no caller restates it.
+    loop reads it, and no caller restates it.  ``series.axes`` is None: the
+    series' coordinates are the field's, but for Y's series (see
+    :func:`smooth_series`).
     """
     n = len(c)
     # each row's nonzero weights and their indices into (s_0, .., s_(n-1), s_i s_j)
@@ -306,6 +318,7 @@ def quadratic_series(linear, c, i: int, j: int, sgn: float = 1.0):
     series.form = (structure, i, j)
     series.weights = weights
     series.sgn = sgn
+    series.axes = None
     return series
 
 
@@ -428,23 +441,40 @@ def smooth_series(piece: Piece, params: Parameters, sgn: float = 1.0):
     -beta2/beta1 and e q2/a_q.  On the invariant plane y = 0, X is the
     planar Lotka-Volterra field in (x, z).  A piece that is not a
     :class:`Piece` raises :class:`DomainError`.
+
+    Y's series runs on the coordinates (y, x, z), where its form has X's
+    structure, y' = r2 y - (beta2/beta1) yz, x' = r1 x, z' = -m z +
+    (e q2/a_q) yz, so that X's compiled programs serve it, and it carries
+    that order: ``series.axes`` is (1, 0, 2), the field's coordinate at
+    each of the series' coordinates, a swap and so its own inverse (None
+    for X).  Each row takes the terms of Y's own form in the same order,
+    so each coefficient is the same float.
     """
-    diagonal = [[params.r1, 0.0, 0.0], [0.0, params.r2, 0.0], [0.0, 0.0, -params.m]]
+    _instance(params, Parameters, "params")
     if piece is Piece.X:
+        diagonal = [[params.r1, 0.0, 0.0], [0.0, params.r2, 0.0], [0.0, 0.0, -params.m]]
         return quadratic_series(diagonal, (-1.0, 0.0, params.e * params.q1), 0, 2, sgn)
     if piece is Piece.Y:
         ratio = params.beta2 / params.beta1
-        return quadratic_series(diagonal, (0.0, -ratio, params.e * params.q2 / params.a_q), 1, 2, sgn)
+        diagonal = [[params.r2, 0.0, 0.0], [0.0, params.r1, 0.0], [0.0, 0.0, -params.m]]
+        series = quadratic_series(diagonal, (-ratio, 0.0, params.e * params.q2 / params.a_q), 0, 2, sgn)
+        series.axes = (1, 0, 2)
+        return series
     raise DomainError(f"piece must be a Piece, got {piece!r}")
 
 
 def eval_field(piece: Piece, state, params: Parameters) -> np.ndarray:
     """The rate of one smooth piece at a state (x, y, z), read from its
-    :func:`smooth_series`.  A state that is not three finite coordinates, or
-    a piece that is not a :class:`Piece`, raises :class:`DomainError`.
+    :func:`smooth_series` in the series' coordinates.  A state that is not
+    three finite coordinates, or a piece that is not a :class:`Piece`,
+    raises :class:`DomainError`.
     """
     p = _finite(state, "state (x, y, z)", 3)
-    return np.array(smooth_series(piece, params).rate(p))
+    series = smooth_series(piece, params)
+    axes = series.axes or range(3)
+    # a swap of coordinates is its own inverse
+    rate = series.rate([p[q] for q in axes])
+    return np.array([rate[q] for q in axes])
 
 
 def lie_derivatives(p, params: Parameters) -> tuple[float, float, float]:
@@ -455,6 +485,7 @@ def lie_derivatives(p, params: Parameters) -> tuple[float, float, float]:
     with z on the fold line; it is meaningful only where Xh = 0.  A point
     that is not two finite coordinates raises :class:`DomainError`.
     """
+    _instance(params, Parameters, "params")
     x, z = _finite(p, "Sigma point (x, z)", 2)
     phi = params.phi
     Xh = (phi - z) * x
@@ -475,6 +506,7 @@ def classify_sigma_point(
     two finite coordinates, or a ``tol`` that is not a finite nonnegative
     number, raises :class:`DomainError`.
     """
+    _instance(params, Parameters, "params")
     x, z = _finite(p, "Sigma point (x, z)", 2)
     (tol,) = _finite((tol,), "classify_sigma_point tol", 1)
     if tol < 0.0:
@@ -510,6 +542,7 @@ def first_integral_F(p, params: Parameters) -> float:
     open quadrant.  A point that is not two finite coordinates raises
     :class:`DomainError`.
     """
+    _instance(params, Parameters, "params")
     x, z = _finite(p, "point (x, z)", 2)
     if x <= 0.0 or z <= 0.0:
         raise DomainError(f"first integral requires x > 0 and z > 0, got ({x}, {z})")

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NoInteriorPseudoEquilibrium, PoleError, PreySwitchError
-from .model import Parameters, SigmaState, _finite, first_integral_F, quadratic_series
+from .model import Parameters, SigmaState, _finite, _instance, first_integral_F, quadratic_series
 
 
 class FocusKind(Enum):
@@ -76,6 +76,7 @@ def sliding_series(params: Parameters, sgn: float = 1.0):
     ball is centred on, so that no arc pairs a series with the focus of
     another parameter set.
     """
+    _instance(params, Parameters, "params")
     series = quadratic_series(*_form(params), sgn)
     _, series.focus = pseudo_equilibria(params)
     return series
@@ -89,6 +90,7 @@ def eval_sliding(p, params: Parameters) -> np.ndarray:
     defined for all (x, z).  A point that is not two finite coordinates
     raises :class:`DomainError`.
     """
+    _instance(params, Parameters, "params")
     s = _finite(p, "Sigma point (x, z)", 2)
     return np.array(quadratic_series(*_form(params)).rate(s))
 
@@ -102,6 +104,7 @@ def pseudo_equilibria(params: Parameters) -> tuple[SigmaState, SigmaState]:
     every admissible parameter set but q1 = q2 = 0, where C z_c - K = 0
     and no interior point exists: :class:`NoInteriorPseudoEquilibrium`.
     """
+    _instance(params, Parameters, "params")
     R, B, K, C = _coefficients(params)
     z_c = R / B
     balance = C * z_c - K
@@ -118,6 +121,7 @@ def sliding_jacobian(p, params: Parameters) -> np.ndarray:
 
     A point that is not two finite coordinates raises :class:`DomainError`.
     """
+    _instance(params, Parameters, "params")
     s = _finite(p, "Sigma point (x, z)", 2)
     linear, c, i, j = _form(params)
     grad = [0.0] * len(s)
@@ -137,6 +141,7 @@ def classify_focus(params: Parameters) -> PseudoEquilibrium:
     ``beta_imag > 0`` and kind REPULSIVE_FOCUS coincide with that condition
     (for b_q > 0).
     """
+    _instance(params, Parameters, "params")
     p = params
     _, interior = pseudo_equilibria(params)
     alpha = (
@@ -190,6 +195,7 @@ def focus_condition_holds(params: Parameters) -> bool:
     At b_q = 0 the bound is infinite (the pseudo-equilibrium is a center),
     so the condition holds.
     """
+    _instance(params, Parameters, "params")
     return params.m < _m_bound(params)
 
 
@@ -206,6 +212,7 @@ def monotonicity_witnesses(p, params: Parameters) -> tuple[float, float, float]:
       where a rescales x so the level sets are centered on the
       pseudo-equilibrium; nonnegative, vanishing exactly on z = z_c.
     """
+    _instance(params, Parameters, "params")
     x, z = _finite(p, "Sigma point (x, z)", 2)
     if x <= 0.0 or z <= 0.0:
         raise DomainError(f"witnesses require x > 0 and z > 0, got ({x}, {z})")
@@ -223,6 +230,7 @@ def h_rescale_constant(params: Parameters) -> float:
 
     The core's centre m/C moves onto x_c: a = m/(C x_c).
     """
+    _instance(params, Parameters, "params")
     _, _, _, C = _coefficients(params)
     _, focus = pseudo_equilibria(params)
     return params.m / (C * focus.x)
@@ -236,6 +244,7 @@ def hyperbola_and_Fc(x: float, params: Parameters, focus: SigmaState) -> tuple[f
     hyperbola point lies outside (positive) or inside (negative) the
     F-level set through the focus.
     """
+    _instance(params, Parameters, "params")
     (x,) = _finite((x,), "x", 1)
     if x <= 0.0:
         raise DomainError(f"hyperbola requires x > 0, got {x}")
@@ -256,6 +265,7 @@ def fc_slope_at_focus(params: Parameters, focus: SigmaState) -> float:
 
     Equals -(e*q1*r1*(tau - x_c)^2 + tau*(z_c - r1)^2) / (r1*(tau - x_c)*x_c).
     """
+    _instance(params, Parameters, "params")
     p = params
     x_c, z_c = focus.x, focus.z
     tau = p.tau

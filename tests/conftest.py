@@ -10,6 +10,7 @@ import pytest
 from preyswitch import (
     IntegratorConfig,
     Piece,
+    StepFailure,
     coarse_mu_curve,
     find_shilnikov,
     focus_condition_holds,
@@ -205,6 +206,74 @@ def reference_float_step(form, sgn, p, s, cfg):
     return end, h, a, spread, [reduce(add, col, -0.0) for col in a]
 
 
+def horner(coefficients, u):
+    """p(u) = sum_k c_k u**k by Horner's rule in a loop, from 0.0: the
+    tests' reference for flow's generated evaluation
+    (``flow._horner_program``), which must take the same operations."""
+    value = 0.0
+    for c in reversed(coefficients):
+        value = value * u + c
+    return value
+
+
+def brent(coefficients, lo, hi):
+    """The root in [lo, hi] of the polynomial with these coefficients, by
+    Brent's method to 4 eps, each value by :func:`horner`: a port of
+    scipy's ``brentq.c`` at ``xtol = rtol = 4 eps``, as flow took it before
+    its polynomial values were generated, and the tests' reference for
+    ``flow._brent``.  Raises StepFailure if 100 iterations do not
+    converge."""
+    tol = 4.0 * math.ulp(1.0)
+    xpre, xcur = lo, hi
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = horner(coefficients, xpre), horner(coefficients, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + tol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = horner(coefficients, xcur)
+    raise StepFailure(f"Brent's method did not converge on [{lo}, {hi}] in 100 iterations")
+
+
+def swapped(values, series):
+    """``values``, one entry per coordinate (a list, or an array along its
+    first axis), in the order of ``series.axes``: from the field's
+    coordinates to the series' and back, since Y's series runs on
+    (y, x, z), a swap, which is its own inverse; as they are for a series
+    on the field's coordinates.  None entries stay None."""
+    if series.axes is None:
+        return values
+    if isinstance(values, np.ndarray):
+        return values[list(series.axes)]
+    return [values[q] for q in series.axes]
+
+
 def float_step(series, events, p, s, cfg, contact=0):
     """The library's generated float step of ``series`` with flow's event
     table ``events`` (``_Plane`` and ``_Ball`` events) from the point p at
@@ -281,7 +350,7 @@ def event_tests(events, dim, namespace=None):
     of a step from the point p with the coefficients a_0..a_order of each
     coordinate, their spreads and the step's contact c, which returns the
     indices of the events whose rows the tests do not clear."""
-    constants, lines = flow_mod._event_lines(tuple(ev.shape for ev in events), dim)
+    constants, lines, _ = flow_mod._event_lines(tuple(ev.shape for ev in events), [f"a{q}" for q in range(dim)])
     prologue = [
         f"{''.join(f's{q}_0, ' for q in range(dim))}= p",
         f"{''.join(f'a{q}, ' for q in range(dim))}= (tuple(col[1:]) for col in a)",

@@ -21,21 +21,28 @@ from preyswitch import (
     NoBracket,
     NoReturn,
     OrbitEscaped,
+    Piece,
     PreySwitchError,
     RegionLabel,
     SameSign,
     TangencyAmbiguity,
     VerificationFailure,
     build_N_point,
+    classify_focus,
     classify_sigma_point,
     coarse_mu_curve,
     distance_to_connection,
     distances_to_connection,
+    eval_field,
+    eval_sliding,
     find_shilnikov,
     first_integral_F,
     fixed_point_brackets,
+    focus_condition_holds,
+    h_rescale_constant,
     integrate_filippov,
     integrate_sliding,
+    integrate_smooth,
     lemma1_asymptotics_report,
     lie_derivatives,
     lv_period,
@@ -43,10 +50,12 @@ from preyswitch import (
     mu_point,
     pseudo_equilibria,
     return_map_sample,
+    to_model_coords,
     validate_parameters,
     verify_connection,
 )
 from preyswitch import connection as connection_mod
+from preyswitch.flow import integrate_fold_launches
 from conftest import rounds, taylor_runs
 
 
@@ -450,6 +459,60 @@ def test_a_scalar_that_is_not_a_number_raises_a_named_error(table1, cfg, call, e
         call(table1, cfg)
     if error is ConstraintViolation:
         assert err.value.constraint in ("r1 finite", "beta1 finite")
+
+
+def first_fold_launch(p, cfg):
+    # a point that is not a number fails its own launch, unraised, as
+    # x0 <= 0 does, and the other launches run
+    bad, good = integrate_fold_launches(["a", 0.5 * p.tau], cfg, p)
+    assert isinstance(good, tuple) and len(good) == 2
+    raise bad
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda p, cfg, curve: mu_point(0.5, p, "a"), id="mu_point-cfg"),
+        pytest.param(lambda p, cfg, curve: mu_point(0.5, None, cfg), id="mu_point-params"),
+        pytest.param(lambda p, cfg, curve: mu_curve([0.5], p, None), id="mu_curve-cfg"),
+        pytest.param(lambda p, cfg, curve: coarse_mu_curve("a", cfg), id="coarse_mu_curve-params"),
+        pytest.param(lambda p, cfg, curve: find_shilnikov(p, (1, 9), None), id="find_shilnikov-cfg"),
+        pytest.param(lambda p, cfg, curve: find_shilnikov(None, (1, 9), cfg), id="find_shilnikov-params"),
+        pytest.param(lambda p, cfg, curve: distance_to_connection(p, "a", curve), id="distance-cfg"),
+        pytest.param(lambda p, cfg, curve: distance_to_connection(p, cfg, None), id="distance-curve"),
+        pytest.param(lambda p, cfg, curve: distances_to_connection([p, None], cfg, curve), id="distances-params"),
+        pytest.param(lambda p, cfg, curve: verify_connection(p, 0.3, None), id="verify_connection-cfg"),
+        pytest.param(lambda p, cfg, curve: lemma1_asymptotics_report(None, cfg), id="lemma1-params"),
+        pytest.param(lambda p, cfg, curve: build_N_point(0.3, 0.05, p, "a"), id="build_N_point-cfg"),
+        pytest.param(lambda p, cfg, curve: return_map_sample(p, (0.25, 0.3), 3, None), id="return_map-cfg"),
+        pytest.param(lambda p, cfg, curve: integrate_filippov((0.5, 0.3, 0.7), cfg, None), id="filippov-params"),
+        pytest.param(lambda p, cfg, curve: integrate_filippov((0.5, 0.3, 0.7), None, p), id="filippov-cfg"),
+        pytest.param(
+            lambda p, cfg, curve: integrate_smooth(Piece.X, (0.5, 0.3, 0.7), Direction.FORWARD, p, cfg), id="smooth-swapped"
+        ),
+        pytest.param(lambda p, cfg, curve: integrate_sliding((0.5, 1.0), Direction.BACKWARD, cfg, "a"), id="sliding-params"),
+        pytest.param(lambda p, cfg, curve: lv_period(0.5, None, p), id="lv_period-cfg"),
+        pytest.param(lambda p, cfg, curve: first_fold_launch(p, cfg), id="fold_launches-x0-str"),
+        pytest.param(lambda p, cfg, curve: integrate_fold_launches([0.5], cfg, None), id="fold_launches-params"),
+        pytest.param(lambda p, cfg, curve: classify_sigma_point((0.5, 0.3), None), id="classify-params"),
+        pytest.param(lambda p, cfg, curve: lie_derivatives((0.5, 0.7), "a"), id="lie_derivatives-params"),
+        pytest.param(lambda p, cfg, curve: first_integral_F((0.5, 0.7), None), id="first_integral-params"),
+        pytest.param(lambda p, cfg, curve: eval_field(Piece.Y, (0.5, 0.3, 0.7), None), id="eval_field-params"),
+        pytest.param(lambda p, cfg, curve: to_model_coords((1.0, 1.0, 1.0), None), id="to_model_coords-params"),
+        pytest.param(lambda p, cfg, curve: eval_sliding((0.5, 1.0), None), id="eval_sliding-params"),
+        pytest.param(lambda p, cfg, curve: pseudo_equilibria("a"), id="pseudo_equilibria-params"),
+        pytest.param(lambda p, cfg, curve: classify_focus(None), id="classify_focus-params"),
+        pytest.param(lambda p, cfg, curve: focus_condition_holds(None), id="focus_condition-params"),
+        pytest.param(lambda p, cfg, curve: h_rescale_constant(None), id="h_rescale-params"),
+    ],
+)
+def test_a_wrong_params_or_cfg_raises_a_domain_error(table1, cfg, coarse_curve, call):
+    # each public entry point checks its params and cfg (and curve) once, so
+    # a wrong one raises DomainError, not a bare AttributeError or
+    # ValueError from deep inside; a fold-launch point is read by
+    # model._finite, so one that is not a number fails its own launch
+    with pytest.raises(DomainError, match="must be"):
+        call(table1, cfg, coarse_curve)
 
 
 def test_numpy_scalars_are_read_as_their_floats(table1, cfg):

@@ -1,7 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from functools import partial
 from operator import sub
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,14 +50,17 @@ from preyswitch.model import quadratic_series, smooth_series
 from preyswitch.sliding import sliding_jacobian, sliding_series
 from conftest import (
     ball_clears,
+    brent,
     draw_params,
     event_tests,
     float_step,
+    horner,
     plane_clears,
     reference_field,
     reference_float_step,
     reference_series,
     rounds,
+    swapped,
     taylor_runs,
 )
 
@@ -308,7 +316,8 @@ def test_series_start_with_the_field(rng, field):
         for sgn in (1.0, -1.0):
             f = reference_field(field, params, sgn)
             series = sliding_series(params, sgn) if field == "Sliding" else smooth_series(field, params, sgn)
-            coefficients = series(lanes, 24)
+            # Y's series runs on (y, x, z): in and out of the field's coordinates
+            coefficients = swapped(series(swapped(lanes, series), 24), series)
             assert coefficients.shape == (len(lanes), 25, 2)
             assert np.array_equal(coefficients[:, 0], lanes)
             for p, c in zip(lanes.T, coefficients.transpose(2, 0, 1)):
@@ -320,7 +329,7 @@ def test_series_start_with_the_field(rng, field):
                     # the difference's roundoff scales with its largest component
                     atol = 1e-13 * np.max(np.abs(jf)) / 2.0
                 rate = np.array(f(0.0, p))
-                for first in (c[:, 1], np.array(series.rate(p.tolist()))):
+                for first in (c[:, 1], np.array(swapped(series.rate(swapped(p.tolist(), series)), series))):
                     assert np.max(np.abs(first - rate)) <= 1e-14 * np.max(np.abs(rate)), (field, sgn)
                 assert np.allclose(c[:, 2], jf / 2.0, rtol=1e-13, atol=atol), (field, sgn)
 
@@ -375,7 +384,8 @@ def test_series_of_lanes_equals_each_lane_alone(rng, table1):
     # K lanes expand in one call of the lane recurrence, each lane bit for
     # bit, sign bits included, as the interpreted recurrence expands it
     # alone on floats: X, Y and the sliding field both ways, for every
-    # structure.  The first six lanes are the points of ZEROS
+    # structure, Y's series on (y, x, z) against Y's own form.  The first
+    # six lanes are the points of ZEROS
     for params in structures(rng, table1):
         for sgn in (1.0, -1.0):
             for series, form in fields(params, sgn):
@@ -384,7 +394,7 @@ def test_series_of_lanes_equals_each_lane_alone(rng, table1):
                 zeros = np.array([planar(point, dim) for point in ZEROS]).T
                 for k in LANE_COUNTS:
                     lanes = np.hstack((zeros, rng.uniform(0.01, 2.0, (dim, k - len(ZEROS)))))
-                    together = series(lanes, 24)
+                    together = swapped(series(swapped(lanes, series), 24), series)
                     assert isinstance(together, np.ndarray) and together.shape == (dim, 25, k)
                     alone = np.array([reference(lane, 24) for lane in lanes.T.tolist()])
                     assert np.array_equal(bits(together), bits(alone.transpose(1, 2, 0))), (dim, sgn, k)
@@ -394,20 +404,22 @@ def test_series_of_lanes_equals_each_lane_alone(rng, table1):
 def test_compiled_series_equal_the_interpreted_recurrence(rng, table1):
     # the lane recurrence on arrays takes the interpreted recurrence's
     # operations in its order, so it agrees with it bit for bit, for every
-    # structure; the rate read from the form equals the interpreted order 1
-    # on floats, sign bits included
+    # structure, Y's series on (y, x, z) against Y's own form; the rate read
+    # from the form equals the interpreted order 1 on floats, sign bits
+    # included
     for params in structures(rng, table1):
         for sgn in (1.0, -1.0):
             for series, form in fields(params, sgn):
                 dim = len(form[1])
                 reference = reference_series(*form, sgn)
                 for p in [planar(point, dim) for point in ZEROS] + rng.uniform(0.01, 2.0, (4, dim)).tolist():
-                    rate = series.rate(p)
+                    rate = swapped(series.rate(swapped(p, series)), series)
                     assert np.array_equal(bits(rate), bits([col[1] for col in reference(p, 1)])), (dim, sgn, p)
                 for order in (0, 1, 2, 23, 24):
                     for k in LANE_COUNTS:
                         lanes = rng.uniform(0.01, 2.0, (dim, k))
-                        assert np.array_equal(bits(series(lanes, order)), bits(reference(lanes, order))), (
+                        together = swapped(series(swapped(lanes, series), order), series)
+                        assert np.array_equal(bits(together), bits(reference(lanes, order))), (
                             dim,
                             sgn,
                             order,
@@ -421,30 +433,41 @@ def test_fused_float_step_equals_the_reference_step(rng, table1):
     # code's operations on the same floats: its end, h, coefficients,
     # spreads and end state equal the reference's, sign bits included, for
     # X, Y and the sliding field both ways, for every structure, for a step
-    # clamped to t_max, and from a point whose coefficients overflow.  A
+    # clamped to t_max, and from a point whose coefficients overflow.  Y's
+    # series runs on (y, x, z), in X's program: its step from the swapped
+    # point, swapped back, equals the reference step of Y's own form.  A
     # plane at level inf, whose row no test clears, makes the step return
-    # its h, coefficients and spreads; with no event it returns its end and
-    # end state alone, the same
+    # its h, coefficients and the spread of the plane's coordinate, the one
+    # spread its test reads and the step computes; a ball of infinite
+    # radius, whose test reads every spread, makes it return all of them;
+    # with no event it returns its end and end state alone, the same
     never = [flow_mod._Plane(EventKind.DOMAIN_EXIT, 0, level=math.inf)]
     cfgs = (IntegratorConfig(), IntegratorConfig(abs_tol=1e-8, t_max=2.0))
     for params in structures(rng, table1):
         for sgn in (1.0, -1.0):
             for series, form in fields(params, sgn):
                 dim = len(form[1])
+                ball = [flow_mod._Ball(EventKind.FOCUS_CAPTURE, (0.0,) * dim, math.inf)]
                 points = [rng.uniform(0.01, 2.0, dim).tolist() for _ in range(6)]
                 points += [[0.0, -0.0, 1.5][:dim], [0.5, 0.0, 1.5][:dim], [-0.0, 0.5, -0.0][:dim]]
                 for p in points:
                     for cfg in cfgs:
                         for s in (0.0, 1.25, cfg.t_max - 1e-9):
-                            end, state, (pending, h, a, spread) = float_step(series, never, p, s, cfg)
-                            fused = (end, h, a, spread, state)
                             reference = reference_float_step(form, sgn, p, s, cfg)
-                            assert pending == (0,) and fused[:2] == reference[:2], (dim, sgn, p, cfg, s)
-                            for x, y in zip(fused, reference):
-                                assert np.array_equal(bits(x), bits(y)), (dim, sgn, p, cfg, s)
-                            end, state, search = float_step(series, [], p, s, cfg)
+                            for table, read in ((never, {0}), (ball, set(range(dim)))):
+                                end, state, (pending, h, a, spread) = float_step(series, table, swapped(p, series), s, cfg)
+                                assert pending == (0,) and [v is not None for v in spread] == [
+                                    q in read for q in range(dim)
+                                ], (dim, sgn, p, cfg, s)
+                                fused = (end, h, swapped(a, series), swapped(state, series))
+                                assert fused[:2] == reference[:2], (dim, sgn, p, cfg, s)
+                                for x, y in zip(fused, (*reference[:3], reference[4])):
+                                    assert np.array_equal(bits(x), bits(y)), (dim, sgn, p, cfg, s)
+                                for v, w in zip(swapped(spread, series), reference[3]):
+                                    assert v is None or bits(v) == bits(w), (dim, sgn, p, cfg, s)
+                            end, state, search = float_step(series, [], swapped(p, series), s, cfg)
                             assert search is None and end == reference[0], (dim, sgn, p, cfg, s)
-                            assert np.array_equal(bits(state), bits(reference[4])), (dim, sgn, p, cfg, s)
+                            assert np.array_equal(bits(swapped(state, series)), bits(reference[4])), (dim, sgn, p, cfg, s)
                     assert fused[0] == cfg.t_max  # the last step is clamped
     # a coefficient that is not finite, also one that a row without its own
     # term (x' = -w) does not carry to later orders, fails the step
@@ -457,13 +480,41 @@ def test_fused_float_step_equals_the_reference_step(rng, table1):
 
 
 @pytest.mark.lanes
+def test_y_arcs_run_on_x_program_as_the_reference_steps_of_y_form(table1):
+    # Y's series runs on (y, x, z), where its form is X's: a Y-arc takes
+    # X's program, and each of its steps from a recorded state ends where
+    # the reference float step of Y's own form (L, c, 1, 2) on (x, y, z)
+    # ends, its time and state bit for bit: forward to its Sigma crossing,
+    # whose step the crossing cuts short, and backward to the horizon
+    y_form = fields(table1, 1.0)[1][1]
+    cfg = IntegratorConfig(t_max=20.0)
+    generator = flow_mod._taylor_step
+    generator.cache_clear()
+    integrate_smooth(Piece.X, (0.9, 0.3, 0.7), Direction.FORWARD, cfg, table1)
+    endings = ((Direction.FORWARD, EventKind.SIGMA_CROSSING), (Direction.BACKWARD, EventKind.HORIZON_REACHED))
+    for direction, ending in endings:
+        sgn = float(direction.value)
+        arc = integrate_smooth(Piece.Y, (0.02, 1.5, 0.5), direction, cfg, table1)
+        assert (arc.kind, arc.terminal_event.kind) == (ArcKind.SMOOTH_Y, ending) and arc.steps > 5
+        assert generator.cache_info().misses == 1
+        for k in range(arc.steps):
+            end, _, _, _, state = reference_float_step(y_form, sgn, arc.states[k].tolist(), sgn * arc.ts[k], cfg)
+            if k == arc.steps - 1 and ending is EventKind.SIGMA_CROSSING:
+                assert end > sgn * arc.t1
+            else:
+                assert end == sgn * arc.ts[k + 1] and np.array_equal(bits(state), bits(arc.states[k + 1])), k
+    generator.cache_clear()
+
+
+@pytest.mark.lanes
 def test_series_compile_once_per_structure_and_order(table1, monkeypatch):
     # the two generators, the float step and the lane loop, each compile one
     # program per structure and order (and event structure, for the float
     # step), whatever the field's parameters or sign.  A trajectory's 726
-    # float steps take at most three step programs, X, Y and the sliding
-    # field, each arc's call of the step loop after a field's first a hit
-    # of the cache; a find_shilnikov and the trajectory ask both generators
+    # float steps take at most two step programs, X's, which Y's series on
+    # (y, x, z) shares, and the sliding field's, each arc's call of the
+    # step loop after a form's first a hit of the cache; a find_shilnikov
+    # and the trajectory ask both generators
     # for order 24 alone, and nothing at order 1, whose rates are read from
     # the forms
     runs = taylor_runs(monkeypatch)
@@ -481,7 +532,7 @@ def test_series_compile_once_per_structure_and_order(table1, monkeypatch):
     traj = integrate_filippov((1.2, 0.4, 1.0), IntegratorConfig(t_max=400.0), table1)
     info = generators["_taylor_step"].cache_info()
     steps = sum(arc.steps for arc in traj.arcs)
-    assert info.misses == info.currsize == len({arc.kind for arc in traj.arcs}) <= 3
+    assert info.misses == info.currsize == len({arc.planar for arc in traj.arcs}) <= 2
     assert info.hits + info.misses == len(runs) and steps > 700
     find_shilnikov(table1, (0.994, 10.0), IntegratorConfig())
     assert {key[4] for key in asked} == {24}
@@ -507,6 +558,42 @@ def test_series_compile_once_per_structure_and_order(table1, monkeypatch):
     info = generators["_lane_recurrence"].cache_info()
     assert info.misses == info.currsize == 2
     assert info.hits + info.misses == len(array_rounds) > 8
+
+
+# the sizes of every generator cache of the package's modules, by name,
+# after importing the package and its CLI
+_IMPORT_ONLY = """
+import json
+import preyswitch, preyswitch.cli
+from preyswitch import connection, flow, model, sliding
+
+caches = {
+    name: value.cache_info().currsize
+    for module in (model, sliding, flow, connection)
+    for name, value in vars(module).items()
+    if hasattr(value, "cache_info")
+}
+print(json.dumps(caches))
+"""
+
+
+def test_importing_compiles_nothing():
+    # every generated program, the float steps, the lane loops, the array
+    # round's step rule and the Horner evaluation, is compiled on its first
+    # use, so that a fresh interpreter that imports the package and its CLI
+    # has compiled none: each generator's cache is empty
+    src = str(Path(flow_mod.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ONLY],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    caches = json.loads(done.stdout)
+    assert set(caches) >= {"_taylor_step", "_step_end_program", "_horner_program", "_lane_recurrence"}, caches
+    assert not any(caches.values()), caches
 
 
 def test_a_form_with_an_empty_row_raises(table1):
@@ -918,7 +1005,8 @@ def coordinate_planes(dim):
 
 def caller_events(field, params, sgn, radius):
     """The event table of an arc of ``field`` (X, Y or "Sliding") as its
-    caller declares it, Sigma from the fold for X and Y, the fold line and
+    caller declares it, in its series' coordinates, Sigma from the fold for
+    X and Y (s_0 - s_1, which is y - x on Y's (y, x, z)), the fold line and
     the focus ball of ``radius`` for a sliding arc, followed by the test
     planes of :func:`coordinate_planes`, so that planes at level 0 are
     tested too; and the tangent plane's contact."""
@@ -927,8 +1015,7 @@ def caller_events(field, params, sgn, radius):
         fold = flow_mod._Plane(EventKind.FOLD_EXIT, 1, level=params.phi, contact=(1,), snap=True)
         table = [fold, flow_mod._Ball(EventKind.FOCUS_CAPTURE, (focus.x, focus.z), radius)]
         return table + coordinate_planes(2), 1
-    side = 1.0 if field is Piece.X else -1.0
-    sigma = flow_mod._Plane(EventKind.SIGMA_CROSSING, 0, 1, side=side, contact=(2,), snap=True)
+    sigma = flow_mod._Plane(EventKind.SIGMA_CROSSING, 0, 1, contact=(2,), snap=True)
     return [sigma] + coordinate_planes(3), 2
 
 
@@ -956,7 +1043,8 @@ def near_events(rng, field, params, sgn):
 def test_generated_event_tests_on_random_steps(rng, table1):
     # generated float steps of X, Y and the sliding field both ways, with
     # their callers' event tables, from random points near the events,
-    # tangent first steps from the fold included: every row that the
+    # tangent first steps from the fold included, all in the series'
+    # coordinates (Y's swapped to (y, x, z)): every row that the
     # program's tests clear, _first_root clears at its first test (the
     # ball's row: finds no root in), and they clear every row that the
     # reference, flow's former Python tests, clears, and with the ball's
@@ -969,9 +1057,10 @@ def test_generated_event_tests_on_random_steps(rng, table1):
                 radius = 10.0 ** rng.uniform(-4.0, -1.0)
                 events, tangent = caller_events(field, table1, sgn, radius)
                 for p, c in near_events(rng, field, table1, sgn):
+                    _, _, a, spread, _ = reference_float_step(form, sgn, p, 0.0, cfg)
+                    p, a, spread = swapped(p, series), swapped(a, series), swapped(spread, series)
                     step = float_step(series, events, p, 0.0, cfg, c)
                     pending = () if step[2] is None else step[2][0]
-                    _, _, a, spread, _ = reference_float_step(form, sgn, p, 0.0, cfg)
                     first = c != 0
                     for e, ev in enumerate(events):
                         ball = isinstance(ev, flow_mod._Ball)
@@ -997,10 +1086,11 @@ def test_generated_event_tests_on_random_steps(rng, table1):
 def test_float_programs_compile_once_per_form_and_event_structure(table1):
     # one program per quadratic form and event structure: the weights and
     # the events' constants are arguments, so X at another beta1 and e, and
-    # backward, takes X's program, as do other radii, levels and contacts;
-    # Y's form and an X table without the tangent plane take their own.
-    # One Filippov trajectory compiles at most three, X, Y and the sliding
-    # field, and a second at beta1* none
+    # backward, takes X's program, as do other radii, levels and contacts,
+    # and so does Y, whose series on (y, x, z) has X's form and whose Sigma
+    # plane there has X's shape; an X table without the tangent plane takes
+    # its own.  One Filippov trajectory of X, Y and sliding arcs compiles
+    # two, X's and the sliding field's, and a second at beta1* none
     generator = flow_mod._taylor_step
     generator.cache_clear()
     cfg = IntegratorConfig()
@@ -1011,13 +1101,14 @@ def test_float_programs_compile_once_per_form_and_event_structure(table1):
             float_step(smooth_series(Piece.X, params, sgn), events, p, 0.0, cfg)
     assert generator.cache_info().misses == 1
     float_step(smooth_series(Piece.Y, table1), caller_events(Piece.Y, table1, 1.0, 1e-4)[0], p, 0.0, cfg)
+    assert generator.cache_info().misses == 1
     float_step(smooth_series(Piece.X, table1), coordinate_planes(3), p, 0.0, cfg)
-    assert generator.cache_info().misses == 3
+    assert generator.cache_info().misses == 2
     generator.cache_clear()
     traj = integrate_filippov(SEED1_STARTS[0], IntegratorConfig(t_max=400.0), table1)
-    assert generator.cache_info().misses == len({arc.kind for arc in traj.arcs}) == 3
+    assert len({arc.kind for arc in traj.arcs}) == 3 and generator.cache_info().misses == 2
     integrate_filippov(SEED1_STARTS[0], IntegratorConfig(t_max=400.0), table1.replace(beta1=7.7768748097))
-    assert generator.cache_info().misses == 3
+    assert generator.cache_info().misses == 2
 
 
 def test_filippov_builds_its_fields_and_focus_once(table1, monkeypatch):
@@ -1077,7 +1168,7 @@ def test_brent_returns_brentqs_roots_bit_for_bit(rng):
     while cases < 3000:
         a = (rng.standard_normal(powers.size) * rng.uniform(0.2, 3.0) ** powers).tolist()
         lo, hi = np.sort(rng.uniform(0.0, 1.0, 2)).tolist()
-        if (flow_mod._horner(a, lo) < 0.0) == (flow_mod._horner(a, hi) < 0.0):
+        if (horner(a, lo) < 0.0) == (horner(a, hi) < 0.0):
             continue
         cases += 1
         # a zero at an end, which both return at once: p(0) = 0
@@ -1085,14 +1176,53 @@ def test_brent_returns_brentqs_roots_bit_for_bit(rng):
         for lo, hi in ends:
             if lo == 0.0 or hi == 0.0:
                 a[0] = 0.0
-            f = partial(flow_mod._horner, a)
+            f = partial(horner, a)
             assert flow_mod._brent(a, lo, hi) == brentq(f, lo, hi, xtol=tol, rtol=tol)
 
 
 def test_brent_raises_step_failure_when_it_does_not_converge():
-    # from an infinite end the iterates turn NaN and never narrow
+    # from an infinite end the iterates turn NaN and never narrow; -0.3 + u
+    # as a row of a step, to the series' order
     with pytest.raises(StepFailure, match="did not converge"):
-        flow_mod._brent([-0.3, 1.0], 0.0, float("inf"))
+        flow_mod._brent([-0.3, 1.0] + [0.0] * (flow_mod._TAYLOR_ORDER - 1), 0.0, float("inf"))
+
+
+@pytest.mark.lanes
+def test_generated_horner_and_brent_equal_the_references(rng):
+    # the generated Horner evaluation takes the loop's operations from
+    # 0.0*u + c_n, so it equals the reference bit for bit, sign bits
+    # included, on random rows of degree 24 with coefficients at 0.0 and
+    # -0.0, at u = 0, 1 and inside; and Brent's method on it returns the
+    # reference's root, on rows with a root at 0, at 1 and inside, or fails
+    # where it fails
+    n = flow_mod._TAYLOR_ORDER
+    evaluate = flow_mod._horner_program()
+    powers = np.arange(n + 1)
+
+    def root_or_failure(solve, a, lo, hi):
+        try:
+            return bits(solve(a, lo, hi))
+        except StepFailure as err:
+            return str(err)
+
+    roots = 0
+    for k in range(2000):
+        a = (rng.standard_normal(n + 1) * rng.uniform(1.0, 3.0) ** -powers).tolist()
+        for q in rng.choice(n + 1, k % 6, replace=False).tolist():
+            a[q] = [0.0, -0.0][q % 2]
+        for u in (0.0, 1.0, -0.0, *rng.uniform(0.0, 1.0, 3).tolist()):
+            assert bits(evaluate(a, u)) == bits(horner(a, u)), (k, u)
+        root = [0.0, 1.0, rng.uniform(0.05, 0.95)][k % 3]
+        # a row through zero at the root: p(u) - p(root)
+        a[0] -= horner(a, root)
+        lo, hi = (0.0, 1.0) if k % 3 else (-0.5, 1.0)
+        if (horner(a, lo) < 0.0) == (horner(a, hi) < 0.0) and horner(a, lo) != 0.0 != horner(a, hi):
+            continue
+        found = root_or_failure(flow_mod._brent, a, lo, hi)
+        assert found == root_or_failure(brent, a, lo, hi), (k, root)
+        roots += not isinstance(found, str)
+    assert roots > 1000
+    assert bits(evaluate([-0.0] * (n + 1), 0.5)) == bits(horner([-0.0] * (n + 1), 0.5))
 
 
 def tight_dop853(f, start, t_max, params, events):
