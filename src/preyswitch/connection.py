@@ -6,11 +6,12 @@ mu(x0) = (u(x0), u(x0), v(x0)).  The connection exists when the interior
 pseudo-equilibrium (x_c, z_c) of the sliding field lands on that curve.
 The X-flow is free of beta1 and x_c is a Moebius function of beta1, so the
 connection is one root in x0 of G(x0) = v(x0) - z_c(beta1(u(x0))).  Every
-root on the curve is found by one bracketed solver, lockstep regula falsi
-whose iterations are each one batch of fold launches with a lane per open
-bracket: u(x0) = x_c for the signed vertical distance D from the focus to
-the curve (for many beta1 at once), and G = 0 on the pair of coarse nodes
-across which G changes sign inside a beta1 range.  The module also certifies the resulting loop
+root on the curve is found by one bracketed solver, inverse interpolation
+through the curve's own nodes run in lockstep, whose iterations are each one
+batch of fold launches with two lanes per open bracket: u(x0) = x_c for the
+signed vertical distance D from the focus to the curve (for many beta1 at
+once), and G = 0 on the pair of coarse nodes across which G changes sign
+inside a beta1 range.  The module also certifies the resulting loop
 (finite-time forward arc onto the focus, asymptotic backward sliding
 capture, and the ordering of the sliding return x* below the fold point),
 constructs explicit parameter points of the codimension-one connection
@@ -294,95 +295,190 @@ def _node_bracket(params: Parameters, curve: MuCurve) -> tuple[SigmaState, int]:
 # Brent's stopping rule at xtol = 1e-12: |b - a| <= _XTOL + 4*eps*|b|
 _XTOL = 1e-12
 _MAX_ITER = 100
+# an iterate's two lanes lie at least this share of Brent's tolerance to
+# either side of it: under half, so that a root between them closes the
+# bracket, and far enough under that the end returned as the root, one of
+# them, moved D by at most 9.3e-13 from regula falsi's on 30 seeded sweeps
+# (at 0.49, by 1.09e-12)
+_LEAST_OFFSET = 0.4
 
 _FoldPoint = tuple[float, float, float]  # (x0, u, v)
 
 
+def _tolerance(x0: float) -> float:
+    return _XTOL + 4.0 * math.ulp(1.0) * abs(x0)
+
+
+def _inverse_interpolation(points: list[tuple[float, float]]) -> tuple[float, float]:
+    """x0 at r = 0 on the polynomial x0(r) through the (x0, r) ``points``,
+    in Newton's form, and the size of its last term: the gap to the
+    polynomial through all points but the last."""
+    xs = [x for x, _ in points]
+    fs = [f for _, f in points]
+    for k in range(1, len(points)):
+        for i in range(len(points) - 1, k - 1, -1):
+            xs[i] = (xs[i] - xs[i - 1]) / (fs[i] - fs[i - k])
+    x, product, term = xs[0], 1.0, 0.0
+    for k in range(1, len(points)):
+        product *= -fs[k - 1]
+        term = xs[k] * product
+        x += term
+    return x, abs(term)
+
+
+def _lanes(a: _FoldPoint, fa: float, wa: float, b: _FoldPoint, fb: float, evaluated: list) -> list[float]:
+    """The x0 an open bracket launches next: one lane or two.
+
+    The iterate x is x0 at r = 0 by inverse interpolation, in Newton's form,
+    through the latest end b, the far end a and the two other fold points
+    evaluated for the bracket with the smallest |r|: a cubic, or a
+    quadratic while there is only one other.  Its predicted error d is the
+    last term, the gap to the interpolation through one point fewer, but
+    at least _LEAST_OFFSET of Brent's tolerance.  The lanes are x - d and
+    x + d, less one on or past an end, where that end already stands.
+    With only the two ends, points not strictly monotone in r, x not
+    strictly inside the bracket, or d at least half the bracket, the one
+    lane is instead Anderson and Bjorck's weighted regula falsi step from b
+    and a, whose weighted residual is wa, kept at least half the tolerance
+    from b as in Brent's method.
+    """
+    xa, xb = a[0], b[0]
+    lo, hi = min(xa, xb), max(xa, xb)
+    others = sorted(((p[0], f) for p, f in evaluated if p[0] not in (xa, xb)), key=lambda xf: abs(xf[1]))
+    points = [(xb, fb), (xa, fa), *others[:2]]
+    fs = [f for _, f in sorted(points)]
+    rises = [g > f for f, g in zip(fs, fs[1:])]
+    falls = [g < f for f, g in zip(fs, fs[1:])]
+    if len(points) > 2 and (all(rises) or all(falls)):
+        x, d = _inverse_interpolation(points)
+        d = max(d, _LEAST_OFFSET * _tolerance(x))
+        if lo < x < hi and 2.0 * d < hi - lo:
+            return [y for y in (x - d, x + d) if lo < y < hi]
+    x = xb - fb * (xb - xa) / (fb - wa)
+    # Brent's minimum step: an iterate closer to b than half the tolerance
+    # steps that far toward a instead, so that it lands past a root near b
+    # and the next check closes the bracket
+    half_tol = 0.5 * _tolerance(xb)
+    if abs(x - xb) < half_tol:
+        x = xb + math.copysign(half_tol, xa - xb)
+    # rounding can put the secant point on an end: bisect instead
+    return [x if lo < x < hi else 0.5 * (xa + xb)]
+
+
+def _evaluated(r: Callable[[float, float], float], x0s: list[float], returns: list) -> list | PreySwitchError:
+    """The fold points of these launches with their residuals, or the first
+    launch error or :class:`PreySwitchError` raised by r."""
+    out = []
+    for x0, ret in zip(x0s, returns):
+        if isinstance(ret, PreySwitchError):
+            return ret
+        try:
+            out.append(((x0, *ret), r(*ret)))
+        except PreySwitchError as err:
+            return err
+    return out
+
+
 def _solve_on_curve(
-    brackets: list[tuple[Callable[[float, float], float], _FoldPoint, _FoldPoint]],
+    brackets: list[tuple],
     cfg: IntegratorConfig,
     params: Parameters,
 ) -> list[tuple[_FoldPoint, _FoldPoint] | PreySwitchError]:
     """Solve r(u(x0), v(x0)) = 0 on every bracket together.
 
-    Each bracket is (r, a, b): a residual r(u, v) of the fold return, and two
-    evaluated fold points (x0, u, v) at which r has opposite signs or
-    vanishes.  Regula falsi advances all brackets in lockstep: each
-    iteration is one :func:`integrate_fold_launches` call whose lanes are
-    the iterates of the brackets still open, each as it would be alone.
-    When an iterate keeps the far end, that end's residual is weighted by
-    Anderson and Bjorck's 1 - f/fb (f at the iterate, fb at the one before),
-    or by 1/2 if that is not positive.  As in Brent's method, no iterate lies
-    closer than half the tolerance to the latest point, and a bracket closes
-    when its ends are within 1e-12 + 4*eps*|x0|.  It then yields its ends
-    (root, far), root the one with the smaller |r|, so that its x0, u and v
-    come from one lane.  A fold point where r = 0 exactly, an end or an
-    iterate, closes its bracket at once as (root, root).  A launch error,
-    or a :class:`PreySwitchError` raised by r, fails its own bracket only,
-    and so does a bracket still open after 100 iterations.
+    Each bracket is (r, a, b, *nodes): a residual r(u, v) of the fold
+    return, two evaluated fold points (x0, u, v) at which r has opposite
+    signs or vanishes, and any other evaluated fold points near them, such
+    as the neighbouring nodes of the coarse curve, at which r must be
+    defined.  All brackets advance in lockstep: each iteration is one
+    :func:`integrate_fold_launches` call whose lanes are those of the
+    brackets still open, each as it would be alone.  A bracket's iterate
+    is x0 at r = 0 by cubic inverse interpolation through its ends and the
+    two other fold points evaluated for it with the smallest |r|, launched
+    as two lanes that straddle it by its predicted error, or by two fifths
+    of Brent's tolerance if that is larger (see :func:`_lanes`).  So a
+    correct prediction either shrinks the bracket to twice that error or
+    closes it, and on the coarse curve two iterations close most brackets.
+    Where the interpolation cannot be trusted, the iterate is one lane,
+    Anderson and Bjorck's weighted regula falsi step: a far end that stays
+    the far end through an iteration has its residual weighted by 1 - f/fb
+    (f at the new end, fb at the one it replaced), or by 1/2 if that is not
+    positive.  A bracket's new ends are the first sign change of r among
+    its ends and its new fold points in order of x0, and it closes when
+    they are within Brent's tolerance, 1e-12 + 4*eps*|x0|.  It then yields
+    its ends (root, far), root the one with the smaller |r|, so that its
+    x0, u and v come from one lane.  A fold point where r = 0 exactly, an end or a lane,
+    closes its bracket at once as (root, root).  A launch error, or a
+    :class:`PreySwitchError` raised by r, on either lane fails its own
+    bracket only, and so does a bracket still open after 100 iterations.
     """
     out: list = [None] * len(brackets)
-    # per open bracket: r, the far end a with its weighted residual, and the
-    # latest fold point b with its residual
+    # per open bracket: r; the far end a, its residual and its weighted
+    # residual; the latest end b and its residual; and every fold point
+    # evaluated for it with its residual, the ends included
     open_: dict[int, list] = {}
-    for i, (r, a, b) in enumerate(brackets):
+    for i, (r, *points) in enumerate(brackets):
         try:
-            fa, fb = r(*a[1:]), r(*b[1:])
+            evaluated = [(p, r(*p[1:])) for p in points]
         except PreySwitchError as err:
             out[i] = err
             continue
-        if abs(fa) < abs(fb):
-            a, fa, b, fb = b, fb, a, fa
+        (a, fa), (b, fb) = sorted(evaluated[:2], key=lambda pf: -abs(pf[1]))
         if fb == 0.0:
             out[i] = (b, b)
         else:
-            open_[i] = [r, a, fa, b, fb]
-    eps = np.finfo(float).eps
+            open_[i] = [r, a, fa, fa, b, fb, evaluated]
     iterations = 0
     while True:
-        for i, (r, a, _, b, fb) in list(open_.items()):
-            if abs(b[0] - a[0]) <= _XTOL + 4.0 * eps * abs(b[0]):
-                out[i] = (b, a) if abs(fb) <= abs(r(*a[1:])) else (a, b)
+        for i, (_, a, fa, _, b, fb, _) in list(open_.items()):
+            if abs(b[0] - a[0]) <= _tolerance(b[0]):
+                out[i] = (b, a) if abs(fb) <= abs(fa) else (a, b)
                 del open_[i]
         if not open_ or iterations == _MAX_ITER:
             break
         iterations += 1
-        iterates = {}
-        for i, (_, (xa, _, _), fa, (xb, _, _), fb) in open_.items():
-            x = xb - fb * (xb - xa) / (fb - fa)
-            # Brent's minimum step: an iterate closer to b than half the
-            # tolerance steps that far toward a instead, so that it lands past
-            # a root near b and the next check closes the bracket
-            half_tol = 0.5 * _XTOL + 2.0 * eps * abs(xb)
-            if abs(x - xb) < half_tol:
-                x = xb + math.copysign(half_tol, xa - xb)
-            # rounding can put the secant point on an end: bisect instead
-            iterates[i] = x if min(xa, xb) < x < max(xa, xb) else 0.5 * (xa + xb)
-        returns = integrate_fold_launches(list(iterates.values()), cfg, params)
-        for (i, x), ret in zip(iterates.items(), returns):
-            r, a, fa, b, fb = open_.pop(i)
-            if isinstance(ret, PreySwitchError):
-                out[i] = ret
+        lanes = {i: _lanes(*state[1:]) for i, state in open_.items()}
+        returns = integrate_fold_launches([x for xs in lanes.values() for x in xs], cfg, params)
+        start = 0
+        for i, xs in lanes.items():
+            r, a, fa, wa, b, fb, evaluated = open_.pop(i)
+            new = _evaluated(r, xs, returns[start : start + len(xs)])
+            start += len(xs)
+            if isinstance(new, PreySwitchError):
+                out[i] = new
                 continue
-            try:
-                f = r(*ret)
-            except PreySwitchError as err:
-                out[i] = err
+            zero = [c for c, f in new if f == 0.0]
+            if zero:
+                out[i] = (zero[0], zero[0])
                 continue
-            c = (x, *ret)
-            if f == 0.0:
-                out[i] = (c, c)
-            elif (f < 0.0) != (fb < 0.0):
-                # across a sign change the old b becomes the far end
-                open_[i] = [r, b, fb, c, f]
-            else:
-                weight = 1.0 - f / fb
-                open_[i] = [r, a, fa * (weight if weight > 0.0 else 0.5), c, f]
-    for i, (_, (xa, _, _), _, (xb, _, _), _) in open_.items():
+            evaluated += new
+            row = sorted([(a, fa), (b, fb), *new])
+            (p, fp), (q, fq) = next(
+                (s, t) for s, t in zip(row, row[1:]) if (s[1] < 0.0) != (t[1] < 0.0)
+            )
+            if q[0] in (a[0], b[0]):  # p new, q an old end: let p be the old one
+                (p, fp), (q, fq) = (q, fq), (p, fp)
+            if p[0] == a[0]:
+                # the far end kept again: weighted by Anderson and Bjorck's
+                # 1 - f/fb, or by 1/2 if that is not positive
+                weight = 1.0 - fq / fb
+                open_[i] = [r, a, fa, wa * (weight if weight > 0.0 else 0.5), q, fq, evaluated]
+            elif p[0] == b[0]:  # across a sign change the old b becomes the far end
+                open_[i] = [r, b, fb, fb, q, fq, evaluated]
+            else:  # two new ends: the one with the smaller |r| is the latest
+                (p, fp), (q, fq) = sorted([(p, fp), (q, fq)], key=lambda pf: -abs(pf[1]))
+                open_[i] = [r, p, fp, fp, q, fq, evaluated]
+    for i, (_, (xa, _, _), _, _, (xb, _, _), _, _) in open_.items():
         out[i] = PreySwitchError(
             f"no root within {_MAX_ITER} iterations (bracket [{min(xa, xb)}, {max(xa, xb)}])"
         )
     return out
+
+
+def _nodes(curve: MuCurve, k: int) -> list[_FoldPoint]:
+    """The nodes k and k + 1 of ``curve``, then their neighbours k - 1 and
+    k + 2 where the curve has them."""
+    return [curve.node(n) for n in (k, k + 1, k - 1, k + 2) if 0 <= n < len(curve)]
 
 
 def _minus_abscissa(x_c: float) -> Callable[[float, float], float]:
@@ -399,10 +495,14 @@ def distances_to_connection(
     :func:`distance_to_connection` would raise for it, unraised.  Each
     row's checks run before any launch; the rows that pass them solve
     u(x0) = x_c together with the lockstep root solver that also finds the
-    connection (:func:`find_shilnikov`), every iteration one batch of
-    fold launches whose lanes are the rows' current iterates.  A row's match
-    is the end of its final bracket with the smaller |u - x_c|.  So a row's
-    D is the one it has alone, and a launch error fails its own row only.
+    connection (:func:`find_shilnikov`, see :func:`_solve_on_curve`).  A
+    row's iterates interpolate u inversely through its node pair (j, j+1)
+    and the neighbouring nodes j-1 and j+2, on which u is monotone, and
+    every iteration is one batch of fold launches holding two lanes per
+    open row, one to either side of its iterate; on Table 1 a 32-row sweep
+    closes in two such batches.  A row's match is the end of its final
+    bracket with the smaller |u - x_c|.  So a row's D is the one it has
+    alone, and a launch error fails its own row only.
     """
     _instance(cfg, IntegratorConfig, "cfg")
     _instance(curve, MuCurve, "curve")
@@ -417,7 +517,7 @@ def distances_to_connection(
             out[i] = err
             continue
         rows.append((i, focus))
-        brackets.append((_minus_abscissa(focus.x), curve.node(j), curve.node(j + 1)))
+        brackets.append((_minus_abscissa(focus.x), *_nodes(curve, j)))
     for (i, focus), match in zip(rows, _solve_on_curve(brackets, cfg, curve.params)):
         out[i] = match if isinstance(match, PreySwitchError) else (match[0][2] - focus.z, match[0][0])
     return out
@@ -465,8 +565,12 @@ def find_shilnikov(
     or no repulsive focus) lies outside [u_min, u_max]; it is replaced by
     the fold point matched, on its pair, to the end of the range whose
     focus abscissa lies between the pair's two u (by the lockstep root
-    solver of :func:`distances_to_connection`, all such ends together).
-    The same solver then solves G = 0 on that pair.
+    solver of :func:`distances_to_connection`, all such ends together,
+    each interpolating through its pair and the pair's neighbouring
+    nodes).  The same solver then solves G = 0 on that pair, interpolating
+    through its ends and the neighbouring nodes where G is defined, beside
+    an end that is still a node; on Table 1 it takes three batches of at
+    most two fold launches.
 
     Raises :class:`DomainError` when the range is not two finite numbers;
     :class:`SameSign` when the range is empty, when G changes sign across no
@@ -489,7 +593,8 @@ def find_shilnikov(
     u_min, u_max = sorted(abscissae)
     curve = coarse_mu_curve(base, cfg)
     G = partial(_gap, base=base)
-    pairs = [[curve.node(k), curve.node(k + 1)] for k in _node_pairs(curve, u_min, u_max)]
+    ks = _node_pairs(curve, u_min, u_max)
+    pairs = [[curve.node(k), curve.node(k + 1)] for k in ks]
     if not pairs:
         raise NoBracket(
             f"the coarse fold-return curve does not reach the focus abscissae "
@@ -497,23 +602,24 @@ def find_shilnikov(
         )
     # where G is undefined at a node, u lies outside [u_min, u_max], so the
     # nearer end's focus abscissa lies between it and the pair's other node
+    undefined = (ConstraintViolation, Lemma2Violation)  # beta1(u) <= 0, or no repulsive focus
     slots, brackets = [], []
-    for pair in pairs:
+    for k, pair in zip(ks, pairs):
         for end, (_, u, v) in enumerate(pair):
             try:
                 G(u, v)
-            except (ConstraintViolation, Lemma2Violation):  # beta1(u) <= 0, or no repulsive focus
+            except undefined:
                 if u_min <= u <= u_max:
                     raise
                 x_c = min(abscissae, key=lambda x: abs(x - u))
                 slots.append((pair, end))
-                brackets.append((_minus_abscissa(x_c), pair[end], pair[1 - end]))
+                brackets.append((_minus_abscissa(x_c), *_nodes(curve, k)))
     for (pair, end), match in zip(slots, _solve_on_curve(brackets, cfg, base)):
         if isinstance(match, PreySwitchError):
             raise match
         pair[end] = match[0]
 
-    changes = [(a, b) for a, b in pairs if (G(*a[1:]) < 0.0) != (G(*b[1:]) < 0.0)]
+    changes = [(k, a, b) for k, (a, b) in zip(ks, pairs) if (G(*a[1:]) < 0.0) != (G(*b[1:]) < 0.0)]
     if not changes:
         raise SameSign(
             f"G keeps one sign on the {len(pairs)} node pairs that meet the "
@@ -524,8 +630,18 @@ def find_shilnikov(
             f"G changes sign across {len(changes)} node pairs that meet the "
             f"beta1 range ({lo}, {hi})"
         )
-    [(a, b)] = changes
-    (x0, u, v), (_, u_far, _) = _lone(_solve_on_curve([(G, a, b)], cfg, base))
+    [(k, a, b)] = changes
+    # the pair's neighbouring nodes where G is defined, beside its ends that
+    # are still nodes
+    neighbours = []
+    for n, m, end in ((k - 1, k, a), (k + 2, k + 1, b)):
+        if 0 <= n < len(curve) and end == curve.node(m):
+            try:
+                G(*curve.node(n)[1:])
+            except undefined:
+                continue
+            neighbours.append(curve.node(n))
+    (x0, u, v), (_, u_far, _) = _lone(_solve_on_curve([(G, a, b, *neighbours)], cfg, base))
     beta1_star = _beta1_with_focus_at(u, base)
     if not lo <= beta1_star <= hi:
         raise SameSign(

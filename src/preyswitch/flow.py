@@ -289,20 +289,21 @@ def _horner_program():
     return _compiled("horner", "c, u", body, f"<Horner's rule to degree {n}>", {})
 
 
-def _brent(coefficients: list[float], lo: float, hi: float) -> float:
+def _brent(coefficients: list[float], lo: float, hi: float, p_lo: float, p_hi: float) -> float:
     """The root in [lo, hi] of the polynomial with these _TAYLOR_ORDER + 1
-    coefficients, by Brent's method to 4 eps.
+    coefficients, by Brent's method to 4 eps, given its values p_lo and
+    p_hi at the ends.
 
     A port of scipy's ``brentq.c`` at ``xtol = rtol = 4 eps``: the same
     iteration on the same floats, so it returns the same root, with p by
-    :func:`_horner_program`.  p(lo) and p(hi) must differ in sign unless
-    one is zero.  Raises :class:`StepFailure` if 100 iterations do not
-    converge.
+    :func:`_horner_program`, which must also have given p_lo and p_hi.
+    They must differ in sign unless one is zero.  Raises
+    :class:`StepFailure` if 100 iterations do not converge.
     """
     horner = _horner_program()
     xpre, xcur = lo, hi
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = horner(coefficients, xpre), horner(coefficients, xcur)
+    fpre, fcur = p_lo, p_hi
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -370,7 +371,7 @@ def _first_root(a: np.ndarray, b: np.ndarray) -> float | None:
             if p_lo <= 0.0:
                 return lo
             if p_hi <= 0.0:
-                return _brent(coefficients, lo, hi)
+                return _brent(coefficients, lo, hi, p_lo, p_hi)
         mid = 0.5 * (lo + hi)
         stack.append((mid, hi, _RIGHT_HALF @ b))
         stack.append((lo, mid, _LEFT_HALF @ b))

@@ -56,7 +56,7 @@ from preyswitch import (
 )
 from preyswitch import connection as connection_mod
 from preyswitch.flow import integrate_fold_launches
-from conftest import rounds, taylor_runs
+from conftest import draw_params, rounds, taylor_runs
 
 
 def pi_map(s, params, cfg):
@@ -309,14 +309,45 @@ def test_distances_agree_with_brentq_on_lone_launches(table1, cfg, coarse_curve)
     )
 
 
+@pytest.mark.lanes
+def test_distances_agree_with_brentq_over_the_admissible_region(cfg, rng, monkeypatch):
+    # 8 rows of each of 20 drawn parameter sets, matched together on stacked
+    # lanes, each as a Brent search of lone launches matches it; no draw
+    # takes more Taylor-loop calls than Table 1's sweep took by regula falsi
+    runs, matched = taylor_runs(monkeypatch), 0
+    for _ in range(20):
+        params = draw_params(rng, require_focus=True)
+        curve = coarse_mu_curve(params, cfg)
+        rows = [params.replace(beta1=b) for b in rng.uniform(0.2, 8.0, 8)]
+        runs.clear()
+        out = distances_to_connection(rows, cfg, curve)
+        assert len(runs) <= 4
+        for row, result in zip(rows, out):
+            if isinstance(result, PreySwitchError):
+                with pytest.raises(type(result)):
+                    distance_to_connection(row, cfg, curve)
+                continue
+            D, x0 = result
+            _, focus = pseudo_equilibria(row)
+            _, j = connection_mod._node_bracket(row, curve)
+            x_ref = brentq(
+                lambda x: mu_point(x, params, cfg)[0] - focus.x, curve.x0s[j], curve.x0s[j + 1], xtol=1e-13
+            )
+            assert abs(x0 - x_ref) <= 1e-10
+            assert abs(D - (mu_point(x_ref, params, cfg)[1] - focus.z)) <= 1e-10
+            matched += 1
+    assert matched >= 40
+
+
 def test_distances_solver_call_budget(table1, cfg, coarse_curve, monkeypatch):
     # each iteration matching all 32 rows together is one call of the Taylor
-    # loop; with the Illinois weight instead of Anderson and Bjorck's it took 5
+    # loop; by regula falsi from the node pairs alone it took 4 calls, and 5
+    # with the Illinois weight instead of Anderson and Bjorck's
     runs = taylor_runs(monkeypatch)
     params = [table1.replace(beta1=b) for b in np.linspace(1.2, 9.8, 32)]
     rows = distances_to_connection(params, cfg, coarse_curve)
     assert not any(isinstance(row, PreySwitchError) for row in rows)
-    assert len(runs) <= 4
+    assert len(runs) <= 2
 
 
 @pytest.mark.lanes
@@ -370,8 +401,120 @@ def test_root_solver_closes_at_an_exact_zero(table1, cfg, coarse_curve, monkeypa
     assert out == (b, b) and runs == []
 
 
+def matching_brackets(table1, curve, betas):
+    """Brackets of u = x_c on ``curve`` for the focus of each beta1, each
+    with its node pair's neighbours, and the x_c."""
+    brackets, xcs = [], []
+    for beta1 in betas:
+        x_c = pseudo_equilibria(table1.replace(beta1=beta1))[1].x
+        d = curve.us - x_c
+        j = next(j for j in range(len(d) - 1) if (d[j] < 0.0) != (d[j + 1] < 0.0))
+        brackets.append((lambda u, v, x_c=x_c: u - x_c, *connection_mod._nodes(curve, j)))
+        xcs.append(x_c)
+    return brackets, xcs
+
+
+@pytest.mark.parametrize("extra", ["outside", "non-monotone"])
+def test_root_solver_falls_back_to_weighted_regula_falsi(table1, cfg, coarse_curve, monkeypatch, extra):
+    # two extra fold points beyond the far end a, placed so that the
+    # interpolated iterate lies just past the near end b, or one beyond b
+    # with r past a's, so that r is not monotone across the points though
+    # the iterate would lie inside: either way, with d under half the
+    # bracket, the iterate is one lane, Anderson and Bjorck's first step
+    # (the secant), where the node pair's true neighbours give two, and the
+    # bracket still closes on the root it has with them
+    [(r, a, b, *nodes)], [x_c] = matching_brackets(table1, coarse_curve, [5.0])
+    runs = taylor_runs(monkeypatch)
+    [(clean, _)] = connection_mod._solve_on_curve([(r, a, b, *nodes)], cfg, table1)
+    assert len(runs[0]) == 2
+    runs.clear()
+    (a, fa), (b, fb) = sorted([(a, r(*a[1:])), (b, r(*b[1:]))], key=lambda pf: -abs(pf[1]))
+    (xa, xb), secant = (a[0], b[0]), b[0] - fb * (b[0] - a[0]) / (fb - fa)
+    if extra == "outside":
+        # x(r) through (fb, xb), (fa, xa) and (0, x_t), x_t just past b
+        x_t = xb + 0.1 * (xb - secant)
+
+        def through(f):
+            return (
+                xb * (f - fa) * f / ((fb - fa) * fb)
+                + xa * (f - fb) * f / ((fa - fb) * fa)
+                + x_t * (f - fb) * (f - fa) / (fb * fa)
+            )
+
+        fakes = [(through(fe), x_c + fe, a[2]) for fe in (2.0 * fa - fb, 3.0 * fa - 2.0 * fb)]
+    else:
+        fakes = [(xb + 2.0 * (xb - xa), x_c + fa + 10.0 * (fa - fb), b[2])]
+    points = [(xb, fb), (xa, fa), *((p[0], r(*p[1:])) for p in fakes)]
+    x, d = connection_mod._inverse_interpolation(points)
+    fs = [f for _, f in sorted(points)]
+    monotone = fs == sorted(fs) or fs == sorted(fs, reverse=True)
+    assert (monotone, min(xa, xb) < x < max(xa, xb)) == ((True, False) if extra == "outside" else (False, True))
+    assert 2.0 * d < abs(xa - xb)
+    [(root, far)] = connection_mod._solve_on_curve([(r, a, b, *fakes)], cfg, table1)
+    assert len(runs[0]) == 1 and runs[0][0].states[0][0] == secant
+    assert abs(root[1] - x_c) <= 1e-10 and (root[1] - x_c) * (far[1] - x_c) <= 0.0
+    assert abs(root[0] - far[0]) <= 1e-12 + 4.0 * np.finfo(float).eps * root[0]
+    assert abs(root[0] - clean[0]) <= 2e-12
+
+
+def test_root_solver_weights_a_kept_far_end_where_interpolation_never_holds(table1, cfg, coarse_curve, monkeypatch):
+    # a fold point beyond b whose r is a tiny value of a's sign is always
+    # the best other point and never monotone with the ends, so every
+    # iterate is Anderson and Bjorck's step: one lane a bracket, and each
+    # bracket closes in the 4 calls regula falsi took on Table 1's sweep
+    # (unweighted, the bracket at beta1 = 2 takes 6)
+    brackets, xcs = matching_brackets(table1, coarse_curve, (2.0, 5.0, 7.5))
+    clean = connection_mod._solve_on_curve(brackets, cfg, table1)
+    runs, stuck = taylor_runs(monkeypatch), []
+    for (r, a, b, *_), x_c in zip(brackets, xcs):
+        (a, fa), (b, _) = sorted([(a, r(*a[1:])), (b, r(*b[1:]))], key=lambda pf: -abs(pf[1]))
+        stuck.append((r, a, b, (b[0] + 2.0 * (b[0] - a[0]), x_c + math.copysign(1e-30, fa), b[2])))
+    out = connection_mod._solve_on_curve(stuck, cfg, table1)
+    assert [len(run) for run in runs] == [3, 3, 3, 3]
+    for (root, far), (clean_root, _), x_c in zip(out, clean, xcs):
+        assert abs(root[1] - x_c) <= 1e-10 and (root[1] - x_c) * (far[1] - x_c) <= 0.0
+        assert abs(root[0] - clean_root[0]) <= 2e-12
+
+
+@pytest.mark.lanes
+@pytest.mark.parametrize("failure", ["launch", "residual"])
+def test_root_solver_fails_a_bracket_whose_partner_lane_fails(table1, cfg, coarse_curve, monkeypatch, failure):
+    # three brackets of u = x_c launch two lanes each at first; the second
+    # bracket's second lane fails, by a launch error or by r raising at its
+    # return: that bracket fails alone, and the other two match as they do
+    # without the failure, on the same lanes
+    brackets, _ = matching_brackets(table1, coarse_curve, (2.0, 5.0, 7.5))
+    runs = taylor_runs(monkeypatch)
+    clean = connection_mod._solve_on_curve(brackets, cfg, table1)
+    lanes = [len(run) for run in runs]
+    assert lanes[0] == 6
+    runs.clear()
+    launch, partner = connection_mod.integrate_fold_launches, []
+    lost = NoReturn("no return of the partner lane")
+
+    def failing(x0s, cfg, params):
+        out = launch(x0s, cfg, params)
+        if not partner:  # the first call
+            partner.append(out[3])
+            if failure == "launch":
+                out[3] = lost
+        return out
+
+    def raising(u, v):
+        if (u, v) in partner:
+            raise lost
+        return brackets[1][0](u, v)
+
+    monkeypatch.setattr(connection_mod, "integrate_fold_launches", failing)
+    out = connection_mod._solve_on_curve([brackets[0], (raising, *brackets[1][1:]), brackets[2]], cfg, table1)
+    assert out[1] is lost
+    assert out[::2] == clean[::2]
+    assert [len(run) for run in runs][1:] == [lane - 2 for lane in lanes[1:]]
+
+
 def test_distance_fails_a_bracket_open_past_max_iterations(table1, cfg, coarse_curve, monkeypatch):
-    # one regula falsi iterate does not close the bracket at beta1 = 5
+    # one iterate's two lanes shrink the bracket at beta1 = 5 but do not
+    # close it: the iterate's predicted error exceeds Brent's tolerance
     monkeypatch.setattr(connection_mod, "_MAX_ITER", 1)
     with pytest.raises(PreySwitchError, match="no root within 1 iterations"):
         distance_to_connection(table1.replace(beta1=5.0), cfg, coarse_curve)
@@ -580,7 +723,7 @@ def test_find_shilnikov_matches_an_end_where_the_neighbour_node_is_undefined(
     other = find_shilnikov(table1, (0.994, 100.0), cfg)
     x_c = pseudo_equilibria(table1.replace(beta1=100.0))[1].x
     # one solve matches u = x_c on nodes 8 and 9, and the next finds G's root
-    [[(r, a, b)], [_]] = calls
+    [[(r, a, b, *_)], [_]] = calls
     assert (r(x_c, 1.0), r(1.0, 2.0)) == (0.0, 1.0 - x_c)
     assert (a[0], b[0]) == (coarse_curve.x0s[8], coarse_curve.x0s[9])
     assert abs(other.beta1_star - cert.beta1_star) <= 1e-9
@@ -606,6 +749,24 @@ def test_find_shilnikov_fold_launch_budget(table1, cfg, monkeypatch):
     assert len(lanes) >= 48  # the coarse curve's lanes were counted
     assert len(launch_runs) <= 12
     assert sum(len(run) for run in launch_runs) == len(lanes) <= 60
+
+
+def test_find_shilnikov_root_call_budget(table1, cfg, monkeypatch):
+    # G's root, interpolated through its node pair and their neighbours,
+    # takes at most 3 calls of the Taylor loop; by regula falsi from the pair
+    # alone it took 5 one-lane calls
+    runs, solves = taylor_runs(monkeypatch), []
+    solve = connection_mod._solve_on_curve
+
+    def recorded(brackets, cfg, params):
+        before = len(runs)
+        out = solve(brackets, cfg, params)
+        solves.append(runs[before:])
+        return out
+
+    monkeypatch.setattr(connection_mod, "_solve_on_curve", recorded)
+    find_shilnikov(table1, (0.994, 10.0), cfg)
+    assert len(solves[-1]) <= 3
 
 
 def test_find_shilnikov_step_budget(table1, cfg, monkeypatch):

@@ -1177,14 +1177,16 @@ def test_brent_returns_brentqs_roots_bit_for_bit(rng):
             if lo == 0.0 or hi == 0.0:
                 a[0] = 0.0
             f = partial(horner, a)
-            assert flow_mod._brent(a, lo, hi) == brentq(f, lo, hi, xtol=tol, rtol=tol)
+            found = flow_mod._brent(a, lo, hi, horner(a, lo), horner(a, hi))
+            assert found == brentq(f, lo, hi, xtol=tol, rtol=tol)
 
 
 def test_brent_raises_step_failure_when_it_does_not_converge():
     # from an infinite end the iterates turn NaN and never narrow; -0.3 + u
     # as a row of a step, to the series' order
+    a = [-0.3, 1.0] + [0.0] * (flow_mod._TAYLOR_ORDER - 1)
     with pytest.raises(StepFailure, match="did not converge"):
-        flow_mod._brent([-0.3, 1.0] + [0.0] * (flow_mod._TAYLOR_ORDER - 1), 0.0, float("inf"))
+        flow_mod._brent(a, 0.0, float("inf"), horner(a, 0.0), horner(a, float("inf")))
 
 
 @pytest.mark.lanes
@@ -1218,7 +1220,9 @@ def test_generated_horner_and_brent_equal_the_references(rng):
         lo, hi = (0.0, 1.0) if k % 3 else (-0.5, 1.0)
         if (horner(a, lo) < 0.0) == (horner(a, hi) < 0.0) and horner(a, lo) != 0.0 != horner(a, hi):
             continue
-        found = root_or_failure(flow_mod._brent, a, lo, hi)
+        found = root_or_failure(
+            lambda a, lo, hi: flow_mod._brent(a, lo, hi, evaluate(a, lo), evaluate(a, hi)), a, lo, hi
+        )
         assert found == root_or_failure(brent, a, lo, hi), (k, root)
         roots += not isinstance(found, str)
     assert roots > 1000
